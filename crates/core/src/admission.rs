@@ -1,20 +1,15 @@
-//! Scheduler plumbing shared by the lockstep ([`BatchedServerSim`]) and
-//! event-driven ([`EventServerSim`]) request schedulers: the in-flight
-//! request record, the admission/readmission loop with its deterministic
-//! ordering tiebreak, KV-share resizing (equal and demand-proportional),
-//! and the shared-accelerator verifier sweep pricing.
+//! Scheduler plumbing used by the timeline run loop
+//! ([`TimelineServerSim`]): the in-flight request record, the
+//! admission/readmission loop with its deterministic ordering tiebreak,
+//! KV-share resizing (equal and demand-proportional), and the
+//! shared-accelerator verifier sweep pricing.
 //!
-//! Both schedulers arbitrate the *same* resources — one [`PoolBudget`]
-//! reservation ledger and one simulated accelerator — so the policies
-//! live here once. The lockstep scheduler passes its whole active set as
-//! the `group`; the event-driven scheduler passes the co-batch group
-//! that is launching plus the `rest` of the in-flight set (requests
-//! mid-iteration outside the batching window), because shares and
-//! admission caps must count *everyone* holding pool reservations, not
-//! just the requests in the current launch.
+//! A launch passes its co-batch `group` plus the `rest` of the in-flight
+//! set (requests mid-iteration outside the batching window), because
+//! shares and admission caps must count *everyone* holding pool
+//! reservations, not just the requests in the current launch.
 //!
-//! [`BatchedServerSim`]: crate::BatchedServerSim
-//! [`EventServerSim`]: crate::EventServerSim
+//! [`TimelineServerSim`]: crate::TimelineServerSim
 
 use std::collections::VecDeque;
 

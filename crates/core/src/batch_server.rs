@@ -60,28 +60,34 @@
 //!   paper's Sec. 4.1.2 rule, and exactly [`ServerSim`]'s rule when the
 //!   batch size is 1.
 //!
+//! [`BatchedServerSim`] is the infinite-window anchored preset of the
+//! timeline run loop, `TimelineConfig::anchored(EventConfig::lockstep(
+//! config))`, and keeps no loop of its own: an infinite co-batch window
+//! makes every launch wait for the whole in-flight set, so each launch
+//! is a lockstep round.
+//!
 //! With `max_batch = 1` and mid-flight admission disabled the scheduler
 //! reproduces [`ServerSim::run`] bit-for-bit (outcomes, latencies,
 //! eviction stats) — with or without `fused_verify`, since a fused
 //! sweep over one participant degenerates to that request's own solo
-//! sweep. Enforced by the lockstep tests in
-//! `crates/core/tests/batch_lockstep.rs`.
+//! sweep. Enforced in `crates/core/tests/batch_lockstep.rs`; the
+//! multi-request lockstep fixtures are frozen in
+//! `crates/core/tests/golden.rs`.
 //!
 //! [`ServerSim`]: crate::ServerSim
 
-use std::collections::VecDeque;
-
-use ftts_engine::{EngineError, VerifyCharge, VerifyChunk};
-use ftts_kv::{HostTier, KvTierConfig, PoolBudget};
+use ftts_engine::EngineError;
+use ftts_kv::KvTierConfig;
 use ftts_metrics::{StreamRecord, StreamSummary};
 use ftts_search::SearchKind;
 use ftts_workload::RequestArrival;
 use serde::{Deserialize, Serialize};
 
-use crate::admission::{self, InFlight, SchedCtx};
-use crate::faults::{FaultCursor, FaultPlan, LaunchFaults, RobustConfig};
-use crate::server::{ServeOutcome, ServedRequest, TtsServer};
+use crate::event_server::EventConfig;
+use crate::faults::{FaultPlan, RobustConfig};
+use crate::server::{ServedRequest, TtsServer};
 use crate::tenant::TenantPolicy;
+use crate::timeline::{TimelineConfig, TimelineServerSim};
 
 /// Request-level scheduling knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -205,7 +211,9 @@ impl BatchConfig {
     }
 }
 
-/// Result of replaying one arrival stream through [`BatchedServerSim`].
+/// Result of replaying one arrival stream through the scheduler run
+/// loop — via [`BatchedServerSim`], [`crate::EventServerSim`] or
+/// [`crate::TimelineServerSim`].
 #[derive(Debug, Clone)]
 pub struct BatchRun {
     /// Per-request records, in arrival order.
@@ -271,10 +279,10 @@ pub struct BatchRun {
     /// rebalance boundaries, in tenant-id order — the audit that hard
     /// caps held for the whole run. Empty without a tenant policy.
     pub tenant_peak_bytes: Vec<(u32, u64)>,
-    /// Device-timeline occupancy roll-up. Only the global-timeline
-    /// scheduler ([`crate::TimelineServerSim`]) records segments; the
-    /// lockstep and event-driven schedulers leave it at the default
-    /// (empty) value.
+    /// Device-timeline occupancy roll-up. Every run records its
+    /// launches as segments on the device timeline; under the anchored
+    /// presets ([`BatchedServerSim`], [`crate::EventServerSim`]) the
+    /// timeline only observes, so `stretch_secs` stays 0.
     pub timeline: ftts_metrics::TimelineOccupancy,
 }
 
@@ -325,31 +333,27 @@ impl BatchRun {
 }
 
 /// Replays a request arrival stream with continuous batching across
-/// requests over one shared accelerator and KV pool.
+/// requests over one shared accelerator and KV pool, in lockstep
+/// rounds: the infinite-window anchored preset of the timeline run
+/// loop.
 #[derive(Debug, Clone)]
 pub struct BatchedServerSim {
-    server: TtsServer,
-    n: usize,
-    kind: SearchKind,
-    config: BatchConfig,
+    sim: TimelineServerSim,
 }
 
 impl BatchedServerSim {
     /// Simulate `server` answering requests with `n` beams each under
     /// the given batching policy.
     pub fn new(server: TtsServer, n: usize, kind: SearchKind, config: BatchConfig) -> Self {
-        assert!(config.max_batch >= 1, "need at least one batch slot");
+        let config = TimelineConfig::anchored(EventConfig::lockstep(config));
         Self {
-            server,
-            n,
-            kind,
-            config,
+            sim: TimelineServerSim::new(server, n, kind, config),
         }
     }
 
     /// The batching policy in effect.
     pub fn config(&self) -> &BatchConfig {
-        &self.config
+        &self.sim.config().event.batch
     }
 
     /// Serve the arrival stream to completion on a fault-free device.
@@ -359,7 +363,7 @@ impl BatchedServerSim {
     /// Propagates [`EngineError`] when a request cannot fit even with
     /// the entire pool to itself.
     pub fn run(&self, arrivals: &[RequestArrival]) -> Result<BatchRun, EngineError> {
-        self.run_faulted(arrivals, &FaultPlan::none())
+        self.sim.run(arrivals)
     }
 
     /// Serve the arrival stream to completion while `plan` injects
@@ -371,369 +375,12 @@ impl BatchedServerSim {
     ///
     /// Propagates [`EngineError`] when a request cannot fit even with
     /// the entire pool to itself.
-    #[allow(clippy::too_many_lines)]
     pub fn run_faulted(
         &self,
         arrivals: &[RequestArrival],
         plan: &FaultPlan,
     ) -> Result<BatchRun, EngineError> {
-        debug_assert!(
-            arrivals.windows(2).all(|w| w[0].at <= w[1].at),
-            "arrival times must be non-decreasing"
-        );
-        let pool_bytes = self.server.config().kv_budget_bytes();
-        let device = self.server.config().device.clone();
-        let gen_bpt = self.server.config().models.gen_spec.kv_bytes_per_token();
-        let mut pool = PoolBudget::new(pool_bytes);
-        if let Some(policy) = self.config.tenants {
-            for spec in policy.specs() {
-                pool.set_tenant_cap(u64::from(spec.id), spec.kv_cap_bytes);
-            }
-        }
-        let mut tier = HostTier::new(self.config.tier);
-        let mut global = 0.0f64;
-        let mut next_arrival = 0usize;
-        let mut waiting: VecDeque<usize> = VecDeque::new();
-        let mut paused: VecDeque<InFlight> = VecDeque::new();
-        let mut active: Vec<InFlight> = Vec::new();
-        let mut served: Vec<Option<ServedRequest>> = (0..arrivals.len()).map(|_| None).collect();
-        let mut admit_seq = 0u64;
-        let mut rounds = 0u64;
-        let mut group_iters = 0u64;
-        let mut preemptions = 0u32;
-        let mut ver_sweeps = 0u64;
-        let mut ver_seqs = 0u64;
-        let mut ver_busy_secs = 0.0f64;
-        let mut cursor = FaultCursor::default();
-        let mut kernel_faults = 0u32;
-        let mut fault_retries = 0u32;
-        let mut kv_loss_events = 0u32;
-        let mut lost_blocks = 0u64;
-        let mut shed = 0u32;
-        let mut cancelled = 0u32;
-        let mut degradations = 0u32;
-        let mut tier_dropped = 0u64;
-
-        loop {
-            // Ingest arrivals due by now.
-            while next_arrival < arrivals.len() && arrivals[next_arrival].at <= global {
-                waiting.push_back(next_arrival);
-                next_arrival += 1;
-            }
-
-            let ctx = SchedCtx {
-                server: &self.server,
-                n: self.n,
-                kind: self.kind,
-                config: &self.config,
-            };
-            // Deadline/SLO enforcement (active only under the Degrade
-            // policy): shed stale or infeasible arrivals, cancel
-            // hopeless runs — before they are (re)admitted and burn
-            // device time on a guaranteed miss.
-            let mut no_rest: Vec<InFlight> = Vec::new();
-            let sweep = admission::enforce_slo(
-                &ctx,
-                global,
-                pool_bytes,
-                arrivals,
-                &mut waiting,
-                &mut paused,
-                &mut active,
-                &mut no_rest,
-                &mut pool,
-                &mut tier,
-                &mut served,
-            );
-            shed += sweep.shed;
-            cancelled += sweep.cancelled;
-            let report = admission::admit(
-                &ctx,
-                &mut active,
-                &mut [],
-                &mut paused,
-                &mut waiting,
-                &mut pool,
-                &mut tier,
-                arrivals,
-                global,
-                &mut admit_seq,
-            )?;
-            degradations += report.degradations;
-            // Admission boundary: size elastic shares by demand (and,
-            // under a tenant policy, by tenant fair-share).
-            if report.admitted && admission::elastic(&self.config) {
-                admission::rebalance_elastic(&self.config, &mut active, &mut [], &mut pool);
-            }
-
-            if active.is_empty() {
-                if waiting.is_empty() && paused.is_empty() {
-                    if next_arrival >= arrivals.len() {
-                        break; // everything served
-                    }
-                    // Idle until the next arrival.
-                    global = global.max(arrivals[next_arrival].at);
-                    continue;
-                }
-                // A lone candidate that cannot fit the whole pool: fresh
-                // requests already propagated from admission, so this is
-                // a preempted run whose paths outgrew the device.
-                let p = paused.front().expect("paused candidate");
-                let (needed, capacity) = p.run.kv_demand();
-                return Err(EngineError::PathExceedsMemory { needed, capacity });
-            }
-
-            // Memory-pressure preemption: a request whose worst path no
-            // longer fits its share cannot progress at all; one whose
-            // frontier working set outgrew the share would thrash the
-            // cache with evict/recompute cycles every iteration. Either
-            // way requests are swapped out youngest-first (vLLM's victim
-            // rule) and the survivors regrow. A lone request is never
-            // preempted — it holds the whole pool, like FIFO would.
-            while active.len() > 1 {
-                let victim = active
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, a)| !a.run.can_progress() || !a.run.fits_working_set())
-                    .max_by_key(|(_, a)| a.admit_seq)
-                    .map(|(i, _)| i);
-                let Some(vi) = victim else { break };
-                let mut v = active.remove(vi);
-                // With a host tier, swap-down is capped at the tier's
-                // free capacity: what fits parks (and is PCIe-costed),
-                // the overflow is genuinely dropped — no transfer, but
-                // recomputed on readmission. Disabled tier: the legacy
-                // unbounded swap, bit-for-bit.
-                let bytes = if tier.enabled() {
-                    let (swapped, dropped) = v.run.preempt_capped(tier.available_bytes());
-                    tier.park(v.idx as u64, swapped);
-                    tier_dropped += dropped;
-                    swapped
-                } else {
-                    v.run.preempt()
-                };
-                global += device.pcie_transfer_seconds(bytes);
-                pool.release(v.idx as u64);
-                v.preemptions += 1;
-                preemptions += 1;
-                v.paused_at = global;
-                v.probe = None;
-                paused.push_back(v);
-                // Preemption boundary: survivors regrow or rebalance.
-                admission::reshare(&self.config, &mut active, &mut [], &mut pool);
-            }
-
-            // One lockstep round: every active request executes one TTS
-            // iteration over the shared, co-batched accelerator, in four
-            // explicit phases (plan → gather → cost → commit).
-            let round_start = global;
-            rounds += 1;
-            group_iters += active.len() as u64;
-            let loads: Vec<(usize, u64)> = active.iter().map(|a| a.run.decode_load()).collect();
-            let total_seqs: usize = loads.iter().map(|l| l.0).sum();
-            let total_ctx: u64 = loads.iter().map(|l| l.1).sum();
-            let alone = active.len() == 1 && waiting.is_empty() && paused.is_empty();
-            let next_at = arrivals.get(next_arrival).map(|a| a.at);
-            // The round barrier is the latest member's absolute clock
-            // (`started_at + internal clock` — never re-derived from
-            // deltas, which would drift bit-wise from the FIFO path).
-            let mut round_end = global;
-            let mut finished: Vec<usize> = Vec::new();
-
-            // Phase 1 — plan: memory replan plus the co-batched decode.
-            let mut planned: Vec<bool> = Vec::with_capacity(active.len());
-            for (i, a) in active.iter_mut().enumerate() {
-                a.run
-                    .set_co_batch(total_seqs - loads[i].0, total_ctx - loads[i].1);
-                // Two-phase rule: speculate only while alone, and only
-                // until the next (known) arrival would start waiting.
-                let spec_off = if !alone {
-                    0.0
-                } else if let Some(at) = next_at {
-                    (at - a.started_at).max(0.0)
-                } else {
-                    f64::INFINITY
-                };
-                a.run.set_spec_off_after(spec_off);
-                planned.push(!a.run.plan_iteration(a.driver.as_mut())?.is_finished());
-            }
-
-            // Phase 2 — gather: every run's verifier mirror work and the
-            // prefill chunks still owed kernel time.
-            let plans: Vec<Vec<VerifyChunk>> = active
-                .iter_mut()
-                .zip(&planned)
-                .map(|(a, &p)| {
-                    if p {
-                        a.run.take_verify_batch().to_vec()
-                    } else {
-                        Vec::new()
-                    }
-                })
-                .collect();
-
-            // Phase 3 — cost: price all verifier sweeps over the one
-            // shared accelerator (fused or serialized).
-            let mut charges: Vec<Vec<VerifyCharge>> = vec![Vec::new(); active.len()];
-            let sweep = admission::cost_verify_sweeps(
-                self.config.fused_verify,
-                &mut active,
-                &plans,
-                &mut charges,
-            );
-            ver_sweeps += sweep.sweeps;
-            ver_seqs += sweep.seqs;
-            ver_busy_secs += sweep.busy_secs;
-
-            // Phase 4 — commit: charge the sweeps, reveal scores, branch
-            // survivors; apply the opt-in First Finish cut.
-            for (i, a) in active.iter_mut().enumerate() {
-                let status = if planned[i] {
-                    a.run.apply_verify_results(a.driver.as_mut(), &charges[i])?
-                } else {
-                    ftts_engine::StepStatus::Finished
-                };
-                let mut done = status.is_finished();
-                if !done
-                    && self.config.first_finish
-                    && a.run.first_finish_cut(self.config.first_finish_bar)
-                {
-                    done = true;
-                }
-                round_end = round_end.max(a.started_at + a.run.clock());
-                if done {
-                    finished.push(i);
-                }
-            }
-
-            // Injected faults due this round (popped once, in time
-            // order, from the shared cursor — both schedulers consume
-            // the plan at the same launch boundaries). All fault time
-            // is booked to the dedicated `fault` bucket, proportional
-            // to each member's own busy seconds this round (the members
-            // share the faulty kernel), so the busy-phase attribution
-            // stays identical to the fault-free run.
-            let faults = LaunchFaults::at(&mut cursor, plan, &self.config.robust, round_start);
-            if faults.fired() {
-                kernel_faults += faults.kernel_faults;
-                fault_retries += faults.retries;
-                for a in active.iter_mut() {
-                    let dt = (a.started_at + a.run.clock() - round_start).max(0.0);
-                    a.run
-                        .stall_fault(dt * faults.busy_stretch + faults.backoff_secs);
-                    if faults.kernel_faults > 0 {
-                        a.run.note_kernel_faults(
-                            faults.kernel_faults,
-                            faults.retries,
-                            faults.backoff_secs,
-                        );
-                    }
-                    if faults.slowdown_stretch > 0.0 {
-                        a.run.note_slowdown(dt * faults.slowdown_stretch);
-                    }
-                }
-                if faults.kv_losses > 0 {
-                    // Device KV loss hits every device-resident request;
-                    // swapped-out (paused) requests survive in host RAM.
-                    // Recovery is recompute-on-pin: deterministic
-                    // replay, no accepted tokens lost.
-                    kv_loss_events += faults.kv_losses;
-                    for a in active.iter_mut() {
-                        lost_blocks += a.run.lose_device_kv();
-                    }
-                }
-                round_end = active
-                    .iter()
-                    .map(|a| a.started_at + a.run.clock())
-                    .fold(round_start, f64::max);
-            }
-            global = round_end;
-
-            // Completions leave the batch at their own finish instant.
-            // The prompt prefix is offered to the host tier's shared
-            // store on the way out (a no-op when the tier is disabled):
-            // a later request for the same problem admits warm.
-            for &i in finished.iter().rev() {
-                let a = active.remove(i);
-                pool.release(a.idx as u64);
-                let prompt_tokens = arrivals[a.idx].problem.prompt_tokens;
-                tier.publish_prefix(
-                    arrivals[a.idx].problem.seed,
-                    prompt_tokens,
-                    prompt_tokens.saturating_mul(gen_bpt),
-                );
-                let stats = a.run.finish();
-                let answer = ftts_metrics::top1_majority(&stats.answers());
-                served[a.idx] = Some(ServedRequest {
-                    arrived_at: a.arrived_at,
-                    started_at: a.started_at,
-                    finished_at: a.started_at + stats.latency(),
-                    preemptions: a.preemptions,
-                    preempted_secs: a.preempted_secs,
-                    slo: a.slo,
-                    deadline: a.deadline,
-                    shed: false,
-                    granted_n: a.granted_n,
-                    outcome: ServeOutcome { stats, answer },
-                });
-            }
-
-            // Survivors idle-wait at the round barrier (booked as
-            // barrier idle — the attribution event-driven scheduling
-            // exists to drain); regrow or rebalance shares if the batch
-            // shrank (completion boundary).
-            if !active.is_empty() {
-                for a in &mut active {
-                    admission::pad_to_barrier(a, global);
-                }
-                if !finished.is_empty() {
-                    admission::reshare(&self.config, &mut active, &mut [], &mut pool);
-                } else if admission::elastic(&self.config)
-                    && admission::demand_drifted(&active, &[])
-                {
-                    // Demand-drift boundary: trees grow for many rounds
-                    // between admissions/completions; shares frozen at
-                    // an early snapshot would shrink a growing request
-                    // into preemption. Re-declare and rebalance once any
-                    // run's demand drifts ±25% past its declaration.
-                    admission::rebalance_elastic(&self.config, &mut active, &mut [], &mut pool);
-                }
-            }
-        }
-
-        Ok(BatchRun {
-            served: served
-                .into_iter()
-                .map(|r| r.expect("every request served"))
-                .collect(),
-            rounds,
-            group_iters,
-            preemptions,
-            peak_reserved_bytes: pool.peak_reserved_bytes(),
-            pool_bytes,
-            ver_sweeps,
-            ver_seqs,
-            ver_busy_secs,
-            kernel_faults,
-            fault_retries,
-            kv_loss_events,
-            lost_blocks,
-            shed,
-            cancelled,
-            degradations,
-            final_reserved_bytes: pool.reserved_bytes(),
-            kv_tier_hits: tier.stats().prefix_hits,
-            kv_tier_demotions: tier.stats().demotions,
-            kv_tier_parked_bytes: tier.stats().parked_bytes,
-            kv_tier_dropped_bytes: tier_dropped + tier.stats().overflow_dropped_bytes,
-            kv_tier_unparked_bytes: tier.stats().unparked_bytes,
-            tenant_peak_bytes: pool
-                .tenant_peaks()
-                .into_iter()
-                .map(|(t, b)| (t as u32, b))
-                .collect(),
-            timeline: ftts_metrics::TimelineOccupancy::default(),
-        })
+        self.sim.run_faulted(arrivals, plan)
     }
 }
 

@@ -36,49 +36,35 @@
 //!   launches is safe (`RunPhase` asserts it).
 //! * **Shared admission, shares and preemption.** Admission order,
 //!   equal/demand-proportional KV shares and youngest-first preemption
-//!   are the same code the lockstep scheduler uses
-//!   (`crate::admission`), with one generalization: shares and caps
+//!   are the `crate::admission` code every preset runs. Shares and caps
 //!   count the *whole* in-flight set, not just the launching group.
 //!
-//! # Equivalence anchors
+//! # One loop, two anchors
 //!
-//! Two degenerate modes pin the scheduler to known-good paths, enforced
-//! bit-for-bit in `crates/core/tests/event_sched.rs`:
+//! [`EventServerSim`] is the anchored preset of the timeline run loop
+//! (`TimelineConfig::anchored(config)`) and keeps no loop of its own.
+//! Two degenerate windows pin it to known-good behaviour:
 //!
-//! * **Batch 1** ([`BatchConfig::fifo`]): groups are always singletons,
-//!   no window wait, no barrier — the event loop reproduces
-//!   [`ServerSim::run`](crate::ServerSim::run) exactly, like the
-//!   lockstep scheduler does.
+//! * **Batch 1** ([`BatchConfig::fifo`]): groups are always singletons
+//!   and the loop reproduces [`ServerSim::run`](crate::ServerSim::run)
+//!   exactly (checked in `crates/core/tests/event_sched.rs`).
 //! * **Infinite window** ([`EventConfig::lockstep`]): every launch
-//!   waits for all in-flight requests, the launch instant is exactly
-//!   the lockstep barrier, and the device floor advances to each
-//!   launch's round end (finished members hold the barrier, as they do
-//!   in a lockstep round) — the event loop reproduces
-//!   [`BatchedServerSim::run`](crate::BatchedServerSim::run) exactly,
-//!   including `barrier_idle` attribution.
+//!   waits for all in-flight requests, so the launch is the lockstep
+//!   barrier and the device floor advances to each round's end — the
+//!   [`BatchedServerSim`](crate::BatchedServerSim) preset, including
+//!   `barrier_idle` attribution.
 //!
-//! # Time model
-//!
-//! Launches are processed in non-decreasing launch order (a device
-//! `floor` enforces it: preemption PCIe transfers and — in the
-//! infinite-window mode — round ends raise it). KV reservations release
-//! at the *commit* of a request's final iteration, which can precede
-//! its finish instant by at most that one iteration: the same
-//! iteration-granularity approximation the lockstep scheduler makes
-//! when it resizes shares at round boundaries while members' clocks
-//! disagree. The ledger itself is never overcommitted.
+//! Both modes and the windows between them are frozen as golden
+//! fingerprints in `crates/core/tests/golden.rs`.
 
-use std::collections::VecDeque;
-
-use ftts_engine::{EngineError, RunPhase, StepStatus, VerifyCharge, VerifyChunk};
-use ftts_kv::{HostTier, PoolBudget};
+use ftts_engine::EngineError;
 use ftts_search::SearchKind;
 use ftts_workload::RequestArrival;
 
-use crate::admission::{self, InFlight, SchedCtx};
 use crate::batch_server::{BatchConfig, BatchRun};
-use crate::faults::{FaultCursor, FaultPlan, LaunchFaults};
-use crate::server::{ServeOutcome, ServedRequest, TtsServer};
+use crate::faults::FaultPlan;
+use crate::server::TtsServer;
+use crate::timeline::{TimelineConfig, TimelineServerSim};
 
 /// Event-driven scheduling knobs: a request-level batching policy plus
 /// the co-batch window.
@@ -164,33 +150,25 @@ impl RunDirectives {
 
 /// Replays a request arrival stream with event-driven
 /// (iteration-granularity) continuous batching over one shared
-/// accelerator and KV pool. See the module docs for the execution
-/// model.
+/// accelerator and KV pool: the anchored preset of the timeline run
+/// loop. See the module docs for the execution model.
 #[derive(Debug, Clone)]
 pub struct EventServerSim {
-    server: TtsServer,
-    n: usize,
-    kind: SearchKind,
-    config: EventConfig,
+    sim: TimelineServerSim,
 }
 
 impl EventServerSim {
     /// Simulate `server` answering requests with `n` beams each under
     /// the given event-driven policy.
     pub fn new(server: TtsServer, n: usize, kind: SearchKind, config: EventConfig) -> Self {
-        assert!(config.batch.max_batch >= 1, "need at least one batch slot");
-        assert!(config.window_secs >= 0.0, "window must be non-negative");
         Self {
-            server,
-            n,
-            kind,
-            config,
+            sim: TimelineServerSim::new(server, n, kind, TimelineConfig::anchored(config)),
         }
     }
 
     /// The event-driven policy in effect.
     pub fn config(&self) -> &EventConfig {
-        &self.config
+        &self.sim.config().event
     }
 
     /// Serve the arrival stream to completion on a fault-free device.
@@ -200,15 +178,12 @@ impl EventServerSim {
     /// Propagates [`EngineError`] when a request cannot fit even with
     /// the entire pool to itself.
     pub fn run(&self, arrivals: &[RequestArrival]) -> Result<BatchRun, EngineError> {
-        self.run_faulted(arrivals, &FaultPlan::none())
+        self.sim.run(arrivals)
     }
 
     /// Serve the arrival stream to completion while `plan` injects
-    /// faults into the simulated device. The empty plan reproduces
-    /// [`EventServerSim::run`] bit-for-bit, and the lockstep
-    /// (infinite-window) mode consumes the plan at exactly the lockstep
-    /// scheduler's round boundaries — the equivalence anchors extend to
-    /// faulty runs.
+    /// faults into the simulated device (see
+    /// [`TimelineServerSim::run_faulted`]).
     ///
     /// # Errors
     ///
@@ -219,510 +194,23 @@ impl EventServerSim {
         arrivals: &[RequestArrival],
         plan: &FaultPlan,
     ) -> Result<BatchRun, EngineError> {
-        self.run_directed(arrivals, plan, &RunDirectives::default())
+        self.sim.run_faulted(arrivals, plan)
     }
 
     /// Serve the arrival stream under `plan` while `directives` steer
-    /// the timeline from outside: directed cancellations (crash
-    /// failover, hedge losers) and mid-run host-tier prefix handoffs.
-    /// Empty directives reproduce [`EventServerSim::run_faulted`]
-    /// bit-for-bit — the fleet's 1-device pass-through anchor.
+    /// the run from outside (see [`TimelineServerSim::run_directed`]).
     ///
     /// # Errors
     ///
     /// Propagates [`EngineError`] when a request cannot fit even with
     /// the entire pool to itself.
-    #[allow(clippy::too_many_lines)]
     pub fn run_directed(
         &self,
         arrivals: &[RequestArrival],
         plan: &FaultPlan,
         directives: &RunDirectives,
     ) -> Result<BatchRun, EngineError> {
-        debug_assert!(
-            arrivals.windows(2).all(|w| w[0].at <= w[1].at),
-            "arrival times must be non-decreasing"
-        );
-        let batch = &self.config.batch;
-        let window = self.config.window_secs;
-        let lockstep = window.is_infinite();
-        let pool_bytes = self.server.config().kv_budget_bytes();
-        let device = self.server.config().device.clone();
-        let gen_bpt = self.server.config().models.gen_spec.kv_bytes_per_token();
-        let mut pool = PoolBudget::new(pool_bytes);
-        if let Some(policy) = batch.tenants {
-            for spec in policy.specs() {
-                pool.set_tenant_cap(u64::from(spec.id), spec.kv_cap_bytes);
-            }
-        }
-        let mut tier = HostTier::new(batch.tier);
-        // Earliest instant the next launch may happen: raised by
-        // preemption PCIe transfers, by completions that drain the
-        // device, and (in lockstep mode) by every launch's round end.
-        let mut floor = 0.0f64;
-        // Latest completion instant seen — the device-drained floor.
-        let mut finish_max = 0.0f64;
-        let mut next_arrival = 0usize;
-        let mut waiting: VecDeque<usize> = VecDeque::new();
-        let mut paused: VecDeque<InFlight> = VecDeque::new();
-        let mut active: Vec<InFlight> = Vec::new();
-        let mut served: Vec<Option<ServedRequest>> = (0..arrivals.len()).map(|_| None).collect();
-        let mut admit_seq = 0u64;
-        let mut rounds = 0u64;
-        let mut group_iters = 0u64;
-        let mut preemptions = 0u32;
-        let mut ver_sweeps = 0u64;
-        let mut ver_seqs = 0u64;
-        let mut ver_busy_secs = 0.0f64;
-        let mut cursor = FaultCursor::default();
-        let mut kernel_faults = 0u32;
-        let mut fault_retries = 0u32;
-        let mut kv_loss_events = 0u32;
-        let mut lost_blocks = 0u64;
-        let mut shed = 0u32;
-        let mut cancelled = 0u32;
-        let mut degradations = 0u32;
-        let mut tier_dropped = 0u64;
-        // Directed cancels: earliest instant per arrival index (∞ =
-        // never), applied at launch boundaries like deadline sweeps.
-        let has_cancels = !directives.cancels.is_empty();
-        let mut cancel_at = vec![f64::INFINITY; arrivals.len()];
-        for &(idx, t) in &directives.cancels {
-            assert!(idx < arrivals.len(), "cancel index out of range");
-            cancel_at[idx] = cancel_at[idx].min(t);
-        }
-        let mut prewarms = directives.prewarms.clone();
-        prewarms.sort_by(|a, b| a.at.partial_cmp(&b.at).expect("finite prewarm times"));
-        let mut prewarm_next = 0usize;
-
-        loop {
-            // Next decision instant: the earliest ready request, or the
-            // next arrival.
-            let next_ready = active
-                .iter()
-                .map(InFlight::ready_at)
-                .fold(f64::INFINITY, f64::min);
-            let next_arr = arrivals.get(next_arrival).map_or(f64::INFINITY, |a| a.at);
-
-            if active.is_empty() {
-                // The device is drained; nothing launches before the
-                // last completion.
-                floor = floor.max(finish_max);
-                if waiting.is_empty() && paused.is_empty() {
-                    if next_arrival >= arrivals.len() {
-                        break; // everything served
-                    }
-                    // Idle until the next arrival.
-                    floor = floor.max(next_arr);
-                }
-            }
-
-            // Anchor: the earliest instant a new co-batch can launch. A
-            // pending arrival anchors its own (fresh) launch only when
-            // mid-flight admission could actually take it — otherwise
-            // it is ingested when the next ready-driven launch forms.
-            let arrival_anchor = next_arr.max(floor);
-            let consider_arrival = batch.admit_mid_flight
-                && active.len() < batch.max_batch
-                && arrival_anchor < next_ready;
-            let anchor = if active.is_empty() {
-                floor
-            } else if consider_arrival {
-                arrival_anchor
-            } else {
-                next_ready
-            };
-
-            // Group: every in-flight request whose next iteration can
-            // start inside the batching window. The partition is stable,
-            // so the group keeps admission order (the order shares
-            // resize and unfused sweeps serialize in).
-            let horizon = anchor + window;
-            let mut group: Vec<InFlight> = Vec::new();
-            let mut rest: Vec<InFlight> = Vec::new();
-            for a in active.drain(..) {
-                if a.ready_at() <= horizon {
-                    group.push(a);
-                } else {
-                    rest.push(a);
-                }
-            }
-
-            // Launch: the latest member's ready time, never before the
-            // device floor. Members ready earlier wait the gap — a
-            // window wait (plain idle), except in the degenerate
-            // infinite-window mode where the wait *is* the lockstep
-            // round barrier.
-            let mut launch = group
-                .iter()
-                .map(InFlight::ready_at)
-                .fold(anchor.max(floor), f64::max);
-            for a in &mut group {
-                if lockstep {
-                    admission::pad_to_barrier(a, launch);
-                } else {
-                    admission::pad_to(a, launch);
-                }
-            }
-
-            // Ingest arrivals due by the launch, then admit (readmits
-            // first, then fresh arrivals — the shared tiebreak) into the
-            // group at the launch instant.
-            while next_arrival < arrivals.len() && arrivals[next_arrival].at <= launch {
-                waiting.push_back(next_arrival);
-                next_arrival += 1;
-            }
-            let ctx = SchedCtx {
-                server: &self.server,
-                n: self.n,
-                kind: self.kind,
-                config: batch,
-            };
-            // Directed prefix handoffs due by this launch land in the
-            // tier before admission, so a migrated request admits warm.
-            while prewarm_next < prewarms.len() && prewarms[prewarm_next].at <= launch {
-                let p = prewarms[prewarm_next];
-                tier.publish_prefix(p.key, p.tokens, p.bytes);
-                prewarm_next += 1;
-            }
-            // Directed cancellations sweep at the same pre-admission
-            // boundary as deadline enforcement, under any fault policy.
-            if has_cancels {
-                let sweep = admission::apply_cancels(
-                    batch,
-                    &cancel_at,
-                    launch,
-                    arrivals,
-                    &mut waiting,
-                    &mut paused,
-                    &mut group,
-                    &mut rest,
-                    &mut pool,
-                    &mut tier,
-                    &mut served,
-                );
-                shed += sweep.shed;
-                cancelled += sweep.cancelled;
-            }
-            // Deadline/SLO enforcement (active only under the Degrade
-            // policy), at the same pre-admission boundary the lockstep
-            // scheduler sweeps at.
-            let sweep = admission::enforce_slo(
-                &ctx,
-                launch,
-                pool_bytes,
-                arrivals,
-                &mut waiting,
-                &mut paused,
-                &mut group,
-                &mut rest,
-                &mut pool,
-                &mut tier,
-                &mut served,
-            );
-            shed += sweep.shed;
-            cancelled += sweep.cancelled;
-            let report = admission::admit(
-                &ctx,
-                &mut group,
-                &mut rest,
-                &mut paused,
-                &mut waiting,
-                &mut pool,
-                &mut tier,
-                arrivals,
-                launch,
-                &mut admit_seq,
-            )?;
-            degradations += report.degradations;
-            // Admission boundary: size elastic shares by demand (and,
-            // under a tenant policy, by tenant fair-share).
-            if report.admitted && admission::elastic(batch) {
-                admission::rebalance_elastic(batch, &mut group, &mut rest, &mut pool);
-            }
-
-            if group.is_empty() && rest.is_empty() {
-                if waiting.is_empty() && paused.is_empty() {
-                    continue; // idle to the next arrival (or done)
-                }
-                // A lone candidate that cannot fit the whole pool: fresh
-                // requests already propagated from admission, so this is
-                // a preempted run whose paths outgrew the device.
-                let p = paused.front().expect("paused candidate");
-                let (needed, capacity) = p.run.kv_demand();
-                return Err(EngineError::PathExceedsMemory { needed, capacity });
-            }
-            if group.is_empty() {
-                // The anchor produced no launch (a blocked arrival, or
-                // every in-flight request beyond the horizon): put the
-                // in-flight set back and wait for the next ready event.
-                active = rest;
-                continue;
-            }
-
-            // Memory-pressure preemption over the launching group
-            // (requests outside the group are between iterations and
-            // re-probed when they launch). Victims are swapped out
-            // youngest-first; a lone request is never preempted.
-            while group.len() + rest.len() > 1 {
-                let victim = group
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, a)| !a.run.can_progress() || !a.run.fits_working_set())
-                    .max_by_key(|(_, a)| a.admit_seq)
-                    .map(|(i, _)| i);
-                let Some(vi) = victim else { break };
-                let mut v = group.remove(vi);
-                // With a host tier, swap-down is capped at the tier's
-                // free capacity: what fits parks (and is PCIe-costed),
-                // the overflow is genuinely dropped — no transfer, but
-                // recomputed on readmission. Disabled tier: the legacy
-                // unbounded swap, bit-for-bit.
-                let bytes = if tier.enabled() {
-                    let (swapped, dropped) = v.run.preempt_capped(tier.available_bytes());
-                    tier.park(v.idx as u64, swapped);
-                    tier_dropped += dropped;
-                    swapped
-                } else {
-                    v.run.preempt()
-                };
-                launch += device.pcie_transfer_seconds(bytes);
-                pool.release(v.idx as u64);
-                v.preemptions += 1;
-                preemptions += 1;
-                v.paused_at = launch;
-                v.probe = None;
-                paused.push_back(v);
-                // Preemption boundary: survivors regrow or rebalance.
-                admission::reshare(batch, &mut group, &mut rest, &mut pool);
-            }
-            // The launch (with any preemption PCIe time) is committed
-            // device time: later launches never precede it.
-            floor = floor.max(launch);
-            if group.is_empty() {
-                active = rest;
-                continue;
-            }
-
-            // One launch: the group executes one TTS iteration over the
-            // shared, co-batched accelerator, in the four split phases
-            // (plan → gather → cost → commit). Decode contention counts
-            // the *whole* in-flight set — requests outside the launch
-            // are mid-iteration and genuinely overlap on the device, so
-            // their sequences ride the same weight sweep and memory
-            // traffic even though only group members join this launch's
-            // fused verifier sweep. (With an infinite window the rest is
-            // empty and this is exactly the lockstep round's co-batch.)
-            rounds += 1;
-            group_iters += group.len() as u64;
-            let loads: Vec<(usize, u64)> = group.iter().map(|a| a.run.decode_load()).collect();
-            let (rest_seqs, rest_ctx) = rest
-                .iter()
-                .map(|a| a.run.decode_load())
-                .fold((0usize, 0u64), |(s, c), (ls, lc)| (s + ls, c + lc));
-            let total_seqs: usize = loads.iter().map(|l| l.0).sum::<usize>() + rest_seqs;
-            let total_ctx: u64 = loads.iter().map(|l| l.1).sum::<u64>() + rest_ctx;
-            let alone =
-                group.len() == 1 && rest.is_empty() && waiting.is_empty() && paused.is_empty();
-            let next_at = arrivals.get(next_arrival).map(|a| a.at);
-            let mut round_end = launch;
-            let mut finished: Vec<usize> = Vec::new();
-
-            // Phase 1 — plan: memory replan plus the co-batched decode.
-            let mut planned: Vec<bool> = Vec::with_capacity(group.len());
-            for (i, a) in group.iter_mut().enumerate() {
-                a.run
-                    .set_co_batch(total_seqs - loads[i].0, total_ctx - loads[i].1);
-                // Two-phase rule: speculate only while alone, and only
-                // until the next (known) arrival would start waiting.
-                let spec_off = if !alone {
-                    0.0
-                } else if let Some(at) = next_at {
-                    (at - a.started_at).max(0.0)
-                } else {
-                    f64::INFINITY
-                };
-                a.run.set_spec_off_after(spec_off);
-                planned.push(!a.run.plan_iteration(a.driver.as_mut())?.is_finished());
-            }
-
-            // Phase 2 — gather: every run's verifier mirror work and the
-            // prefill chunks still owed kernel time.
-            let plans: Vec<Vec<VerifyChunk>> = group
-                .iter_mut()
-                .zip(&planned)
-                .map(|(a, &p)| {
-                    if p {
-                        a.run.take_verify_batch().to_vec()
-                    } else {
-                        Vec::new()
-                    }
-                })
-                .collect();
-
-            // Phase 3 — cost: price the group's verifier sweeps over the
-            // one shared accelerator (fused or serialized).
-            let mut charges: Vec<Vec<VerifyCharge>> = vec![Vec::new(); group.len()];
-            let sweep =
-                admission::cost_verify_sweeps(batch.fused_verify, &mut group, &plans, &mut charges);
-            ver_sweeps += sweep.sweeps;
-            ver_seqs += sweep.seqs;
-            ver_busy_secs += sweep.busy_secs;
-
-            // Phase 4 — commit: charge the sweeps, reveal scores, branch
-            // survivors; apply the opt-in First Finish cut.
-            for (i, a) in group.iter_mut().enumerate() {
-                let status = if planned[i] {
-                    a.run.apply_verify_results(a.driver.as_mut(), &charges[i])?
-                } else {
-                    StepStatus::Finished
-                };
-                debug_assert!(
-                    a.run.run_phase() == RunPhase::Ready || !planned[i],
-                    "a committed run must be back between iterations"
-                );
-                let mut done = status.is_finished();
-                if !done && batch.first_finish && a.run.first_finish_cut(batch.first_finish_bar) {
-                    done = true;
-                }
-                round_end = round_end.max(a.started_at + a.run.clock());
-                if done {
-                    finished.push(i);
-                }
-            }
-
-            // Injected faults due this launch, popped from the same
-            // cursor position the lockstep scheduler would pop them at
-            // (in lockstep mode the launch instant *is* the round
-            // barrier, so faulty runs stay bit-identical across
-            // schedulers). Kernel faults and throttle windows hit the
-            // kernels launched now — the group; device KV loss is state
-            // damage and hits every device-resident request, including
-            // bystanders mid-iteration outside the window (`rest`).
-            // Swapped-out (paused) requests survive in host RAM.
-            let faults = LaunchFaults::at(&mut cursor, plan, &batch.robust, launch);
-            if faults.fired() {
-                kernel_faults += faults.kernel_faults;
-                fault_retries += faults.retries;
-                for a in group.iter_mut() {
-                    let dt = (a.started_at + a.run.clock() - launch).max(0.0);
-                    a.run
-                        .stall_fault(dt * faults.busy_stretch + faults.backoff_secs);
-                    if faults.kernel_faults > 0 {
-                        a.run.note_kernel_faults(
-                            faults.kernel_faults,
-                            faults.retries,
-                            faults.backoff_secs,
-                        );
-                    }
-                    if faults.slowdown_stretch > 0.0 {
-                        a.run.note_slowdown(dt * faults.slowdown_stretch);
-                    }
-                }
-                if faults.kv_losses > 0 {
-                    kv_loss_events += faults.kv_losses;
-                    for a in group.iter_mut().chain(rest.iter_mut()) {
-                        lost_blocks += a.run.lose_device_kv();
-                    }
-                }
-                round_end = group
-                    .iter()
-                    .map(|a| a.started_at + a.run.clock())
-                    .fold(launch, f64::max);
-            }
-            // In lockstep mode the round end *is* the barrier: nothing —
-            // including the next admission — happens before it, and
-            // finished members hold it exactly as they hold a lockstep
-            // round's. With a finite window the floor stays at the
-            // launch: survivors and bystanders advance at their own
-            // cadence.
-            if lockstep {
-                floor = floor.max(round_end);
-            }
-
-            // Completions leave the batch at their own finish instant.
-            // The prompt prefix is offered to the host tier's shared
-            // store on the way out (a no-op when the tier is disabled):
-            // a later request for the same problem admits warm.
-            for &i in finished.iter().rev() {
-                let a = group.remove(i);
-                pool.release(a.idx as u64);
-                let prompt_tokens = arrivals[a.idx].problem.prompt_tokens;
-                tier.publish_prefix(
-                    arrivals[a.idx].problem.seed,
-                    prompt_tokens,
-                    prompt_tokens.saturating_mul(gen_bpt),
-                );
-                let stats = a.run.finish();
-                let answer = ftts_metrics::top1_majority(&stats.answers());
-                let finished_at = a.started_at + stats.latency();
-                finish_max = finish_max.max(finished_at);
-                served[a.idx] = Some(ServedRequest {
-                    arrived_at: a.arrived_at,
-                    started_at: a.started_at,
-                    finished_at,
-                    preemptions: a.preemptions,
-                    preempted_secs: a.preempted_secs,
-                    slo: a.slo,
-                    deadline: a.deadline,
-                    shed: false,
-                    granted_n: a.granted_n,
-                    outcome: ServeOutcome { stats, answer },
-                });
-            }
-
-            // Completion boundary: re-share the surviving in-flight set;
-            // otherwise check demand drift (trees grow many iterations
-            // between boundaries).
-            if !(group.is_empty() && rest.is_empty()) {
-                if !finished.is_empty() {
-                    admission::reshare(batch, &mut group, &mut rest, &mut pool);
-                } else if admission::elastic(batch) && admission::demand_drifted(&group, &rest) {
-                    admission::rebalance_elastic(batch, &mut group, &mut rest, &mut pool);
-                }
-            }
-
-            // Return survivors to the in-flight set in admission order
-            // (admit_seq is assigned monotonically, so sorting restores
-            // the same order the lockstep scheduler maintains).
-            rest.append(&mut group);
-            active = rest;
-            active.sort_by_key(|a| a.admit_seq);
-        }
-
-        Ok(BatchRun {
-            served: served
-                .into_iter()
-                .map(|r| r.expect("every request served"))
-                .collect(),
-            rounds,
-            group_iters,
-            preemptions,
-            peak_reserved_bytes: pool.peak_reserved_bytes(),
-            pool_bytes,
-            ver_sweeps,
-            ver_seqs,
-            ver_busy_secs,
-            kernel_faults,
-            fault_retries,
-            kv_loss_events,
-            lost_blocks,
-            shed,
-            cancelled,
-            degradations,
-            final_reserved_bytes: pool.reserved_bytes(),
-            kv_tier_hits: tier.stats().prefix_hits,
-            kv_tier_demotions: tier.stats().demotions,
-            kv_tier_parked_bytes: tier.stats().parked_bytes,
-            kv_tier_dropped_bytes: tier_dropped + tier.stats().overflow_dropped_bytes,
-            kv_tier_unparked_bytes: tier.stats().unparked_bytes,
-            tenant_peak_bytes: pool
-                .tenant_peaks()
-                .into_iter()
-                .map(|(t, b)| (t as u32, b))
-                .collect(),
-            timeline: ftts_metrics::TimelineOccupancy::default(),
-        })
+        self.sim.run_directed(arrivals, plan, directives)
     }
 }
 

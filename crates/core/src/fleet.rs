@@ -1,9 +1,11 @@
 //! N-device fleet serving: routing, crash failover, hedged stragglers.
 //!
-//! A [`FleetSim`] runs one [`EventServerSim`] timeline per device behind
-//! a router. The edge "fleet" the paper targets is a handful of flaky
-//! accelerators, so robustness is built into the routing layer rather
-//! than bolted on:
+//! A [`FleetSim`] runs one device timeline per replica behind a router:
+//! each replica runs the timeline loop
+//! ([`TimelineServerSim`](crate::TimelineServerSim)) under the fleet's
+//! event policy and [`FleetConfig::timeline`] tuning. The edge "fleet"
+//! the paper targets is a handful of flaky accelerators, so robustness
+//! is built into the routing layer rather than bolted on:
 //!
 //! * **Pluggable routing** ([`RoutePolicy`]): round-robin, join-shortest
 //!   -queue, prefix-affinity (follow the replica whose
@@ -46,8 +48,8 @@
 //! harness and are `debug_assert`-checked bit-identical to the
 //! sequential caches — fleet results are invariant to worker-thread
 //! count. A 1-device fleet with the pass-through router is bit-identical
-//! to bare [`EventServerSim`], faulted and fault-free (enforced in
-//! `crates/core/tests/fleet.rs`).
+//! to bare [`EventServerSim`](crate::EventServerSim), faulted and
+//! fault-free (enforced in `crates/core/tests/fleet.rs`).
 
 use ftts_engine::EngineError;
 use ftts_metrics::{FleetSummary, StreamRecord, StreamSummary};
@@ -55,7 +57,7 @@ use ftts_search::SearchKind;
 use ftts_workload::RequestArrival;
 
 use crate::batch_server::BatchRun;
-use crate::event_server::{EventConfig, EventServerSim, PrewarmPrefix, RunDirectives};
+use crate::event_server::{EventConfig, PrewarmPrefix, RunDirectives};
 use crate::faults::FaultPlan;
 use crate::server::{ServedRequest, TtsServer};
 use crate::sweep::parallel_map;
@@ -131,12 +133,12 @@ pub struct FleetConfig {
     pub migration_delay_secs: f64,
     /// Hedged execution for stragglers; `None` disables hedging.
     pub hedge: Option<HedgeConfig>,
-    /// Optional global-timeline honesty features for the per-device
-    /// scheduler (retroactive contention pricing, token-granularity
-    /// decode joins — see [`crate::TimelineConfig`]). `None` keeps the
-    /// plain event-driven scheduler, bit-identical to the pre-timeline
-    /// fleet.
-    pub timeline: Option<TimelineTuning>,
+    /// Honesty features of the per-device timeline loop (retroactive
+    /// contention pricing, token-granularity decode joins — see
+    /// [`TimelineTuning`]). [`FleetConfig::new`] sets the anchored
+    /// tuning, under which every replica runs the plain event-driven
+    /// policy and the timeline only observes.
+    pub timeline: TimelineTuning,
 }
 
 impl FleetConfig {
@@ -149,7 +151,7 @@ impl FleetConfig {
             failover: true,
             migration_delay_secs: 2.0,
             hedge: None,
-            timeline: None,
+            timeline: TimelineTuning::anchored(),
         }
     }
 
@@ -159,10 +161,9 @@ impl FleetConfig {
         self
     }
 
-    /// Run every device on the global-timeline scheduler with the given
-    /// honesty tuning.
+    /// Run every device's timeline loop with the given honesty tuning.
     pub fn with_timeline(mut self, tuning: TimelineTuning) -> Self {
-        self.timeline = Some(tuning);
+        self.timeline = tuning;
         self
     }
 
@@ -349,9 +350,8 @@ impl FleetRun {
     }
 }
 
-/// Serves one arrival stream across N per-device [`EventServerSim`]
-/// timelines behind a router. See the module docs for the execution
-/// and determinism model.
+/// Serves one arrival stream across N per-device timelines behind a
+/// router. See the module docs for the execution and determinism model.
 #[derive(Debug, Clone)]
 pub struct FleetSim {
     devices: Vec<TtsServer>,
@@ -471,9 +471,8 @@ impl FleetSim {
     }
 }
 
-/// Run one device's arrival sub-stream under the fleet's scheduler:
-/// the plain event loop by default, or the global device timeline when
-/// [`FleetConfig::with_timeline`] opted in.
+/// Run one device's arrival sub-stream through the timeline loop under
+/// the fleet's event policy and timeline tuning.
 fn device_run(
     sim: &FleetSim,
     d: usize,
@@ -481,17 +480,9 @@ fn device_run(
     plan: &FaultPlan,
     directives: &RunDirectives,
 ) -> Result<BatchRun, EngineError> {
-    match sim.config.timeline {
-        Some(tuning) => TimelineServerSim::new(
-            sim.devices[d].clone(),
-            sim.n,
-            sim.kind,
-            tuning.config(sim.config.event),
-        )
-        .run_directed(sub, plan, directives),
-        None => EventServerSim::new(sim.devices[d].clone(), sim.n, sim.kind, sim.config.event)
-            .run_directed(sub, plan, directives),
-    }
+    let config = sim.config.timeline.config(sim.config.event);
+    TimelineServerSim::new(sim.devices[d].clone(), sim.n, sim.kind, config)
+        .run_directed(sub, plan, directives)
 }
 
 /// The sequential decision loop's working state.

@@ -25,25 +25,19 @@
 //! paper's baseline (two statically-sized vLLM instances, FIFO
 //! scheduling, no speculation). [`AblationFlags`] selects any subset for
 //! the Fig. 16/18 breakdowns. [`ServerSim`] replays request arrival
-//! streams with two-phase preemptive scheduling (Sec. 4.1.2), and
-//! [`BatchedServerSim`] scales that to *continuous batching across
-//! requests*: mid-flight admission, co-batched decode, equal-share KV
-//! pool reservations and vLLM-style preemption — see `batch_server`'s
-//! module docs for the execution model and its batch-1 lockstep
-//! equivalence guarantee. [`EventServerSim`] goes one step further and
-//! drops the lockstep round barrier entirely: *event-driven scheduling
-//! at iteration granularity*, where requests advance at their own
-//! cadence and co-batch opportunistically inside a configurable window
-//! ([`EventConfig::window_secs`]) — with batch-1 and infinite-window
-//! modes that reproduce [`ServerSim`] and [`BatchedServerSim`]
-//! bit-for-bit as correctness anchors (see `event_server`'s module
-//! docs). [`TimelineServerSim`] makes that event loop *honest*: every
-//! kernel launch lands as a costed segment on a global per-device
-//! timeline ([`DeviceTimeline`]), cross-launch decode overlap is priced
-//! retroactively, and arrivals can join the in-flight decode batch at
-//! token-chunk boundaries ([`TimelineConfig`]) — with an anchored mode
-//! that reproduces [`EventServerSim`] bit-for-bit (see `timeline`'s
-//! module docs).
+//! streams FIFO at batch size 1 with two-phase preemptive scheduling
+//! (Sec. 4.1.2). Continuous batching across requests — mid-flight
+//! admission, co-batched decode, elastic KV pool shares, vLLM-style
+//! preemption — runs in one scheduler loop,
+//! [`TimelineServerSim::run_directed`], which records every kernel
+//! launch on a per-device [`DeviceTimeline`]. The scheduler front doors
+//! are presets of that loop: [`BatchedServerSim`] runs lockstep rounds
+//! (an infinite co-batch window), [`EventServerSim`] schedules at
+//! iteration granularity inside a finite [`EventConfig::window_secs`],
+//! and a [`TimelineConfig`] adds honest retroactive contention pricing
+//! and token-granularity decode joins. At batch 1 every front door
+//! reproduces [`ServerSim`] bit-for-bit, and the multi-request anchors
+//! are frozen as golden fingerprints (see `timeline`'s module docs).
 //!
 //! For evaluation at scale, the `sweep` module provides a parallel
 //! harness: [`ServerSim::run_parallel`] replays independent request

@@ -1,67 +1,75 @@
-//! Global per-device kernel timeline with token-granularity decode
-//! joins — honest window=0 scheduling.
+//! The scheduler run loop: event-driven continuous batching over a
+//! global per-device kernel timeline.
 //!
-//! [`EventServerSim`](crate::EventServerSim) schedules at *iteration*
-//! granularity and prices each launch's decode against a snapshot of
-//! the in-flight set taken at the launch instant. Two approximations
-//! follow from that snapshot:
+//! [`TimelineServerSim::run_directed`] is the one request-level serving
+//! loop in this crate. The other batching schedulers are presets of it,
+//! and keep no loop of their own:
 //!
-//! * **Free overlap.** A launch that starts while earlier iterations
-//!   are still in flight counts *their* load in its own co-batch
-//!   price, but the earlier iterations were priced before this launch
-//!   existed and are never re-priced — overlapping a busy device is
-//!   free for the requests already on it. Under a small window this
-//!   makes window=0 look nearly as good as an oracle: every launch
-//!   claims the amortization benefit of the overlap and nobody pays
-//!   the contention cost.
-//! * **Launch-boundary joins.** An arrival during a long co-batched
-//!   generation phase waits for the *whole* phase to finish before it
-//!   can join the decode batch, even though real continuous batching
-//!   (vLLM) admits at token granularity.
+//! | front door | policy |
+//! |---|---|
+//! | [`BatchedServerSim`](crate::BatchedServerSim) | `TimelineConfig::anchored(EventConfig::lockstep(batch))`: lockstep rounds |
+//! | [`EventServerSim`](crate::EventServerSim) | `TimelineConfig::anchored(event)`: launches inside a co-batch window |
+//! | [`TimelineServerSim`] | any [`TimelineConfig`], honesty features included |
 //!
-//! [`TimelineServerSim`] removes both. It keeps the event scheduler's
-//! structure — the same ready queue, window partition, admission,
-//! shares, preemption and fault plumbing — and adds a global
-//! [`DeviceTimeline`] all kernel launches land on as costed
-//! [`Segment`]s:
+//! [`ServerSim`](crate::ServerSim) keeps its own short FIFO loop over
+//! `Engine::run_with_deadline`; it is the independent reference the
+//! batch-1 anchors compare against.
 //!
-//! * **Retroactive contention** ([`TimelineConfig::contention`]): when
+//! # Execution model
+//!
+//! A launch groups every in-flight request ready within
+//! [`EventConfig::window_secs`] of the earliest event and runs one TTS
+//! iteration for the group (plan → gather → cost → commit). Admission,
+//! shares, preemption, SLO sweeps, faults and directed cancels apply at
+//! the pre-launch boundary. An infinite window makes each launch a
+//! lockstep round; the `event_server` and `batch_server` module docs
+//! describe the windowed and lockstep views. Launches run in
+//! non-decreasing order (a device `floor` enforces it). KV reservations
+//! release at the commit of a request's final iteration, at most one
+//! iteration before its finish instant; the ledger never overcommits.
+//!
+//! Every launch lands on a [`DeviceTimeline`] as costed [`Segment`]s.
+//! In anchored mode the timeline only observes. Two honesty features,
+//! set in [`TimelineTuning`], make it price what the iteration-granular
+//! model gets for free:
+//!
+//! * **Retroactive contention** ([`TimelineTuning::contention`]): when
 //!   a launch admits *new* device load (fresh arrivals or readmitted
 //!   runs), every in-flight iteration it overlaps is stretched by the
 //!   marginal co-batch slowdown over its remaining seconds
 //!   ([`ftts_engine::RequestRun::contention_stretch`]), and the
 //!   iteration's segment already on the timeline is stretched with it.
-//!   Overlap now has a price, so window=0 versus infinite-window is an
-//!   honest trade instead of a free lunch.
-//! * **Token-granularity joins** ([`TimelineConfig::token_joins`]):
+//!   Without it, a launch that overlaps a busy device counts the
+//!   earlier iterations' load in its own price, but those iterations
+//!   are never re-priced, so window=0 looks nearly as good as an oracle.
+//! * **Token-granularity joins** ([`TimelineTuning::token_joins`]):
 //!   the generation phase runs as chunked sub-iterations
 //!   ([`ftts_engine::RequestRun::plan_decode_chunk`] /
 //!   [`ftts_engine::RequestRun::apply_decode_chunk`]) capped at
-//!   [`TimelineConfig::join_quantum`] tokens. All co-batched members
+//!   [`TimelineTuning::join_quantum`] tokens. All co-batched members
 //!   synchronize at each chunk boundary (the wait books to the
 //!   `join_wait` latency slice), arrivals due by the boundary admit
 //!   *into the running launch* there, and the co-batch totals are
 //!   re-derived every chunk — members that finish generation early
-//!   stop taxing the survivors.
+//!   stop taxing the survivors. Without it, an arrival during a long
+//!   co-batched generation phase waits for the whole phase.
 //!
-//! # Equivalence anchor
+//! # Golden anchors
 //!
-//! [`TimelineConfig::anchored`] disables both honesty features; the
-//! run is then bit-identical to [`EventServerSim`] under the same
-//! [`EventConfig`] (fault-free, faulted and directed), with the
-//! timeline recording segments purely as an observer. Enforced in
-//! `crates/core/tests/event_sched.rs`.
+//! `crates/core/tests/golden.rs` freezes every anchor fixture's output
+//! as a fingerprint. Each row was recorded from separate lockstep,
+//! event-driven and timeline loops that agreed bit for bit.
 //!
 //! # Granularity limits
 //!
 //! Faults, SLO sweeps, directed cancels and elastic share rebalances
 //! stay at *launch* granularity even in token-join mode: they apply at
-//! the pre-launch boundary exactly like the event scheduler (mid-launch
-//! admission may still shrink shares through the shared admission
-//! probe). One iteration per member per launch is preserved — chunking
-//! splits the iteration's decode phase, not the TTS loop.
+//! the pre-launch boundary (mid-launch admission may still shrink
+//! shares through the shared admission probe). One iteration per
+//! member per launch is preserved — chunking splits the iteration's
+//! decode phase, not the TTS loop.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use ftts_engine::{DecodeStatus, EngineError, RunPhase, StepStatus, VerifyCharge, VerifyChunk};
 use ftts_kv::{HostTier, PoolBudget};
@@ -199,13 +207,11 @@ impl DeviceTimeline {
     }
 }
 
-/// Global-timeline scheduling knobs: the event-driven policy plus the
-/// two honesty features layered on top of it.
+/// The honesty features the timeline loop layers on top of the
+/// event-driven policy. A fleet attaches one tuning to every replica
+/// (the event policy is specified once at the fleet level).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TimelineConfig {
-    /// The event-driven policy (batching, window, admission, shares,
-    /// preemption) the timeline scheduler inherits wholesale.
-    pub event: EventConfig,
+pub struct TimelineTuning {
     /// Price cross-launch decode overlap: a launch admitting new device
     /// load retroactively stretches every in-flight iteration it
     /// overlaps by the marginal co-batch slowdown.
@@ -214,31 +220,28 @@ pub struct TimelineConfig {
     /// the running decode batch at chunk boundaries.
     pub token_joins: bool,
     /// Max decode tokens per sequence between join boundaries (ignored
-    /// unless [`TimelineConfig::token_joins`] is set). Smaller quanta
+    /// unless [`TimelineTuning::token_joins`] is set). Smaller quanta
     /// give arrivals earlier joins at the price of more `join_wait`
     /// synchronization among co-batched members.
     pub join_quantum: u64,
 }
 
-impl TimelineConfig {
-    /// The equivalence-anchor mode: both honesty features off. The run
-    /// is bit-identical to [`EventServerSim`](crate::EventServerSim)
-    /// under `event`; the timeline only observes.
-    pub fn anchored(event: EventConfig) -> Self {
+impl TimelineTuning {
+    /// Both honesty features off: the timeline records segments, prices
+    /// nothing and joins at launch boundaries.
+    pub fn anchored() -> Self {
         Self {
-            event,
             contention: false,
             token_joins: false,
             join_quantum: 16,
         }
     }
 
-    /// Honest iteration-granularity scheduling: retroactive contention
-    /// on, token joins off.
-    pub fn honest(event: EventConfig) -> Self {
+    /// Retroactive contention pricing on, token joins off.
+    pub fn honest() -> Self {
         Self {
             contention: true,
-            ..Self::anchored(event)
+            ..Self::anchored()
         }
     }
 
@@ -256,63 +259,139 @@ impl TimelineConfig {
         self.join_quantum = quantum;
         self
     }
-}
-
-/// The honesty-feature subset of [`TimelineConfig`] — what a fleet
-/// attaches to its per-device scheduling policy (the event policy is
-/// specified once at the fleet level and shared by every replica).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TimelineTuning {
-    /// See [`TimelineConfig::contention`].
-    pub contention: bool,
-    /// See [`TimelineConfig::token_joins`].
-    pub token_joins: bool,
-    /// See [`TimelineConfig::join_quantum`].
-    pub join_quantum: u64,
-}
-
-impl TimelineTuning {
-    /// Pure bookkeeping: record segments, price nothing, join at launch
-    /// boundaries — per-device runs stay bit-identical to the plain
-    /// event-driven fleet.
-    pub fn anchored() -> Self {
-        Self {
-            contention: false,
-            token_joins: false,
-            join_quantum: 16,
-        }
-    }
-
-    /// Retroactive contention pricing on, token joins off.
-    pub fn honest() -> Self {
-        Self {
-            contention: true,
-            token_joins: false,
-            join_quantum: 16,
-        }
-    }
-
-    /// Enable token-granularity decode joins.
-    pub fn with_token_joins(mut self) -> Self {
-        self.token_joins = true;
-        self
-    }
-
-    /// Override the join quantum.
-    pub fn with_join_quantum(mut self, quantum: u64) -> Self {
-        assert!(quantum >= 1, "join quantum must be at least one token");
-        self.join_quantum = quantum;
-        self
-    }
 
     /// Attach the tuning to an event policy.
     pub fn config(self, event: EventConfig) -> TimelineConfig {
         TimelineConfig {
             event,
-            contention: self.contention,
-            token_joins: self.token_joins,
-            join_quantum: self.join_quantum,
+            tuning: self,
         }
+    }
+}
+
+/// The scheduling policy of the one run loop: the event-driven policy
+/// (batching, window, admission, shares, preemption) plus its honesty
+/// tuning.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TimelineConfig {
+    /// The event-driven policy the timeline loop runs.
+    pub event: EventConfig,
+    /// Which honesty features are on.
+    pub tuning: TimelineTuning,
+}
+
+impl TimelineConfig {
+    /// The anchored mode ([`TimelineTuning::anchored`]): the policy
+    /// [`EventServerSim`](crate::EventServerSim) runs under `event`;
+    /// the timeline only observes.
+    pub fn anchored(event: EventConfig) -> Self {
+        TimelineTuning::anchored().config(event)
+    }
+
+    /// Honest iteration-granularity scheduling
+    /// ([`TimelineTuning::honest`]).
+    pub fn honest(event: EventConfig) -> Self {
+        TimelineTuning::honest().config(event)
+    }
+
+    /// Enable token-granularity decode joins (keeps the current
+    /// contention setting).
+    pub fn with_token_joins(mut self) -> Self {
+        self.tuning = self.tuning.with_token_joins();
+        self
+    }
+
+    /// Override the join quantum (decode tokens per sequence between
+    /// chunk boundaries).
+    pub fn with_join_quantum(mut self, quantum: u64) -> Self {
+        self.tuning = self.tuning.with_join_quantum(quantum);
+        self
+    }
+}
+
+/// What the loop records on the device timeline: every segment, plus
+/// each request's latest decode segment (the one a later launch's
+/// contention stretches).
+struct Observer {
+    timeline: DeviceTimeline,
+    last_decode: Vec<Option<usize>>,
+}
+
+impl Observer {
+    fn new(requests: usize) -> Self {
+        Self {
+            timeline: DeviceTimeline::default(),
+            last_decode: vec![None; requests],
+        }
+    }
+
+    /// Record `a`'s decode from absolute instant `start` to its current
+    /// clock as its latest decode segment (nothing if no time passed).
+    fn decode(&mut self, a: &InFlight, start: f64) {
+        let end = a.started_at + a.run.clock();
+        if end > start {
+            let id = self.timeline.record(
+                start,
+                end - start,
+                SegmentKind::Decode,
+                a.run.decode_load().0,
+            );
+            self.last_decode[a.idx] = Some(id);
+        }
+    }
+
+    /// Retroactive contention: `added` decode load joined the device at
+    /// `at`, so every bystander iteration still in flight stretches by
+    /// the marginal co-batch slowdown over its remaining seconds, and
+    /// its decode segment already on the timeline stretches with it.
+    fn stretch_bystanders(&mut self, bystanders: &mut [InFlight], added: (usize, u64), at: f64) {
+        for a in bystanders {
+            let remaining = (a.ready_at() - at).max(0.0);
+            let extra = a.run.contention_stretch(added.0, added.1, remaining);
+            if extra > 0.0 {
+                if let Some(id) = self.last_decode[a.idx] {
+                    self.timeline.stretch(id, extra);
+                }
+            }
+        }
+    }
+}
+
+/// Summed decode load `(sequences, context tokens)` of `runs`.
+fn decode_load<'a>(runs: impl IntoIterator<Item = &'a InFlight>) -> (usize, u64) {
+    runs.into_iter()
+        .map(|a| a.run.decode_load())
+        .fold((0, 0), |(s, c), (ls, lc)| (s + ls, c + lc))
+}
+
+/// Price one decode step of `group` over the whole in-flight set: each
+/// `decoding` member is costed against everyone else's load (requests
+/// outside the launch overlap it on the device), and speculates only
+/// while `alone`, until the next known arrival would start waiting —
+/// the two-phase rule.
+fn price_decode(
+    group: &mut [InFlight],
+    rest: &[InFlight],
+    alone: bool,
+    next_at: Option<f64>,
+    decoding: impl Fn(usize) -> bool,
+) {
+    let loads: Vec<(usize, u64)> = group.iter().map(|a| a.run.decode_load()).collect();
+    let (rest_seqs, rest_ctx) = decode_load(rest);
+    let total_seqs = loads.iter().map(|l| l.0).sum::<usize>() + rest_seqs;
+    let total_ctx = loads.iter().map(|l| l.1).sum::<u64>() + rest_ctx;
+    for (i, a) in group.iter_mut().enumerate() {
+        if !decoding(i) {
+            continue;
+        }
+        a.run
+            .set_co_batch(total_seqs - loads[i].0, total_ctx - loads[i].1);
+        let spec_off = match next_at {
+            _ if !alone => 0.0,
+            Some(at) => (at - a.started_at).max(0.0),
+            None => f64::INFINITY,
+        };
+        a.run.set_spec_off_after(spec_off);
     }
 }
 
@@ -320,8 +399,9 @@ impl TimelineTuning {
 /// batching over a global per-device kernel timeline: every launch is
 /// a costed segment on one clock, cross-launch decode overlap is
 /// priced retroactively, and (optionally) arrivals join the in-flight
-/// decode batch at token-chunk boundaries. See the module docs for the
-/// execution model and the equivalence anchor.
+/// decode batch at token-chunk boundaries. This is the crate's one
+/// scheduler run loop; see the module docs for the execution model and
+/// the presets built on it.
 #[derive(Debug, Clone)]
 pub struct TimelineServerSim {
     server: TtsServer,
@@ -343,7 +423,7 @@ impl TimelineServerSim {
             "window must be non-negative"
         );
         assert!(
-            config.join_quantum >= 1,
+            config.tuning.join_quantum >= 1,
             "join quantum must be at least one token"
         );
         Self {
@@ -371,9 +451,10 @@ impl TimelineServerSim {
 
     /// Serve the arrival stream to completion while `plan` injects
     /// faults into the simulated device. Faults apply at launch
-    /// granularity (the same boundaries the event scheduler uses), so
-    /// the anchored mode consumes the plan bit-identically to
-    /// [`EventServerSim::run_faulted`](crate::EventServerSim::run_faulted).
+    /// granularity; at an infinite window the launch is the lockstep
+    /// round barrier. The empty plan reproduces
+    /// [`TimelineServerSim::run`] bit-for-bit, and any plan is itself
+    /// deterministic (same `(stream, plan, config)` → same run).
     ///
     /// # Errors
     ///
@@ -388,9 +469,10 @@ impl TimelineServerSim {
     }
 
     /// Serve the arrival stream under `plan` while `directives` steer
-    /// the timeline from outside (directed cancels, prefix prewarms) —
-    /// the same interface [`EventServerSim::run_directed`]
-    /// (crate::EventServerSim::run_directed) exposes to the fleet.
+    /// the run from outside: directed cancellations (crash failover,
+    /// hedge losers) and mid-run host-tier prefix handoffs. Empty
+    /// directives reproduce [`TimelineServerSim::run_faulted`]
+    /// bit-for-bit — the fleet's 1-device pass-through anchor.
     ///
     /// # Errors
     ///
@@ -409,6 +491,7 @@ impl TimelineServerSim {
         );
         let batch = &self.config.event.batch;
         let window = self.config.event.window_secs;
+        let tuning = self.config.tuning;
         let lockstep = window.is_infinite();
         let pool_bytes = self.server.config().kv_budget_bytes();
         let device = self.server.config().device.clone();
@@ -420,7 +503,11 @@ impl TimelineServerSim {
             }
         }
         let mut tier = HostTier::new(batch.tier);
+        // Earliest instant the next launch may happen: raised by
+        // preemption PCIe transfers, by completions that drain the
+        // device, and (in lockstep mode) by every launch's round end.
         let mut floor = 0.0f64;
+        // Latest completion instant seen — the device-drained floor.
         let mut finish_max = 0.0f64;
         let mut next_arrival = 0usize;
         let mut waiting: VecDeque<usize> = VecDeque::new();
@@ -443,6 +530,8 @@ impl TimelineServerSim {
         let mut cancelled = 0u32;
         let mut degradations = 0u32;
         let mut tier_dropped = 0u64;
+        // Directed cancels: earliest instant per arrival index (∞ =
+        // never), applied at launch boundaries like deadline sweeps.
         let has_cancels = !directives.cancels.is_empty();
         let mut cancel_at = vec![f64::INFINITY; arrivals.len()];
         for &(idx, t) in &directives.cancels {
@@ -452,13 +541,11 @@ impl TimelineServerSim {
         let mut prewarms = directives.prewarms.clone();
         prewarms.sort_by(|a, b| a.at.partial_cmp(&b.at).expect("finite prewarm times"));
         let mut prewarm_next = 0usize;
-        // The global device timeline, plus each in-flight request's
-        // latest decode segment (the stretch target when a later launch
-        // overlaps its iteration).
-        let mut timeline = DeviceTimeline::default();
-        let mut last_seg: HashMap<usize, usize> = HashMap::new();
+        let mut observer = Observer::new(arrivals.len());
 
         loop {
+            // Next decision instant: the earliest ready request, or the
+            // next arrival.
             let next_ready = active
                 .iter()
                 .map(InFlight::ready_at)
@@ -466,15 +553,22 @@ impl TimelineServerSim {
             let next_arr = arrivals.get(next_arrival).map_or(f64::INFINITY, |a| a.at);
 
             if active.is_empty() {
+                // The device is drained; nothing launches before the
+                // last completion.
                 floor = floor.max(finish_max);
                 if waiting.is_empty() && paused.is_empty() {
                     if next_arrival >= arrivals.len() {
                         break; // everything served
                     }
+                    // Idle until the next arrival.
                     floor = floor.max(next_arr);
                 }
             }
 
+            // Anchor: the earliest instant a new co-batch can launch. A
+            // pending arrival anchors its own (fresh) launch only when
+            // mid-flight admission could actually take it — otherwise
+            // it is ingested when the next ready-driven launch forms.
             let arrival_anchor = next_arr.max(floor);
             let consider_arrival = batch.admit_mid_flight
                 && active.len() < batch.max_batch
@@ -487,6 +581,10 @@ impl TimelineServerSim {
                 next_ready
             };
 
+            // Group: every in-flight request whose next iteration can
+            // start inside the batching window. The partition is stable,
+            // so the group keeps admission order (the order shares
+            // resize and unfused sweeps serialize in).
             let horizon = anchor + window;
             let mut group: Vec<InFlight> = Vec::new();
             let mut rest: Vec<InFlight> = Vec::new();
@@ -498,6 +596,10 @@ impl TimelineServerSim {
                 }
             }
 
+            // Launch: the latest member's ready time, never before the
+            // device floor. Members ready earlier wait the gap — a
+            // window wait (plain idle), except at an infinite window,
+            // where the wait *is* the lockstep round barrier.
             let mut launch = group
                 .iter()
                 .map(InFlight::ready_at)
@@ -510,6 +612,9 @@ impl TimelineServerSim {
                 }
             }
 
+            // Ingest arrivals due by the launch, then admit (readmits
+            // first, then fresh arrivals — the shared tiebreak) into the
+            // group at the launch instant.
             while next_arrival < arrivals.len() && arrivals[next_arrival].at <= launch {
                 waiting.push_back(next_arrival);
                 next_arrival += 1;
@@ -520,11 +625,15 @@ impl TimelineServerSim {
                 kind: self.kind,
                 config: batch,
             };
+            // Directed prefix handoffs due by this launch land in the
+            // tier before admission, so a migrated request admits warm.
             while prewarm_next < prewarms.len() && prewarms[prewarm_next].at <= launch {
                 let p = prewarms[prewarm_next];
                 tier.publish_prefix(p.key, p.tokens, p.bytes);
                 prewarm_next += 1;
             }
+            // Directed cancellations sweep at the same pre-admission
+            // boundary as deadline enforcement, under any fault policy.
             if has_cancels {
                 let sweep = admission::apply_cancels(
                     batch,
@@ -542,6 +651,9 @@ impl TimelineServerSim {
                 shed += sweep.shed;
                 cancelled += sweep.cancelled;
             }
+            // Deadline/SLO enforcement (active only under the Degrade
+            // policy): shed stale or infeasible arrivals and cancel
+            // hopeless runs before they burn device time.
             let sweep = admission::enforce_slo(
                 &ctx,
                 launch,
@@ -557,13 +669,7 @@ impl TimelineServerSim {
             );
             shed += sweep.shed;
             cancelled += sweep.cancelled;
-            // Snapshot the in-flight set so newly admitted device load
-            // is identifiable for retroactive contention pricing.
-            let pre_inflight: Vec<usize> = if self.config.contention {
-                group.iter().chain(rest.iter()).map(|a| a.idx).collect()
-            } else {
-                Vec::new()
-            };
+            let admitted_from = group.len();
             let report = admission::admit(
                 &ctx,
                 &mut group,
@@ -577,48 +683,42 @@ impl TimelineServerSim {
                 &mut admit_seq,
             )?;
             degradations += report.degradations;
+            // Admission boundary: size elastic shares by demand (and,
+            // under a tenant policy, by tenant fair-share).
             if report.admitted && admission::elastic(batch) {
                 admission::rebalance_elastic(batch, &mut group, &mut rest, &mut pool);
             }
-            // Retroactive contention: the load this launch adds slows
-            // every iteration still in flight outside the launch. Each
-            // bystander's remaining time stretches by the marginal
-            // co-batch slowdown, and its decode segment already on the
-            // timeline stretches with it. (With an infinite window the
-            // rest is always empty — the lockstep anchor needs no
-            // special case.)
-            if self.config.contention && report.admitted {
-                let (new_seqs, new_ctx) = group
-                    .iter()
-                    .filter(|a| !pre_inflight.contains(&a.idx))
-                    .map(|a| a.run.decode_load())
-                    .fold((0usize, 0u64), |(s, c), (ls, lc)| (s + ls, c + lc));
-                if new_seqs > 0 {
-                    for a in rest.iter_mut() {
-                        let remaining = (a.ready_at() - launch).max(0.0);
-                        let extra = a.run.contention_stretch(new_seqs, new_ctx, remaining);
-                        if extra > 0.0 {
-                            if let Some(&sid) = last_seg.get(&a.idx) {
-                                timeline.stretch(sid, extra);
-                            }
-                        }
-                    }
-                }
+            // The load this launch admits slows every iteration still in
+            // flight outside it. (At an infinite window the rest is
+            // always empty.)
+            if tuning.contention && report.admitted {
+                let added = decode_load(&group[admitted_from..]);
+                observer.stretch_bystanders(&mut rest, added, launch);
             }
 
             if group.is_empty() && rest.is_empty() {
                 if waiting.is_empty() && paused.is_empty() {
                     continue; // idle to the next arrival (or done)
                 }
+                // A lone candidate that cannot fit the whole pool: fresh
+                // requests already propagated from admission, so this is
+                // a preempted run whose paths outgrew the device.
                 let p = paused.front().expect("paused candidate");
                 let (needed, capacity) = p.run.kv_demand();
                 return Err(EngineError::PathExceedsMemory { needed, capacity });
             }
             if group.is_empty() {
+                // The anchor produced no launch (a blocked arrival, or
+                // every in-flight request beyond the horizon): put the
+                // in-flight set back and wait for the next ready event.
                 active = rest;
                 continue;
             }
 
+            // Memory-pressure preemption over the launching group (the
+            // rest are re-probed when they launch): runs that cannot
+            // progress or would thrash their share are swapped out
+            // youngest-first; a lone request is never preempted.
             while group.len() + rest.len() > 1 {
                 let victim = group
                     .iter()
@@ -628,6 +728,9 @@ impl TimelineServerSim {
                     .map(|(i, _)| i);
                 let Some(vi) = victim else { break };
                 let mut v = group.remove(vi);
+                // With a host tier, swap-down is capped at the tier's
+                // free capacity: what fits parks (and is PCIe-costed),
+                // the overflow is dropped and recomputed on readmission.
                 let bytes = if tier.enabled() {
                     let (swapped, dropped) = v.run.preempt_capped(tier.available_bytes());
                     tier.park(v.idx as u64, swapped);
@@ -639,7 +742,9 @@ impl TimelineServerSim {
                 let swap_start = launch;
                 launch += device.pcie_transfer_seconds(bytes);
                 if launch > swap_start {
-                    timeline.record(swap_start, launch - swap_start, SegmentKind::Swap, 1);
+                    observer
+                        .timeline
+                        .record(swap_start, launch - swap_start, SegmentKind::Swap, 1);
                 }
                 pool.release(v.idx as u64);
                 v.preemptions += 1;
@@ -647,76 +752,56 @@ impl TimelineServerSim {
                 v.paused_at = launch;
                 v.probe = None;
                 paused.push_back(v);
+                // Preemption boundary: survivors regrow or rebalance.
                 admission::reshare(batch, &mut group, &mut rest, &mut pool);
             }
+            // The launch (with any preemption PCIe time) is committed
+            // device time: later launches never precede it.
             floor = floor.max(launch);
             if group.is_empty() {
                 active = rest;
                 continue;
             }
 
+            // One launch: the group executes one TTS iteration over the
+            // shared accelerator in the four split phases.
             rounds += 1;
             group_iters += group.len() as u64;
-            let alone =
-                group.len() == 1 && rest.is_empty() && waiting.is_empty() && paused.is_empty();
-            let next_at = arrivals.get(next_arrival).map(|a| a.at);
             let mut round_end = launch;
             let mut finished: Vec<usize> = Vec::new();
 
             // Phase 1 — plan: memory replan plus the co-batched decode,
             // recorded on the device timeline. Token-join mode runs it
             // as chunked sub-iterations with mid-launch admission at
-            // chunk boundaries; otherwise it is the event scheduler's
-            // monolithic per-member generation phase, verbatim.
+            // chunk boundaries; otherwise each member plans its whole
+            // generation phase.
             let mut planned: Vec<bool>;
-            if self.config.token_joins {
-                planned = vec![true; group.len()];
+            if tuning.token_joins {
                 let mut gen_done: Vec<bool> = group.iter().map(|a| a.run.is_finished()).collect();
-                for (i, done) in gen_done.iter().enumerate() {
-                    if *done {
-                        planned[i] = false;
-                    }
-                }
-                let quantum = self.config.join_quantum;
+                planned = gen_done.iter().map(|done| !done).collect();
                 loop {
                     // Re-derive the co-batch every chunk: membership
                     // (joins, early generation finishes) and context
                     // both move at chunk boundaries.
-                    let loads: Vec<(usize, u64)> =
-                        group.iter().map(|a| a.run.decode_load()).collect();
-                    let (rest_seqs, rest_ctx) = rest
-                        .iter()
-                        .map(|a| a.run.decode_load())
-                        .fold((0usize, 0u64), |(s, c), (ls, lc)| (s + ls, c + lc));
-                    let total_seqs: usize = loads.iter().map(|l| l.0).sum::<usize>() + rest_seqs;
-                    let total_ctx: u64 = loads.iter().map(|l| l.1).sum::<u64>() + rest_ctx;
-                    let chunk_alone = group.len() == 1
+                    let alone = group.len() == 1
                         && rest.is_empty()
                         && waiting.is_empty()
                         && paused.is_empty();
-                    let chunk_next_at = arrivals.get(next_arrival).map(|a| a.at);
+                    let next_at = arrivals.get(next_arrival).map(|a| a.at);
+                    price_decode(&mut group, &rest, alone, next_at, |i| !gen_done[i]);
                     let mut chunk_end: Vec<Option<f64>> = vec![None; group.len()];
-                    let mut any = false;
                     for (i, a) in group.iter_mut().enumerate() {
                         if gen_done[i] {
                             continue;
                         }
-                        a.run
-                            .set_co_batch(total_seqs - loads[i].0, total_ctx - loads[i].1);
-                        let spec_off = if !chunk_alone {
-                            0.0
-                        } else if let Some(at) = chunk_next_at {
-                            (at - a.started_at).max(0.0)
-                        } else {
-                            f64::INFINITY
-                        };
-                        a.run.set_spec_off_after(spec_off);
-                        match a.run.plan_decode_chunk(a.driver.as_mut(), quantum)? {
+                        match a
+                            .run
+                            .plan_decode_chunk(a.driver.as_mut(), tuning.join_quantum)?
+                        {
                             DecodeStatus::Planned(chunk) => {
                                 chunk_end[i] = Some(
                                     a.started_at + a.run.clock() + a.run.chunk_seconds(&chunk),
                                 );
-                                any = true;
                             }
                             DecodeStatus::Generated => gen_done[i] = true,
                             DecodeStatus::Finished => {
@@ -728,7 +813,7 @@ impl TimelineServerSim {
                             }
                         }
                     }
-                    if !any {
+                    if chunk_end.iter().all(Option::is_none) {
                         break;
                     }
                     // The join boundary: the slowest co-batched chunk's
@@ -741,16 +826,7 @@ impl TimelineServerSim {
                         }
                         let seg_start = a.started_at + a.run.clock();
                         let status = a.run.apply_decode_chunk(a.driver.as_mut())?;
-                        let seg_end = a.started_at + a.run.clock();
-                        if seg_end > seg_start {
-                            let id = timeline.record(
-                                seg_start,
-                                seg_end - seg_start,
-                                SegmentKind::Decode,
-                                a.run.decode_load().0,
-                            );
-                            last_seg.insert(a.idx, id);
-                        }
+                        observer.decode(a, seg_start);
                         if status == DecodeStatus::Generated {
                             gen_done[i] = true;
                         } else {
@@ -791,61 +867,28 @@ impl TimelineServerSim {
                                 gen_done.push(false);
                                 planned.push(true);
                             }
-                            if self.config.contention {
-                                let (new_seqs, new_ctx) = group[before..]
-                                    .iter()
-                                    .map(|a| a.run.decode_load())
-                                    .fold((0usize, 0u64), |(s, c), (ls, lc)| (s + ls, c + lc));
-                                for a in rest.iter_mut() {
-                                    let remaining = (a.ready_at() - boundary).max(0.0);
-                                    let extra =
-                                        a.run.contention_stretch(new_seqs, new_ctx, remaining);
-                                    if extra > 0.0 {
-                                        if let Some(&sid) = last_seg.get(&a.idx) {
-                                            timeline.stretch(sid, extra);
-                                        }
-                                    }
-                                }
+                            if tuning.contention {
+                                let added = decode_load(&group[before..]);
+                                observer.stretch_bystanders(&mut rest, added, boundary);
                             }
                         }
                     }
                 }
             } else {
-                let loads: Vec<(usize, u64)> = group.iter().map(|a| a.run.decode_load()).collect();
-                let (rest_seqs, rest_ctx) = rest
-                    .iter()
-                    .map(|a| a.run.decode_load())
-                    .fold((0usize, 0u64), |(s, c), (ls, lc)| (s + ls, c + lc));
-                let total_seqs: usize = loads.iter().map(|l| l.0).sum::<usize>() + rest_seqs;
-                let total_ctx: u64 = loads.iter().map(|l| l.1).sum::<u64>() + rest_ctx;
+                let alone =
+                    group.len() == 1 && rest.is_empty() && waiting.is_empty() && paused.is_empty();
+                let next_at = arrivals.get(next_arrival).map(|a| a.at);
+                price_decode(&mut group, &rest, alone, next_at, |_| true);
                 planned = Vec::with_capacity(group.len());
-                for (i, a) in group.iter_mut().enumerate() {
-                    a.run
-                        .set_co_batch(total_seqs - loads[i].0, total_ctx - loads[i].1);
-                    let spec_off = if !alone {
-                        0.0
-                    } else if let Some(at) = next_at {
-                        (at - a.started_at).max(0.0)
-                    } else {
-                        f64::INFINITY
-                    };
-                    a.run.set_spec_off_after(spec_off);
+                for a in &mut group {
                     let seg_start = a.started_at + a.run.clock();
                     planned.push(!a.run.plan_iteration(a.driver.as_mut())?.is_finished());
-                    let seg_end = a.started_at + a.run.clock();
-                    if seg_end > seg_start {
-                        let id = timeline.record(
-                            seg_start,
-                            seg_end - seg_start,
-                            SegmentKind::Decode,
-                            a.run.decode_load().0,
-                        );
-                        last_seg.insert(a.idx, id);
-                    }
+                    observer.decode(a, seg_start);
                 }
             }
 
-            // Phase 2 — gather.
+            // Phase 2 — gather: every run's verifier mirror work and the
+            // prefill chunks still owed kernel time.
             let plans: Vec<Vec<VerifyChunk>> = group
                 .iter_mut()
                 .zip(&planned)
@@ -858,8 +901,10 @@ impl TimelineServerSim {
                 })
                 .collect();
 
-            // Phase 3 — cost, recorded as one verifier segment spanning
-            // from the earliest member's generation end.
+            // Phase 3 — cost: price the group's verifier sweeps over the
+            // one shared accelerator (fused or serialized), recorded as
+            // one verifier segment from the earliest member's
+            // generation end.
             let mut charges: Vec<Vec<VerifyCharge>> = vec![Vec::new(); group.len()];
             let sweep =
                 admission::cost_verify_sweeps(batch.fused_verify, &mut group, &plans, &mut charges);
@@ -871,7 +916,7 @@ impl TimelineServerSim {
                     .iter()
                     .map(|a| a.started_at + a.run.clock())
                     .fold(f64::INFINITY, f64::min);
-                timeline.record(
+                observer.timeline.record(
                     verify_start,
                     sweep.busy_secs,
                     SegmentKind::Verify,
@@ -879,7 +924,8 @@ impl TimelineServerSim {
                 );
             }
 
-            // Phase 4 — commit.
+            // Phase 4 — commit: charge the sweeps, reveal scores, branch
+            // survivors; apply the opt-in First Finish cut.
             for (i, a) in group.iter_mut().enumerate() {
                 let status = if planned[i] {
                     a.run.apply_verify_results(a.driver.as_mut(), &charges[i])?
@@ -900,6 +946,14 @@ impl TimelineServerSim {
                 }
             }
 
+            // Injected faults due this launch, popped once, in time
+            // order, from the plan cursor. Kernel faults and throttle
+            // windows hit the kernels launched now — the group — and
+            // their time books to the `fault` bucket in proportion to
+            // each member's busy seconds this launch. Device KV loss is
+            // state damage and hits every device-resident request,
+            // bystanders included; swapped-out requests survive in host
+            // RAM and recover by deterministic recompute.
             let faults = LaunchFaults::at(&mut cursor, plan, &batch.robust, launch);
             if faults.fired() {
                 kernel_faults += faults.kernel_faults;
@@ -930,14 +984,22 @@ impl TimelineServerSim {
                     .map(|a| a.started_at + a.run.clock())
                     .fold(launch, f64::max);
             }
+            // In lockstep mode the round end *is* the barrier: nothing —
+            // including the next admission — happens before it, and
+            // finished members hold it. With a finite window the floor
+            // stays at the launch: survivors and bystanders advance at
+            // their own cadence.
             if lockstep {
                 floor = floor.max(round_end);
             }
 
+            // Completions leave the batch at their own finish instant.
+            // The prompt prefix is offered to the host tier's shared
+            // store on the way out (a no-op when the tier is disabled):
+            // a later request for the same problem admits warm.
             for &i in finished.iter().rev() {
                 let a = group.remove(i);
                 pool.release(a.idx as u64);
-                last_seg.remove(&a.idx);
                 let prompt_tokens = arrivals[a.idx].problem.prompt_tokens;
                 tier.publish_prefix(
                     arrivals[a.idx].problem.seed,
@@ -962,6 +1024,11 @@ impl TimelineServerSim {
                 });
             }
 
+            // Completion boundary: re-share the surviving in-flight set.
+            // Otherwise check demand drift: trees grow for many
+            // iterations between boundaries, and shares frozen at an
+            // early snapshot would shrink a growing request into
+            // preemption.
             if !(group.is_empty() && rest.is_empty()) {
                 if !finished.is_empty() {
                     admission::reshare(batch, &mut group, &mut rest, &mut pool);
@@ -970,6 +1037,8 @@ impl TimelineServerSim {
                 }
             }
 
+            // Return survivors to the in-flight set in admission order
+            // (admit_seq is assigned monotonically).
             rest.append(&mut group);
             active = rest;
             active.sort_by_key(|a| a.admit_seq);
@@ -1006,7 +1075,7 @@ impl TimelineServerSim {
                 .into_iter()
                 .map(|(t, b)| (t as u32, b))
                 .collect(),
-            timeline: timeline.occupancy(),
+            timeline: observer.timeline.occupancy(),
         })
     }
 }
@@ -1034,14 +1103,21 @@ mod tests {
     fn config_presets() {
         let event = EventConfig::windowed(4, 0.0);
         let anchored = TimelineConfig::anchored(event);
-        assert!(!anchored.contention && !anchored.token_joins);
+        assert!(!anchored.tuning.contention && !anchored.tuning.token_joins);
         let honest = TimelineConfig::honest(event);
-        assert!(honest.contention && !honest.token_joins);
+        assert!(honest.tuning.contention && !honest.tuning.token_joins);
         let joins = TimelineConfig::honest(event)
             .with_token_joins()
             .with_join_quantum(8);
-        assert!(joins.token_joins);
-        assert_eq!(joins.join_quantum, 8);
+        assert!(joins.tuning.token_joins);
+        assert_eq!(joins.tuning.join_quantum, 8);
+        assert_eq!(
+            joins,
+            TimelineTuning::honest()
+                .with_token_joins()
+                .with_join_quantum(8)
+                .config(event)
+        );
     }
 
     #[test]

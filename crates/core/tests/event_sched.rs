@@ -1,23 +1,22 @@
-//! Correctness anchors for event-driven (iteration-granularity)
-//! scheduling, plus the idle-attribution audit.
+//! Event-driven scheduling anchors against the independent FIFO loop,
+//! plus the idle-attribution audit.
 //!
-//! * **Batch 1**: `EventServerSim` with `BatchConfig::fifo()` must
-//!   reproduce `ServerSim::run` bit-for-bit — the same anchor the
-//!   lockstep scheduler carries.
-//! * **Infinite window**: `EventConfig::lockstep(..)` must reproduce
-//!   `BatchedServerSim::run` bit-for-bit across policies — including
-//!   fused verifier sweeps, demand shares and preemption-heavy
-//!   fixtures — so the event loop provably contains the lockstep
-//!   scheduler as its degenerate mode.
+//! * **Batch 1**: `EventServerSim` with `BatchConfig::fifo()` (and the
+//!   anchored timeline at any window) must reproduce `ServerSim::run`
+//!   bit-for-bit, the same anchor the lockstep preset carries.
+//! * **Observer timeline**: every front door of the one run loop records
+//!   its launches on the device timeline; the anchored presets never
+//!   stretch a segment. The lockstep, windowed and honest fixtures
+//!   themselves are frozen as golden fingerprints in `golden.rs`.
 //! * **Idle attribution**: per request, `queue_delay + generator +
 //!   verifier + recompute + offload + idle` must equal arrival-to-
-//!   completion wall-clock under *both* schedulers; `barrier_idle` is a
-//!   slice of `idle` that only lockstep rounds may book — a finite
-//!   event window never does.
+//!   completion wall-clock under lockstep rounds and finite windows;
+//!   `barrier_idle` is a slice of `idle` that only lockstep rounds may
+//!   book — a finite event window never does.
 
 use ftts_core::{
-    BatchConfig, BatchRun, BatchedServerSim, EventConfig, EventServerSim, FaultPlan, KvTierConfig,
-    ServedRequest, ServerSim, StormConfig, TimelineConfig, TimelineServerSim, TtsServer,
+    BatchConfig, BatchedServerSim, EventConfig, EventServerSim, ServedRequest, ServerSim,
+    TimelineConfig, TimelineServerSim, TtsServer,
 };
 use ftts_engine::ModelPairing;
 use ftts_hw::GpuDevice;
@@ -63,23 +62,6 @@ fn assert_served_identical(label: &str, a: &[ServedRequest], b: &[ServedRequest]
             assert_eq!(bx.score, by.score);
         }
     }
-}
-
-fn assert_runs_identical(label: &str, a: &BatchRun, b: &BatchRun) {
-    assert_served_identical(label, &a.served, &b.served);
-    assert_eq!(a.rounds, b.rounds, "{label}: round counts");
-    assert_eq!(a.group_iters, b.group_iters, "{label}: group iterations");
-    assert_eq!(a.preemptions, b.preemptions, "{label}: preemptions");
-    assert_eq!(
-        a.peak_reserved_bytes, b.peak_reserved_bytes,
-        "{label}: peak reservations"
-    );
-    assert_eq!(a.ver_sweeps, b.ver_sweeps, "{label}: verifier sweeps");
-    assert_eq!(a.ver_seqs, b.ver_seqs, "{label}: verifier sequences");
-    assert_eq!(
-        a.ver_busy_secs, b.ver_busy_secs,
-        "{label}: verifier busy time"
-    );
 }
 
 // ---------------------------------------------------------------------
@@ -136,81 +118,35 @@ fn batch1_matches_serversim_on_uniform_overload() {
 }
 
 // ---------------------------------------------------------------------
-// Anchor 2: infinite window == BatchedServerSim, bit for bit.
+// Observer timeline: every front door records launches, anchored
+// presets never stretch.
 // ---------------------------------------------------------------------
 
-fn check_infinite_window(
-    label: &str,
-    seed: u64,
-    memory_fraction: f64,
-    arrivals: &[RequestArrival],
-    n: usize,
-    config: BatchConfig,
-) -> BatchRun {
-    let lockstep = BatchedServerSim::new(
-        server(seed, memory_fraction),
-        n,
-        SearchKind::BeamSearch,
-        config,
-    )
-    .run(arrivals)
-    .expect("lockstep run");
-    let event = EventServerSim::new(
-        server(seed, memory_fraction),
-        n,
-        SearchKind::BeamSearch,
-        EventConfig::lockstep(config),
-    )
-    .run(arrivals)
-    .expect("event run");
-    assert_runs_identical(label, &lockstep, &event);
-    lockstep
-}
-
 #[test]
-fn infinite_window_matches_lockstep_continuous() {
+fn every_front_door_records_the_observer_timeline() {
     let problems = Dataset::Amc2023.problems(6, 41);
     let arrivals = ArrivalPattern::Uniform { interval: 1.0 }.schedule(&problems, 0);
-    check_infinite_window(
-        "continuous-4",
-        5,
-        0.9,
-        &arrivals,
+    let lockstep = BatchedServerSim::new(
+        server(5, 0.9),
         8,
+        SearchKind::BeamSearch,
         BatchConfig::continuous(4),
-    );
-}
-
-#[test]
-fn infinite_window_matches_lockstep_fused_demand() {
-    let problems = Dataset::Amc2023.problems(5, 29);
-    let arrivals = ArrivalPattern::Uniform { interval: 1.0 }.schedule(&problems, 0);
-    check_infinite_window("fused-8", 17, 0.9, &arrivals, 16, BatchConfig::fused(8));
-}
-
-#[test]
-fn infinite_window_matches_lockstep_gang() {
-    let problems = Dataset::Amc2023.problems(5, 31);
-    let arrivals = ArrivalPattern::Uniform { interval: 1.0 }.schedule(&problems, 0);
-    check_infinite_window("gang-3", 3, 0.9, &arrivals, 8, BatchConfig::gang(3));
-}
-
-#[test]
-fn infinite_window_matches_lockstep_under_preemption_pressure() {
-    // The pressure fixture: a tight pool forces swap-outs and
-    // readmissions. The event loop must reproduce the preemption
-    // cascade — victims, PCIe stalls, pause durations — exactly.
-    let problems = Dataset::Aime2024.problems(4, 51);
-    let arrivals = ArrivalPattern::Burst { at: 0.0 }.schedule(&problems, 0);
-    let run = check_infinite_window(
-        "pressure",
-        13,
-        0.30,
-        &arrivals,
-        24,
-        BatchConfig::continuous(4),
-    );
-    assert!(run.preemptions > 0, "the fixture must actually preempt");
+    )
+    .run(&arrivals)
+    .expect("lockstep run");
+    let event = EventServerSim::new(
+        server(5, 0.9),
+        16,
+        SearchKind::BeamSearch,
+        EventConfig::windowed(8, 0.1),
+    )
+    .run(&arrivals)
+    .expect("event run");
+    for (label, run) in [("lockstep", &lockstep), ("event", &event)] {
+        assert!(run.timeline.segments > 0, "{label}: segments recorded");
+        assert!(run.timeline.busy_secs > 0.0, "{label}: busy time recorded");
+        assert_eq!(run.timeline.stretch_secs, 0.0, "{label}: never stretches");
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -344,115 +280,11 @@ fn simultaneous_arrivals_admit_in_stream_order_on_both_schedulers() {
     }
 }
 
-// ---------------------------------------------------------------------
-// Anchor 3: the global-timeline scheduler with both honesty features
-// disabled (`TimelineConfig::anchored`) reproduces `EventServerSim`
-// bit for bit — the timeline records segments purely as an observer.
-// ---------------------------------------------------------------------
-
-fn check_timeline_anchor(
-    label: &str,
-    seed: u64,
-    memory_fraction: f64,
-    arrivals: &[RequestArrival],
-    n: usize,
-    event: EventConfig,
-    plan: &FaultPlan,
-) {
-    let reference = EventServerSim::new(
-        server(seed, memory_fraction),
-        n,
-        SearchKind::BeamSearch,
-        event,
-    )
-    .run_faulted(arrivals, plan)
-    .expect("event run");
-    let timeline = TimelineServerSim::new(
-        server(seed, memory_fraction),
-        n,
-        SearchKind::BeamSearch,
-        TimelineConfig::anchored(event),
-    )
-    .run_faulted(arrivals, plan)
-    .expect("timeline run");
-    assert_runs_identical(label, &reference, &timeline);
-    assert_eq!(
-        reference.kernel_faults, timeline.kernel_faults,
-        "{label}: fault counters"
-    );
-    assert_eq!(
-        reference.lost_blocks, timeline.lost_blocks,
-        "{label}: kv loss"
-    );
-    assert!(
-        timeline.timeline.segments > 0,
-        "{label}: the observer still records segments"
-    );
-    assert_eq!(
-        timeline.timeline.stretch_secs, 0.0,
-        "{label}: anchored mode never stretches"
-    );
-    // The reference scheduler records nothing.
-    assert_eq!(reference.timeline.segments, 0);
-}
-
-#[test]
-fn timeline_anchored_matches_event_fault_free() {
-    let problems = Dataset::Amc2023.problems(6, 41);
-    let arrivals = ArrivalPattern::Uniform { interval: 1.0 }.schedule(&problems, 0);
-    for window in [0.0, 0.1, 1.0] {
-        check_timeline_anchor(
-            &format!("anchored window {window}"),
-            5,
-            0.9,
-            &arrivals,
-            16,
-            EventConfig::windowed(8, window),
-            &FaultPlan::none(),
-        );
-    }
-}
-
-#[test]
-fn timeline_anchored_matches_event_under_fault_storm() {
-    let problems = Dataset::Amc2023.problems(5, 29);
-    let arrivals = ArrivalPattern::Uniform { interval: 1.0 }.schedule(&problems, 0);
-    let plan = FaultPlan::storm(0xBEEF, 80.0, &StormConfig::default());
-    check_timeline_anchor(
-        "anchored faulted",
-        17,
-        0.9,
-        &arrivals,
-        16,
-        EventConfig::windowed(8, 0.1),
-        &plan,
-    );
-}
-
-#[test]
-fn timeline_anchored_matches_event_with_host_tier() {
-    // The PR-7 pressure fixture: a tight pool plus an enabled host
-    // tier, so preemption swap-downs, parks and warm readmissions all
-    // exercise identically through the timeline loop.
-    let problems = Dataset::Aime2024.problems(4, 51);
-    let arrivals = ArrivalPattern::Burst { at: 0.0 }.schedule(&problems, 0);
-    let tiered = BatchConfig::continuous(4).with_tier(KvTierConfig::with_capacity(1 << 30));
-    check_timeline_anchor(
-        "anchored tiered",
-        13,
-        0.30,
-        &arrivals,
-        24,
-        EventConfig::new(tiered, 0.2),
-        &FaultPlan::none(),
-    );
-}
-
 #[test]
 fn timeline_batch1_matches_serversim() {
-    // Batch 1 collapses the whole stack: the anchored timeline loop
-    // must still reproduce the FIFO `ServerSim` exactly, like the
-    // lockstep and event schedulers do.
+    // Batch 1 collapses the whole stack: called directly, the anchored
+    // timeline loop must reproduce the FIFO `ServerSim` exactly, as it
+    // does behind the lockstep and event front doors.
     let problems = Dataset::Amc2023.problems(3, 33);
     let arrivals = ArrivalPattern::Uniform { interval: 0.5 }.schedule(&problems, 0);
     let fifo = ServerSim::new(server(11, 0.9), 8, SearchKind::BeamSearch)

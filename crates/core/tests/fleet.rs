@@ -296,55 +296,6 @@ fn crash_failover_migrates_and_completes_every_request() {
     );
 }
 
-/// PR 10: attaching an *anchored* timeline tuning to the fleet is pure
-/// bookkeeping — per-device runs stay bit-identical to the plain
-/// event-driven fleet, but now carry occupancy roll-ups.
-#[test]
-fn timeline_fleet_anchored_is_bit_identical_to_plain_fleet() {
-    let stream = arrivals(6, 77, 4.0);
-    let config = event_config();
-    let devices = || vec![server(9, 0.55), server(9, 0.55)];
-    let plain = FleetSim::new(
-        devices(),
-        16,
-        SearchKind::BeamSearch,
-        FleetConfig::new(config, RoutePolicy::Jsq),
-    )
-    .run(&stream)
-    .expect("plain fleet run");
-    let timed = FleetSim::new(
-        devices(),
-        16,
-        SearchKind::BeamSearch,
-        FleetConfig::new(config, RoutePolicy::Jsq).with_timeline(TimelineTuning::anchored()),
-    )
-    .run(&stream)
-    .expect("timeline fleet run");
-    assert_served_identical("anchored fleet", &timed.served, &plain.served);
-    assert_eq!(
-        timed.serving_device, plain.serving_device,
-        "routing decisions are unchanged"
-    );
-    for (d, run) in timed.device_runs.iter().enumerate() {
-        if !run.served.is_empty() {
-            assert!(
-                run.timeline.segments > 0,
-                "device {d} records segments on the global timeline"
-            );
-            assert_eq!(
-                run.timeline.stretch_secs, 0.0,
-                "anchored mode never stretches"
-            );
-        }
-    }
-    for run in &plain.device_runs {
-        assert_eq!(
-            run.timeline.segments, 0,
-            "the plain event fleet has no timeline"
-        );
-    }
-}
-
 /// PR 10: the honest timeline with token joins serves every request
 /// with the same answers as the plain fleet — honesty moves clocks,
 /// never outcomes.

@@ -1,0 +1,511 @@
+//! Golden fingerprints of the scheduler anchor fixtures.
+//!
+//! Every fixture is a seeded arrival stream, a fault plan and one
+//! scheduling policy. Its fingerprint is the 64-bit FNV-1a hash of the
+//! run's `{:?}` rendering with the observer timeline
+//! (`BatchRun::timeline`) reset to its default. `Debug` prints each f64
+//! as the shortest string that round-trips, and no result type holds a
+//! hash map, so the hash is bit-exact over every served record,
+//! breakdown bucket and run counter.
+//!
+//! `golden/anchors.txt` holds one `<fixture> <fingerprint>` line per
+//! fixture. Every scheduler front door that can run a fixture must
+//! reproduce its line:
+//!
+//! * an anchored policy runs through `TimelineServerSim` and
+//!   `EventServerSim`, and at an infinite window through
+//!   `BatchedServerSim` too;
+//! * an honest policy runs through `TimelineServerSim` alone;
+//! * a fleet runs with `FleetConfig::new` and, when its tuning is
+//!   anchored, with that tuning attached explicitly.
+//!
+//! On a mismatch the test prints the line it computed. A deliberate
+//! behaviour change edits `anchors.txt` by hand and records why in
+//! CHANGES.md; there is no regeneration switch.
+
+use ftts_core::{
+    BatchConfig, BatchRun, BatchedServerSim, EventConfig, EventServerSim, FaultPlan, FaultPolicy,
+    FleetConfig, FleetRun, FleetSim, HedgeConfig, KvTierConfig, RobustConfig, RoutePolicy,
+    StormConfig, TenantPolicy, TenantSpec, TimelineConfig, TimelineServerSim, TimelineTuning,
+    TtsServer,
+};
+use ftts_core::{FaultEvent, FaultKind};
+use ftts_engine::ModelPairing;
+use ftts_hw::GpuDevice;
+use ftts_metrics::{SloClass, TimelineOccupancy};
+use ftts_search::SearchKind;
+use ftts_workload::{ArrivalPattern, Dataset, RequestArrival};
+
+const ANCHORS: &str = include_str!("golden/anchors.txt");
+
+fn server(seed: u64, memory_fraction: f64) -> TtsServer {
+    let mut s = TtsServer::fasttts(GpuDevice::rtx4090(), ModelPairing::pair_1_5b_1_5b());
+    s.config_mut().seed = seed;
+    s.config_mut().memory_fraction = memory_fraction;
+    s
+}
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+fn hash_debug(value: &impl std::fmt::Debug) -> String {
+    format!("{:016x}", fnv1a(format!("{value:?}").as_bytes()))
+}
+
+fn fingerprint(run: &BatchRun) -> String {
+    let mut run = run.clone();
+    run.timeline = TimelineOccupancy::default();
+    hash_debug(&run)
+}
+
+fn fleet_fingerprint(run: &FleetRun) -> String {
+    let mut run = run.clone();
+    for device in &mut run.device_runs {
+        device.timeline = TimelineOccupancy::default();
+    }
+    hash_debug(&run)
+}
+
+fn golden(fixture: &str) -> &'static str {
+    ANCHORS
+        .lines()
+        .find_map(|line| {
+            let (name, fp) = line.split_once(' ')?;
+            (name == fixture).then_some(fp)
+        })
+        .unwrap_or_else(|| panic!("anchors.txt has no row for fixture {fixture}"))
+}
+
+/// Compare every front door's fingerprint with the fixture's golden
+/// row; on a mismatch, fail with the lines the runs computed.
+fn check(fixture: &str, computed: &[(&str, String)]) {
+    let want = golden(fixture);
+    let drifted: Vec<String> = computed
+        .iter()
+        .filter(|(_, fp)| fp != want)
+        .map(|(front, fp)| format!("{front}: {fixture} {fp}"))
+        .collect();
+    assert!(
+        drifted.is_empty(),
+        "fixture {fixture} drifted from its golden row `{fixture} {want}`; computed:\n{}",
+        drifted.join("\n")
+    );
+}
+
+/// An anchored policy's observer timeline records segments and never
+/// stretches them.
+fn assert_observer(label: &str, occ: &TimelineOccupancy) {
+    assert!(occ.segments > 0, "{label}: the observer records segments");
+    assert_eq!(occ.stretch_secs, 0.0, "{label}: anchored never stretches");
+}
+
+// ---------------------------------------------------------------------
+// Single-device fixtures.
+// ---------------------------------------------------------------------
+
+struct Fixture {
+    name: &'static str,
+    seed: u64,
+    memory_fraction: f64,
+    n: usize,
+    arrivals: Vec<RequestArrival>,
+    plan: FaultPlan,
+    config: TimelineConfig,
+}
+
+impl Fixture {
+    fn new(
+        name: &'static str,
+        (seed, memory_fraction, n): (u64, f64, usize),
+        arrivals: Vec<RequestArrival>,
+        config: TimelineConfig,
+    ) -> Self {
+        Self {
+            name,
+            seed,
+            memory_fraction,
+            n,
+            arrivals,
+            plan: FaultPlan::none(),
+            config,
+        }
+    }
+
+    fn lockstep(
+        name: &'static str,
+        sim: (u64, f64, usize),
+        arrivals: Vec<RequestArrival>,
+        batch: BatchConfig,
+    ) -> Self {
+        Self::new(
+            name,
+            sim,
+            arrivals,
+            TimelineConfig::anchored(EventConfig::lockstep(batch)),
+        )
+    }
+
+    fn with_plan(mut self, plan: FaultPlan) -> Self {
+        self.plan = plan;
+        self
+    }
+
+    fn server(&self) -> TtsServer {
+        server(self.seed, self.memory_fraction)
+    }
+
+    fn anchored(&self) -> bool {
+        self.config == TimelineConfig::anchored(self.config.event)
+    }
+
+    /// Run the fixture through every front door that accepts its
+    /// policy.
+    fn runs(&self) -> Vec<(&'static str, BatchRun)> {
+        let kind = SearchKind::BeamSearch;
+        let timeline = TimelineServerSim::new(self.server(), self.n, kind, self.config)
+            .run_faulted(&self.arrivals, &self.plan)
+            .expect("timeline run");
+        let mut runs = vec![("TimelineServerSim", timeline)];
+        if self.anchored() {
+            let event = EventServerSim::new(self.server(), self.n, kind, self.config.event)
+                .run_faulted(&self.arrivals, &self.plan)
+                .expect("event run");
+            runs.push(("EventServerSim", event));
+            if self.config.event.window_secs.is_infinite() {
+                let lockstep =
+                    BatchedServerSim::new(self.server(), self.n, kind, self.config.event.batch)
+                        .run_faulted(&self.arrivals, &self.plan)
+                        .expect("lockstep run");
+                runs.push(("BatchedServerSim", lockstep));
+            }
+        }
+        runs
+    }
+
+    fn check(&self) {
+        let runs = self.runs();
+        let label = format!("{} via {}", self.name, runs[0].0);
+        if self.anchored() {
+            assert_observer(&label, &runs[0].1.timeline);
+        } else {
+            assert!(runs[0].1.timeline.segments > 0, "{label}: segments");
+        }
+        let computed: Vec<(&str, String)> = runs
+            .iter()
+            .map(|(front, run)| (*front, fingerprint(run)))
+            .collect();
+        check(self.name, &computed);
+    }
+}
+
+fn uniform(dataset: Dataset, count: usize, seed: u64, interval: f64) -> Vec<RequestArrival> {
+    ArrivalPattern::Uniform { interval }.schedule(&dataset.problems(count, seed), 0)
+}
+
+/// Four deep AIME searches bursting into a tight pool.
+fn pressured() -> Vec<RequestArrival> {
+    ArrivalPattern::Burst { at: 0.0 }.schedule(&Dataset::Aime2024.problems(4, 51), 0)
+}
+
+/// Tenant 1 dumps deep AIME searches at t=0; tenant 0 trickles shallow
+/// AMC requests in behind them.
+fn noisy_neighbour() -> Vec<RequestArrival> {
+    let mut arrivals: Vec<RequestArrival> = ArrivalPattern::Burst { at: 0.0 }
+        .schedule(&Dataset::Aime2024.problems(3, 13), 0)
+        .into_iter()
+        .map(|a| a.with_tenant(1))
+        .collect();
+    arrivals.extend(
+        uniform(Dataset::Amc2023, 4, 11, 2.0)
+            .into_iter()
+            .map(|a| a.with_tenant(0)),
+    );
+    arrivals.sort_by(|a, b| a.at.partial_cmp(&b.at).expect("finite arrival times"));
+    arrivals
+}
+
+fn lockstep_fixtures() -> Vec<Fixture> {
+    let amc6 = || uniform(Dataset::Amc2023, 6, 41, 1.0);
+    let storm = || FaultPlan::storm(7, 60.0, &StormConfig::default());
+    let tiered = BatchConfig::continuous(4).with_tier(KvTierConfig::with_capacity(1 << 28));
+    let tenants = TenantPolicy::new(&[
+        TenantSpec {
+            id: 0,
+            weight: 1,
+            kv_cap_bytes: u64::MAX,
+            max_in_flight: 0,
+        },
+        TenantSpec {
+            id: 1,
+            weight: 1,
+            kv_cap_bytes: server(7, 0.45).config().kv_budget_bytes() / 4,
+            max_in_flight: 0,
+        },
+    ]);
+    let mut deadlines = pressured();
+    for a in &mut deadlines {
+        *a = a.clone().with_slo(SloClass::Batch, f64::INFINITY);
+    }
+    deadlines[2] = deadlines[2].clone().with_slo(SloClass::Batch, 60.0);
+    vec![
+        Fixture::lockstep(
+            "lockstep-continuous-4",
+            (5, 0.9, 8),
+            amc6(),
+            BatchConfig::continuous(4),
+        ),
+        Fixture::lockstep(
+            "lockstep-fused-8",
+            (17, 0.9, 16),
+            uniform(Dataset::Amc2023, 5, 29, 1.0),
+            BatchConfig::fused(8),
+        ),
+        Fixture::lockstep(
+            "lockstep-gang-3",
+            (3, 0.9, 8),
+            uniform(Dataset::Amc2023, 5, 31, 1.0),
+            BatchConfig::gang(3),
+        ),
+        Fixture::lockstep(
+            "lockstep-pressure",
+            (13, 0.30, 24),
+            pressured(),
+            BatchConfig::continuous(4),
+        ),
+        Fixture::lockstep(
+            "lockstep-storm",
+            (5, 0.9, 8),
+            amc6(),
+            BatchConfig::continuous(4),
+        )
+        .with_plan(storm()),
+        Fixture::lockstep("lockstep-tiered", (13, 0.30, 24), pressured(), tiered),
+        Fixture::lockstep("lockstep-tiered-storm", (13, 0.30, 24), pressured(), tiered)
+            .with_plan(storm()),
+        Fixture::lockstep(
+            "lockstep-noisy-neighbour",
+            (7, 0.45, 12),
+            noisy_neighbour(),
+            BatchConfig::fused(4).with_tenants(tenants),
+        ),
+        Fixture::lockstep(
+            "lockstep-degrade-deadline",
+            (13, 0.30, 24),
+            deadlines,
+            BatchConfig::continuous(4)
+                .with_tier(KvTierConfig::with_capacity(1 << 30))
+                .with_robust(RobustConfig::with_policy(FaultPolicy::Degrade)),
+        ),
+    ]
+}
+
+fn windowed_fixtures() -> Vec<Fixture> {
+    let amc6 = || uniform(Dataset::Amc2023, 6, 41, 1.0);
+    let anchored = |window| TimelineConfig::anchored(EventConfig::windowed(8, window));
+    let tiered = BatchConfig::continuous(4).with_tier(KvTierConfig::with_capacity(1 << 30));
+    vec![
+        Fixture::new("anchored-window-0", (5, 0.9, 16), amc6(), anchored(0.0)),
+        Fixture::new("anchored-window-0.1", (5, 0.9, 16), amc6(), anchored(0.1)),
+        Fixture::new("anchored-window-1", (5, 0.9, 16), amc6(), anchored(1.0)),
+        Fixture::new(
+            "anchored-fault-storm",
+            (17, 0.9, 16),
+            uniform(Dataset::Amc2023, 5, 29, 1.0),
+            anchored(0.1),
+        )
+        .with_plan(FaultPlan::storm(0xBEEF, 80.0, &StormConfig::default())),
+        Fixture::new(
+            "anchored-host-tier",
+            (13, 0.30, 24),
+            pressured(),
+            TimelineConfig::anchored(EventConfig::new(tiered, 0.2)),
+        ),
+    ]
+}
+
+fn honest_fixtures() -> Vec<Fixture> {
+    let amc6 = || uniform(Dataset::Amc2023, 6, 41, 0.5);
+    let honest = TimelineConfig::honest(EventConfig::windowed(6, 0.0));
+    vec![
+        Fixture::new("honest-window-0", (5, 0.9, 16), amc6(), honest),
+        Fixture::new(
+            "token-joins-q8",
+            (5, 0.9, 16),
+            amc6(),
+            honest.with_token_joins().with_join_quantum(8),
+        ),
+    ]
+}
+
+// ---------------------------------------------------------------------
+// Fleet fixtures.
+// ---------------------------------------------------------------------
+
+struct FleetFixture {
+    name: &'static str,
+    devices: usize,
+    arrivals: Vec<RequestArrival>,
+    plans: Vec<FaultPlan>,
+    config: FleetConfig,
+    tuning: TimelineTuning,
+}
+
+impl FleetFixture {
+    fn run(&self, config: FleetConfig) -> FleetRun {
+        let devices = (0..self.devices).map(|_| server(9, 0.55)).collect();
+        FleetSim::new(devices, 16, SearchKind::BeamSearch, config)
+            .run_faulted(&self.arrivals, &self.plans)
+            .expect("fleet run")
+    }
+
+    fn check(&self) {
+        let tuned = self.run(self.config.with_timeline(self.tuning));
+        let mut computed = vec![("FleetConfig::with_timeline", fleet_fingerprint(&tuned))];
+        if self.tuning == TimelineTuning::anchored() {
+            for (d, run) in tuned.device_runs.iter().enumerate() {
+                if !run.served.is_empty() {
+                    assert_observer(&format!("{} device {d}", self.name), &run.timeline);
+                }
+            }
+            let plain = self.run(self.config);
+            computed.push(("FleetConfig::new", fleet_fingerprint(&plain)));
+        } else {
+            assert!(
+                tuned.device_runs.iter().any(|r| r.timeline.segments > 0),
+                "{}: segments",
+                self.name
+            );
+        }
+        check(self.name, &computed);
+    }
+}
+
+fn fleet_fixtures() -> Vec<FleetFixture> {
+    let event = EventConfig::new(
+        BatchConfig::continuous(4).with_tier(KvTierConfig::with_capacity(1 << 30)),
+        0.25,
+    );
+    let amc = |count, seed, interval| uniform(Dataset::Amc2023, count, seed, interval);
+    let mut crashy = vec![FaultPlan::none(); 4];
+    crashy[1] = FaultPlan::new(vec![FaultEvent {
+        at: 25.0,
+        kind: FaultKind::DeviceCrash { down_for: 200.0 },
+    }]);
+    vec![
+        FleetFixture {
+            name: "fleet-anchored-jsq",
+            devices: 2,
+            arrivals: amc(6, 77, 4.0),
+            plans: vec![FaultPlan::none(); 2],
+            config: FleetConfig::new(event, RoutePolicy::Jsq),
+            tuning: TimelineTuning::anchored(),
+        },
+        FleetFixture {
+            name: "fleet-anchored-failover-hedge",
+            devices: 4,
+            arrivals: amc(8, 77, 6.0),
+            plans: crashy,
+            config: FleetConfig::new(event, RoutePolicy::PrefixAffinity).with_hedge(HedgeConfig {
+                delay_factor: 0.5,
+                min_samples: 2,
+                min_delay_secs: 1.0,
+            }),
+            tuning: TimelineTuning::anchored(),
+        },
+        FleetFixture {
+            name: "fleet-honest-joins-rr",
+            devices: 2,
+            arrivals: amc(6, 77, 4.0),
+            plans: vec![FaultPlan::none(); 2],
+            config: FleetConfig::new(event, RoutePolicy::RoundRobin),
+            tuning: TimelineTuning::honest()
+                .with_token_joins()
+                .with_join_quantum(8),
+        },
+    ]
+}
+
+// ---------------------------------------------------------------------
+// Tests: one per golden row.
+// ---------------------------------------------------------------------
+
+/// Build the named fixture and check it through every front door.
+fn check_fixture(name: &str) {
+    if let Some(f) = single_fixtures().into_iter().find(|f| f.name == name) {
+        return f.check();
+    }
+    fleet_fixtures()
+        .into_iter()
+        .find(|f| f.name == name)
+        .unwrap_or_else(|| panic!("no fixture named {name}"))
+        .check();
+}
+
+fn single_fixtures() -> Vec<Fixture> {
+    let mut all = lockstep_fixtures();
+    all.extend(windowed_fixtures());
+    all.extend(honest_fixtures());
+    all
+}
+
+macro_rules! golden_tests {
+    ($($test:ident => $fixture:literal,)*) => {
+        $(
+            #[test]
+            fn $test() {
+                check_fixture($fixture);
+            }
+        )*
+
+        /// Every fixture a test checks, in declaration order.
+        const TESTED: &[&str] = &[$($fixture),*];
+    };
+}
+
+golden_tests! {
+    lockstep_continuous_4 => "lockstep-continuous-4",
+    lockstep_fused_8 => "lockstep-fused-8",
+    lockstep_gang_3 => "lockstep-gang-3",
+    lockstep_pressure => "lockstep-pressure",
+    lockstep_storm => "lockstep-storm",
+    lockstep_tiered => "lockstep-tiered",
+    lockstep_tiered_storm => "lockstep-tiered-storm",
+    lockstep_noisy_neighbour => "lockstep-noisy-neighbour",
+    lockstep_degrade_deadline => "lockstep-degrade-deadline",
+    anchored_window_0 => "anchored-window-0",
+    anchored_window_0_1 => "anchored-window-0.1",
+    anchored_window_1 => "anchored-window-1",
+    anchored_fault_storm => "anchored-fault-storm",
+    anchored_host_tier => "anchored-host-tier",
+    honest_window_0 => "honest-window-0",
+    token_joins_q8 => "token-joins-q8",
+    fleet_anchored_jsq => "fleet-anchored-jsq",
+    fleet_anchored_failover_hedge => "fleet-anchored-failover-hedge",
+    fleet_honest_joins_rr => "fleet-honest-joins-rr",
+}
+
+#[test]
+fn every_golden_row_has_one_fixture_and_one_test() {
+    fn sorted(mut names: Vec<&'static str>) -> Vec<&'static str> {
+        names.sort_unstable();
+        names
+    }
+    let rows = sorted(
+        ANCHORS
+            .lines()
+            .map(|line| line.split_once(' ').map_or(line, |(name, _)| name))
+            .collect(),
+    );
+    let built = sorted(
+        single_fixtures()
+            .iter()
+            .map(|f| f.name)
+            .chain(fleet_fixtures().iter().map(|f| f.name))
+            .collect(),
+    );
+    assert_eq!(rows, built, "anchors.txt rows and fixtures must match 1:1");
+    assert_eq!(rows, sorted(TESTED.to_vec()), "every row has one test");
+}

@@ -13,11 +13,10 @@
 //!   forces preemption overflow to drop; the run still serves everyone
 //!   with the same answers (recompute is deterministic replay), it just
 //!   pays recompute instead of swap traffic.
-//! * **Lockstep equivalence extends to the tier**: both schedulers
-//!   consume the tier at the same boundaries (admission, preemption,
-//!   cancellation, completion), so the infinite-window event scheduler
-//!   stays bit-identical to the lockstep scheduler with the tier
-//!   enabled — including under an injected fault storm.
+//!
+//! The tiered lockstep fixture, fault-free and under a storm, is frozen
+//! as the `lockstep-tiered` and `lockstep-tiered-storm` rows in
+//! `golden.rs`.
 
 use ftts_core::{
     BatchConfig, BatchRun, BatchedServerSim, EventConfig, EventServerSim, FaultPlan, FaultPolicy,
@@ -298,36 +297,4 @@ fn deadline_cancel_while_parked_reclaims_tier_bytes() {
         run.kv_tier_unparked_bytes, run.kv_tier_parked_bytes,
         "deadline cancellation of a parked run must unpark its bytes"
     );
-}
-
-// ---------------------------------------------------------------------
-// Anchor 4: lockstep equivalence extends to tier-enabled (and faulted)
-// runs.
-// ---------------------------------------------------------------------
-
-#[test]
-fn tiered_runs_keep_lockstep_equivalence() {
-    let arrivals = pressured_arrivals();
-    let cfg = BatchConfig::continuous(4).with_tier(KvTierConfig::with_capacity(1 << 28));
-    for (label, plan) in [
-        ("fault-free", FaultPlan::none()),
-        (
-            "faulted",
-            FaultPlan::storm(7, 60.0, &StormConfig::default()),
-        ),
-    ] {
-        let batch = BatchedServerSim::new(server(13, 0.30), 24, SearchKind::BeamSearch, cfg)
-            .run_faulted(&arrivals, &plan)
-            .expect("batch run");
-        let event = EventServerSim::new(
-            server(13, 0.30),
-            24,
-            SearchKind::BeamSearch,
-            EventConfig::lockstep(cfg),
-        )
-        .run_faulted(&arrivals, &plan)
-        .expect("event run");
-        assert!(batch.preemptions > 0, "{label}: fixture must preempt");
-        assert_runs_identical(&format!("tiered {label}"), &batch, &event);
-    }
 }

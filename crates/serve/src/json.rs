@@ -4,12 +4,19 @@
 //! deserializer, so the server parses incoming frames with this
 //! hand-rolled reader. It supports exactly the subset the protocol
 //! uses: one object per line built from objects, arrays, numbers,
-//! strings, booleans and `null`. Replies are *written* with plain
+//! strings, booleans and `null`, nested at most 32 levels deep (the
+//! reader recurses once per level, so an unbounded nest of `[` would
+//! overflow the stack). Replies are *written* with plain
 //! `format!` plus [`escape`] so their field order is fixed by
 //! construction — byte-identical replies are part of the determinism
 //! contract the replay tests assert.
 
 use std::collections::BTreeMap;
+
+/// Deepest object/array nesting [`Json::parse`] accepts. Protocol frames
+/// are flat objects (depth 1); anything deeper than this is refused as
+/// a syntax error instead of recursing without bound.
+const MAX_DEPTH: usize = 32;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -37,7 +44,7 @@ impl Json {
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing content at byte {pos}"));
@@ -85,8 +92,12 @@ fn expect(bytes: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parse one value whose enclosing containers are `depth` levels deep.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
+    if matches!(bytes.get(*pos), Some(b'{' | b'[')) && depth >= MAX_DEPTH {
+        return Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}"));
+    }
     match bytes.get(*pos) {
         Some(b'{') => {
             *pos += 1;
@@ -101,7 +112,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 let key = parse_string(bytes, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, b':')?;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 map.insert(key, value);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -123,7 +134,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Array(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -167,13 +178,23 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
 fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     expect(bytes, pos, b'"')?;
     let mut out = String::new();
-    while let Some(&b) = bytes.get(*pos) {
-        *pos += 1;
-        match b {
-            b'"' => return Ok(out),
-            b'\\' => {
-                let esc = *bytes.get(*pos).ok_or("unterminated escape")?;
+    loop {
+        // Copy the run up to the next quote or escape as UTF-8: both
+        // delimiters are ASCII, so they never split a multi-byte char.
+        let run = *pos;
+        while bytes.get(*pos).is_some_and(|&b| b != b'"' && b != b'\\') {
+            *pos += 1;
+        }
+        out.push_str(std::str::from_utf8(&bytes[run..*pos]).map_err(|e| e.to_string())?);
+        match bytes.get(*pos) {
+            Some(b'"') => {
                 *pos += 1;
+                return Ok(out);
+            }
+            Some(_) => {
+                // The run stopped at a backslash.
+                let esc = *bytes.get(*pos + 1).ok_or("unterminated escape")?;
+                *pos += 2;
                 out.push(match esc {
                     b'n' => '\n',
                     b't' => '\t',
@@ -184,10 +205,9 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                     other => return Err(format!("unsupported escape '\\{}'", other as char)),
                 });
             }
-            _ => out.push(b as char),
+            None => return Err("unterminated string".to_string()),
         }
     }
-    Err("unterminated string".to_string())
 }
 
 /// Escape a string for embedding inside a JSON string literal.
@@ -228,16 +248,29 @@ mod tests {
 
     #[test]
     fn rejects_malformed_input() {
-        for bad in ["", "{", "{} extra", "{\"a\":}", "[1,", "\"unterminated"] {
+        let too_deep = "[".repeat(MAX_DEPTH + 1) + &"]".repeat(MAX_DEPTH + 1);
+        for bad in [
+            "",
+            "{",
+            "{} extra",
+            "{\"a\":}",
+            "[1,",
+            "\"unterminated",
+            &too_deep,
+        ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} must not parse");
         }
     }
 
     #[test]
     fn escape_round_trips_through_the_parser() {
-        let original = "line\nwith \"quotes\" and \\slashes\\";
-        let wire = format!("{{\"s\":\"{}\"}}", escape(original));
-        let parsed = Json::parse(&wire).expect("escaped text parses");
-        assert_eq!(parsed.str_at("s"), Some(original));
+        for original in [
+            "line\nwith \"quotes\" and \\slashes\\",
+            "é-1 naïve 日本 \"ü\"\n🦀",
+        ] {
+            let wire = format!("{{\"s\":\"{}\"}}", escape(original));
+            let parsed = Json::parse(&wire).expect("escaped text parses");
+            assert_eq!(parsed.str_at("s"), Some(original));
+        }
     }
 }

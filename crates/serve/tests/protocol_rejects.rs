@@ -55,20 +55,26 @@ fn assert_rejected(rt: &mut ServeRuntime, line: &str, code: &str) {
 #[test]
 fn malformed_frames_never_reach_admission() {
     let mut rt = runtime();
+    // One frame of 100,000 `[` bytes: a reader that recursed per level
+    // would overflow the stack and take the whole server down.
+    let deep_nest = "[".repeat(100_000);
     for line in [
         "this is not json",
         "{\"op\":\"submit\"}",
         "{\"no_op_at_all\":1}",
         "{\"op\":\"submit\",\"id\":\"r\",\"tenant\":0,\"slo\":\"platinum\",\"dataset\":\"amc2023\",\"problem_seed\":1}",
         "{\"op\":\"submit\",\"id\":\"r\",\"tenant\":0,\"slo\":\"standard\",\"dataset\":\"cifar\",\"problem_seed\":1}",
+        &deep_nest,
     ] {
         assert_rejected(&mut rt, line, "malformed");
     }
     assert_rejected(&mut rt, "{\"op\":\"reboot\"}", "unknown_op");
-    // The runtime saw only garbage: stats must report zero requests.
+    // The runtime saw only garbage, and still answers the next frame:
+    // stats must report zero requests.
     let stats = rt.handle_line("{\"op\":\"stats\"}");
+    assert!(stats.reply.contains("\"ok\":true"), "{}", stats.reply);
     assert!(stats.reply.contains("\"requests\":0"), "{}", stats.reply);
-    assert!(stats.reply.contains("\"rejected\":6"), "{}", stats.reply);
+    assert!(stats.reply.contains("\"rejected\":7"), "{}", stats.reply);
 }
 
 #[test]
