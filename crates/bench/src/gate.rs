@@ -14,189 +14,28 @@
 //! `BENCH_PR*.json` files a bench run writes to the repo root — see
 //! `docs/ci.md`.
 //!
-//! The JSON the benches emit is parsed by the minimal reader in this
-//! module (the workspace is offline; the vendored `serde` shim has no
-//! deserializer), which supports exactly the subset the reports use:
-//! objects, arrays, numbers, strings, booleans and null.
+//! The reports are read with the workspace's one JSON reader,
+//! [`ftts_serve::Json`] (re-exported here as [`Json`]), plus a
+//! dot-separated path lookup for the gated metrics.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::Path;
 
-/// A parsed JSON value (minimal reader for the bench reports).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// An object, with insertion-order-independent key lookup.
-    Object(BTreeMap<String, Json>),
-    /// An array.
-    Array(Vec<Json>),
-    /// A number (all JSON numbers are read as `f64`).
-    Number(f64),
-    /// A string.
-    String(String),
-    /// A boolean.
-    Bool(bool),
-    /// `null`.
-    Null,
+pub use ftts_serve::Json;
+
+/// The value at a dot-separated path of object keys (e.g.
+/// `"policies.fused_batch8.stream_goodput_tok_per_s"`).
+fn at_path<'a>(json: &'a Json, path: &str) -> Option<&'a Json> {
+    path.split('.').try_fold(json, |cur, key| cur.at(key))
 }
 
-impl Json {
-    /// Parse a JSON document.
-    ///
-    /// # Errors
-    ///
-    /// Returns a human-readable description of the first syntax error.
-    pub fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing content at byte {pos}"));
-        }
-        Ok(value)
+/// The number at a dot-separated path, if any.
+fn number_at_path(json: &Json, path: &str) -> Option<f64> {
+    match at_path(json, path)? {
+        Json::Number(x) => Some(*x),
+        _ => None,
     }
-
-    /// Navigate a dot-separated path of object keys (e.g.
-    /// `"policies.fused_batch8.stream_goodput_tok_per_s"`).
-    pub fn at(&self, path: &str) -> Option<&Json> {
-        let mut cur = self;
-        for key in path.split('.') {
-            match cur {
-                Json::Object(map) => cur = map.get(key)?,
-                _ => return None,
-            }
-        }
-        Some(cur)
-    }
-
-    /// The numeric value at a dot-separated path, if any.
-    pub fn number_at(&self, path: &str) -> Option<f64> {
-        match self.at(path)? {
-            Json::Number(x) => Some(*x),
-            _ => None,
-        }
-    }
-}
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && (bytes[*pos] as char).is_ascii_whitespace() {
-        *pos += 1;
-    }
-}
-
-fn expect(bytes: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
-    if bytes.get(*pos) == Some(&c) {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!("expected '{}' at byte {pos}", c as char))
-    }
-}
-
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        Some(b'{') => {
-            *pos += 1;
-            let mut map = BTreeMap::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Object(map));
-            }
-            loop {
-                skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
-                skip_ws(bytes, pos);
-                expect(bytes, pos, b':')?;
-                let value = parse_value(bytes, pos)?;
-                map.insert(key, value);
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Object(map));
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
-                }
-            }
-        }
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Array(items));
-            }
-            loop {
-                items.push(parse_value(bytes, pos)?);
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Array(items));
-                    }
-                    _ => return Err(format!("expected ',' or ']' at byte {pos}")),
-                }
-            }
-        }
-        Some(b'"') => Ok(Json::String(parse_string(bytes, pos)?)),
-        Some(b't') if bytes[*pos..].starts_with(b"true") => {
-            *pos += 4;
-            Ok(Json::Bool(true))
-        }
-        Some(b'f') if bytes[*pos..].starts_with(b"false") => {
-            *pos += 5;
-            Ok(Json::Bool(false))
-        }
-        Some(b'n') if bytes[*pos..].starts_with(b"null") => {
-            *pos += 4;
-            Ok(Json::Null)
-        }
-        Some(_) => {
-            let start = *pos;
-            while *pos < bytes.len()
-                && matches!(bytes[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-            {
-                *pos += 1;
-            }
-            let s = std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?;
-            s.parse::<f64>()
-                .map(Json::Number)
-                .map_err(|_| format!("invalid number '{s}' at byte {start}"))
-        }
-        None => Err("unexpected end of input".to_string()),
-    }
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    expect(bytes, pos, b'"')?;
-    let mut out = String::new();
-    while let Some(&b) = bytes.get(*pos) {
-        *pos += 1;
-        match b {
-            b'"' => return Ok(out),
-            b'\\' => {
-                let esc = *bytes.get(*pos).ok_or("unterminated escape")?;
-                *pos += 1;
-                out.push(match esc {
-                    b'n' => '\n',
-                    b't' => '\t',
-                    b'r' => '\r',
-                    b'"' => '"',
-                    b'\\' => '\\',
-                    b'/' => '/',
-                    other => return Err(format!("unsupported escape '\\{}'", other as char)),
-                });
-            }
-            _ => out.push(b as char),
-        }
-    }
-    Err("unterminated string".to_string())
 }
 
 /// Which way a metric is supposed to move.
@@ -590,8 +429,8 @@ pub fn run_gate(baseline_dir: &Path, fresh_dir: &Path, specs: &[MetricSpec]) -> 
     let rows = specs
         .iter()
         .map(|spec| {
-            let baseline = load(false, spec.file).and_then(|j| j.number_at(spec.path));
-            let fresh = load(true, spec.file).and_then(|j| j.number_at(spec.path));
+            let baseline = load(false, spec.file).and_then(|j| number_at_path(&j, spec.path));
+            let fresh = load(true, spec.file).and_then(|j| number_at_path(&j, spec.path));
             let ratio = baseline
                 .zip(fresh)
                 .map(|(b, f)| goodness_ratio(b, f, spec.direction));
@@ -654,7 +493,7 @@ pub fn write_baseline(
     }
     for spec in specs {
         if let Some(json) = parsed.get(spec.file) {
-            if json.number_at(spec.path).is_none() {
+            if number_at_path(json, spec.path).is_none() {
                 problems.push(format!(
                     "{}: gated metric '{}' does not resolve to a number",
                     spec.file, spec.path
@@ -753,18 +592,19 @@ mod tests {
         let j =
             Json::parse(r#"{ "a": { "b": [1, 2.5, -3e2] }, "s": "x\n", "t": true, "n": null }"#)
                 .expect("parse");
-        assert_eq!(j.number_at("a.b"), None, "arrays are not numbers");
+        assert_eq!(number_at_path(&j, "a.b"), None, "arrays are not numbers");
         assert_eq!(
-            j.at("a.b"),
+            at_path(&j, "a.b"),
             Some(&Json::Array(vec![
                 Json::Number(1.0),
                 Json::Number(2.5),
                 Json::Number(-300.0),
             ]))
         );
-        assert_eq!(j.at("s"), Some(&Json::String("x\n".to_string())));
-        assert_eq!(j.at("t"), Some(&Json::Bool(true)));
-        assert_eq!(j.at("n"), Some(&Json::Null));
+        assert_eq!(at_path(&j, "s"), Some(&Json::String("x\n".to_string())));
+        assert_eq!(at_path(&j, "t"), Some(&Json::Bool(true)));
+        assert_eq!(at_path(&j, "n"), Some(&Json::Null));
+        assert_eq!(at_path(&j, "a.b.c"), None, "paths stop at non-objects");
         assert!(Json::parse("{").is_err());
         assert!(Json::parse("{} trailing").is_err());
     }
@@ -778,7 +618,7 @@ mod tests {
                 .join(file);
             let text = std::fs::read_to_string(&path).expect("baseline exists");
             let json = Json::parse(&text).expect("baseline parses");
-            assert!(json.at("bench").is_some(), "{file} names its bench");
+            assert!(at_path(&json, "bench").is_some(), "{file} names its bench");
         }
     }
 

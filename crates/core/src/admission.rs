@@ -1,28 +1,37 @@
-//! Scheduler plumbing used by the timeline run loop
-//! ([`TimelineServerSim`]): the in-flight request record, the
-//! admission/readmission loop with its deterministic ordering tiebreak,
-//! KV-share resizing (equal and demand-proportional), and the
-//! shared-accelerator verifier sweep pricing.
+//! Admission, shares and sweeps of the timeline run loop
+//! ([`TimelineServerSim`]): the in-flight request record and its served
+//! record, the admission/readmission pass with its deterministic
+//! ordering tiebreak, KV-share resizing (equal, demand-proportional and
+//! tenant fair-share), the deadline and directed cancellation sweeps,
+//! and the shared-accelerator verifier sweep pricing.
 //!
-//! A launch passes its co-batch `group` plus the `rest` of the in-flight
-//! set (requests mid-iteration outside the batching window), because
-//! shares and admission caps must count *everyone* holding pool
-//! reservations, not just the requests in the current launch.
+//! Admission, shares and sweeps are methods on the loop's state,
+//! `LoopState` (defined in the `timeline` module), and read and write
+//! its queues, pool, tier, records and counters directly:
+//!
+//! * `admit` moves readmits and fresh arrivals into the launching
+//!   `group` and counts degradations;
+//! * `enforce_slo` (deadlines) and `apply_cancels` (directives) choose
+//!   what to shed and cancel, and share one cancellation walk that
+//!   seals each request, reclaims its pool and tier bytes, counts it
+//!   and re-shares the survivors;
+//! * `reshare`, `rebalance` and the admission probes size shares over
+//!   the `group` plus the `rest` of the in-flight set (requests
+//!   mid-iteration outside the batching window), because shares and
+//!   admission caps must count *everyone* holding pool reservations,
+//!   not just the requests in the current launch.
 //!
 //! [`TimelineServerSim`]: crate::TimelineServerSim
 
-use std::collections::VecDeque;
-
 use ftts_engine::{EngineError, RequestRun, RunStats, SearchDriver, VerifyCharge, VerifyChunk};
-use ftts_kv::{HostTier, PoolBudget, ShareRequest, TenantShareRequest};
+use ftts_kv::{ShareRequest, TenantShareRequest};
 use ftts_metrics::SloClass;
-use ftts_search::{make_driver, SearchKind};
+use ftts_search::make_driver;
 use ftts_workload::RequestArrival;
 
-use crate::batch_server::BatchConfig;
 use crate::faults::degraded_beams;
-use crate::server::{ServeOutcome, ServedRequest, TtsServer};
-use crate::tenant::TenantPolicy;
+use crate::server::{ServeOutcome, ServedRequest};
+use crate::timeline::LoopState;
 
 /// One in-flight (or preempted) request.
 pub(crate) struct InFlight {
@@ -67,6 +76,36 @@ impl InFlight {
     pub(crate) fn ready_at(&self) -> f64 {
         self.started_at + self.run.next_event_at()
     }
+
+    /// Seal the request into its served record. A completed run
+    /// (`cancelled_at` is `None`) finishes at its own clock and delivers
+    /// its majority answer. A run cancelled at an instant delivers no
+    /// answer and counts as shed; its partial statistics are kept for
+    /// attribution, and it is never sealed before the work it already
+    /// did.
+    pub(crate) fn seal(self, cancelled_at: Option<f64>) -> ServedRequest {
+        let cancelled_at = cancelled_at.map(|now| now.max(self.started_at + self.run.clock()));
+        let stats = self.run.finish();
+        let (finished_at, answer) = match cancelled_at {
+            Some(at) => (at, None),
+            None => (
+                self.started_at + stats.latency(),
+                ftts_metrics::top1_majority(&stats.answers()),
+            ),
+        };
+        ServedRequest {
+            arrived_at: self.arrived_at,
+            started_at: self.started_at,
+            finished_at,
+            preemptions: self.preemptions,
+            preempted_secs: self.preempted_secs,
+            slo: self.slo,
+            deadline: self.deadline,
+            shed: cancelled_at.is_some(),
+            granted_n: self.granted_n,
+            outcome: ServeOutcome { stats, answer },
+        }
+    }
 }
 
 /// An admission candidate, in the order classes the tiebreak ranks.
@@ -92,14 +131,6 @@ pub(crate) fn admission_rank(candidate: AdmitCandidate) -> (u8, usize) {
         AdmitCandidate::Readmit(pos) => (0, pos),
         AdmitCandidate::Fresh(idx) => (1, idx),
     }
-}
-
-/// Everything `admit` needs to know about the serving policy.
-pub(crate) struct SchedCtx<'a> {
-    pub(crate) server: &'a TtsServer,
-    pub(crate) n: usize,
-    pub(crate) kind: SearchKind,
-    pub(crate) config: &'a BatchConfig,
 }
 
 /// Idle-pad `a`'s internal clock up to the absolute instant `global` —
@@ -135,764 +166,585 @@ pub(crate) fn pad_to_barrier(a: &mut InFlight, global: f64) {
     }
 }
 
-/// Resize every in-flight request's reservation to `share` ahead of an
-/// admission. Shrinks apply before grows so the intermediate ledger
-/// state never overcommits — with equal shares everyone shrinks (the
-/// legacy path, byte-identical), but after a demand-proportional
-/// rebalance small holders may need to grow back to the equal probe
-/// share.
-pub(crate) fn shrink(
-    group: &mut [InFlight],
-    rest: &mut [InFlight],
-    pool: &mut PoolBudget,
-    share: u64,
-) {
-    for pass in 0..2 {
-        for a in group.iter_mut().chain(rest.iter_mut()) {
-            let shrinking = pool.share_of(a.idx as u64) >= share;
-            if (pass == 0) == shrinking {
-                assert!(pool.resize(a.idx as u64, share), "equal reshare must fit");
-                a.run.set_kv_budget(share);
-            }
-        }
-    }
-}
-
-/// Regrow every in-flight request's reservation to the equal share,
-/// handing the integer-division remainder to the first holder so the
-/// ledger stays fully subscribed (the bytes `equal_share` truncates
-/// used to strand — up to k−1 every rebalance).
-pub(crate) fn regrow(group: &mut [InFlight], rest: &mut [InFlight], pool: &mut PoolBudget) {
-    let k = group.len() + rest.len();
-    let share = pool.equal_share(k);
-    for a in group.iter_mut().chain(rest.iter_mut()) {
-        assert!(pool.resize(a.idx as u64, share), "regrow must fit");
-        a.run.set_kv_budget(share);
-    }
-    top_up_first_holder(group, rest, pool, share);
-}
-
-/// Hand the equal-share truncation remainder to the first holder in
-/// group-then-rest order — the same deterministic "one designated
-/// holder absorbs the leftover" rule `proportional_shares` applies —
-/// then assert the ledger covers the whole budget. No-op with no
-/// holders; with one holder the remainder is zero by construction, so
-/// single-request (batch-1 anchor) runs are untouched.
-pub(crate) fn top_up_first_holder(
-    group: &mut [InFlight],
-    rest: &mut [InFlight],
-    pool: &mut PoolBudget,
-    share: u64,
-) {
-    let k = group.len() + rest.len();
-    let Some(first) = group.iter_mut().chain(rest.iter_mut()).next() else {
-        return;
-    };
-    let topped = share + pool.equal_share_remainder(k);
-    assert!(pool.resize(first.idx as u64, topped), "remainder must fit");
-    first.run.set_kv_budget(topped);
-    assert_eq!(
-        pool.reserved_bytes(),
-        pool.total_bytes(),
-        "equal reshare must cover the whole budget"
-    );
-}
-
-/// Completion/preemption boundary: re-share the surviving in-flight set
-/// — equal split by default, demand-proportional when configured,
-/// two-level tenant fair-share when a [`TenantPolicy`] is attached.
-pub(crate) fn reshare(
-    config: &BatchConfig,
-    group: &mut [InFlight],
-    rest: &mut [InFlight],
-    pool: &mut PoolBudget,
-) {
-    if group.is_empty() && rest.is_empty() {
-        return;
-    }
-    if let Some(policy) = config.tenants {
-        rebalance_tenants(&policy, group, rest, pool);
-    } else if config.demand_shares {
-        rebalance_demand(group, rest, pool);
-    } else {
-        regrow(group, rest, pool);
-    }
-}
-
-/// Whether the policy rebalances at admission/drift boundaries (either
-/// elastic mode) rather than only regrowing at completion/preemption.
-pub(crate) fn elastic(config: &BatchConfig) -> bool {
-    config.demand_shares || config.tenants.is_some()
-}
-
-/// Admission/drift boundary for the elastic policies: tenant fair-share
-/// when configured, demand-proportional otherwise. Callers gate on
-/// [`elastic`].
-pub(crate) fn rebalance_elastic(
-    config: &BatchConfig,
-    group: &mut [InFlight],
-    rest: &mut [InFlight],
-    pool: &mut PoolBudget,
-) {
-    if let Some(policy) = config.tenants {
-        rebalance_tenants(&policy, group, rest, pool);
-    } else {
-        rebalance_demand(group, rest, pool);
-    }
-}
-
-/// Demand-proportional elastic rebalance: every in-flight run declares
-/// its working-set demand (live beams × mean depth × bytes/token) and
-/// the floor that keeps its accepted tokens resident; the ledger
-/// re-shares the whole pool proportionally (idle reservation flows to
-/// deep searches without evicting anyone's accepted prefixes — see
-/// [`ftts_kv::PoolBudget::rebalance`]).
-pub(crate) fn rebalance_demand(
-    group: &mut [InFlight],
-    rest: &mut [InFlight],
-    pool: &mut PoolBudget,
-) {
-    if group.is_empty() && rest.is_empty() {
-        return;
-    }
-    let requests: Vec<ShareRequest> = group
-        .iter_mut()
-        .chain(rest.iter_mut())
-        .map(|a| {
-            let demand = a.run.demand_bytes();
-            a.declared_demand = demand;
-            ShareRequest {
-                holder: a.idx as u64,
-                demand,
-                // The floor (resident unique tree plus one step of
-                // growth, scaled to a full gen+ver share) must hold
-                // until the next boundary — see
-                // `RequestRun::kv_floor_bytes`.
-                floor: a.run.kv_floor_bytes(),
-            }
-        })
-        .collect();
-    assert!(
-        pool.rebalance(&requests),
-        "active set must cover the reservation ledger exactly"
-    );
-    for a in group.iter_mut().chain(rest.iter_mut()) {
-        a.run.set_kv_budget(pool.share_of(a.idx as u64));
-    }
-}
-
-/// Two-level tenant fair-share rebalance: every in-flight run declares
-/// its demand/floor exactly as [`rebalance_demand`], tagged with the
-/// tenant it bills to and the tenant's policy weight; the ledger splits
-/// the pool across tenants by weighted fair-share (each bounded by its
-/// hard cap), then within each tenant demand-proportionally — see
-/// [`ftts_kv::PoolBudget::rebalance_tenants`]. Unlike the untenanted
-/// rebalance the ledger may end under-subscribed: bytes a tenant cap
-/// withholds stay free instead of spilling to other tenants.
-pub(crate) fn rebalance_tenants(
-    policy: &TenantPolicy,
-    group: &mut [InFlight],
-    rest: &mut [InFlight],
-    pool: &mut PoolBudget,
-) {
-    if group.is_empty() && rest.is_empty() {
-        return;
-    }
-    let requests: Vec<TenantShareRequest> = group
-        .iter_mut()
-        .chain(rest.iter_mut())
-        .map(|a| {
-            let demand = a.run.demand_bytes();
-            a.declared_demand = demand;
-            TenantShareRequest {
-                req: ShareRequest {
-                    holder: a.idx as u64,
-                    demand,
-                    floor: a.run.kv_floor_bytes(),
-                },
-                tenant: u64::from(a.tenant),
-                weight: policy.spec(a.tenant).weight,
-            }
-        })
-        .collect();
-    assert!(
-        pool.rebalance_tenants(&requests),
-        "active set must cover the reservation ledger exactly"
-    );
-    for a in group.iter_mut().chain(rest.iter_mut()) {
-        a.run.set_kv_budget(pool.share_of(a.idx as u64));
-    }
-}
-
-/// Whether any in-flight run's working-set demand drifted ±25% past its
-/// last declaration — the trigger for an off-boundary elastic
-/// rebalance. Trees grow for many rounds between admissions and
-/// completions; shares frozen at an early snapshot would shrink a
-/// growing request into preemption.
-pub(crate) fn demand_drifted(group: &[InFlight], rest: &[InFlight]) -> bool {
-    group.iter().chain(rest.iter()).any(|a| {
-        let demand = a.run.demand_bytes();
-        let declared = a.declared_demand.max(1);
-        demand * 4 > declared * 5 || demand * 5 < declared * 4
-    })
-}
-
-/// Whether `tenant` has admission quota left, counting every in-flight
-/// holder (launching group plus rest). Always true without a tenant
-/// policy.
-fn tenant_quota_open(
-    policy: Option<&TenantPolicy>,
-    tenant: u32,
-    group: &[InFlight],
-    rest: &[InFlight],
-) -> bool {
-    let Some(p) = policy else { return true };
-    let in_flight = group
-        .iter()
-        .chain(rest.iter())
-        .filter(|a| a.tenant == tenant)
-        .count();
-    in_flight < p.spec(tenant).quota()
-}
-
-/// The probe/admission share offered to a candidate of `tenant`: the
-/// equal split, additionally clamped to the tenant's hard cap divided
-/// across the tenant's would-be in-flight count — so a capped tenant's
-/// candidate is probed at a share the tenant rebalance can actually
-/// sustain instead of admitting on memory it will lose at the very next
-/// boundary. Identity without a tenant policy.
-fn tenant_probe_share(
-    policy: Option<&TenantPolicy>,
-    share: u64,
-    tenant: u32,
-    group: &[InFlight],
-    rest: &[InFlight],
-) -> u64 {
-    let Some(p) = policy else { return share };
-    let n_t = group
-        .iter()
-        .chain(rest.iter())
-        .filter(|a| a.tenant == tenant)
-        .count() as u64;
-    share.min(p.spec(tenant).kv_cap_bytes / (n_t + 1))
-}
-
-/// What an admission pass did, beyond whether anyone joined.
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct AdmitReport {
-    /// Whether anyone was admitted (shares were resized).
-    pub(crate) admitted: bool,
-    /// Fresh admissions whose beam width the degradation controller
-    /// shrank below the configured width.
-    pub(crate) degradations: u32,
-}
-
-/// Admit readmission candidates and fresh arrivals into `group`, at
-/// equal KV shares (a demand-proportional policy rebalances right after
-/// the admission boundary). Candidate order is [`admission_rank`]:
-/// preempted runs hold accepted work, so they go first; fresh arrivals
-/// stay FIFO (only the queue head is ever attempted) — except under
-/// [`FaultPolicy::Degrade`](crate::FaultPolicy::Degrade), where both
-/// classes rank earliest-deadline-first and the degradation controller
-/// may grant fresh admissions a narrower beam width under queue
-/// pressure. `rest` is the portion of the in-flight set outside the
-/// launching group — its reservations resize with everyone else's and
-/// it counts against `max_batch`, but admissions never join it.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn admit(
-    ctx: &SchedCtx<'_>,
-    group: &mut Vec<InFlight>,
-    rest: &mut [InFlight],
-    paused: &mut VecDeque<InFlight>,
-    waiting: &mut VecDeque<usize>,
-    pool: &mut PoolBudget,
-    tier: &mut HostTier,
-    arrivals: &[RequestArrival],
-    global: f64,
-    admit_seq: &mut u64,
-) -> Result<AdmitReport, EngineError> {
-    let mut report = AdmitReport::default();
-    let edf = ctx.config.robust.slo_enforcement();
-    // Without mid-flight admission the gate only opens while the device
-    // is idle — but once open, the whole gang fills (up to `max_batch`)
-    // before the batch runs to completion.
-    let device_idle = group.is_empty() && rest.is_empty();
-    if !ctx.config.admit_mid_flight && !device_idle {
-        return Ok(report);
-    }
-    loop {
-        let in_flight = group.len() + rest.len();
-        if in_flight >= ctx.config.max_batch || (paused.is_empty() && waiting.is_empty()) {
-            return Ok(report);
-        }
-        let share = pool.equal_share(in_flight + 1);
-        if in_flight > 0 && share < ctx.config.min_share_bytes {
-            return Ok(report);
-        }
-        // Candidates in tiebreak order: every readmission candidate
-        // (pause order), then the head of the arrival queue. Under SLO
-        // enforcement both classes rank earliest-deadline-first instead
-        // (readmits still outrank fresh arrivals — they hold accepted
-        // work), with position as the deterministic tiebreak. A tenant
-        // policy filters both classes by admission quota first, so a
-        // quota-blocked tenant's arrivals queue without blocking other
-        // tenants' arrivals behind them.
-        let policy = ctx.config.tenants;
-        let mut readmit_order: Vec<usize> = (0..paused.len())
-            .filter(|&pos| tenant_quota_open(policy.as_ref(), paused[pos].tenant, group, rest))
-            .collect();
-        let fresh_pos = if edf {
-            readmit_order.sort_by(|&x, &y| {
-                paused[x]
-                    .deadline
-                    .partial_cmp(&paused[y].deadline)
-                    .expect("finite or +inf deadlines")
-                    .then(x.cmp(&y))
-            });
-            (0..waiting.len())
-                .filter(|&x| {
-                    tenant_quota_open(policy.as_ref(), arrivals[waiting[x]].tenant, group, rest)
-                })
-                .min_by(|&x, &y| {
-                    arrivals[waiting[x]]
-                        .deadline
-                        .partial_cmp(&arrivals[waiting[y]].deadline)
-                        .expect("finite or +inf deadlines")
-                        .then(waiting[x].cmp(&waiting[y]))
-                })
-        } else if policy.is_some() {
-            (0..waiting.len()).find(|&x| {
-                tenant_quota_open(policy.as_ref(), arrivals[waiting[x]].tenant, group, rest)
-            })
-        } else if waiting.is_empty() {
-            None
-        } else {
-            Some(0)
-        };
-        let candidates: Vec<AdmitCandidate> = readmit_order
-            .into_iter()
-            .map(AdmitCandidate::Readmit)
-            .chain(fresh_pos.map(|p| AdmitCandidate::Fresh(waiting[p])))
-            .collect();
-        debug_assert!(
-            edf || candidates
-                .windows(2)
-                .all(|w| admission_rank(w[0]) < admission_rank(w[1])),
-            "non-EDF candidates are already in tiebreak order"
-        );
-        let joining_others = in_flight > 0;
-        let mut progressed = false;
-        for cand in candidates {
-            match cand {
-                AdmitCandidate::Readmit(pos) => {
-                    // First preempted run that can make progress at this
-                    // share. Joining a multi-request batch additionally
-                    // requires its working set to fit, or it would
-                    // bounce straight back out; with the device to
-                    // itself it may thrash, as FIFO would.
-                    let cand =
-                        tenant_probe_share(policy.as_ref(), share, paused[pos].tenant, group, rest);
-                    let p = &mut paused[pos];
-                    if !matches!(p.probe, Some((s, _, _)) if s == cand) {
-                        p.run.set_kv_budget(cand);
-                        p.probe = Some((cand, p.run.can_progress(), p.run.fits_working_set()));
-                    }
-                    let (_, can_progress, fits_ws) = p.probe.expect("probe just set");
-                    if !(can_progress && (!joining_others || fits_ws)) {
-                        continue;
-                    }
-                    let mut p = paused.remove(pos).expect("index in range");
-                    p.run.set_kv_budget(cand);
-                    shrink(group, rest, pool, share);
-                    assert!(pool.reserve(p.idx as u64, cand), "ledger must have room");
-                    // The parked host bytes are coming back on-device:
-                    // free the tier's ledger now; the actual swap-in is
-                    // charged lazily as host-resident nodes pin
-                    // (restore path), same as the legacy implicit host.
-                    tier.unpark(p.idx as u64);
-                    p.preempted_secs += global - p.paused_at;
-                    pad_to(&mut p, global);
-                    p.admit_seq = *admit_seq;
-                    *admit_seq += 1;
-                    group.push(p);
-                    // Tenant mode under-subscribes the ledger by design
-                    // (caps withhold bytes); the tenant rebalance right
-                    // after this boundary sets the real shares, so the
-                    // full-subscription top-up does not apply.
-                    if policy.is_none() {
-                        top_up_first_holder(group, rest, pool, share);
-                    }
-                    report.admitted = true;
-                    progressed = true;
-                }
-                AdmitCandidate::Fresh(idx) => {
-                    // Graceful degradation: under SLO enforcement the
-                    // controller shrinks the TTS budget (beam width) of
-                    // fresh admissions while the backlog is deep — one
-                    // halving per `degrade_queue_per_level` queued or
-                    // preempted requests, floored per SLO class — so
-                    // the system trades answer-quality headroom for
-                    // deadline hits *before* it resorts to shedding.
-                    let n_granted = if edf {
-                        let backlog = waiting.len() + paused.len();
-                        let level =
-                            (backlog / ctx.config.robust.degrade_queue_per_level.max(1)) as u32;
-                        degraded_beams(ctx.n, arrivals[idx].slo, level)
-                    } else {
-                        ctx.n
-                    };
-                    let mut driver = make_driver(ctx.kind, n_granted, 4);
-                    // Warm start from the host tier: a published prefix
-                    // for this problem replaces that many prompt tokens'
-                    // prefill with a costed host→device swap-in. Peek
-                    // (not lookup) so a failed admission attempt does
-                    // not perturb hotness; the hit/miss is registered
-                    // once on success.
-                    let warm_tokens = tier
-                        .peek_prefix_tokens(arrivals[idx].problem.seed)
-                        .min(arrivals[idx].problem.prompt_tokens);
-                    let warm = (warm_tokens > 0).then_some(ftts_engine::WarmStart {
-                        tokens: warm_tokens,
-                    });
-                    let cand = tenant_probe_share(
-                        policy.as_ref(),
-                        share,
-                        arrivals[idx].tenant,
-                        group,
-                        rest,
-                    );
-                    match ctx.server.begin_request_warm(
-                        &arrivals[idx].problem,
-                        n_granted,
-                        driver.as_mut(),
-                        f64::INFINITY,
-                        Some(cand),
-                        warm,
-                    ) {
-                        Ok(mut run) => {
-                            if tier.enabled() {
-                                tier.lookup_prefix(arrivals[idx].problem.seed);
-                                run.set_swap_accounting(true);
-                            }
-                            let pos = waiting
-                                .iter()
-                                .position(|&w| w == idx)
-                                .expect("candidate still queued");
-                            waiting.remove(pos);
-                            shrink(group, rest, pool, share);
-                            assert!(pool.reserve(idx as u64, cand), "ledger must have room");
-                            group.push(InFlight {
-                                idx,
-                                run,
-                                driver,
-                                arrived_at: arrivals[idx].at,
-                                slo: arrivals[idx].slo,
-                                deadline: arrivals[idx].deadline,
-                                tenant: arrivals[idx].tenant,
-                                granted_n: n_granted,
-                                started_at: global,
-                                admit_seq: *admit_seq,
-                                preemptions: 0,
-                                preempted_secs: 0.0,
-                                paused_at: 0.0,
-                                probe: None,
-                                declared_demand: 0,
-                            });
-                            if policy.is_none() {
-                                top_up_first_holder(group, rest, pool, share);
-                            }
-                            *admit_seq += 1;
-                            report.admitted = true;
-                            if n_granted < ctx.n {
-                                report.degradations += 1;
-                            }
-                            progressed = true;
-                        }
-                        // The whole pool cannot host this prompt:
-                        // infeasible.
-                        Err(e) if in_flight == 0 => return Err(e),
-                        // A share cannot: leave it queued until capacity
-                        // frees (FIFO — later arrivals wait behind it).
-                        Err(_) => return Ok(report),
-                    }
-                }
-            }
-            if progressed {
-                break;
-            }
-        }
-        if !progressed {
-            // Only unfittable preempted runs remain (and no admissible
-            // arrival); wait for the batch to drain and shares to
-            // regrow.
-            return Ok(report);
-        }
-    }
-}
-
-/// What one SLO-enforcement sweep did.
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct SloSweep {
-    /// Arrivals rejected before admission (expired slack or an
-    /// infeasible working set).
-    pub(crate) shed: u32,
-    /// Admitted (in-flight or preempted) runs cancelled past their
-    /// deadline.
-    pub(crate) cancelled: u32,
-}
-
-/// Seal a cancelled run into its served record: the request is counted
-/// as shed (no answer delivered), its partial statistics are kept for
-/// attribution, and its cancellation instant never precedes the work it
-/// already did.
-fn cancel_record(a: InFlight, now: f64) -> ServedRequest {
-    let finished_at = now.max(a.started_at + a.run.clock());
-    let stats = a.run.finish();
+/// Seal a request that never ran into its served record: an arrival
+/// shed from the waiting queue at `now`, with no work and no answer.
+fn unserved(a: &RequestArrival, now: f64) -> ServedRequest {
     ServedRequest {
-        arrived_at: a.arrived_at,
-        started_at: a.started_at,
-        finished_at,
-        preemptions: a.preemptions,
-        preempted_secs: a.preempted_secs,
+        arrived_at: a.at,
+        started_at: now,
+        finished_at: now,
+        preemptions: 0,
+        preempted_secs: 0.0,
         slo: a.slo,
         deadline: a.deadline,
         shed: true,
-        granted_n: a.granted_n,
+        granted_n: 0,
         outcome: ServeOutcome {
-            stats,
+            stats: RunStats::default(),
             answer: None,
         },
     }
 }
 
-/// Deadline/SLO enforcement sweep, shared by both schedulers and active
-/// only under [`FaultPolicy::Degrade`](crate::FaultPolicy::Degrade):
-///
-/// * **Early rejection** — waiting arrivals whose deadline slack has
-///   fallen below [`RobustConfig::min_slack_secs`](crate::RobustConfig)
-///   are shed immediately (admitting them would waste device time on a
-///   guaranteed miss), as are arrivals whose prompt working set exceeds
-///   the *entire* KV pool (they could never be admitted at any share —
-///   the graceful form of the engine's hard infeasibility error).
-/// * **Timeout cancellation** — admitted runs past their deadline are
-///   hopeless: in-flight members release their pool reservation (and
-///   survivors re-share); preempted members hold no reservation and are
-///   simply sealed. Either way the request is recorded as shed at the
-///   sweep instant.
-///
-/// Requests without deadlines (`f64::INFINITY`) are never touched.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn enforce_slo(
-    ctx: &SchedCtx<'_>,
-    now: f64,
-    pool_bytes: u64,
-    arrivals: &[RequestArrival],
-    waiting: &mut VecDeque<usize>,
-    paused: &mut VecDeque<InFlight>,
-    group: &mut Vec<InFlight>,
-    rest: &mut Vec<InFlight>,
-    pool: &mut PoolBudget,
-    tier: &mut HostTier,
-    served: &mut [Option<ServedRequest>],
-) -> SloSweep {
-    let mut sweep = SloSweep::default();
-    if !ctx.config.robust.slo_enforcement() {
-        return sweep;
-    }
-    // Early rejection: expired slack, or a prompt no share could host.
-    // Prompt tokens already host-resident in the tier (a published warm
-    // prefix) swap in instead of occupying fresh device KV at prefill,
-    // so only the *cold* tail counts against the device working set —
-    // counting warm bytes too would double-book memory that is no
-    // longer on-device and shed requests the tier can actually serve.
-    let gen_bpt = ctx.server.config().models.gen_spec.kv_bytes_per_token();
-    waiting.retain(|&idx| {
-        let a = &arrivals[idx];
-        let expired = a.deadline - now < ctx.config.robust.min_slack_secs;
-        let cold_tokens = a
-            .problem
-            .prompt_tokens
-            .saturating_sub(tier.peek_prefix_tokens(a.problem.seed));
-        // The device working set must fit the whole pool — and, under a
-        // tenant policy, the arrival's own tenant cap: a prompt the cap
-        // could never host sheds now instead of thrashing in and out of
-        // admission forever (working-set-aware early rejection).
-        let cap = ctx
-            .config
-            .tenants
-            .map_or(u64::MAX, |p| p.spec(a.tenant).kv_cap_bytes);
-        let cold_bytes = cold_tokens.saturating_mul(gen_bpt);
-        let infeasible = cold_bytes > pool_bytes || cold_bytes > cap;
-        if !(expired || infeasible) {
-            return true;
-        }
-        served[idx] = Some(ServedRequest {
-            arrived_at: a.at,
-            started_at: now,
-            finished_at: now,
-            preemptions: 0,
-            preempted_secs: 0.0,
-            slo: a.slo,
-            deadline: a.deadline,
-            shed: true,
-            granted_n: 0,
-            outcome: ServeOutcome {
-                stats: RunStats::default(),
-                answer: None,
-            },
-        });
-        sweep.shed += 1;
-        false
-    });
-    // Timeout cancellation of preempted runs: they hold no reservation
-    // (released at preemption), so sealing them frees nothing on-device
-    // but stops them from ever re-admitting and burning device time on
-    // a miss. Their parked host bytes ARE freed — and the prompt prefix
-    // they already paid to prefill is offered to the tier's shared
-    // store, so a retry of the same problem warm-starts instead of
-    // recomputing from scratch.
-    let mut pos = 0;
-    while pos < paused.len() {
-        if now > paused[pos].deadline {
-            let p = paused.remove(pos).expect("index in range");
-            let idx = p.idx;
-            tier.unpark(idx as u64);
-            let prompt_tokens = arrivals[idx].problem.prompt_tokens;
-            tier.publish_prefix(
-                arrivals[idx].problem.seed,
-                prompt_tokens,
-                prompt_tokens.saturating_mul(gen_bpt),
-            );
-            served[idx] = Some(cancel_record(p, now));
-            sweep.cancelled += 1;
-        } else {
-            pos += 1;
-        }
-    }
-    // Timeout cancellation of in-flight runs: release the reservation
-    // and re-share the survivors at the completion boundary. The prompt
-    // prefix is published to the tier on the way out (the copy-out
-    // overlaps the release and is not charged to the cancelled run — it
-    // is already past its deadline and off the critical path).
-    let mut dropped = false;
-    for list in [&mut *group, &mut *rest] {
-        let mut i = 0;
-        while i < list.len() {
-            if now > list[i].deadline {
-                let a = list.remove(i);
-                let idx = a.idx;
-                pool.release(idx as u64);
-                // In-flight members normally hold no parked host bytes
-                // (readmission unparks), but reclaim defensively so a
-                // cancellation can never strand tier capacity.
-                tier.unpark(idx as u64);
-                let prompt_tokens = arrivals[idx].problem.prompt_tokens;
-                tier.publish_prefix(
-                    arrivals[idx].problem.seed,
-                    prompt_tokens,
-                    prompt_tokens.saturating_mul(gen_bpt),
-                );
-                served[idx] = Some(cancel_record(a, now));
-                sweep.cancelled += 1;
-                dropped = true;
-            } else {
-                i += 1;
+/// KV shares over the in-flight set: the group plus the rest, because
+/// shares and admission caps must count *everyone* holding pool
+/// reservations, not just the requests in the current launch.
+impl LoopState<'_> {
+    /// Resize every in-flight request's reservation to `share` ahead of
+    /// an admission. Shrinks apply before grows so the intermediate
+    /// ledger state never overcommits — with equal shares everyone
+    /// shrinks (the legacy path, byte-identical), but after a
+    /// demand-proportional rebalance small holders may need to grow back
+    /// to the equal probe share.
+    fn shrink(&mut self, share: u64) {
+        for pass in 0..2 {
+            for a in self.group.iter_mut().chain(self.rest.iter_mut()) {
+                let shrinking = self.pool.share_of(a.idx as u64) >= share;
+                if (pass == 0) == shrinking {
+                    assert!(
+                        self.pool.resize(a.idx as u64, share),
+                        "equal reshare must fit"
+                    );
+                    a.run.set_kv_budget(share);
+                }
             }
         }
     }
-    if dropped {
-        reshare(ctx.config, group, rest, pool);
+
+    /// Regrow every in-flight request's reservation to the equal share,
+    /// handing the integer-division remainder to the first holder so the
+    /// ledger stays fully subscribed (the bytes `equal_share` truncates
+    /// used to strand — up to k−1 every rebalance).
+    fn regrow(&mut self) {
+        let k = self.group.len() + self.rest.len();
+        let share = self.pool.equal_share(k);
+        for a in self.group.iter_mut().chain(self.rest.iter_mut()) {
+            assert!(self.pool.resize(a.idx as u64, share), "regrow must fit");
+            a.run.set_kv_budget(share);
+        }
+        self.top_up_first_holder(share);
     }
-    sweep
+
+    /// Hand the equal-share truncation remainder to the first holder in
+    /// group-then-rest order — the same deterministic "one designated
+    /// holder absorbs the leftover" rule `proportional_shares` applies —
+    /// then assert the ledger covers the whole budget. No-op with no
+    /// holders; with one holder the remainder is zero by construction, so
+    /// single-request (batch-1 anchor) runs are untouched.
+    fn top_up_first_holder(&mut self, share: u64) {
+        let k = self.group.len() + self.rest.len();
+        let Some(first) = self.group.iter_mut().chain(self.rest.iter_mut()).next() else {
+            return;
+        };
+        let topped = share + self.pool.equal_share_remainder(k);
+        assert!(
+            self.pool.resize(first.idx as u64, topped),
+            "remainder must fit"
+        );
+        first.run.set_kv_budget(topped);
+        assert_eq!(
+            self.pool.reserved_bytes(),
+            self.pool.total_bytes(),
+            "equal reshare must cover the whole budget"
+        );
+    }
+
+    /// Completion/preemption boundary: re-share the surviving in-flight
+    /// set — equal split by default, the elastic rebalance under either
+    /// elastic policy.
+    pub(crate) fn reshare(&mut self) {
+        if self.group.is_empty() && self.rest.is_empty() {
+            return;
+        }
+        if self.elastic() {
+            self.rebalance();
+        } else {
+            self.regrow();
+        }
+    }
+
+    /// Whether the policy rebalances at admission/drift boundaries
+    /// (demand-proportional shares or a tenant policy) rather than only
+    /// regrowing at completion/preemption.
+    pub(crate) fn elastic(&self) -> bool {
+        self.batch().demand_shares || self.batch().tenants.is_some()
+    }
+
+    /// Elastic rebalance; callers gate on [`LoopState::elastic`]. Every
+    /// in-flight run declares its working-set demand (live beams × mean
+    /// depth × bytes/token) and the floor that keeps its accepted tokens
+    /// resident. Without a tenant policy the ledger re-shares the whole
+    /// pool proportionally (idle reservation flows to deep searches
+    /// without evicting anyone's accepted prefixes — see
+    /// [`ftts_kv::PoolBudget::rebalance`]). With a
+    /// [`TenantPolicy`](crate::TenantPolicy) each declaration is tagged
+    /// with its tenant and the tenant's weight, and the ledger splits the
+    /// pool across tenants by weighted fair-share (each bounded by its
+    /// hard cap), then within each tenant demand-proportionally — see
+    /// [`ftts_kv::PoolBudget::rebalance_tenants`]. Unlike the untenanted
+    /// rebalance the ledger may end under-subscribed: bytes a tenant cap
+    /// withholds stay free instead of spilling to other tenants.
+    pub(crate) fn rebalance(&mut self) {
+        if self.group.is_empty() && self.rest.is_empty() {
+            return;
+        }
+        let requests: Vec<ShareRequest> = self
+            .group
+            .iter_mut()
+            .chain(self.rest.iter_mut())
+            .map(|a| {
+                let demand = a.run.demand_bytes();
+                a.declared_demand = demand;
+                ShareRequest {
+                    holder: a.idx as u64,
+                    demand,
+                    // The floor (resident unique tree plus one step of
+                    // growth, scaled to a full gen+ver share) must hold
+                    // until the next boundary — see
+                    // `RequestRun::kv_floor_bytes`.
+                    floor: a.run.kv_floor_bytes(),
+                }
+            })
+            .collect();
+        let covered = match self.batch().tenants {
+            None => self.pool.rebalance(&requests),
+            Some(policy) => {
+                let tenanted: Vec<TenantShareRequest> = requests
+                    .into_iter()
+                    .zip(self.group.iter().chain(&self.rest))
+                    .map(|(req, a)| TenantShareRequest {
+                        req,
+                        tenant: u64::from(a.tenant),
+                        weight: policy.spec(a.tenant).weight,
+                    })
+                    .collect();
+                self.pool.rebalance_tenants(&tenanted)
+            }
+        };
+        assert!(
+            covered,
+            "active set must cover the reservation ledger exactly"
+        );
+        for a in self.group.iter_mut().chain(self.rest.iter_mut()) {
+            a.run.set_kv_budget(self.pool.share_of(a.idx as u64));
+        }
+    }
+
+    /// Whether any in-flight run's working-set demand drifted ±25% past
+    /// its last declaration — the trigger for an off-boundary elastic
+    /// rebalance. Trees grow for many rounds between admissions and
+    /// completions; shares frozen at an early snapshot would shrink a
+    /// growing request into preemption.
+    pub(crate) fn demand_drifted(&self) -> bool {
+        self.group.iter().chain(&self.rest).any(|a| {
+            let demand = a.run.demand_bytes();
+            let declared = a.declared_demand.max(1);
+            demand * 4 > declared * 5 || demand * 5 < declared * 4
+        })
+    }
+
+    /// In-flight requests (launching group plus rest) billed to `tenant`.
+    fn in_flight_of(&self, tenant: u32) -> usize {
+        self.group
+            .iter()
+            .chain(&self.rest)
+            .filter(|a| a.tenant == tenant)
+            .count()
+    }
+
+    /// Whether `tenant` has admission quota left. Always true without a
+    /// tenant policy.
+    fn tenant_quota_open(&self, tenant: u32) -> bool {
+        self.batch()
+            .tenants
+            .is_none_or(|p| self.in_flight_of(tenant) < p.spec(tenant).quota())
+    }
+
+    /// The probe/admission share offered to a candidate of `tenant`: the
+    /// equal split, additionally clamped to the tenant's hard cap divided
+    /// across the tenant's would-be in-flight count — so a capped
+    /// tenant's candidate is probed at a share the tenant rebalance can
+    /// actually sustain instead of admitting on memory it will lose at
+    /// the very next boundary. Identity without a tenant policy.
+    fn tenant_probe_share(&self, share: u64, tenant: u32) -> u64 {
+        self.batch().tenants.map_or(share, |p| {
+            share.min(p.spec(tenant).kv_cap_bytes / (self.in_flight_of(tenant) as u64 + 1))
+        })
+    }
 }
 
-/// Externally directed cancellation sweep, driven by
-/// [`RunDirectives`](crate::event_server::RunDirectives): request `idx`
-/// is cancelled at the first launch boundary at or after
-/// `cancel_at[idx]`, regardless of the fault policy. This is how a
-/// fleet expresses crash failover ("this replica lost you at `t`") and
-/// hedge resolution ("your duplicate already won at `t`") to a device
-/// timeline.
-///
-/// Unlike deadline cancellation, a directed cancel does **not** publish
-/// the request's prompt prefix to the host tier: a crashed device's
-/// host path is down, and a hedge loser's winner publishes on its own
-/// replica. Reclaim is total — waiting entries are shed, paused entries
-/// unpark-and-drop their parked bytes, in-flight entries release their
-/// pool reservation (and defensively unpark) — so tier usage returns to
-/// its pre-request level.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn apply_cancels(
-    config: &BatchConfig,
-    cancel_at: &[f64],
-    now: f64,
-    arrivals: &[RequestArrival],
-    waiting: &mut VecDeque<usize>,
-    paused: &mut VecDeque<InFlight>,
-    group: &mut Vec<InFlight>,
-    rest: &mut Vec<InFlight>,
-    pool: &mut PoolBudget,
-    tier: &mut HostTier,
-    served: &mut [Option<ServedRequest>],
-) -> SloSweep {
-    let mut sweep = SloSweep::default();
-    let due = |idx: usize| cancel_at.get(idx).is_some_and(|&t| t <= now);
-    waiting.retain(|&idx| {
-        if !due(idx) {
-            return true;
+/// Admission and the cancellation sweeps.
+impl LoopState<'_> {
+    /// Admit readmission candidates and fresh arrivals into the group,
+    /// at equal KV shares (a demand-proportional policy rebalances right
+    /// after the admission boundary). Candidate order is
+    /// [`admission_rank`]: preempted runs hold accepted work, so they go
+    /// first; fresh arrivals stay FIFO (only the queue head is ever
+    /// attempted) — except under
+    /// [`FaultPolicy::Degrade`](crate::FaultPolicy::Degrade), where both
+    /// classes rank earliest-deadline-first and the degradation
+    /// controller may grant fresh admissions a narrower beam width under
+    /// queue pressure (each one counts as a degradation). The rest of
+    /// the in-flight set resizes its reservations with everyone else's
+    /// and counts against `max_batch`, but admissions never join it.
+    /// Returns whether anyone was admitted (shares were resized).
+    pub(crate) fn admit(&mut self, global: f64) -> Result<bool, EngineError> {
+        let config = self.batch();
+        let edf = config.robust.slo_enforcement();
+        let arrivals = self.arrivals;
+        let mut admitted = false;
+        // Without mid-flight admission the gate only opens while the device
+        // is idle — but once open, the whole gang fills (up to `max_batch`)
+        // before the batch runs to completion.
+        let device_idle = self.group.is_empty() && self.rest.is_empty();
+        if !config.admit_mid_flight && !device_idle {
+            return Ok(admitted);
         }
-        let a = &arrivals[idx];
-        served[idx] = Some(ServedRequest {
-            arrived_at: a.at,
-            started_at: now,
-            finished_at: now,
-            preemptions: 0,
-            preempted_secs: 0.0,
-            slo: a.slo,
-            deadline: a.deadline,
-            shed: true,
-            granted_n: 0,
-            outcome: ServeOutcome {
-                stats: RunStats::default(),
-                answer: None,
-            },
-        });
-        sweep.shed += 1;
-        false
-    });
-    let mut pos = 0;
-    while pos < paused.len() {
-        if due(paused[pos].idx) {
-            let p = paused.remove(pos).expect("index in range");
-            tier.unpark(p.idx as u64);
-            let idx = p.idx;
-            served[idx] = Some(cancel_record(p, now));
-            sweep.cancelled += 1;
-        } else {
-            pos += 1;
-        }
-    }
-    let mut dropped = false;
-    for list in [&mut *group, &mut *rest] {
-        let mut i = 0;
-        while i < list.len() {
-            if due(list[i].idx) {
-                let a = list.remove(i);
-                let idx = a.idx;
-                pool.release(idx as u64);
-                tier.unpark(idx as u64);
-                served[idx] = Some(cancel_record(a, now));
-                sweep.cancelled += 1;
-                dropped = true;
+        loop {
+            let in_flight = self.group.len() + self.rest.len();
+            if in_flight >= config.max_batch || (self.paused.is_empty() && self.waiting.is_empty())
+            {
+                return Ok(admitted);
+            }
+            let share = self.pool.equal_share(in_flight + 1);
+            if in_flight > 0 && share < config.min_share_bytes {
+                return Ok(admitted);
+            }
+            // Candidates in tiebreak order: every readmission candidate
+            // (pause order), then the head of the arrival queue. Under SLO
+            // enforcement both classes rank earliest-deadline-first instead
+            // (readmits still outrank fresh arrivals — they hold accepted
+            // work), with position as the deterministic tiebreak. A tenant
+            // policy filters both classes by admission quota first, so a
+            // quota-blocked tenant's arrivals queue without blocking other
+            // tenants' arrivals behind them.
+            let (paused, waiting) = (&self.paused, &self.waiting);
+            let mut readmit_order: Vec<usize> = (0..paused.len())
+                .filter(|&pos| self.tenant_quota_open(paused[pos].tenant))
+                .collect();
+            let fresh_pos = if edf {
+                readmit_order.sort_by(|&x, &y| {
+                    paused[x]
+                        .deadline
+                        .partial_cmp(&paused[y].deadline)
+                        .expect("finite or +inf deadlines")
+                        .then(x.cmp(&y))
+                });
+                (0..waiting.len())
+                    .filter(|&x| self.tenant_quota_open(arrivals[waiting[x]].tenant))
+                    .min_by(|&x, &y| {
+                        arrivals[waiting[x]]
+                            .deadline
+                            .partial_cmp(&arrivals[waiting[y]].deadline)
+                            .expect("finite or +inf deadlines")
+                            .then(waiting[x].cmp(&waiting[y]))
+                    })
+            } else if config.tenants.is_some() {
+                (0..waiting.len()).find(|&x| self.tenant_quota_open(arrivals[waiting[x]].tenant))
+            } else if waiting.is_empty() {
+                None
             } else {
-                i += 1;
+                Some(0)
+            };
+            let candidates: Vec<AdmitCandidate> = readmit_order
+                .into_iter()
+                .map(AdmitCandidate::Readmit)
+                .chain(fresh_pos.map(|p| AdmitCandidate::Fresh(waiting[p])))
+                .collect();
+            debug_assert!(
+                edf || candidates
+                    .windows(2)
+                    .all(|w| admission_rank(w[0]) < admission_rank(w[1])),
+                "non-EDF candidates are already in tiebreak order"
+            );
+            let joining_others = in_flight > 0;
+            let mut progressed = false;
+            for cand in candidates {
+                match cand {
+                    AdmitCandidate::Readmit(pos) => {
+                        // First preempted run that can make progress at this
+                        // share. Joining a multi-request batch additionally
+                        // requires its working set to fit, or it would
+                        // bounce straight back out; with the device to
+                        // itself it may thrash, as FIFO would.
+                        let cand = self.tenant_probe_share(share, self.paused[pos].tenant);
+                        let p = &mut self.paused[pos];
+                        if !matches!(p.probe, Some((s, _, _)) if s == cand) {
+                            p.run.set_kv_budget(cand);
+                            p.probe = Some((cand, p.run.can_progress(), p.run.fits_working_set()));
+                        }
+                        let (_, can_progress, fits_ws) = p.probe.expect("probe just set");
+                        if !(can_progress && (!joining_others || fits_ws)) {
+                            continue;
+                        }
+                        let mut p = self.paused.remove(pos);
+                        p.run.set_kv_budget(cand);
+                        self.shrink(share);
+                        assert!(
+                            self.pool.reserve(p.idx as u64, cand),
+                            "ledger must have room"
+                        );
+                        // The parked host bytes are coming back on-device:
+                        // free the tier's ledger now; the actual swap-in is
+                        // charged lazily as host-resident nodes pin
+                        // (restore path), same as the legacy implicit host.
+                        self.tier.unpark(p.idx as u64);
+                        p.preempted_secs += global - p.paused_at;
+                        pad_to(&mut p, global);
+                        p.admit_seq = self.admit_seq;
+                        self.admit_seq += 1;
+                        self.group.push(p);
+                        // Tenant mode under-subscribes the ledger by design
+                        // (caps withhold bytes); the tenant rebalance right
+                        // after this boundary sets the real shares, so the
+                        // full-subscription top-up does not apply.
+                        if config.tenants.is_none() {
+                            self.top_up_first_holder(share);
+                        }
+                        admitted = true;
+                        progressed = true;
+                    }
+                    AdmitCandidate::Fresh(idx) => {
+                        let arrival = &arrivals[idx];
+                        // Graceful degradation: under SLO enforcement the
+                        // controller shrinks the TTS budget (beam width) of
+                        // fresh admissions while the backlog is deep — one
+                        // halving per `degrade_queue_per_level` queued or
+                        // preempted requests, floored per SLO class — so
+                        // the system trades answer-quality headroom for
+                        // deadline hits *before* it resorts to shedding.
+                        let n = self.sim.n;
+                        let n_granted = if edf {
+                            let backlog = self.waiting.len() + self.paused.len();
+                            let level =
+                                (backlog / config.robust.degrade_queue_per_level.max(1)) as u32;
+                            degraded_beams(n, arrival.slo, level)
+                        } else {
+                            n
+                        };
+                        let mut driver = make_driver(self.sim.kind, n_granted, 4);
+                        // Warm start from the host tier: a published prefix
+                        // for this problem replaces that many prompt tokens'
+                        // prefill with a costed host→device swap-in. Peek
+                        // (not lookup) so a failed admission attempt does
+                        // not perturb hotness; the hit/miss is registered
+                        // once on success.
+                        let warm_tokens = self
+                            .tier
+                            .peek_prefix_tokens(arrival.problem.seed)
+                            .min(arrival.problem.prompt_tokens);
+                        let warm = (warm_tokens > 0).then_some(ftts_engine::WarmStart {
+                            tokens: warm_tokens,
+                        });
+                        let cand = self.tenant_probe_share(share, arrival.tenant);
+                        match self.sim.server.begin_request_warm(
+                            &arrival.problem,
+                            n_granted,
+                            driver.as_mut(),
+                            f64::INFINITY,
+                            Some(cand),
+                            warm,
+                        ) {
+                            Ok(mut run) => {
+                                if self.tier.enabled() {
+                                    self.tier.lookup_prefix(arrival.problem.seed);
+                                    run.set_swap_accounting(true);
+                                }
+                                let pos = self
+                                    .waiting
+                                    .iter()
+                                    .position(|&w| w == idx)
+                                    .expect("candidate still queued");
+                                self.waiting.remove(pos);
+                                self.shrink(share);
+                                assert!(
+                                    self.pool.reserve(idx as u64, cand),
+                                    "ledger must have room"
+                                );
+                                self.group.push(InFlight {
+                                    idx,
+                                    run,
+                                    driver,
+                                    arrived_at: arrival.at,
+                                    slo: arrival.slo,
+                                    deadline: arrival.deadline,
+                                    tenant: arrival.tenant,
+                                    granted_n: n_granted,
+                                    started_at: global,
+                                    admit_seq: self.admit_seq,
+                                    preemptions: 0,
+                                    preempted_secs: 0.0,
+                                    paused_at: 0.0,
+                                    probe: None,
+                                    declared_demand: 0,
+                                });
+                                if config.tenants.is_none() {
+                                    self.top_up_first_holder(share);
+                                }
+                                self.admit_seq += 1;
+                                admitted = true;
+                                if n_granted < n {
+                                    self.run.degradations += 1;
+                                }
+                                progressed = true;
+                            }
+                            // The whole pool cannot host this prompt:
+                            // infeasible.
+                            Err(e) if in_flight == 0 => return Err(e),
+                            // A share cannot: leave it queued until capacity
+                            // frees (FIFO — later arrivals wait behind it).
+                            Err(_) => return Ok(admitted),
+                        }
+                    }
+                }
+                if progressed {
+                    break;
+                }
+            }
+            if !progressed {
+                // Only unfittable preempted runs remain (and no admissible
+                // arrival); wait for the batch to drain and shares to
+                // regrow.
+                return Ok(admitted);
             }
         }
     }
-    if dropped {
-        reshare(config, group, rest, pool);
+
+    /// Deadline/SLO enforcement sweep, active only under
+    /// [`FaultPolicy::Degrade`](crate::FaultPolicy::Degrade):
+    ///
+    /// * **Early rejection** — waiting arrivals whose deadline slack has
+    ///   fallen below [`RobustConfig::min_slack_secs`](crate::RobustConfig)
+    ///   are shed immediately (admitting them would waste device time on a
+    ///   guaranteed miss), as are arrivals whose prompt working set exceeds
+    ///   the *entire* KV pool (they could never be admitted at any share —
+    ///   the graceful form of the engine's hard infeasibility error).
+    /// * **Timeout cancellation** — admitted runs past their deadline are
+    ///   hopeless and are cancelled (see [`LoopState::cancel`]). Their
+    ///   prompt prefix is published to the tier on the way out, so a retry
+    ///   of the same problem warm-starts instead of recomputing from
+    ///   scratch (the copy-out overlaps the release and is not charged to
+    ///   the cancelled run — it is already past its deadline and off the
+    ///   critical path).
+    ///
+    /// Requests without deadlines (`f64::INFINITY`) are never touched.
+    pub(crate) fn enforce_slo(&mut self, now: f64) {
+        let config = self.batch();
+        if !config.robust.slo_enforcement() {
+            return;
+        }
+        // Early rejection: expired slack, or a prompt no share could host.
+        // Prompt tokens already host-resident in the tier (a published warm
+        // prefix) swap in instead of occupying fresh device KV at prefill,
+        // so only the *cold* tail counts against the device working set —
+        // counting warm bytes too would double-book memory that is no
+        // longer on-device and shed requests the tier can actually serve.
+        let pool_bytes = self.pool.total_bytes();
+        let shed: Vec<usize> = self
+            .waiting
+            .extract_if(.., |&mut idx| {
+                let a = &self.arrivals[idx];
+                let expired = a.deadline - now < config.robust.min_slack_secs;
+                let cold_tokens = a
+                    .problem
+                    .prompt_tokens
+                    .saturating_sub(self.tier.peek_prefix_tokens(a.problem.seed));
+                // The device working set must fit the whole pool — and,
+                // under a tenant policy, the arrival's own tenant cap: a
+                // prompt the cap could never host sheds now instead of
+                // thrashing in and out of admission forever
+                // (working-set-aware early rejection).
+                let cap = config
+                    .tenants
+                    .map_or(u64::MAX, |p| p.spec(a.tenant).kv_cap_bytes);
+                let cold_bytes = cold_tokens.saturating_mul(self.gen_bpt);
+                expired || cold_bytes > pool_bytes || cold_bytes > cap
+            })
+            .collect();
+        self.cancel(now, &shed, true, |a| now > a.deadline);
     }
-    sweep
+
+    /// Externally directed cancellation sweep, driven by
+    /// [`RunDirectives`](crate::event_server::RunDirectives): request `idx`
+    /// is cancelled at the first launch boundary at or after its cancel
+    /// instant, regardless of the fault policy. This is how a fleet
+    /// expresses crash failover ("this replica lost you at `t`") and
+    /// hedge resolution ("your duplicate already won at `t`") to a device
+    /// timeline.
+    ///
+    /// Unlike deadline cancellation, a directed cancel does **not** publish
+    /// the request's prompt prefix to the host tier: a crashed device's
+    /// host path is down, and a hedge loser's winner publishes on its own
+    /// replica. Reclaim is total (see [`LoopState::cancel`]), so tier usage
+    /// returns to its pre-request level.
+    pub(crate) fn apply_cancels(&mut self, now: f64) {
+        let cancels = &self.directives.cancels;
+        let due = |idx: usize| cancels.iter().any(|&(i, t)| i == idx && t <= now);
+        let shed: Vec<usize> = self.waiting.extract_if(.., |&mut idx| due(idx)).collect();
+        self.cancel(now, &shed, false, |a| due(a.idx));
+    }
+
+    /// The cancellation walk both sweeps share. The `shed` arrivals,
+    /// already removed from the waiting queue, are recorded unserved at
+    /// `now`. Every admitted run `doomed` picks is cancelled: a paused
+    /// run holds no reservation (released at preemption) and unparks its
+    /// host bytes; an in-flight run releases its pool reservation and
+    /// unparks too (in-flight runs normally hold no parked bytes, but a
+    /// cancellation must never strand tier capacity). With `publish`, the
+    /// run's prompt prefix is offered to the tier. Each run is sealed as
+    /// shed at `now`, and if any in-flight run left, the survivors
+    /// re-share.
+    fn cancel(
+        &mut self,
+        now: f64,
+        shed: &[usize],
+        publish: bool,
+        doomed: impl Fn(&InFlight) -> bool,
+    ) {
+        for &idx in shed {
+            self.served[idx] = Some(unserved(&self.arrivals[idx], now));
+            self.run.shed += 1;
+        }
+        let mut runs: Vec<(InFlight, bool)> = self
+            .paused
+            .extract_if(.., |a| doomed(a))
+            .map(|a| (a, false))
+            .collect();
+        let paused = runs.len();
+        runs.extend(
+            self.group
+                .extract_if(.., |a| doomed(a))
+                .chain(self.rest.extract_if(.., |a| doomed(a)))
+                .map(|a| (a, true)),
+        );
+        let dropped = runs.len() > paused;
+        for (a, reserved) in runs {
+            let idx = a.idx;
+            if reserved {
+                self.pool.release(idx as u64);
+            }
+            self.tier.unpark(idx as u64);
+            if publish {
+                self.publish_prompt(idx);
+            }
+            self.served[idx] = Some(a.seal(Some(now)));
+            self.run.cancelled += 1;
+        }
+        if dropped {
+            self.reshare();
+        }
+    }
+
+    /// Offer request `idx`'s prompt prefix to the host tier's shared
+    /// store (a no-op when the tier is disabled).
+    pub(crate) fn publish_prompt(&mut self, idx: usize) {
+        let problem = &self.arrivals[idx].problem;
+        self.tier.publish_prefix(
+            problem.seed,
+            problem.prompt_tokens,
+            problem.prompt_tokens.saturating_mul(self.gen_bpt),
+        );
+    }
 }
 
 /// Verifier-device accounting of one launch's sweeps.
@@ -1008,11 +860,14 @@ pub(crate) fn cost_verify_sweeps(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::FaultPolicy;
-    use crate::faults::RobustConfig;
+    use crate::event_server::{EventConfig, RunDirectives};
+    use crate::faults::{FaultPlan, FaultPolicy, RobustConfig};
+    use crate::server::TtsServer;
+    use crate::timeline::{TimelineConfig, TimelineServerSim};
     use ftts_engine::ModelPairing;
     use ftts_hw::GpuDevice;
-    use ftts_kv::KvTierConfig;
+    use ftts_kv::{HostTier, KvTierConfig, PoolBudget};
+    use ftts_search::SearchKind;
     use ftts_workload::{ArrivalPattern, Dataset};
 
     #[test]
@@ -1026,47 +881,33 @@ mod tests {
         let server = TtsServer::fasttts(GpuDevice::rtx4090(), ModelPairing::pair_1_5b_1_5b());
         let config = crate::BatchConfig::continuous(2)
             .with_robust(RobustConfig::with_policy(FaultPolicy::Degrade));
-        let ctx = SchedCtx {
-            server: &server,
-            n: 4,
-            kind: SearchKind::BeamSearch,
-            config: &config,
-        };
+        let gen_bpt = server.config().models.gen_spec.kv_bytes_per_token();
+        let sim = TimelineServerSim::new(
+            server,
+            4,
+            SearchKind::BeamSearch,
+            TimelineConfig::anchored(EventConfig::lockstep(config)),
+        );
         let problems = Dataset::Aime2024.problems(1, 7);
         let arrivals = ArrivalPattern::Burst { at: 0.0 }.schedule(&problems, 0);
-        let gen_bpt = server.config().models.gen_spec.kv_bytes_per_token();
         let prompt = arrivals[0].problem.prompt_tokens;
         assert!(prompt > 8, "fixture prompt long enough to split");
         let warm = prompt - 8;
         // Full prompt misses the pool by one token; the cold tail fits.
         let pool_bytes = (prompt - 1) * gen_bpt;
 
-        let run = |tier: &mut HostTier| {
-            let mut waiting: VecDeque<usize> = VecDeque::from([0]);
-            let mut paused: VecDeque<InFlight> = VecDeque::new();
-            let mut group: Vec<InFlight> = Vec::new();
-            let mut rest: Vec<InFlight> = Vec::new();
-            let mut pool = PoolBudget::new(pool_bytes);
-            let mut served = vec![None];
-            let sweep = enforce_slo(
-                &ctx,
-                0.0,
-                pool_bytes,
-                &arrivals,
-                &mut waiting,
-                &mut paused,
-                &mut group,
-                &mut rest,
-                &mut pool,
-                tier,
-                &mut served,
-            );
-            (sweep.shed, waiting.len())
+        let (plan, directives) = (FaultPlan::none(), RunDirectives::default());
+        let run = |tier: HostTier| {
+            let mut state = LoopState::new(&sim, &arrivals, &plan, &directives);
+            state.pool = PoolBudget::new(pool_bytes);
+            state.tier = tier;
+            state.waiting.push(0);
+            state.enforce_slo(0.0);
+            (state.run.shed, state.waiting.len())
         };
 
-        let mut disabled = HostTier::new(KvTierConfig::default());
         assert_eq!(
-            run(&mut disabled),
+            run(HostTier::new(KvTierConfig::default())),
             (1, 0),
             "without the tier the full prompt is infeasible and sheds"
         );
@@ -1074,7 +915,7 @@ mod tests {
         let mut tier = HostTier::new(KvTierConfig::with_capacity(warm * gen_bpt));
         tier.publish_prefix(arrivals[0].problem.seed, warm, warm * gen_bpt);
         assert_eq!(
-            run(&mut tier),
+            run(tier),
             (0, 1),
             "host-resident prefix bytes must not count against the device pool"
         );

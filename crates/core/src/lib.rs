@@ -88,7 +88,7 @@ pub use fleet::{FleetConfig, FleetRun, FleetSim, HedgeConfig, RoutePolicy};
 pub use ftts_engine::{
     EngineError, RequestRun, RunPhase, SpecConfig, StepStatus, VerifyCharge, VerifyChunk,
 };
-pub use ftts_kv::{HostTier, HotnessPolicy, KvTierConfig, LruAccessHotness, TierStats};
+pub use ftts_kv::{HostTier, KvTierConfig, TierStats};
 pub use memalloc::RooflinePlanner;
 pub use prefix_sched::{PrefixAwareOrder, WorstCaseOrder};
 pub use server::{AblationFlags, ServeOutcome, ServedRequest, ServerSim, TtsServer};

@@ -28,6 +28,31 @@
 //! release at the commit of a request's final iteration, at most one
 //! iteration before its finish instant; the ledger never overcommits.
 //!
+//! The loop's state is one crate-private `LoopState`: the arrival
+//! cursor and waiting queue, the paused runs, the launching group and
+//! the rest of the in-flight set, the KV pool and host tier, the device
+//! floor, the fault cursor, the directives, the observer, the served
+//! records and the run counters. `run_directed` is `LoopState::new`, a
+//! `while state.step()? {}` loop and `state.finish()`. One `step` forms
+//! a co-batch at the next anchor and runs its phases in order, each a
+//! method:
+//!
+//! 1. **boundary** — ingest due arrivals, land due prefix handoffs,
+//!    sweep directed cancels and deadlines, admit, rebalance elastic
+//!    shares and stretch bystanders for the admitted load;
+//! 2. **preemption** — swap out runs that cannot progress;
+//! 3. **decode** — the whole generation phase, or token-join chunks
+//!    with mid-launch admission;
+//! 4. **verifier cost** — gather and price the verifier sweeps;
+//! 5. **commit** — charge the sweeps and find finished runs;
+//! 6. **faults** — apply the plan's faults due at the launch;
+//! 7. **completion** — seal finished runs, re-share, and return the
+//!    survivors to the in-flight set.
+//!
+//! A boundary that forms no launch returns early, and `step` returns
+//! `false` once every request is served. Admission, shares and the
+//! sweeps are `LoopState` methods in the `admission` module.
+//!
 //! Every launch lands on a [`DeviceTimeline`] as costed [`Segment`]s.
 //! In anchored mode the timeline only observes. Two honesty features,
 //! set in [`TimelineTuning`], make it price what the iteration-granular
@@ -69,19 +94,17 @@
 //! member per launch is preserved — chunking splits the iteration's
 //! decode phase, not the TTS loop.
 
-use std::collections::VecDeque;
-
 use ftts_engine::{DecodeStatus, EngineError, RunPhase, StepStatus, VerifyCharge, VerifyChunk};
 use ftts_kv::{HostTier, PoolBudget};
 use ftts_metrics::TimelineOccupancy;
 use ftts_search::SearchKind;
 use ftts_workload::RequestArrival;
 
-use crate::admission::{self, InFlight, SchedCtx};
-use crate::batch_server::BatchRun;
-use crate::event_server::{EventConfig, RunDirectives};
+use crate::admission::{self, InFlight};
+use crate::batch_server::{BatchConfig, BatchRun};
+use crate::event_server::{EventConfig, PrewarmPrefix, RunDirectives};
 use crate::faults::{FaultCursor, FaultPlan, LaunchFaults};
-use crate::server::{ServeOutcome, ServedRequest, TtsServer};
+use crate::server::{ServedRequest, TtsServer};
 
 /// What kind of kernel a timeline segment covers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -364,37 +387,6 @@ fn decode_load<'a>(runs: impl IntoIterator<Item = &'a InFlight>) -> (usize, u64)
         .fold((0, 0), |(s, c), (ls, lc)| (s + ls, c + lc))
 }
 
-/// Price one decode step of `group` over the whole in-flight set: each
-/// `decoding` member is costed against everyone else's load (requests
-/// outside the launch overlap it on the device), and speculates only
-/// while `alone`, until the next known arrival would start waiting —
-/// the two-phase rule.
-fn price_decode(
-    group: &mut [InFlight],
-    rest: &[InFlight],
-    alone: bool,
-    next_at: Option<f64>,
-    decoding: impl Fn(usize) -> bool,
-) {
-    let loads: Vec<(usize, u64)> = group.iter().map(|a| a.run.decode_load()).collect();
-    let (rest_seqs, rest_ctx) = decode_load(rest);
-    let total_seqs = loads.iter().map(|l| l.0).sum::<usize>() + rest_seqs;
-    let total_ctx = loads.iter().map(|l| l.1).sum::<u64>() + rest_ctx;
-    for (i, a) in group.iter_mut().enumerate() {
-        if !decoding(i) {
-            continue;
-        }
-        a.run
-            .set_co_batch(total_seqs - loads[i].0, total_ctx - loads[i].1);
-        let spec_off = match next_at {
-            _ if !alone => 0.0,
-            Some(at) => (at - a.started_at).max(0.0),
-            None => f64::INFINITY,
-        };
-        a.run.set_spec_off_after(spec_off);
-    }
-}
-
 /// Replays a request arrival stream with event-driven continuous
 /// batching over a global per-device kernel timeline: every launch is
 /// a costed segment on one clock, cross-launch decode overlap is
@@ -404,10 +396,10 @@ fn price_decode(
 /// the presets built on it.
 #[derive(Debug, Clone)]
 pub struct TimelineServerSim {
-    server: TtsServer,
-    n: usize,
-    kind: SearchKind,
-    config: TimelineConfig,
+    pub(crate) server: TtsServer,
+    pub(crate) n: usize,
+    pub(crate) kind: SearchKind,
+    pub(crate) config: TimelineConfig,
 }
 
 impl TimelineServerSim {
@@ -478,605 +470,684 @@ impl TimelineServerSim {
     ///
     /// Propagates [`EngineError`] when a request cannot fit even with
     /// the entire pool to itself.
-    #[allow(clippy::too_many_lines)]
     pub fn run_directed(
         &self,
         arrivals: &[RequestArrival],
         plan: &FaultPlan,
         directives: &RunDirectives,
     ) -> Result<BatchRun, EngineError> {
+        let mut state = LoopState::new(self, arrivals, plan, directives);
+        while state.step()? {}
+        Ok(state.finish())
+    }
+}
+
+/// The run loop's state; the module docs' execution model describes
+/// it and the phases of [`LoopState::step`].
+pub(crate) struct LoopState<'a> {
+    pub(crate) sim: &'a TimelineServerSim,
+    pub(crate) arrivals: &'a [RequestArrival],
+    plan: &'a FaultPlan,
+    pub(crate) directives: &'a RunDirectives,
+    /// The directed prefix handoffs in time order, and the next one due.
+    prewarms: Vec<PrewarmPrefix>,
+    prewarm_next: usize,
+    pub(crate) pool: PoolBudget,
+    pub(crate) tier: HostTier,
+    /// Generator KV bytes per token, the unit of a prompt prefix.
+    pub(crate) gen_bpt: u64,
+    /// Earliest instant the next launch may happen: raised by
+    /// preemption PCIe transfers, by completions that drain the
+    /// device, and (in lockstep mode) by every launch's round end.
+    floor: f64,
+    /// Latest completion instant seen — the device-drained floor.
+    finish_max: f64,
+    cursor: FaultCursor,
+    observer: Observer,
+    /// The first arrival not yet ingested.
+    next_arrival: usize,
+    /// Ingested arrivals awaiting admission, in arrival order.
+    pub(crate) waiting: Vec<usize>,
+    /// Preempted runs awaiting readmission, in pause order.
+    pub(crate) paused: Vec<InFlight>,
+    /// The launching co-batch; empty between steps.
+    pub(crate) group: Vec<InFlight>,
+    /// The in-flight requests outside the launching group; between
+    /// steps, the whole in-flight set in admission order.
+    pub(crate) rest: Vec<InFlight>,
+    /// The next admission sequence number.
+    pub(crate) admit_seq: u64,
+    pub(crate) served: Vec<Option<ServedRequest>>,
+    /// The run being built: its counters accumulate here, and
+    /// [`LoopState::finish`] fills in the records and the pool, tier and
+    /// observer read-outs.
+    pub(crate) run: BatchRun,
+}
+
+impl<'a> LoopState<'a> {
+    /// The state before the first launch: empty queues, an empty pool
+    /// (with the tenant caps set) and an empty tier.
+    pub(crate) fn new(
+        sim: &'a TimelineServerSim,
+        arrivals: &'a [RequestArrival],
+        plan: &'a FaultPlan,
+        directives: &'a RunDirectives,
+    ) -> Self {
         debug_assert!(
             arrivals.windows(2).all(|w| w[0].at <= w[1].at),
             "arrival times must be non-decreasing"
         );
-        let batch = &self.config.event.batch;
-        let window = self.config.event.window_secs;
-        let tuning = self.config.tuning;
-        let lockstep = window.is_infinite();
-        let pool_bytes = self.server.config().kv_budget_bytes();
-        let device = self.server.config().device.clone();
-        let gen_bpt = self.server.config().models.gen_spec.kv_bytes_per_token();
+        let batch = &sim.config.event.batch;
+        let pool_bytes = sim.server.config().kv_budget_bytes();
         let mut pool = PoolBudget::new(pool_bytes);
         if let Some(policy) = batch.tenants {
             for spec in policy.specs() {
                 pool.set_tenant_cap(u64::from(spec.id), spec.kv_cap_bytes);
             }
         }
-        let mut tier = HostTier::new(batch.tier);
-        // Earliest instant the next launch may happen: raised by
-        // preemption PCIe transfers, by completions that drain the
-        // device, and (in lockstep mode) by every launch's round end.
-        let mut floor = 0.0f64;
-        // Latest completion instant seen — the device-drained floor.
-        let mut finish_max = 0.0f64;
-        let mut next_arrival = 0usize;
-        let mut waiting: VecDeque<usize> = VecDeque::new();
-        let mut paused: VecDeque<InFlight> = VecDeque::new();
-        let mut active: Vec<InFlight> = Vec::new();
-        let mut served: Vec<Option<ServedRequest>> = (0..arrivals.len()).map(|_| None).collect();
-        let mut admit_seq = 0u64;
-        let mut rounds = 0u64;
-        let mut group_iters = 0u64;
-        let mut preemptions = 0u32;
-        let mut ver_sweeps = 0u64;
-        let mut ver_seqs = 0u64;
-        let mut ver_busy_secs = 0.0f64;
-        let mut cursor = FaultCursor::default();
-        let mut kernel_faults = 0u32;
-        let mut fault_retries = 0u32;
-        let mut kv_loss_events = 0u32;
-        let mut lost_blocks = 0u64;
-        let mut shed = 0u32;
-        let mut cancelled = 0u32;
-        let mut degradations = 0u32;
-        let mut tier_dropped = 0u64;
-        // Directed cancels: earliest instant per arrival index (∞ =
-        // never), applied at launch boundaries like deadline sweeps.
-        let has_cancels = !directives.cancels.is_empty();
-        let mut cancel_at = vec![f64::INFINITY; arrivals.len()];
-        for &(idx, t) in &directives.cancels {
+        for &(idx, _) in &directives.cancels {
             assert!(idx < arrivals.len(), "cancel index out of range");
-            cancel_at[idx] = cancel_at[idx].min(t);
         }
         let mut prewarms = directives.prewarms.clone();
         prewarms.sort_by(|a, b| a.at.partial_cmp(&b.at).expect("finite prewarm times"));
-        let mut prewarm_next = 0usize;
-        let mut observer = Observer::new(arrivals.len());
-
-        loop {
-            // Next decision instant: the earliest ready request, or the
-            // next arrival.
-            let next_ready = active
-                .iter()
-                .map(InFlight::ready_at)
-                .fold(f64::INFINITY, f64::min);
-            let next_arr = arrivals.get(next_arrival).map_or(f64::INFINITY, |a| a.at);
-
-            if active.is_empty() {
-                // The device is drained; nothing launches before the
-                // last completion.
-                floor = floor.max(finish_max);
-                if waiting.is_empty() && paused.is_empty() {
-                    if next_arrival >= arrivals.len() {
-                        break; // everything served
-                    }
-                    // Idle until the next arrival.
-                    floor = floor.max(next_arr);
-                }
-            }
-
-            // Anchor: the earliest instant a new co-batch can launch. A
-            // pending arrival anchors its own (fresh) launch only when
-            // mid-flight admission could actually take it — otherwise
-            // it is ingested when the next ready-driven launch forms.
-            let arrival_anchor = next_arr.max(floor);
-            let consider_arrival = batch.admit_mid_flight
-                && active.len() < batch.max_batch
-                && arrival_anchor < next_ready;
-            let anchor = if active.is_empty() {
-                floor
-            } else if consider_arrival {
-                arrival_anchor
-            } else {
-                next_ready
-            };
-
-            // Group: every in-flight request whose next iteration can
-            // start inside the batching window. The partition is stable,
-            // so the group keeps admission order (the order shares
-            // resize and unfused sweeps serialize in).
-            let horizon = anchor + window;
-            let mut group: Vec<InFlight> = Vec::new();
-            let mut rest: Vec<InFlight> = Vec::new();
-            for a in active.drain(..) {
-                if a.ready_at() <= horizon {
-                    group.push(a);
-                } else {
-                    rest.push(a);
-                }
-            }
-
-            // Launch: the latest member's ready time, never before the
-            // device floor. Members ready earlier wait the gap — a
-            // window wait (plain idle), except at an infinite window,
-            // where the wait *is* the lockstep round barrier.
-            let mut launch = group
-                .iter()
-                .map(InFlight::ready_at)
-                .fold(anchor.max(floor), f64::max);
-            for a in &mut group {
-                if lockstep {
-                    admission::pad_to_barrier(a, launch);
-                } else {
-                    admission::pad_to(a, launch);
-                }
-            }
-
-            // Ingest arrivals due by the launch, then admit (readmits
-            // first, then fresh arrivals — the shared tiebreak) into the
-            // group at the launch instant.
-            while next_arrival < arrivals.len() && arrivals[next_arrival].at <= launch {
-                waiting.push_back(next_arrival);
-                next_arrival += 1;
-            }
-            let ctx = SchedCtx {
-                server: &self.server,
-                n: self.n,
-                kind: self.kind,
-                config: batch,
-            };
-            // Directed prefix handoffs due by this launch land in the
-            // tier before admission, so a migrated request admits warm.
-            while prewarm_next < prewarms.len() && prewarms[prewarm_next].at <= launch {
-                let p = prewarms[prewarm_next];
-                tier.publish_prefix(p.key, p.tokens, p.bytes);
-                prewarm_next += 1;
-            }
-            // Directed cancellations sweep at the same pre-admission
-            // boundary as deadline enforcement, under any fault policy.
-            if has_cancels {
-                let sweep = admission::apply_cancels(
-                    batch,
-                    &cancel_at,
-                    launch,
-                    arrivals,
-                    &mut waiting,
-                    &mut paused,
-                    &mut group,
-                    &mut rest,
-                    &mut pool,
-                    &mut tier,
-                    &mut served,
-                );
-                shed += sweep.shed;
-                cancelled += sweep.cancelled;
-            }
-            // Deadline/SLO enforcement (active only under the Degrade
-            // policy): shed stale or infeasible arrivals and cancel
-            // hopeless runs before they burn device time.
-            let sweep = admission::enforce_slo(
-                &ctx,
-                launch,
+        Self {
+            sim,
+            arrivals,
+            plan,
+            directives,
+            prewarms,
+            prewarm_next: 0,
+            pool,
+            tier: HostTier::new(batch.tier),
+            gen_bpt: sim.server.config().models.gen_spec.kv_bytes_per_token(),
+            floor: 0.0,
+            finish_max: 0.0,
+            cursor: FaultCursor::default(),
+            observer: Observer::new(arrivals.len()),
+            next_arrival: 0,
+            waiting: Vec::new(),
+            paused: Vec::new(),
+            group: Vec::new(),
+            rest: Vec::new(),
+            admit_seq: 0,
+            served: (0..arrivals.len()).map(|_| None).collect(),
+            run: BatchRun {
+                served: Vec::new(),
+                rounds: 0,
+                group_iters: 0,
+                preemptions: 0,
+                peak_reserved_bytes: 0,
                 pool_bytes,
-                arrivals,
-                &mut waiting,
-                &mut paused,
-                &mut group,
-                &mut rest,
-                &mut pool,
-                &mut tier,
-                &mut served,
-            );
-            shed += sweep.shed;
-            cancelled += sweep.cancelled;
-            let admitted_from = group.len();
-            let report = admission::admit(
-                &ctx,
-                &mut group,
-                &mut rest,
-                &mut paused,
-                &mut waiting,
-                &mut pool,
-                &mut tier,
-                arrivals,
-                launch,
-                &mut admit_seq,
-            )?;
-            degradations += report.degradations;
-            // Admission boundary: size elastic shares by demand (and,
-            // under a tenant policy, by tenant fair-share).
-            if report.admitted && admission::elastic(batch) {
-                admission::rebalance_elastic(batch, &mut group, &mut rest, &mut pool);
-            }
-            // The load this launch admits slows every iteration still in
-            // flight outside it. (At an infinite window the rest is
-            // always empty.)
-            if tuning.contention && report.admitted {
-                let added = decode_load(&group[admitted_from..]);
-                observer.stretch_bystanders(&mut rest, added, launch);
-            }
+                ver_sweeps: 0,
+                ver_seqs: 0,
+                ver_busy_secs: 0.0,
+                kernel_faults: 0,
+                fault_retries: 0,
+                kv_loss_events: 0,
+                lost_blocks: 0,
+                shed: 0,
+                cancelled: 0,
+                degradations: 0,
+                final_reserved_bytes: 0,
+                kv_tier_hits: 0,
+                kv_tier_demotions: 0,
+                kv_tier_parked_bytes: 0,
+                kv_tier_dropped_bytes: 0,
+                kv_tier_unparked_bytes: 0,
+                tenant_peak_bytes: Vec::new(),
+                timeline: TimelineOccupancy::default(),
+            },
+        }
+    }
 
-            if group.is_empty() && rest.is_empty() {
-                if waiting.is_empty() && paused.is_empty() {
-                    continue; // idle to the next arrival (or done)
-                }
+    /// The request-level policy the loop runs.
+    pub(crate) fn batch(&self) -> &'a BatchConfig {
+        &self.sim.config.event.batch
+    }
+
+    fn lockstep(&self) -> bool {
+        self.sim.config.event.window_secs.is_infinite()
+    }
+
+    /// Advance past one pre-launch boundary and, when it forms a
+    /// co-batch, run that launch. Returns `false` once every request is
+    /// served.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`EngineError`] when a request cannot fit even with
+    /// the entire pool to itself.
+    pub(crate) fn step(&mut self) -> Result<bool, EngineError> {
+        let Some(anchor) = self.anchor() else {
+            return Ok(false);
+        };
+        let launch = self.form_group(anchor);
+        self.boundary(launch)?;
+        if self.group.is_empty() {
+            if self.rest.is_empty() && !(self.waiting.is_empty() && self.paused.is_empty()) {
                 // A lone candidate that cannot fit the whole pool: fresh
                 // requests already propagated from admission, so this is
                 // a preempted run whose paths outgrew the device.
-                let p = paused.front().expect("paused candidate");
+                let p = self.paused.first().expect("paused candidate");
                 let (needed, capacity) = p.run.kv_demand();
                 return Err(EngineError::PathExceedsMemory { needed, capacity });
             }
-            if group.is_empty() {
-                // The anchor produced no launch (a blocked arrival, or
-                // every in-flight request beyond the horizon): put the
-                // in-flight set back and wait for the next ready event.
-                active = rest;
-                continue;
-            }
-
-            // Memory-pressure preemption over the launching group (the
-            // rest are re-probed when they launch): runs that cannot
-            // progress or would thrash their share are swapped out
-            // youngest-first; a lone request is never preempted.
-            while group.len() + rest.len() > 1 {
-                let victim = group
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, a)| !a.run.can_progress() || !a.run.fits_working_set())
-                    .max_by_key(|(_, a)| a.admit_seq)
-                    .map(|(i, _)| i);
-                let Some(vi) = victim else { break };
-                let mut v = group.remove(vi);
-                // With a host tier, swap-down is capped at the tier's
-                // free capacity: what fits parks (and is PCIe-costed),
-                // the overflow is dropped and recomputed on readmission.
-                let bytes = if tier.enabled() {
-                    let (swapped, dropped) = v.run.preempt_capped(tier.available_bytes());
-                    tier.park(v.idx as u64, swapped);
-                    tier_dropped += dropped;
-                    swapped
-                } else {
-                    v.run.preempt()
-                };
-                let swap_start = launch;
-                launch += device.pcie_transfer_seconds(bytes);
-                if launch > swap_start {
-                    observer
-                        .timeline
-                        .record(swap_start, launch - swap_start, SegmentKind::Swap, 1);
-                }
-                pool.release(v.idx as u64);
-                v.preemptions += 1;
-                preemptions += 1;
-                v.paused_at = launch;
-                v.probe = None;
-                paused.push_back(v);
-                // Preemption boundary: survivors regrow or rebalance.
-                admission::reshare(batch, &mut group, &mut rest, &mut pool);
-            }
-            // The launch (with any preemption PCIe time) is committed
-            // device time: later launches never precede it.
-            floor = floor.max(launch);
-            if group.is_empty() {
-                active = rest;
-                continue;
-            }
-
-            // One launch: the group executes one TTS iteration over the
-            // shared accelerator in the four split phases.
-            rounds += 1;
-            group_iters += group.len() as u64;
-            let mut round_end = launch;
-            let mut finished: Vec<usize> = Vec::new();
-
-            // Phase 1 — plan: memory replan plus the co-batched decode,
-            // recorded on the device timeline. Token-join mode runs it
-            // as chunked sub-iterations with mid-launch admission at
-            // chunk boundaries; otherwise each member plans its whole
-            // generation phase.
-            let mut planned: Vec<bool>;
-            if tuning.token_joins {
-                let mut gen_done: Vec<bool> = group.iter().map(|a| a.run.is_finished()).collect();
-                planned = gen_done.iter().map(|done| !done).collect();
-                loop {
-                    // Re-derive the co-batch every chunk: membership
-                    // (joins, early generation finishes) and context
-                    // both move at chunk boundaries.
-                    let alone = group.len() == 1
-                        && rest.is_empty()
-                        && waiting.is_empty()
-                        && paused.is_empty();
-                    let next_at = arrivals.get(next_arrival).map(|a| a.at);
-                    price_decode(&mut group, &rest, alone, next_at, |i| !gen_done[i]);
-                    let mut chunk_end: Vec<Option<f64>> = vec![None; group.len()];
-                    for (i, a) in group.iter_mut().enumerate() {
-                        if gen_done[i] {
-                            continue;
-                        }
-                        match a
-                            .run
-                            .plan_decode_chunk(a.driver.as_mut(), tuning.join_quantum)?
-                        {
-                            DecodeStatus::Planned(chunk) => {
-                                chunk_end[i] = Some(
-                                    a.started_at + a.run.clock() + a.run.chunk_seconds(&chunk),
-                                );
-                            }
-                            DecodeStatus::Generated => gen_done[i] = true,
-                            DecodeStatus::Finished => {
-                                gen_done[i] = true;
-                                planned[i] = false;
-                            }
-                            DecodeStatus::Decoding => {
-                                unreachable!("plan returns Planned, Generated or Finished")
-                            }
-                        }
-                    }
-                    if chunk_end.iter().all(Option::is_none) {
-                        break;
-                    }
-                    // The join boundary: the slowest co-batched chunk's
-                    // predicted end (chunk_seconds is bit-identical to
-                    // the charge apply books).
-                    let boundary = chunk_end.iter().flatten().fold(launch, |m, &e| m.max(e));
-                    for (i, a) in group.iter_mut().enumerate() {
-                        if chunk_end[i].is_none() {
-                            continue;
-                        }
-                        let seg_start = a.started_at + a.run.clock();
-                        let status = a.run.apply_decode_chunk(a.driver.as_mut())?;
-                        observer.decode(a, seg_start);
-                        if status == DecodeStatus::Generated {
-                            gen_done[i] = true;
-                        } else {
-                            // Members still decoding wait for the
-                            // slowest chunk — the token-join sync
-                            // (boundary is absolute; the pad converts
-                            // to this run's relative clock).
-                            admission::pad_to_join(a, boundary);
-                        }
-                    }
-                    // Token-granularity join: arrivals due by the
-                    // boundary admit into the running decode batch here
-                    // instead of waiting out the whole launch.
-                    while next_arrival < arrivals.len() && arrivals[next_arrival].at <= boundary {
-                        waiting.push_back(next_arrival);
-                        next_arrival += 1;
-                    }
-                    if group.len() + rest.len() < batch.max_batch
-                        && !(waiting.is_empty() && paused.is_empty())
-                    {
-                        let before = group.len();
-                        let report = admission::admit(
-                            &ctx,
-                            &mut group,
-                            &mut rest,
-                            &mut paused,
-                            &mut waiting,
-                            &mut pool,
-                            &mut tier,
-                            arrivals,
-                            boundary,
-                            &mut admit_seq,
-                        )?;
-                        degradations += report.degradations;
-                        if group.len() > before {
-                            group_iters += (group.len() - before) as u64;
-                            for _ in before..group.len() {
-                                gen_done.push(false);
-                                planned.push(true);
-                            }
-                            if tuning.contention {
-                                let added = decode_load(&group[before..]);
-                                observer.stretch_bystanders(&mut rest, added, boundary);
-                            }
-                        }
-                    }
-                }
-            } else {
-                let alone =
-                    group.len() == 1 && rest.is_empty() && waiting.is_empty() && paused.is_empty();
-                let next_at = arrivals.get(next_arrival).map(|a| a.at);
-                price_decode(&mut group, &rest, alone, next_at, |_| true);
-                planned = Vec::with_capacity(group.len());
-                for a in &mut group {
-                    let seg_start = a.started_at + a.run.clock();
-                    planned.push(!a.run.plan_iteration(a.driver.as_mut())?.is_finished());
-                    observer.decode(a, seg_start);
-                }
-            }
-
-            // Phase 2 — gather: every run's verifier mirror work and the
-            // prefill chunks still owed kernel time.
-            let plans: Vec<Vec<VerifyChunk>> = group
-                .iter_mut()
-                .zip(&planned)
-                .map(|(a, &p)| {
-                    if p {
-                        a.run.take_verify_batch().to_vec()
-                    } else {
-                        Vec::new()
-                    }
-                })
-                .collect();
-
-            // Phase 3 — cost: price the group's verifier sweeps over the
-            // one shared accelerator (fused or serialized), recorded as
-            // one verifier segment from the earliest member's
-            // generation end.
-            let mut charges: Vec<Vec<VerifyCharge>> = vec![Vec::new(); group.len()];
-            let sweep =
-                admission::cost_verify_sweeps(batch.fused_verify, &mut group, &plans, &mut charges);
-            ver_sweeps += sweep.sweeps;
-            ver_seqs += sweep.seqs;
-            ver_busy_secs += sweep.busy_secs;
-            if sweep.busy_secs > 0.0 {
-                let verify_start = group
-                    .iter()
-                    .map(|a| a.started_at + a.run.clock())
-                    .fold(f64::INFINITY, f64::min);
-                observer.timeline.record(
-                    verify_start,
-                    sweep.busy_secs,
-                    SegmentKind::Verify,
-                    sweep.seqs as usize,
-                );
-            }
-
-            // Phase 4 — commit: charge the sweeps, reveal scores, branch
-            // survivors; apply the opt-in First Finish cut.
-            for (i, a) in group.iter_mut().enumerate() {
-                let status = if planned[i] {
-                    a.run.apply_verify_results(a.driver.as_mut(), &charges[i])?
-                } else {
-                    StepStatus::Finished
-                };
-                debug_assert!(
-                    a.run.run_phase() == RunPhase::Ready || !planned[i],
-                    "a committed run must be back between iterations"
-                );
-                let mut done = status.is_finished();
-                if !done && batch.first_finish && a.run.first_finish_cut(batch.first_finish_bar) {
-                    done = true;
-                }
-                round_end = round_end.max(a.started_at + a.run.clock());
-                if done {
-                    finished.push(i);
-                }
-            }
-
-            // Injected faults due this launch, popped once, in time
-            // order, from the plan cursor. Kernel faults and throttle
-            // windows hit the kernels launched now — the group — and
-            // their time books to the `fault` bucket in proportion to
-            // each member's busy seconds this launch. Device KV loss is
-            // state damage and hits every device-resident request,
-            // bystanders included; swapped-out requests survive in host
-            // RAM and recover by deterministic recompute.
-            let faults = LaunchFaults::at(&mut cursor, plan, &batch.robust, launch);
-            if faults.fired() {
-                kernel_faults += faults.kernel_faults;
-                fault_retries += faults.retries;
-                for a in group.iter_mut() {
-                    let dt = (a.started_at + a.run.clock() - launch).max(0.0);
-                    a.run
-                        .stall_fault(dt * faults.busy_stretch + faults.backoff_secs);
-                    if faults.kernel_faults > 0 {
-                        a.run.note_kernel_faults(
-                            faults.kernel_faults,
-                            faults.retries,
-                            faults.backoff_secs,
-                        );
-                    }
-                    if faults.slowdown_stretch > 0.0 {
-                        a.run.note_slowdown(dt * faults.slowdown_stretch);
-                    }
-                }
-                if faults.kv_losses > 0 {
-                    kv_loss_events += faults.kv_losses;
-                    for a in group.iter_mut().chain(rest.iter_mut()) {
-                        lost_blocks += a.run.lose_device_kv();
-                    }
-                }
-                round_end = group
-                    .iter()
-                    .map(|a| a.started_at + a.run.clock())
-                    .fold(launch, f64::max);
-            }
-            // In lockstep mode the round end *is* the barrier: nothing —
-            // including the next admission — happens before it, and
-            // finished members hold it. With a finite window the floor
-            // stays at the launch: survivors and bystanders advance at
-            // their own cadence.
-            if lockstep {
-                floor = floor.max(round_end);
-            }
-
-            // Completions leave the batch at their own finish instant.
-            // The prompt prefix is offered to the host tier's shared
-            // store on the way out (a no-op when the tier is disabled):
-            // a later request for the same problem admits warm.
-            for &i in finished.iter().rev() {
-                let a = group.remove(i);
-                pool.release(a.idx as u64);
-                let prompt_tokens = arrivals[a.idx].problem.prompt_tokens;
-                tier.publish_prefix(
-                    arrivals[a.idx].problem.seed,
-                    prompt_tokens,
-                    prompt_tokens.saturating_mul(gen_bpt),
-                );
-                let stats = a.run.finish();
-                let answer = ftts_metrics::top1_majority(&stats.answers());
-                let finished_at = a.started_at + stats.latency();
-                finish_max = finish_max.max(finished_at);
-                served[a.idx] = Some(ServedRequest {
-                    arrived_at: a.arrived_at,
-                    started_at: a.started_at,
-                    finished_at,
-                    preemptions: a.preemptions,
-                    preempted_secs: a.preempted_secs,
-                    slo: a.slo,
-                    deadline: a.deadline,
-                    shed: false,
-                    granted_n: a.granted_n,
-                    outcome: ServeOutcome { stats, answer },
-                });
-            }
-
-            // Completion boundary: re-share the surviving in-flight set.
-            // Otherwise check demand drift: trees grow for many
-            // iterations between boundaries, and shares frozen at an
-            // early snapshot would shrink a growing request into
-            // preemption.
-            if !(group.is_empty() && rest.is_empty()) {
-                if !finished.is_empty() {
-                    admission::reshare(batch, &mut group, &mut rest, &mut pool);
-                } else if admission::elastic(batch) && admission::demand_drifted(&group, &rest) {
-                    admission::rebalance_elastic(batch, &mut group, &mut rest, &mut pool);
-                }
-            }
-
-            // Return survivors to the in-flight set in admission order
-            // (admit_seq is assigned monotonically).
-            rest.append(&mut group);
-            active = rest;
-            active.sort_by_key(|a| a.admit_seq);
+            // Idle to the next arrival (or done), or the anchor produced
+            // no launch (a blocked arrival, or every in-flight request
+            // beyond the horizon): wait for the next event.
+            return Ok(true);
         }
+        let launch = self.preempt(launch);
+        // The launch (with any preemption PCIe time) is committed device
+        // time: later launches never precede it.
+        self.floor = self.floor.max(launch);
+        if self.group.is_empty() {
+            return Ok(true);
+        }
+        // One launch: the group executes one TTS iteration over the
+        // shared accelerator.
+        self.run.rounds += 1;
+        self.run.group_iters += self.group.len() as u64;
+        let planned = if self.sim.config.tuning.token_joins {
+            self.decode_chunks(launch)?
+        } else {
+            self.decode_phase()?
+        };
+        let charges = self.cost_verify(&planned);
+        let (finished, round_end) = self.commit(&planned, &charges, launch)?;
+        let round_end = self.faults(launch, round_end);
+        // In lockstep mode the round end *is* the barrier: nothing —
+        // including the next admission — happens before it, and
+        // finished members hold it. With a finite window the floor
+        // stays at the launch: survivors and bystanders advance at
+        // their own cadence.
+        if self.lockstep() {
+            self.floor = self.floor.max(round_end);
+        }
+        self.complete(&finished);
+        Ok(true)
+    }
 
-        Ok(BatchRun {
-            served: served
+    /// The records, with the pool, tier and observer read-outs.
+    pub(crate) fn finish(self) -> BatchRun {
+        let tier = self.tier.stats();
+        BatchRun {
+            served: self
+                .served
                 .into_iter()
                 .map(|r| r.expect("every request served"))
                 .collect(),
-            rounds,
-            group_iters,
-            preemptions,
-            peak_reserved_bytes: pool.peak_reserved_bytes(),
-            pool_bytes,
-            ver_sweeps,
-            ver_seqs,
-            ver_busy_secs,
-            kernel_faults,
-            fault_retries,
-            kv_loss_events,
-            lost_blocks,
-            shed,
-            cancelled,
-            degradations,
-            final_reserved_bytes: pool.reserved_bytes(),
-            kv_tier_hits: tier.stats().prefix_hits,
-            kv_tier_demotions: tier.stats().demotions,
-            kv_tier_parked_bytes: tier.stats().parked_bytes,
-            kv_tier_dropped_bytes: tier_dropped + tier.stats().overflow_dropped_bytes,
-            kv_tier_unparked_bytes: tier.stats().unparked_bytes,
-            tenant_peak_bytes: pool
+            peak_reserved_bytes: self.pool.peak_reserved_bytes(),
+            final_reserved_bytes: self.pool.reserved_bytes(),
+            kv_tier_hits: tier.prefix_hits,
+            kv_tier_demotions: tier.demotions,
+            kv_tier_parked_bytes: tier.parked_bytes,
+            kv_tier_dropped_bytes: self.run.kv_tier_dropped_bytes + tier.overflow_dropped_bytes,
+            kv_tier_unparked_bytes: tier.unparked_bytes,
+            tenant_peak_bytes: self
+                .pool
                 .tenant_peaks()
                 .into_iter()
                 .map(|(t, b)| (t as u32, b))
                 .collect(),
-            timeline: observer.timeline.occupancy(),
+            timeline: self.observer.timeline.occupancy(),
+            ..self.run
+        }
+    }
+
+    /// The earliest instant a new co-batch can launch, or `None` once
+    /// every request is served. A pending arrival anchors its own
+    /// (fresh) launch only when mid-flight admission could actually take
+    /// it — otherwise it is ingested when the next ready-driven launch
+    /// forms.
+    fn anchor(&mut self) -> Option<f64> {
+        // Next decision instant: the earliest ready request, or the
+        // next arrival.
+        let next_ready = self
+            .rest
+            .iter()
+            .map(InFlight::ready_at)
+            .fold(f64::INFINITY, f64::min);
+        let next_arr = self
+            .arrivals
+            .get(self.next_arrival)
+            .map_or(f64::INFINITY, |a| a.at);
+        if self.rest.is_empty() {
+            // The device is drained; nothing launches before the last
+            // completion.
+            self.floor = self.floor.max(self.finish_max);
+            if self.waiting.is_empty() && self.paused.is_empty() {
+                if self.next_arrival >= self.arrivals.len() {
+                    return None;
+                }
+                // Idle until the next arrival.
+                self.floor = self.floor.max(next_arr);
+            }
+        }
+        let batch = self.batch();
+        let arrival_anchor = next_arr.max(self.floor);
+        let consider_arrival = batch.admit_mid_flight
+            && self.rest.len() < batch.max_batch
+            && arrival_anchor < next_ready;
+        Some(if self.rest.is_empty() {
+            self.floor
+        } else if consider_arrival {
+            arrival_anchor
+        } else {
+            next_ready
         })
+    }
+
+    /// Move every in-flight request whose next iteration can start
+    /// inside the batching window of `anchor` into the group, and return
+    /// the launch instant: the latest member's ready time, never before
+    /// the device floor. The partition is stable, so the group keeps
+    /// admission order (the order shares resize and unfused sweeps
+    /// serialize in). Members ready earlier wait the gap — a window wait
+    /// (plain idle), except at an infinite window, where the wait *is*
+    /// the lockstep round barrier.
+    fn form_group(&mut self, anchor: f64) -> f64 {
+        let horizon = anchor + self.sim.config.event.window_secs;
+        (self.group, self.rest) = std::mem::take(&mut self.rest)
+            .into_iter()
+            .partition(|a| a.ready_at() <= horizon);
+        let launch = self
+            .group
+            .iter()
+            .map(InFlight::ready_at)
+            .fold(anchor.max(self.floor), f64::max);
+        let lockstep = self.lockstep();
+        for a in &mut self.group {
+            if lockstep {
+                admission::pad_to_barrier(a, launch);
+            } else {
+                admission::pad_to(a, launch);
+            }
+        }
+        launch
+    }
+
+    /// Queue every arrival due by `until`.
+    fn ingest(&mut self, until: f64) {
+        while self
+            .arrivals
+            .get(self.next_arrival)
+            .is_some_and(|a| a.at <= until)
+        {
+            self.waiting.push(self.next_arrival);
+            self.next_arrival += 1;
+        }
+    }
+
+    /// The pre-launch boundary: ingest arrivals due by the launch, land
+    /// due prefix handoffs in the tier, sweep directed cancels and
+    /// deadlines, admit (readmits first, then fresh arrivals — the
+    /// shared tiebreak) into the group at the launch instant, rebalance
+    /// elastic shares, and stretch the bystanders the admitted load
+    /// slows.
+    fn boundary(&mut self, launch: f64) -> Result<(), EngineError> {
+        self.ingest(launch);
+        // Directed prefix handoffs due by this launch land in the tier
+        // before admission, so a migrated request admits warm.
+        while let Some(p) = self
+            .prewarms
+            .get(self.prewarm_next)
+            .filter(|p| p.at <= launch)
+        {
+            self.tier.publish_prefix(p.key, p.tokens, p.bytes);
+            self.prewarm_next += 1;
+        }
+        // Directed cancellations sweep at the same pre-admission
+        // boundary as deadline enforcement, under any fault policy.
+        if !self.directives.cancels.is_empty() {
+            self.apply_cancels(launch);
+        }
+        // Deadline/SLO enforcement (active only under the Degrade
+        // policy): shed stale or infeasible arrivals and cancel hopeless
+        // runs before they burn device time.
+        self.enforce_slo(launch);
+        let admitted_from = self.group.len();
+        if self.admit(launch)? {
+            // Admission boundary: size elastic shares by demand (and,
+            // under a tenant policy, by tenant fair-share).
+            if self.elastic() {
+                self.rebalance();
+            }
+            // The load this launch admits slows every iteration still in
+            // flight outside it. (At an infinite window the rest is
+            // always empty.)
+            self.stretch_bystanders(admitted_from, launch);
+        }
+        Ok(())
+    }
+
+    /// Memory-pressure preemption over the launching group (the rest
+    /// are re-probed when they launch): runs that cannot progress or
+    /// would thrash their share are swapped out youngest-first; a lone
+    /// request is never preempted. Returns the launch instant after the
+    /// swap-out PCIe transfers.
+    fn preempt(&mut self, mut launch: f64) -> f64 {
+        while self.group.len() + self.rest.len() > 1 {
+            let victim = self
+                .group
+                .iter()
+                .enumerate()
+                .filter(|(_, a)| !a.run.can_progress() || !a.run.fits_working_set())
+                .max_by_key(|(_, a)| a.admit_seq)
+                .map(|(i, _)| i);
+            let Some(vi) = victim else { break };
+            let mut v = self.group.remove(vi);
+            // With a host tier, swap-down is capped at the tier's free
+            // capacity: what fits parks (and is PCIe-costed), the
+            // overflow is dropped and recomputed on readmission.
+            let bytes = if self.tier.enabled() {
+                let (swapped, dropped) = v.run.preempt_capped(self.tier.available_bytes());
+                self.tier.park(v.idx as u64, swapped);
+                self.run.kv_tier_dropped_bytes += dropped;
+                swapped
+            } else {
+                v.run.preempt()
+            };
+            let swap_start = launch;
+            launch += self.sim.server.config().device.pcie_transfer_seconds(bytes);
+            if launch > swap_start {
+                self.observer.timeline.record(
+                    swap_start,
+                    launch - swap_start,
+                    SegmentKind::Swap,
+                    1,
+                );
+            }
+            self.pool.release(v.idx as u64);
+            v.preemptions += 1;
+            self.run.preemptions += 1;
+            v.paused_at = launch;
+            v.probe = None;
+            self.paused.push(v);
+            // Preemption boundary: survivors regrow or rebalance.
+            self.reshare();
+        }
+        launch
+    }
+
+    /// Price one decode step of the group over the whole in-flight set:
+    /// each `decoding` member is costed against everyone else's load
+    /// (requests outside the launch overlap it on the device), and
+    /// speculates only while it has the device to itself and nobody is
+    /// queued, until the next known arrival — the loop's one lookahead —
+    /// would start waiting: the two-phase rule.
+    fn price_decode(&mut self, decoding: impl Fn(usize) -> bool) {
+        let alone = self.group.len() == 1
+            && self.rest.is_empty()
+            && self.waiting.is_empty()
+            && self.paused.is_empty();
+        let next_at = self.arrivals.get(self.next_arrival).map(|a| a.at);
+        let loads: Vec<(usize, u64)> = self.group.iter().map(|a| a.run.decode_load()).collect();
+        let (rest_seqs, rest_ctx) = decode_load(&self.rest);
+        let total_seqs = loads.iter().map(|l| l.0).sum::<usize>() + rest_seqs;
+        let total_ctx = loads.iter().map(|l| l.1).sum::<u64>() + rest_ctx;
+        for (i, a) in self.group.iter_mut().enumerate() {
+            if !decoding(i) {
+                continue;
+            }
+            a.run
+                .set_co_batch(total_seqs - loads[i].0, total_ctx - loads[i].1);
+            let spec_off = match next_at {
+                _ if !alone => 0.0,
+                Some(at) => (at - a.started_at).max(0.0),
+                None => f64::INFINITY,
+            };
+            a.run.set_spec_off_after(spec_off);
+        }
+    }
+
+    /// Retroactive contention, when priced: the group members from
+    /// `joined` on are new device load at `at`, which slows every
+    /// iteration still in flight outside the group.
+    fn stretch_bystanders(&mut self, joined: usize, at: f64) {
+        if self.sim.config.tuning.contention {
+            let added = decode_load(&self.group[joined..]);
+            self.observer.stretch_bystanders(&mut self.rest, added, at);
+        }
+    }
+
+    /// Decode, whole phase: memory replan plus each member's co-batched
+    /// generation phase, recorded on the device timeline. Returns which
+    /// members planned an iteration (the rest finished).
+    fn decode_phase(&mut self) -> Result<Vec<bool>, EngineError> {
+        self.price_decode(|_| true);
+        let mut planned = Vec::with_capacity(self.group.len());
+        for a in &mut self.group {
+            let seg_start = a.started_at + a.run.clock();
+            planned.push(!a.run.plan_iteration(a.driver.as_mut())?.is_finished());
+            self.observer.decode(a, seg_start);
+        }
+        Ok(planned)
+    }
+
+    /// Decode in token-join chunks: the generation phase runs as
+    /// chunked sub-iterations, and arrivals due by each chunk boundary
+    /// admit into the running launch. Returns which members planned an
+    /// iteration, joiners included.
+    fn decode_chunks(&mut self, launch: f64) -> Result<Vec<bool>, EngineError> {
+        let tuning = self.sim.config.tuning;
+        let mut gen_done: Vec<bool> = self.group.iter().map(|a| a.run.is_finished()).collect();
+        let mut planned: Vec<bool> = gen_done.iter().map(|done| !done).collect();
+        loop {
+            // Re-derive the co-batch every chunk: membership (joins,
+            // early generation finishes) and context both move at chunk
+            // boundaries.
+            self.price_decode(|i| !gen_done[i]);
+            let mut chunk_end: Vec<Option<f64>> = vec![None; self.group.len()];
+            for (i, a) in self.group.iter_mut().enumerate() {
+                if gen_done[i] {
+                    continue;
+                }
+                match a
+                    .run
+                    .plan_decode_chunk(a.driver.as_mut(), tuning.join_quantum)?
+                {
+                    DecodeStatus::Planned(chunk) => {
+                        chunk_end[i] =
+                            Some(a.started_at + a.run.clock() + a.run.chunk_seconds(&chunk));
+                    }
+                    DecodeStatus::Generated => gen_done[i] = true,
+                    DecodeStatus::Finished => {
+                        gen_done[i] = true;
+                        planned[i] = false;
+                    }
+                    DecodeStatus::Decoding => {
+                        unreachable!("plan returns Planned, Generated or Finished")
+                    }
+                }
+            }
+            if chunk_end.iter().all(Option::is_none) {
+                return Ok(planned);
+            }
+            // The join boundary: the slowest co-batched chunk's predicted
+            // end (chunk_seconds is bit-identical to the charge apply
+            // books).
+            let boundary = chunk_end.iter().flatten().fold(launch, |m, &e| m.max(e));
+            for (i, a) in self.group.iter_mut().enumerate() {
+                if chunk_end[i].is_none() {
+                    continue;
+                }
+                let seg_start = a.started_at + a.run.clock();
+                let status = a.run.apply_decode_chunk(a.driver.as_mut())?;
+                self.observer.decode(a, seg_start);
+                if status == DecodeStatus::Generated {
+                    gen_done[i] = true;
+                } else {
+                    // Members still decoding wait for the slowest chunk
+                    // — the token-join sync (boundary is absolute; the
+                    // pad converts to this run's relative clock).
+                    admission::pad_to_join(a, boundary);
+                }
+            }
+            // Token-granularity join: arrivals due by the boundary admit
+            // into the running decode batch here instead of waiting out
+            // the whole launch.
+            self.ingest(boundary);
+            if self.group.len() + self.rest.len() < self.batch().max_batch
+                && !(self.waiting.is_empty() && self.paused.is_empty())
+            {
+                let before = self.group.len();
+                self.admit(boundary)?;
+                if self.group.len() > before {
+                    self.run.group_iters += (self.group.len() - before) as u64;
+                    gen_done.resize(self.group.len(), false);
+                    planned.resize(self.group.len(), true);
+                    self.stretch_bystanders(before, boundary);
+                }
+            }
+        }
+    }
+
+    /// Verifier cost: gather every planned member's verifier mirror
+    /// work and the prefill chunks still owed kernel time, then price
+    /// the group's sweeps over the one shared accelerator (fused or
+    /// serialized), recorded as one verifier segment from the earliest
+    /// member's generation end. Returns each member's charges.
+    fn cost_verify(&mut self, planned: &[bool]) -> Vec<Vec<VerifyCharge>> {
+        let plans: Vec<Vec<VerifyChunk>> = self
+            .group
+            .iter_mut()
+            .zip(planned)
+            .map(|(a, &p)| {
+                if p {
+                    a.run.take_verify_batch().to_vec()
+                } else {
+                    Vec::new()
+                }
+            })
+            .collect();
+        let mut charges: Vec<Vec<VerifyCharge>> = vec![Vec::new(); self.group.len()];
+        let sweep = admission::cost_verify_sweeps(
+            self.batch().fused_verify,
+            &mut self.group,
+            &plans,
+            &mut charges,
+        );
+        self.run.ver_sweeps += sweep.sweeps;
+        self.run.ver_seqs += sweep.seqs;
+        self.run.ver_busy_secs += sweep.busy_secs;
+        if sweep.busy_secs > 0.0 {
+            let verify_start = self
+                .group
+                .iter()
+                .map(|a| a.started_at + a.run.clock())
+                .fold(f64::INFINITY, f64::min);
+            self.observer.timeline.record(
+                verify_start,
+                sweep.busy_secs,
+                SegmentKind::Verify,
+                sweep.seqs as usize,
+            );
+        }
+        charges
+    }
+
+    /// Commit: charge the sweeps, reveal scores, branch survivors, and
+    /// apply the opt-in First Finish cut. Returns the group positions
+    /// that finished and the round end.
+    fn commit(
+        &mut self,
+        planned: &[bool],
+        charges: &[Vec<VerifyCharge>],
+        launch: f64,
+    ) -> Result<(Vec<usize>, f64), EngineError> {
+        let batch = self.batch();
+        let mut round_end = launch;
+        let mut finished = Vec::new();
+        for (i, a) in self.group.iter_mut().enumerate() {
+            let status = if planned[i] {
+                a.run.apply_verify_results(a.driver.as_mut(), &charges[i])?
+            } else {
+                StepStatus::Finished
+            };
+            debug_assert!(
+                a.run.run_phase() == RunPhase::Ready || !planned[i],
+                "a committed run must be back between iterations"
+            );
+            let mut done = status.is_finished();
+            if !done && batch.first_finish && a.run.first_finish_cut(batch.first_finish_bar) {
+                done = true;
+            }
+            round_end = round_end.max(a.started_at + a.run.clock());
+            if done {
+                finished.push(i);
+            }
+        }
+        Ok((finished, round_end))
+    }
+
+    /// Injected faults due this launch, popped once, in time order, from
+    /// the plan cursor. Kernel faults and throttle windows hit the
+    /// kernels launched now — the group — and their time books to the
+    /// `fault` bucket in proportion to each member's busy seconds this
+    /// launch. Device KV loss is state damage and hits every
+    /// device-resident request, bystanders included; swapped-out
+    /// requests survive in host RAM and recover by deterministic
+    /// recompute. Returns the round end after the faults.
+    fn faults(&mut self, launch: f64, round_end: f64) -> f64 {
+        let robust = &self.batch().robust;
+        let faults = LaunchFaults::at(&mut self.cursor, self.plan, robust, launch);
+        if !faults.fired() {
+            return round_end;
+        }
+        self.run.kernel_faults += faults.kernel_faults;
+        self.run.fault_retries += faults.retries;
+        for a in &mut self.group {
+            let dt = (a.started_at + a.run.clock() - launch).max(0.0);
+            a.run
+                .stall_fault(dt * faults.busy_stretch + faults.backoff_secs);
+            if faults.kernel_faults > 0 {
+                a.run
+                    .note_kernel_faults(faults.kernel_faults, faults.retries, faults.backoff_secs);
+            }
+            if faults.slowdown_stretch > 0.0 {
+                a.run.note_slowdown(dt * faults.slowdown_stretch);
+            }
+        }
+        if faults.kv_losses > 0 {
+            self.run.kv_loss_events += faults.kv_losses;
+            for a in self.group.iter_mut().chain(self.rest.iter_mut()) {
+                self.run.lost_blocks += a.run.lose_device_kv();
+            }
+        }
+        self.group
+            .iter()
+            .map(|a| a.started_at + a.run.clock())
+            .fold(launch, f64::max)
+    }
+
+    /// Completion: the `finished` members leave the batch at their own
+    /// finish instant, offering their prompt prefix to the host tier on
+    /// the way out (a later request for the same problem admits warm).
+    /// Then the surviving in-flight set re-shares, and the survivors
+    /// return to it in admission order.
+    fn complete(&mut self, finished: &[usize]) {
+        for &i in finished.iter().rev() {
+            let a = self.group.remove(i);
+            self.pool.release(a.idx as u64);
+            self.publish_prompt(a.idx);
+            let idx = a.idx;
+            let record = a.seal(None);
+            self.finish_max = self.finish_max.max(record.finished_at);
+            self.served[idx] = Some(record);
+        }
+        // Completion boundary: re-share the surviving in-flight set.
+        // Otherwise check demand drift: trees grow for many iterations
+        // between boundaries, and shares frozen at an early snapshot
+        // would shrink a growing request into preemption.
+        if !finished.is_empty() {
+            self.reshare();
+        } else if self.elastic() && self.demand_drifted() {
+            self.rebalance();
+        }
+        // admit_seq is assigned monotonically.
+        self.rest.append(&mut self.group);
+        self.rest.sort_by_key(|a| a.admit_seq);
     }
 }
 

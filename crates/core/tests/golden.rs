@@ -8,9 +8,14 @@
 //! hash map, so the hash is bit-exact over every served record,
 //! breakdown bucket and run counter.
 //!
-//! `golden/anchors.txt` holds one `<fixture> <fingerprint>` line per
-//! fixture. Every scheduler front door that can run a fixture must
-//! reproduce its line:
+//! A second row per fixture, `<fixture>.timeline`, fingerprints the
+//! observer timeline itself: the FNV-1a hash of the `{:?}` of the run's
+//! `TimelineOccupancy`, or of the list of per-device occupancies for a
+//! fleet.
+//!
+//! `golden/anchors.txt` holds one `<row> <fingerprint>` line per row.
+//! Every scheduler front door that can run a fixture must reproduce both
+//! of its lines:
 //!
 //! * an anchored policy runs through `TimelineServerSim` and
 //!   `EventServerSim`, and at an infinite window through
@@ -34,7 +39,7 @@ use ftts_engine::ModelPairing;
 use ftts_hw::GpuDevice;
 use ftts_metrics::{SloClass, TimelineOccupancy};
 use ftts_search::SearchKind;
-use ftts_workload::{ArrivalPattern, Dataset, RequestArrival};
+use ftts_workload::{zipf_problems, ArrivalPattern, Dataset, RequestArrival};
 
 const ANCHORS: &str = include_str!("golden/anchors.txt");
 
@@ -67,6 +72,16 @@ fn fleet_fingerprint(run: &FleetRun) -> String {
         device.timeline = TimelineOccupancy::default();
     }
     hash_debug(&run)
+}
+
+fn fleet_timeline_fingerprint(run: &FleetRun) -> String {
+    let timelines: Vec<&TimelineOccupancy> = run.device_runs.iter().map(|r| &r.timeline).collect();
+    hash_debug(&timelines)
+}
+
+/// The name of a fixture's observer-timeline row.
+fn timeline_row(fixture: &str) -> String {
+    format!("{fixture}.timeline")
 }
 
 fn golden(fixture: &str) -> &'static str {
@@ -198,6 +213,11 @@ impl Fixture {
             .map(|(front, run)| (*front, fingerprint(run)))
             .collect();
         check(self.name, &computed);
+        let timelines: Vec<(&str, String)> = runs
+            .iter()
+            .map(|(front, run)| (*front, hash_debug(&run.timeline)))
+            .collect();
+        check(&timeline_row(self.name), &timelines);
     }
 }
 
@@ -346,24 +366,30 @@ fn honest_fixtures() -> Vec<Fixture> {
 
 struct FleetFixture {
     name: &'static str,
-    devices: usize,
+    servers: Vec<TtsServer>,
     arrivals: Vec<RequestArrival>,
     plans: Vec<FaultPlan>,
     config: FleetConfig,
     tuning: TimelineTuning,
+    /// Asserts the run exercises the paths the fixture is for.
+    covers: fn(&FleetRun),
 }
 
 impl FleetFixture {
     fn run(&self, config: FleetConfig) -> FleetRun {
-        let devices = (0..self.devices).map(|_| server(9, 0.55)).collect();
-        FleetSim::new(devices, 16, SearchKind::BeamSearch, config)
+        FleetSim::new(self.servers.clone(), 16, SearchKind::BeamSearch, config)
             .run_faulted(&self.arrivals, &self.plans)
             .expect("fleet run")
     }
 
     fn check(&self) {
         let tuned = self.run(self.config.with_timeline(self.tuning));
+        (self.covers)(&tuned);
         let mut computed = vec![("FleetConfig::with_timeline", fleet_fingerprint(&tuned))];
+        let mut timelines = vec![(
+            "FleetConfig::with_timeline",
+            fleet_timeline_fingerprint(&tuned),
+        )];
         if self.tuning == TimelineTuning::anchored() {
             for (d, run) in tuned.device_runs.iter().enumerate() {
                 if !run.served.is_empty() {
@@ -372,6 +398,7 @@ impl FleetFixture {
             }
             let plain = self.run(self.config);
             computed.push(("FleetConfig::new", fleet_fingerprint(&plain)));
+            timelines.push(("FleetConfig::new", fleet_timeline_fingerprint(&plain)));
         } else {
             assert!(
                 tuned.device_runs.iter().any(|r| r.timeline.segments > 0),
@@ -380,6 +407,7 @@ impl FleetFixture {
             );
         }
         check(self.name, &computed);
+        check(&timeline_row(self.name), &timelines);
     }
 }
 
@@ -397,15 +425,16 @@ fn fleet_fixtures() -> Vec<FleetFixture> {
     vec![
         FleetFixture {
             name: "fleet-anchored-jsq",
-            devices: 2,
+            servers: vec![server(9, 0.55); 2],
             arrivals: amc(6, 77, 4.0),
             plans: vec![FaultPlan::none(); 2],
             config: FleetConfig::new(event, RoutePolicy::Jsq),
             tuning: TimelineTuning::anchored(),
+            covers: |_| {},
         },
         FleetFixture {
             name: "fleet-anchored-failover-hedge",
-            devices: 4,
+            servers: vec![server(9, 0.55); 4],
             arrivals: amc(8, 77, 6.0),
             plans: crashy,
             config: FleetConfig::new(event, RoutePolicy::PrefixAffinity).with_hedge(HedgeConfig {
@@ -414,18 +443,127 @@ fn fleet_fixtures() -> Vec<FleetFixture> {
                 min_delay_secs: 1.0,
             }),
             tuning: TimelineTuning::anchored(),
+            covers: |_| {},
         },
         FleetFixture {
             name: "fleet-honest-joins-rr",
-            devices: 2,
+            servers: vec![server(9, 0.55); 2],
             arrivals: amc(6, 77, 4.0),
             plans: vec![FaultPlan::none(); 2],
             config: FleetConfig::new(event, RoutePolicy::RoundRobin),
             tuning: TimelineTuning::honest()
                 .with_token_joins()
                 .with_join_quantum(8),
+            covers: |_| {},
         },
+        FleetFixture {
+            name: "fleet-health-ewma",
+            servers: vec![server(9, 0.55); 3],
+            arrivals: amc(10, 79, 3.0),
+            plans: vec![
+                FaultPlan::storm(5, 40.0, &StormConfig::default()),
+                FaultPlan::none(),
+                FaultPlan::storm(6, 40.0, &StormConfig::default()),
+            ],
+            config: FleetConfig::new(event, RoutePolicy::HealthEwma),
+            tuning: TimelineTuning::anchored(),
+            covers: |run| {
+                let used: Vec<usize> = run.serving_device.iter().flatten().copied().collect();
+                assert!(
+                    used.iter().any(|&d| d != used[0]),
+                    "health-EWMA routing spreads the stream over replicas"
+                );
+            },
+        },
+        sim_fleet_shape(),
     ]
+}
+
+/// The shape of perfbench's `sim-fleet` workload
+/// (`perfbench/src/fleet.rs`, whose constants are copied here): four
+/// RTX 4090 / Jetson Orin replicas under prefix affinity with hedging,
+/// honest contention with 2-token joins, a host tier, Degrade SLOs,
+/// twelve Zipf draws over four problems, a fault storm on every device
+/// and a crash of device 1 at 25 s. One job, at a uniform 4 s cadence
+/// instead of Poisson gaps; its seed is one whose run migrates, hedges,
+/// sheds, degrades, warm-starts and stretches.
+fn sim_fleet_shape() -> FleetFixture {
+    const SEED: u64 = 0;
+    let servers = [
+        GpuDevice::rtx4090(),
+        GpuDevice::jetson_orin(),
+        GpuDevice::rtx4090(),
+        GpuDevice::jetson_orin(),
+    ]
+    .into_iter()
+    .map(|device| {
+        let mut s = TtsServer::fasttts(device, ModelPairing::pair_1_5b_1_5b());
+        s.config_mut().seed = 17;
+        s.config_mut().memory_fraction = 0.55;
+        s
+    })
+    .collect();
+    let event = EventConfig::new(
+        BatchConfig::continuous(4)
+            .with_tier(KvTierConfig::with_capacity(1 << 33))
+            .with_robust(RobustConfig::with_policy(FaultPolicy::Degrade)),
+        0.25,
+    );
+    let slos = [
+        (SloClass::Interactive, 90.0),
+        (SloClass::Standard, 120.0),
+        (SloClass::Batch, 180.0),
+    ];
+    let ranked = Dataset::Amc2023.problems(4, SEED);
+    let arrivals = ArrivalPattern::Uniform { interval: 4.0 }
+        .schedule(&zipf_problems(&ranked, 12, 1.2, SEED), SEED)
+        .into_iter()
+        .enumerate()
+        .map(|(i, a)| a.with_slo(slos[i % 3].0, slos[i % 3].1))
+        .collect();
+    let plans = (0..4u64)
+        .map(|d| {
+            let storm = FaultPlan::storm(SEED + d, 60.0, &StormConfig::default());
+            let mut events = storm.events().to_vec();
+            if d == 1 {
+                events.push(FaultEvent {
+                    at: 25.0,
+                    kind: FaultKind::DeviceCrash { down_for: 300.0 },
+                });
+            }
+            FaultPlan::new(events)
+        })
+        .collect();
+    FleetFixture {
+        name: "fleet-sim-fleet-shape",
+        servers,
+        arrivals,
+        plans,
+        config: FleetConfig::new(event, RoutePolicy::PrefixAffinity).with_hedge(HedgeConfig {
+            delay_factor: 1.5,
+            min_samples: 3,
+            min_delay_secs: 5.0,
+        }),
+        tuning: TimelineTuning::honest()
+            .with_token_joins()
+            .with_join_quantum(2),
+        covers: |run| {
+            let devices = &run.device_runs;
+            assert!(run.migrations > 0, "crash failover migrates");
+            assert!(run.hedges_launched > 0, "a straggler is hedged");
+            assert!(devices.iter().any(|r| r.shed > 0), "an arrival is shed");
+            assert!(run.served.iter().any(|r| r.shed), "a request ends shed");
+            assert!(
+                devices.iter().any(|r| r.degradations > 0),
+                "Degrade narrows"
+            );
+            assert!(devices.iter().any(|r| r.kv_tier_hits > 0), "a warm start");
+            assert!(
+                devices.iter().any(|r| r.timeline.stretch_secs > 0.0),
+                "contention stretches"
+            );
+        },
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -485,27 +623,39 @@ golden_tests! {
     fleet_anchored_jsq => "fleet-anchored-jsq",
     fleet_anchored_failover_hedge => "fleet-anchored-failover-hedge",
     fleet_honest_joins_rr => "fleet-honest-joins-rr",
+    fleet_health_ewma => "fleet-health-ewma",
+    fleet_sim_fleet_shape => "fleet-sim-fleet-shape",
 }
 
 #[test]
 fn every_golden_row_has_one_fixture_and_one_test() {
-    fn sorted(mut names: Vec<&'static str>) -> Vec<&'static str> {
-        names.sort_unstable();
-        names
+    /// Each fixture's two row names, sorted.
+    fn rows_of<'a>(fixtures: impl Iterator<Item = &'a str>) -> Vec<String> {
+        let mut rows: Vec<String> = fixtures
+            .flat_map(|name| [name.to_string(), timeline_row(name)])
+            .collect();
+        rows.sort_unstable();
+        rows
     }
-    let rows = sorted(
-        ANCHORS
-            .lines()
-            .map(|line| line.split_once(' ').map_or(line, |(name, _)| name))
-            .collect(),
-    );
-    let built = sorted(
+    let mut rows: Vec<String> = ANCHORS
+        .lines()
+        .map(|line| {
+            line.split_once(' ')
+                .map_or(line, |(name, _)| name)
+                .to_string()
+        })
+        .collect();
+    rows.sort_unstable();
+    let built = rows_of(
         single_fixtures()
             .iter()
             .map(|f| f.name)
-            .chain(fleet_fixtures().iter().map(|f| f.name))
-            .collect(),
+            .chain(fleet_fixtures().iter().map(|f| f.name)),
     );
-    assert_eq!(rows, built, "anchors.txt rows and fixtures must match 1:1");
-    assert_eq!(rows, sorted(TESTED.to_vec()), "every row has one test");
+    assert_eq!(rows, built, "anchors.txt rows and fixtures must match 2:1");
+    assert_eq!(
+        rows,
+        rows_of(TESTED.iter().copied()),
+        "every fixture has one test"
+    );
 }

@@ -17,15 +17,26 @@
 //!    `queue_delay + breakdown.total()` equals arrival-to-completion
 //!    wall-clock in every timeline mode; `join_wait` stays a slice of
 //!    `idle`.
+//! 6. **Prefix stability**: appending one arrival at instant `A`, later
+//!    than every arrival of a stream, leaves every record that finished
+//!    before `A` unchanged (`{:?}`-identical), on every front door. The
+//!    loop's one lookahead is `price_decode` reading the next known
+//!    arrival to stop a lone request's speculation, so the sparse
+//!    streams put `A` inside a lone request's speculating iteration.
+//!    Token joins hold it only on streams whose requests never overlap
+//!    (see `honest_token_joins_are_prefix_stable`).
 
 use ftts_core::{
-    DeviceTimeline, EventConfig, FaultPlan, SegmentKind, StormConfig, TimelineConfig,
+    BatchConfig, BatchedServerSim, DeviceTimeline, EventConfig, EventServerSim, FaultPlan,
+    FaultPolicy, FleetConfig, FleetSim, HedgeConfig, KvTierConfig, RobustConfig, RoutePolicy,
+    SegmentKind, ServedRequest, StormConfig, TenantPolicy, TenantSpec, TimelineConfig,
     TimelineServerSim, TtsServer,
 };
 use ftts_engine::ModelPairing;
 use ftts_hw::GpuDevice;
+use ftts_metrics::SloClass;
 use ftts_search::SearchKind;
-use ftts_workload::{ArrivalPattern, Dataset};
+use ftts_workload::{ArrivalPattern, Dataset, RequestArrival};
 use proptest::prelude::*;
 
 fn server(seed: u64, memory_fraction: f64) -> TtsServer {
@@ -61,6 +72,91 @@ fn timeline_run(
     TimelineServerSim::new(server(seed, 0.9), 8, SearchKind::BeamSearch, config)
         .run_faulted(&arrivals, &plan)
         .expect("timeline run completes")
+}
+
+/// A stream of `count` AMC requests `cadence` seconds apart, billed to
+/// tenants 0 and 1 in turn with deadline slacks of 15 s, 40 s and none
+/// in turn, plus the extra arrival `gap` seconds after the last one.
+fn prefix_streams(
+    seed: u64,
+    count: usize,
+    cadence: f64,
+    gap: f64,
+) -> (Vec<RequestArrival>, RequestArrival) {
+    let slacks = [
+        (SloClass::Interactive, 15.0),
+        (SloClass::Standard, 40.0),
+        (SloClass::Batch, f64::INFINITY),
+    ];
+    let mut all: Vec<RequestArrival> = ArrivalPattern::Uniform { interval: cadence }
+        .schedule(&Dataset::Amc2023.problems(count + 1, seed), 0)
+        .into_iter()
+        .enumerate()
+        .map(|(i, a)| {
+            let (slo, slack) = slacks[i % slacks.len()];
+            a.with_tenant(i as u32 % 2).with_slo(slo, slack)
+        })
+        .collect();
+    let mut extra = all.pop().expect("count + 1 arrivals");
+    let last = all.last().map_or(0.0, |a| a.at);
+    extra.deadline += last + gap - extra.at;
+    extra.at = last + gap;
+    (all, extra)
+}
+
+/// Run `stream` and then `stream` plus `extra`; every record of the
+/// first run that finished before `extra` arrived must be identical in
+/// the second.
+fn assert_prefix_stable(
+    door: &str,
+    run: impl Fn(&[RequestArrival]) -> Vec<ServedRequest>,
+    stream: &[RequestArrival],
+    extra: &RequestArrival,
+) {
+    let short = run(stream);
+    let mut appended = stream.to_vec();
+    appended.push(extra.clone());
+    let long = run(&appended);
+    assert_eq!(long.len(), short.len() + 1);
+    for (i, (before, after)) in short.iter().zip(&long).enumerate() {
+        if before.finished_at < extra.at {
+            assert_eq!(
+                format!("{before:?}"),
+                format!("{after:?}"),
+                "{door}: request {i} finished at {} before the arrival at {}, but changed",
+                before.finished_at,
+                extra.at
+            );
+        }
+    }
+}
+
+/// Two tenants, the second capped at half the pool and two in flight.
+fn two_tenants(server: &TtsServer) -> TenantPolicy {
+    TenantPolicy::new(&[
+        TenantSpec {
+            id: 0,
+            weight: 2,
+            kv_cap_bytes: u64::MAX,
+            max_in_flight: 0,
+        },
+        TenantSpec {
+            id: 1,
+            weight: 1,
+            kv_cap_bytes: server.config().kv_budget_bytes() / 2,
+            max_in_flight: 2,
+        },
+    ])
+}
+
+/// Dense (1 s) or sparse (10 s) cadence; the sparse streams leave the
+/// last request alone on the device when the extra arrival lands.
+fn cadence(sparse: bool) -> f64 {
+    if sparse {
+        10.0
+    } else {
+        1.0
+    }
 }
 
 fn quiet_storm() -> StormConfig {
@@ -194,5 +290,103 @@ proptest! {
         let occ = run.timeline;
         prop_assert!(occ.busy_secs <= occ.span_secs + 1e-9);
         prop_assert!((occ.busy_secs + occ.idle_secs() - occ.span_secs).abs() <= 1e-9);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn lockstep_is_prefix_stable(
+        seed in 0u64..500,
+        count in 1usize..6,
+        sparse in any::<bool>(),
+        gap in prop_oneof![5u64..1_000, 1_000u64..4_000],
+    ) {
+        let (stream, extra) = prefix_streams(seed, count, cadence(sparse), secs(gap));
+        let sim = BatchedServerSim::new(
+            server(seed, 0.9),
+            8,
+            SearchKind::BeamSearch,
+            BatchConfig::continuous(4),
+        );
+        let run = |s: &[RequestArrival]| sim.run(s).expect("lockstep run").served;
+        assert_prefix_stable("lockstep", run, &stream, &extra);
+    }
+
+    #[test]
+    fn event_windows_with_tenants_and_degrade_are_prefix_stable(
+        seed in 0u64..500,
+        count in 1usize..6,
+        sparse in any::<bool>(),
+        gap in prop_oneof![5u64..1_000, 1_000u64..4_000],
+        window in prop::sample::select(vec![0.0, 0.2]),
+    ) {
+        let (stream, extra) = prefix_streams(seed, count, cadence(sparse), secs(gap));
+        let server = server(seed, 0.9);
+        let batch = BatchConfig::fused(4)
+            .with_tenants(two_tenants(&server))
+            .with_robust(RobustConfig::with_policy(FaultPolicy::Degrade));
+        let sim = EventServerSim::new(
+            server,
+            8,
+            SearchKind::BeamSearch,
+            EventConfig::new(batch, window),
+        );
+        let run = |s: &[RequestArrival]| sim.run(s).expect("event run").served;
+        assert_prefix_stable(&format!("event w={window}"), run, &stream, &extra);
+    }
+
+    /// Checked on isolated streams only: at a 30 s cadence no two
+    /// requests overlap, and `A` often lands inside the lone request's
+    /// run. With overlapping requests token joins are not prefix stable.
+    /// The loop processes a launch's chunk boundaries, and admits an
+    /// arrival at one of them, before it processes a bystander launch
+    /// that starts earlier, so the bystander's decode is priced against
+    /// the joiner's load. For example (seed 464, three requests 1 s
+    /// apart, `A` = 14.78 s), request 1 finishes at 13.6533 s without
+    /// the extra arrival and at 13.6596 s with it.
+    #[test]
+    fn honest_token_joins_are_prefix_stable(
+        seed in 0u64..500,
+        count in 1usize..6,
+        gap in prop_oneof![5u64..1_000, 1_000u64..4_000],
+    ) {
+        let (stream, extra) = prefix_streams(seed, count, 30.0, secs(gap));
+        let config = TimelineConfig::honest(EventConfig::windowed(4, 0.0))
+            .with_token_joins()
+            .with_join_quantum(8);
+        let sim = TimelineServerSim::new(server(seed, 0.9), 8, SearchKind::BeamSearch, config);
+        let run = |s: &[RequestArrival]| sim.run(s).expect("timeline run").served;
+        assert_prefix_stable("token joins", run, &stream, &extra);
+    }
+
+    #[test]
+    fn fleets_are_prefix_stable(
+        seed in 0u64..500,
+        count in 1usize..6,
+        sparse in any::<bool>(),
+        gap in prop_oneof![5u64..1_000, 1_000u64..4_000],
+        affinity in any::<bool>(),
+    ) {
+        let (stream, extra) = prefix_streams(seed, count, cadence(sparse), secs(gap));
+        let event = EventConfig::new(
+            BatchConfig::continuous(4).with_tier(KvTierConfig::with_capacity(1 << 30)),
+            0.25,
+        );
+        let (door, config) = if affinity {
+            let hedge = HedgeConfig {
+                delay_factor: 0.5,
+                min_samples: 1,
+                min_delay_secs: 0.5,
+            };
+            let config = FleetConfig::new(event, RoutePolicy::PrefixAffinity).with_hedge(hedge);
+            ("affinity+hedge fleet", config)
+        } else {
+            ("JSQ fleet", FleetConfig::new(event, RoutePolicy::Jsq))
+        };
+        let sim = FleetSim::new(vec![server(seed, 0.55); 2], 8, SearchKind::BeamSearch, config);
+        let run = |s: &[RequestArrival]| sim.run(s).expect("fleet run").served;
+        assert_prefix_stable(door, run, &stream, &extra);
     }
 }

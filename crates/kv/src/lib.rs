@@ -58,5 +58,5 @@ pub use budget::{tenant_weighted_budgets, PoolBudget, ShareRequest, TenantShareR
 pub use cache::{KvCache, KvCacheConfig, KvError, PinCost};
 pub use pool::BlockPool;
 pub use stats::CacheStats;
-pub use tier::{HostTier, HotnessPolicy, KvTierConfig, LruAccessHotness, PrefixEntry, TierStats};
+pub use tier::{HostTier, KvTierConfig, PrefixEntry, TierStats};
 pub use tree::{NodeId, Residency};

@@ -16,12 +16,12 @@
 //!   publish their prompt KV keyed by the problem's stable seed; a
 //!   later request for the same prompt admits *warm*, replacing the
 //!   prompt prefill with a costed host→device swap-in,
-//! * a **pluggable hotness policy** ([`HotnessPolicy`]) deciding which
-//!   cold prefix demotes when the tier is full. The default,
-//!   [`LruAccessHotness`], combines recency with an access count so
-//!   that under Zipf-skewed prompt popularity the head of the
-//!   distribution stays resident ("pinned hot") while the long tail
-//!   churns.
+//! * a **hotness rule** deciding which cold prefix demotes when the
+//!   tier is full: entries with [`KvTierConfig::pin_hot_after`] hits
+//!   are pinned hot, and the victim is the least-hit, then the
+//!   least-recently-used, cold entry — so under Zipf-skewed prompt
+//!   popularity the head of the distribution stays resident while the
+//!   long tail churns.
 //!
 //! A tier with `host_capacity_bytes == 0` is *disabled*: every park is
 //! rejected, every lookup misses, and the serving schedulers take their
@@ -42,7 +42,7 @@ pub struct KvTierConfig {
     /// prefixes. `0` disables the tier entirely (legacy behaviour).
     pub host_capacity_bytes: u64,
     /// A published prefix with at least this many hits is *hot*: the
-    /// hotness policy refuses to demote it while colder entries exist.
+    /// tier refuses to demote it while colder entries exist.
     pub pin_hot_after: u64,
 }
 
@@ -86,42 +86,6 @@ pub struct PrefixEntry {
     pub last_used: u64,
 }
 
-/// Decides which published prefix to demote (drop from the host tier)
-/// under capacity pressure. Implementations must be deterministic —
-/// scheduler runs are replayed bit-for-bit in tests.
-pub trait HotnessPolicy {
-    /// Entries reporting hot are exempt from demotion while any
-    /// non-hot entry remains.
-    fn is_hot(&self, entry: &PrefixEntry) -> bool;
-
-    /// Rank for victim selection among non-hot entries; the *lowest*
-    /// rank demotes first. Ties are broken by the tier on the stable
-    /// prefix key, so any rank is deterministic.
-    fn victim_rank(&self, entry: &PrefixEntry) -> (u64, u64);
-}
-
-/// Default hotness policy: LRU refined by access count.
-///
-/// Victims are the least-hit entries first, oldest-use within a hit
-/// count — so under Zipf-skewed prompt popularity the frequently
-/// re-requested head keeps host residency while one-off tail prompts
-/// recycle. Entries with `hits >= pin_hot_after` are pinned hot.
-#[derive(Debug, Clone, Copy)]
-pub struct LruAccessHotness {
-    /// Hit count at which an entry becomes demotion-exempt.
-    pub pin_hot_after: u64,
-}
-
-impl HotnessPolicy for LruAccessHotness {
-    fn is_hot(&self, entry: &PrefixEntry) -> bool {
-        entry.hits >= self.pin_hot_after
-    }
-
-    fn victim_rank(&self, entry: &PrefixEntry) -> (u64, u64) {
-        (entry.hits, entry.last_used)
-    }
-}
-
 /// Cumulative host-tier event counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TierStats {
@@ -152,9 +116,9 @@ pub struct TierStats {
 /// every mutation. A zero-capacity tier accepts nothing and hits
 /// nothing, so callers gating on [`HostTier::enabled`] reproduce
 /// pre-tier behaviour exactly.
+#[derive(Debug)]
 pub struct HostTier {
     config: KvTierConfig,
-    policy: Box<dyn HotnessPolicy + Send>,
     used: u64,
     /// Logical clock: bumped on publish and hit; drives LRU ordering
     /// without wall-clock nondeterminism.
@@ -164,26 +128,10 @@ pub struct HostTier {
     stats: TierStats,
 }
 
-impl std::fmt::Debug for HostTier {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HostTier")
-            .field("config", &self.config)
-            .field("used", &self.used)
-            .field("parked", &self.parked)
-            .field("prefixes", &self.prefixes)
-            .field("stats", &self.stats)
-            .finish_non_exhaustive()
-    }
-}
-
 impl HostTier {
-    /// A tier over `config.host_capacity_bytes` of host RAM with the
-    /// default [`LruAccessHotness`] policy.
+    /// A tier over `config.host_capacity_bytes` of host RAM.
     pub fn new(config: KvTierConfig) -> Self {
         Self {
-            policy: Box::new(LruAccessHotness {
-                pin_hot_after: config.pin_hot_after,
-            }),
             config,
             used: 0,
             seq: 0,
@@ -191,11 +139,6 @@ impl HostTier {
             prefixes: BTreeMap::new(),
             stats: TierStats::default(),
         }
-    }
-
-    /// Replace the hotness policy (the tier stays otherwise unchanged).
-    pub fn set_policy(&mut self, policy: Box<dyn HotnessPolicy + Send>) {
-        self.policy = policy;
     }
 
     /// Whether the tier participates in scheduling at all.
@@ -259,7 +202,7 @@ impl HostTier {
 
     /// Publish a shared prefix of `tokens` tokens / `bytes` bytes under
     /// the stable `key` (the problem seed). Demotes cold entries under
-    /// the hotness policy until the new entry fits; if even demoting
+    /// the hotness rule until the new entry fits; if even demoting
     /// every cold prefix cannot make room (parked KV or hot entries
     /// hold the capacity), the publication is skipped. Re-publishing an
     /// existing key refreshes its recency and size.
@@ -283,11 +226,13 @@ impl HostTier {
             return;
         }
         while self.available_bytes() < bytes {
+            // Hot entries are pinned; the victim is the least-hit, then
+            // least-recently-used cold entry, ties on the stable key.
             let victim = self
                 .prefixes
                 .iter()
-                .filter(|(_, e)| !self.policy.is_hot(e))
-                .min_by_key(|(k, e)| (self.policy.victim_rank(e), **k))
+                .filter(|(_, e)| e.hits < self.config.pin_hot_after)
+                .min_by_key(|(k, e)| ((e.hits, e.last_used), **k))
                 .map(|(k, _)| *k);
             let Some(victim) = victim else {
                 return; // nothing cold left to demote — skip publication

@@ -4,9 +4,10 @@
 //! deserializer, so the server parses incoming frames with this
 //! hand-rolled reader. It supports exactly the subset the protocol
 //! uses: one object per line built from objects, arrays, numbers,
-//! strings, booleans and `null`, nested at most 32 levels deep (the
-//! reader recurses once per level, so an unbounded nest of `[` would
-//! overflow the stack). Replies are *written* with plain
+//! strings (every escape, `\uXXXX` and surrogate pairs included),
+//! booleans and `null`, nested at most 32 levels deep (the reader
+//! recurses once per level, so an unbounded nest of `[` would overflow
+//! the stack). Replies are *written* with plain
 //! `format!` plus [`escape`] so their field order is fixed by
 //! construction — byte-identical replies are part of the determinism
 //! contract the replay tests assert.
@@ -202,12 +203,47 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                     b'"' => '"',
                     b'\\' => '\\',
                     b'/' => '/',
+                    b'u' => parse_unicode_escape(bytes, pos)?,
                     other => return Err(format!("unsupported escape '\\{}'", other as char)),
                 });
             }
             None => return Err("unterminated string".to_string()),
         }
     }
+}
+
+/// Decode the code point of a `\uXXXX` escape whose four hex digits
+/// start at `pos`, combining a UTF-16 surrogate pair written as two
+/// escapes. A lone surrogate is an error.
+fn parse_unicode_escape(bytes: &[u8], pos: &mut usize) -> Result<char, String> {
+    let high = parse_hex4(bytes, pos)?;
+    let code = match high {
+        0xD800..=0xDBFF => {
+            if !bytes[*pos..].starts_with(b"\\u") {
+                return Err(format!("unpaired surrogate before byte {pos}"));
+            }
+            *pos += 2;
+            let low = parse_hex4(bytes, pos)?;
+            if !(0xDC00..=0xDFFF).contains(&low) {
+                return Err(format!("unpaired surrogate before byte {pos}"));
+            }
+            0x10000 + ((high - 0xD800) << 10) + (low - 0xDC00)
+        }
+        0xDC00..=0xDFFF => return Err(format!("unpaired surrogate before byte {pos}")),
+        scalar => scalar,
+    };
+    char::from_u32(code).ok_or_else(|| format!("invalid code point before byte {pos}"))
+}
+
+/// Read four hex digits at `pos`.
+fn parse_hex4(bytes: &[u8], pos: &mut usize) -> Result<u32, String> {
+    let digits = bytes
+        .get(*pos..*pos + 4)
+        .and_then(|d| std::str::from_utf8(d).ok())
+        .filter(|d| d.bytes().all(|b| b.is_ascii_hexdigit()))
+        .ok_or_else(|| format!("expected four hex digits at byte {pos}"))?;
+    *pos += 4;
+    u32::from_str_radix(digits, 16).map_err(|e| e.to_string())
 }
 
 /// Escape a string for embedding inside a JSON string literal.
@@ -257,6 +293,11 @@ mod tests {
             "[1,",
             "\"unterminated",
             &too_deep,
+            "\"\\ud83e\"",
+            "\"\\ud83e\\u0041\"",
+            "\"\\udd80\"",
+            "\"\\u12\"",
+            "\"\\u12g4\"",
         ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} must not parse");
         }
@@ -267,10 +308,15 @@ mod tests {
         for original in [
             "line\nwith \"quotes\" and \\slashes\\",
             "é-1 naïve 日本 \"ü\"\n🦀",
+            "a\u{1}b\u{1f}",
         ] {
             let wire = format!("{{\"s\":\"{}\"}}", escape(original));
             let parsed = Json::parse(&wire).expect("escaped text parses");
             assert_eq!(parsed.str_at("s"), Some(original));
         }
+        // Escapes another writer may use: a BMP character and a
+        // surrogate pair.
+        let parsed = Json::parse(r#"{"s":"\u00e9\ud83e\udd80"}"#).expect("\\u escapes parse");
+        assert_eq!(parsed.str_at("s"), Some("é🦀"));
     }
 }

@@ -3,6 +3,13 @@
 //! `stats` frame included. The server simulates in virtual time from
 //! explicit `arrive_at` stamps, so nothing about wall-clock scheduling
 //! may leak into a reply.
+//!
+//! Two reply streams are also frozen as golden fingerprints (FNV-1a-64
+//! of the replies, one per line): this file's trace, and the CI smoke
+//! trace `ci/smoke_trace.jsonl` under `ci/serve.toml`. Both run the
+//! window-0.2 two-tenant policy no scheduler golden row covers. A
+//! deliberate behaviour change edits the constant by hand and records
+//! why in CHANGES.md.
 
 use ftts_serve::{ServeConfig, ServeRuntime};
 
@@ -38,12 +45,31 @@ const TRACE: &[&str] = &[
     r#"{"op":"stats"}"#,
 ];
 
+/// Golden fingerprint of [`TRACE`]'s replies under [`CONFIG`].
+const TRACE_REPLIES: &str = "f02a3f23191eac1f";
+
+/// Golden fingerprint of the CI smoke trace's replies under the CI
+/// config.
+const SMOKE_REPLIES: &str = "cbd2c3a79b32c31b";
+
 fn replay() -> Vec<String> {
-    let mut rt = ServeRuntime::new(ServeConfig::parse(CONFIG).expect("config"));
-    TRACE
+    replay_frames(CONFIG, TRACE.iter().copied())
+}
+
+fn replay_frames<'a>(config: &str, frames: impl Iterator<Item = &'a str>) -> Vec<String> {
+    let mut rt = ServeRuntime::new(ServeConfig::parse(config).expect("config"));
+    frames.map(|line| rt.handle_line(line).reply).collect()
+}
+
+/// FNV-1a-64 of the replies, each followed by a newline.
+fn fingerprint(replies: &[String]) -> String {
+    let hash = replies
         .iter()
-        .map(|line| rt.handle_line(line).reply)
-        .collect()
+        .flat_map(|r| r.bytes().chain(std::iter::once(b'\n')))
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+    format!("{hash:016x}")
 }
 
 #[test]
@@ -60,6 +86,34 @@ fn two_tenant_trace_replays_byte_identically() {
     assert!(stats.contains("\"tenant\":0"), "{stats}");
     assert!(stats.contains("\"tenant\":1"), "{stats}");
     assert!(stats.contains("\"cancelled\":1"), "{stats}");
+}
+
+#[test]
+fn trace_replies_match_their_golden_fingerprint() {
+    let replies = replay();
+    assert_eq!(
+        fingerprint(&replies),
+        TRACE_REPLIES,
+        "replies drifted:\n{}",
+        replies.join("\n")
+    );
+}
+
+#[test]
+fn smoke_trace_replies_match_their_golden_fingerprint() {
+    // Frames exactly as the smoke client `net::replay` sends them:
+    // trimmed, with blank and `#` lines skipped.
+    let frames = include_str!("../ci/smoke_trace.jsonl")
+        .lines()
+        .map(str::trim)
+        .filter(|l| !l.is_empty() && !l.starts_with('#'));
+    let replies = replay_frames(include_str!("../ci/serve.toml"), frames);
+    assert_eq!(
+        fingerprint(&replies),
+        SMOKE_REPLIES,
+        "replies drifted:\n{}",
+        replies.join("\n")
+    );
 }
 
 #[test]

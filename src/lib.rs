@@ -49,10 +49,9 @@ pub use ftts_core::{
     degraded_beams, evaluate, parallel_map, sweep, AblationFlags, BatchConfig, BatchRun,
     BatchedServerSim, EngineError, EvalConfig, EvalSummary, EventConfig, EventServerSim,
     FaultEvent, FaultKind, FaultPlan, FaultPolicy, FleetConfig, FleetRun, FleetSim, HedgeConfig,
-    HostTier, HotnessPolicy, KvTierConfig, LruAccessHotness, PrefixAwareOrder, RobustConfig,
-    RooflinePlanner, RoutePolicy, ServeOutcome, ServedRequest, ServerSim, SpecConfig, StormConfig,
-    SweepJob, TierStats, TimelineConfig, TimelineServerSim, TimelineTuning, TtsServer,
-    WorstCaseOrder,
+    HostTier, KvTierConfig, PrefixAwareOrder, RobustConfig, RooflinePlanner, RoutePolicy,
+    ServeOutcome, ServedRequest, ServerSim, SpecConfig, StormConfig, SweepJob, TierStats,
+    TimelineConfig, TimelineServerSim, TimelineTuning, TtsServer, WorstCaseOrder,
 };
 pub use ftts_engine::{
     Engine, EngineConfig, ModelPairing, RequestRun, RunStats, SearchDriver, StepStatus,
