@@ -16,11 +16,13 @@
 
 use std::time::Instant;
 
+use ftts_bench::write_report;
 use ftts_core::{ServerSim, TtsServer};
 use ftts_engine::ModelPairing;
 use ftts_hw::GpuDevice;
 use ftts_kv::{KvCache, KvCacheConfig, NodeId};
 use ftts_search::SearchKind;
+use ftts_serve::Json;
 use ftts_workload::{ArrivalPattern, Dataset, RequestArrival};
 
 /// Sequences in the eviction arena (each one root with a forked child).
@@ -204,47 +206,35 @@ fn main() {
     println!("  run_parallel        : {:>9.2} ms", sweep.parallel_s * 1e3);
     println!("  speedup             : {sweep_speedup:>9.2}x (bounded by hardware threads)");
 
-    let json = format!(
-        r#"{{
-  "bench": "hotpath_pr1",
-  "eviction": {{
-    "arena_sequences": {ARENA_SEQS},
-    "rounds": {EVICTION_ROUNDS},
-    "evicted_blocks": {evictions},
-    "seed_scan_seconds": {scan_s:.6},
-    "indexed_seconds": {indexed_s:.6},
-    "speedup_vs_seed": {ev_speedup:.2}
-  }},
-  "serve_loop": {{
-    "problems": 4,
-    "n": 64,
-    "wall_seconds": {serve_wall:.6},
-    "sim_tokens": {sim_tokens},
-    "iterations": {iterations},
-    "sim_tokens_per_wall_second": {tok_rate:.1}
-  }},
-  "parallel_sweep": {{
-    "streams": {streams},
-    "hardware_threads": {threads},
-    "sequential_seconds": {seq_s:.6},
-    "parallel_seconds": {par_s:.6},
-    "speedup": {sweep_speedup:.2},
-    "bit_identical_to_sequential": true
-  }}
-}}
-"#,
-        evictions = ev.evictions,
-        scan_s = ev.scan_s,
-        indexed_s = ev.indexed_s,
-        serve_wall = serve.wall_s,
-        sim_tokens = serve.sim_tokens,
-        iterations = serve.iterations,
-        streams = sweep.streams,
-        threads = sweep.hardware_threads,
-        seq_s = sweep.sequential_s,
-        par_s = sweep.parallel_s,
-    );
-    let out_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_PR1.json");
-    std::fs::write(out_path, &json).expect("write BENCH_PR1.json");
-    println!("\nwrote {out_path}");
+    let eviction = Json::object([
+        ("arena_sequences", ARENA_SEQS.into()),
+        ("rounds", EVICTION_ROUNDS.into()),
+        ("evicted_blocks", ev.evictions.into()),
+        ("seed_scan_seconds", ev.scan_s.into()),
+        ("indexed_seconds", ev.indexed_s.into()),
+        ("speedup_vs_seed", ev_speedup.into()),
+    ]);
+    let serve_loop = Json::object([
+        ("problems", 4u32.into()),
+        ("n", 64u32.into()),
+        ("wall_seconds", serve.wall_s.into()),
+        ("sim_tokens", serve.sim_tokens.into()),
+        ("iterations", serve.iterations.into()),
+        ("sim_tokens_per_wall_second", tok_rate.into()),
+    ]);
+    let parallel_sweep = Json::object([
+        ("streams", sweep.streams.into()),
+        ("hardware_threads", sweep.hardware_threads.into()),
+        ("sequential_seconds", sweep.sequential_s.into()),
+        ("parallel_seconds", sweep.parallel_s.into()),
+        ("speedup", sweep_speedup.into()),
+        ("bit_identical_to_sequential", true.into()),
+    ]);
+    let report = Json::object([
+        ("bench", "hotpath_pr1".into()),
+        ("eviction", eviction),
+        ("serve_loop", serve_loop),
+        ("parallel_sweep", parallel_sweep),
+    ]);
+    write_report("BENCH_PR1.json", &report);
 }

@@ -35,13 +35,15 @@
 //!
 //! Run with `cargo bench --bench pr10_timeline` (release profile).
 
-use criterion::{Criterion, SampleStats};
+use criterion::Criterion;
+use ftts_bench::{wall, write_report};
 use ftts_core::{
     BatchRun, EventConfig, EventServerSim, FaultPlan, TimelineConfig, TimelineServerSim, TtsServer,
 };
 use ftts_engine::ModelPairing;
 use ftts_hw::GpuDevice;
 use ftts_search::SearchKind;
+use ftts_serve::Json;
 use ftts_workload::{ArrivalPattern, Dataset, RequestArrival};
 
 const N_BEAMS: usize = 16;
@@ -151,62 +153,29 @@ fn honesty_profile(run: &BatchRun) -> (f64, f64) {
     })
 }
 
-fn policy_json(label: &str, run: &BatchRun) -> String {
+fn policy(run: &BatchRun) -> Json {
     let s = run.stream_summary();
     let (contention, join_wait) = honesty_profile(run);
-    format!(
-        r#"    "{label}": {{
-      "stream_goodput_tok_per_s": {goodput:.2},
-      "makespan_s": {makespan:.3},
-      "total_accepted_tokens": {tokens},
-      "latency_mean_s": {lat_mean:.3},
-      "latency_p95_s": {lat_p95:.3},
-      "mean_admission_wait_s": {wait:.4},
-      "late_arrival_latency_mean_s": {late:.3},
-      "contention_s": {contention:.3},
-      "join_wait_s": {join_wait:.3},
-      "launches": {rounds},
-      "timeline_segments": {segments},
-      "timeline_busy_s": {busy:.3},
-      "timeline_stretch_s": {stretch:.3},
-      "timeline_utilization": {util:.4},
-      "timeline_max_concurrency": {conc}
-    }}"#,
-        goodput = s.stream_goodput,
-        makespan = s.makespan,
-        tokens = s.total_accepted_tokens,
-        lat_mean = s.latency.mean,
-        lat_p95 = s.latency.p95,
-        wait = mean_admission_wait(run),
-        late = mean_late_latency(run),
-        rounds = run.rounds,
-        segments = run.timeline.segments,
-        busy = run.timeline.busy_secs,
-        stretch = run.timeline.stretch_secs,
-        util = run.timeline.utilization(),
-        conc = run.timeline.max_concurrency,
-    )
-}
-
-fn wall_json(stats: &SampleStats) -> String {
-    format!(
-        r#"  "timeline_wall_clock": {{
-    "samples": {n},
-    "outliers_rejected": {outliers},
-    "mean_s": {mean:.6},
-    "min_s": {min:.6},
-    "variance_s2": {var:.9},
-    "p50_s": {p50:.6},
-    "p99_s": {p99:.6}
-  }}"#,
-        n = stats.n,
-        outliers = stats.outliers_rejected,
-        mean = stats.mean_seconds,
-        min = stats.min_seconds,
-        var = stats.variance_seconds2,
-        p50 = stats.p50_seconds,
-        p99 = stats.p99_seconds,
-    )
+    Json::object([
+        ("stream_goodput_tok_per_s", s.stream_goodput.into()),
+        ("makespan_s", s.makespan.into()),
+        ("total_accepted_tokens", s.total_accepted_tokens.into()),
+        ("latency_mean_s", s.latency.mean.into()),
+        ("latency_p95_s", s.latency.p95.into()),
+        ("mean_admission_wait_s", mean_admission_wait(run).into()),
+        ("late_arrival_latency_mean_s", mean_late_latency(run).into()),
+        ("contention_s", contention.into()),
+        ("join_wait_s", join_wait.into()),
+        ("launches", run.rounds.into()),
+        ("timeline_segments", run.timeline.segments.into()),
+        ("timeline_busy_s", run.timeline.busy_secs.into()),
+        ("timeline_stretch_s", run.timeline.stretch_secs.into()),
+        ("timeline_utilization", run.timeline.utilization().into()),
+        (
+            "timeline_max_concurrency",
+            run.timeline.max_concurrency.into(),
+        ),
+    ])
 }
 
 /// The anchored timeline must reproduce `EventServerSim` bit-for-bit:
@@ -354,7 +323,7 @@ fn main() {
 
     println!("\n== pr10: scheduler wall-clock (token-join replay) ==");
     let mut criterion = Criterion::default().sample_size(15);
-    let wall = criterion.bench_stats("timeline_joins_replay", |b| {
+    let wall_stats = criterion.bench_stats("timeline_joins_replay", |b| {
         b.iter(|| {
             run_timeline(
                 &arrivals,
@@ -365,22 +334,41 @@ fn main() {
         })
     });
 
-    let json = format!(
-        "{{\n  \"bench\": \"pr10_timeline\",\n  \"workload\": {{\n    \"requests\": {requests},\n    \"n_beams\": {N_BEAMS},\n    \"max_batch\": {MAX_BATCH},\n    \"arrival_interval_s\": {ARRIVAL_INTERVAL_S},\n    \"sparse_requests\": {sparse_requests},\n    \"sparse_interval_s\": {SPARSE_INTERVAL_S},\n    \"join_quantum_tokens\": {JOIN_QUANTUM},\n    \"mix\": \"amc2023+aime2024 stragglers\",\n    \"search\": \"beam\"\n  }},\n  \"policies\": {{\n{event_json},\n{anchored_json},\n{iter_json},\n{joins_json},\n{winf_json},\n{sparse_iter_json},\n{sparse_joins_json}\n  }},\n  \"token_join_goodput_speedup_vs_iteration_joins\": {join_speedup:.3},\n  \"join_wait_reduction_x\": {wait_reduction:.3},\n  \"retroactive_stretch_secs\": {stretch:.3},\n  \"w0_vs_winf_goodput_gap_frac\": {gap_frac:.4},\n  \"anchor_bitwise_identical_to_event\": {anchor:.1},\n{wall}\n}}\n",
-        requests = arrivals.len(),
-        sparse_requests = sparse.len(),
-        event_json = policy_json("event_w0", &event_w0),
-        anchored_json = policy_json("timeline_anchored", &anchored),
-        iter_json = policy_json("timeline_iter_w0", &iter_w0),
-        joins_json = policy_json("timeline_joins_w0", &joins_w0),
-        winf_json = policy_json("timeline_iter_winf", &iter_winf),
-        sparse_iter_json = policy_json("sparse_iter_w0", &sparse_iter),
-        sparse_joins_json = policy_json("sparse_joins_w0", &sparse_joins),
-        stretch = iter_w0.timeline.stretch_secs,
-        anchor = if anchor_ok { 1.0 } else { 0.0 },
-        wall = wall_json(&wall),
-    );
-    let out_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_PR10.json");
-    std::fs::write(out_path, &json).expect("write BENCH_PR10.json");
-    println!("\nwrote {out_path}");
+    let stretch = iter_w0.timeline.stretch_secs;
+    let anchor = if anchor_ok { 1.0 } else { 0.0 };
+    let workload = Json::object([
+        ("requests", arrivals.len().into()),
+        ("n_beams", N_BEAMS.into()),
+        ("max_batch", MAX_BATCH.into()),
+        ("arrival_interval_s", ARRIVAL_INTERVAL_S.into()),
+        ("sparse_requests", sparse.len().into()),
+        ("sparse_interval_s", SPARSE_INTERVAL_S.into()),
+        ("join_quantum_tokens", JOIN_QUANTUM.into()),
+        ("mix", "amc2023+aime2024 stragglers".into()),
+        ("search", "beam".into()),
+    ]);
+    let policies = Json::object([
+        ("event_w0", policy(&event_w0)),
+        ("timeline_anchored", policy(&anchored)),
+        ("timeline_iter_w0", policy(&iter_w0)),
+        ("timeline_joins_w0", policy(&joins_w0)),
+        ("timeline_iter_winf", policy(&iter_winf)),
+        ("sparse_iter_w0", policy(&sparse_iter)),
+        ("sparse_joins_w0", policy(&sparse_joins)),
+    ]);
+    let report = Json::object([
+        ("bench", "pr10_timeline".into()),
+        ("workload", workload),
+        ("policies", policies),
+        (
+            "token_join_goodput_speedup_vs_iteration_joins",
+            join_speedup.into(),
+        ),
+        ("join_wait_reduction_x", wait_reduction.into()),
+        ("retroactive_stretch_secs", stretch.into()),
+        ("w0_vs_winf_goodput_gap_frac", gap_frac.into()),
+        ("anchor_bitwise_identical_to_event", anchor.into()),
+        ("timeline_wall_clock", wall(&wall_stats)),
+    ]);
+    write_report("BENCH_PR10.json", &report);
 }

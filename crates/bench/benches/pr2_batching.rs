@@ -20,12 +20,14 @@
 //!
 //! Run with `cargo bench --bench pr2_batching` (release profile).
 
-use criterion::{Criterion, SampleStats};
+use criterion::Criterion;
+use ftts_bench::{wall, write_report};
 use ftts_core::{BatchConfig, BatchRun, BatchedServerSim, TtsServer};
 use ftts_engine::ModelPairing;
 use ftts_hw::GpuDevice;
 use ftts_metrics::StreamSummary;
 use ftts_search::SearchKind;
+use ftts_serve::Json;
 use ftts_workload::{ArrivalPattern, Dataset, RequestArrival};
 
 const REQUESTS: usize = 8;
@@ -52,53 +54,21 @@ fn run_policy(config: BatchConfig, arrivals: &[RequestArrival]) -> BatchRun {
         .expect("policy run")
 }
 
-fn policy_json(label: &str, run: &BatchRun) -> String {
+fn policy(run: &BatchRun) -> Json {
     let s: StreamSummary = run.stream_summary();
-    format!(
-        r#"    "{label}": {{
-      "stream_goodput_tok_per_s": {goodput:.2},
-      "makespan_s": {makespan:.3},
-      "total_accepted_tokens": {tokens},
-      "latency_mean_s": {lat_mean:.3},
-      "latency_p50_s": {lat_p50:.3},
-      "latency_p95_s": {lat_p95:.3},
-      "queue_delay_mean_s": {qd_mean:.3},
-      "preemptions": {preemptions},
-      "rounds": {rounds},
-      "peak_reserved_bytes": {peak},
-      "pool_bytes": {pool}
-    }}"#,
-        goodput = s.stream_goodput,
-        makespan = s.makespan,
-        tokens = s.total_accepted_tokens,
-        lat_mean = s.latency.mean,
-        lat_p50 = s.latency.p50,
-        lat_p95 = s.latency.p95,
-        qd_mean = s.queue_delay.mean,
-        preemptions = run.preemptions,
-        rounds = run.rounds,
-        peak = run.peak_reserved_bytes,
-        pool = run.pool_bytes,
-    )
-}
-
-fn wall_json(stats: &SampleStats) -> String {
-    format!(
-        r#"  "continuous_wall_clock": {{
-    "samples": {n},
-    "mean_s": {mean:.6},
-    "min_s": {min:.6},
-    "variance_s2": {var:.9},
-    "p50_s": {p50:.6},
-    "p99_s": {p99:.6}
-  }}"#,
-        n = stats.n,
-        mean = stats.mean_seconds,
-        min = stats.min_seconds,
-        var = stats.variance_seconds2,
-        p50 = stats.p50_seconds,
-        p99 = stats.p99_seconds,
-    )
+    Json::object([
+        ("stream_goodput_tok_per_s", s.stream_goodput.into()),
+        ("makespan_s", s.makespan.into()),
+        ("total_accepted_tokens", s.total_accepted_tokens.into()),
+        ("latency_mean_s", s.latency.mean.into()),
+        ("latency_p50_s", s.latency.p50.into()),
+        ("latency_p95_s", s.latency.p95.into()),
+        ("queue_delay_mean_s", s.queue_delay.mean.into()),
+        ("preemptions", run.preemptions.into()),
+        ("rounds", run.rounds.into()),
+        ("peak_reserved_bytes", run.peak_reserved_bytes.into()),
+        ("pool_bytes", run.pool_bytes.into()),
+    ])
 }
 
 fn main() {
@@ -151,18 +121,27 @@ fn main() {
     // the extended criterion shim (variance + p50/p99).
     println!("\n== pr2: scheduler wall-clock (simulator hot path) ==");
     let mut criterion = Criterion::default().sample_size(15);
-    let wall = criterion.bench_stats("continuous_batch4_replay", |b| {
+    let wall_stats = criterion.bench_stats("continuous_batch4_replay", |b| {
         b.iter(|| run_policy(BatchConfig::continuous(4), &arrivals))
     });
 
-    let json = format!(
-        "{{\n  \"bench\": \"pr2_continuous_batching\",\n  \"workload\": {{\n    \"requests\": {REQUESTS},\n    \"n_beams\": {N_BEAMS},\n    \"arrival_interval_s\": {ARRIVAL_INTERVAL_S},\n    \"search\": \"beam\"\n  }},\n  \"policies\": {{\n{fifo_json},\n{gang_json},\n{cont_json}\n  }},\n  \"continuous_goodput_speedup_vs_fifo\": {speedup:.2},\n{wall}\n}}\n",
-        fifo_json = policy_json("fifo_batch1", &fifo),
-        gang_json = policy_json("gang_batch4", &gang),
-        cont_json = policy_json("continuous_batch4", &cont),
-        wall = wall_json(&wall),
-    );
-    let out_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_PR2.json");
-    std::fs::write(out_path, &json).expect("write BENCH_PR2.json");
-    println!("\nwrote {out_path}");
+    let workload = Json::object([
+        ("requests", REQUESTS.into()),
+        ("n_beams", N_BEAMS.into()),
+        ("arrival_interval_s", ARRIVAL_INTERVAL_S.into()),
+        ("search", "beam".into()),
+    ]);
+    let policies = Json::object([
+        ("fifo_batch1", policy(&fifo)),
+        ("gang_batch4", policy(&gang)),
+        ("continuous_batch4", policy(&cont)),
+    ]);
+    let report = Json::object([
+        ("bench", "pr2_continuous_batching".into()),
+        ("workload", workload),
+        ("policies", policies),
+        ("continuous_goodput_speedup_vs_fifo", speedup.into()),
+        ("continuous_wall_clock", wall(&wall_stats)),
+    ]);
+    write_report("BENCH_PR2.json", &report);
 }

@@ -31,11 +31,13 @@
 //!
 //! Run with `cargo bench --bench pr3_fused_verify` (release profile).
 
-use criterion::{Criterion, SampleStats};
+use criterion::Criterion;
+use ftts_bench::{wall, write_report};
 use ftts_core::{BatchConfig, BatchRun, BatchedServerSim, TtsServer};
 use ftts_engine::ModelPairing;
 use ftts_hw::GpuDevice;
 use ftts_search::SearchKind;
+use ftts_serve::Json;
 use ftts_workload::{ArrivalPattern, Dataset, RequestArrival};
 
 const REQUESTS: usize = 8;
@@ -84,63 +86,28 @@ fn run_policy(
     .expect("policy run")
 }
 
-fn policy_json(label: &str, run: &BatchRun) -> String {
+fn policy(run: &BatchRun) -> Json {
     let s = run.stream_summary();
-    format!(
-        r#"    "{label}": {{
-      "stream_goodput_tok_per_s": {goodput:.2},
-      "makespan_s": {makespan:.3},
-      "total_accepted_tokens": {tokens},
-      "latency_mean_s": {lat_mean:.3},
-      "latency_p95_s": {lat_p95:.3},
-      "queue_delay_mean_s": {qd_mean:.3},
-      "generator_goodput_tok_per_s": {gen_gp:.2},
-      "verifier_goodput_tok_per_s": {ver_gp:.2},
-      "verifier_occupancy_seqs_per_sweep": {occ:.3},
-      "verifier_sweeps": {sweeps},
-      "verifier_busy_s": {busy:.3},
-      "preemptions": {preemptions},
-      "rounds": {rounds},
-      "peak_reserved_bytes": {peak},
-      "pool_bytes": {pool}
-    }}"#,
-        goodput = s.stream_goodput,
-        makespan = s.makespan,
-        tokens = s.total_accepted_tokens,
-        lat_mean = s.latency.mean,
-        lat_p95 = s.latency.p95,
-        qd_mean = s.queue_delay.mean,
-        gen_gp = s.generator_goodput,
-        ver_gp = s.verifier_goodput,
-        occ = s.verifier_occupancy,
-        sweeps = run.ver_sweeps,
-        busy = run.ver_busy_secs,
-        preemptions = run.preemptions,
-        rounds = run.rounds,
-        peak = run.peak_reserved_bytes,
-        pool = run.pool_bytes,
-    )
-}
-
-fn wall_json(stats: &SampleStats) -> String {
-    format!(
-        r#"  "fused8_wall_clock": {{
-    "samples": {n},
-    "outliers_rejected": {outliers},
-    "mean_s": {mean:.6},
-    "min_s": {min:.6},
-    "variance_s2": {var:.9},
-    "p50_s": {p50:.6},
-    "p99_s": {p99:.6}
-  }}"#,
-        n = stats.n,
-        outliers = stats.outliers_rejected,
-        mean = stats.mean_seconds,
-        min = stats.min_seconds,
-        var = stats.variance_seconds2,
-        p50 = stats.p50_seconds,
-        p99 = stats.p99_seconds,
-    )
+    Json::object([
+        ("stream_goodput_tok_per_s", s.stream_goodput.into()),
+        ("makespan_s", s.makespan.into()),
+        ("total_accepted_tokens", s.total_accepted_tokens.into()),
+        ("latency_mean_s", s.latency.mean.into()),
+        ("latency_p95_s", s.latency.p95.into()),
+        ("queue_delay_mean_s", s.queue_delay.mean.into()),
+        ("generator_goodput_tok_per_s", s.generator_goodput.into()),
+        ("verifier_goodput_tok_per_s", s.verifier_goodput.into()),
+        (
+            "verifier_occupancy_seqs_per_sweep",
+            s.verifier_occupancy.into(),
+        ),
+        ("verifier_sweeps", run.ver_sweeps.into()),
+        ("verifier_busy_s", run.ver_busy_secs.into()),
+        ("preemptions", run.preemptions.into()),
+        ("rounds", run.rounds.into()),
+        ("peak_reserved_bytes", run.peak_reserved_bytes.into()),
+        ("pool_bytes", run.pool_bytes.into()),
+    ])
 }
 
 fn main() {
@@ -253,25 +220,43 @@ fn main() {
     // Wall-clock distribution of the fused scheduler itself (IQR-robust).
     println!("\n== pr3: scheduler wall-clock (simulator hot path) ==");
     let mut criterion = Criterion::default().sample_size(15);
-    let wall = criterion.bench_stats("fused_batch8_replay", |b| {
+    let wall_stats = criterion.bench_stats("fused_batch8_replay", |b| {
         b.iter(|| run_policy(BatchConfig::fused(8), &arrivals, N_BEAMS, 17, 0.9))
     });
 
-    let ff = first_finish.stream_summary();
-    let json = format!(
-        "{{\n  \"bench\": \"pr3_fused_verify\",\n  \"workload\": {{\n    \"requests\": {REQUESTS},\n    \"n_beams\": {N_BEAMS},\n    \"arrival_interval_s\": {ARRIVAL_INTERVAL_S},\n    \"search\": \"beam\"\n  }},\n  \"policies\": {{\n{cont4_json},\n{cont8_json},\n{fused8_json},\n{ff_json}\n  }},\n  \"fused8_goodput_speedup_vs_continuous4\": {speedup:.3},\n  \"first_finish_makespan_reduction_vs_fused8\": {ff_makespan:.3},\n  \"pressure_fixture\": {{\n    \"equal_share_preemptions\": {eq_pre},\n    \"demand_share_preemptions\": {dm_pre},\n    \"equal_share_goodput\": {eq_gp:.2},\n    \"demand_share_goodput\": {dm_gp:.2}\n  }},\n{wall}\n}}\n",
-        cont4_json = policy_json("continuous_batch4", &cont4),
-        cont8_json = policy_json("continuous_batch8", &cont8),
-        fused8_json = policy_json("fused_batch8", &fused8),
-        ff_json = policy_json("fused_batch8_first_finish", &first_finish),
-        ff_makespan = f8.makespan / ff.makespan.max(1e-12),
-        eq_pre = equal.preemptions,
-        dm_pre = demand.preemptions,
-        eq_gp = equal.stream_summary().stream_goodput,
-        dm_gp = demand.stream_summary().stream_goodput,
-        wall = wall_json(&wall),
-    );
-    let out_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_PR3.json");
-    std::fs::write(out_path, &json).expect("write BENCH_PR3.json");
-    println!("\nwrote {out_path}");
+    let ff_cut = f8.makespan / first_finish.stream_summary().makespan.max(1e-12);
+    let workload = Json::object([
+        ("requests", REQUESTS.into()),
+        ("n_beams", N_BEAMS.into()),
+        ("arrival_interval_s", ARRIVAL_INTERVAL_S.into()),
+        ("search", "beam".into()),
+    ]);
+    let policies = Json::object([
+        ("continuous_batch4", policy(&cont4)),
+        ("continuous_batch8", policy(&cont8)),
+        ("fused_batch8", policy(&fused8)),
+        ("fused_batch8_first_finish", policy(&first_finish)),
+    ]);
+    let pressure_fixture = Json::object([
+        ("equal_share_preemptions", equal.preemptions.into()),
+        ("demand_share_preemptions", demand.preemptions.into()),
+        (
+            "equal_share_goodput",
+            equal.stream_summary().stream_goodput.into(),
+        ),
+        (
+            "demand_share_goodput",
+            demand.stream_summary().stream_goodput.into(),
+        ),
+    ]);
+    let report = Json::object([
+        ("bench", "pr3_fused_verify".into()),
+        ("workload", workload),
+        ("policies", policies),
+        ("fused8_goodput_speedup_vs_continuous4", speedup.into()),
+        ("first_finish_makespan_reduction_vs_fused8", ff_cut.into()),
+        ("pressure_fixture", pressure_fixture),
+        ("fused8_wall_clock", wall(&wall_stats)),
+    ]);
+    write_report("BENCH_PR3.json", &report);
 }

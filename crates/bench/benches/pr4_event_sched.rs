@@ -27,11 +27,13 @@
 //!
 //! Run with `cargo bench --bench pr4_event_sched` (release profile).
 
-use criterion::{Criterion, SampleStats};
+use criterion::Criterion;
+use ftts_bench::{wall, write_report};
 use ftts_core::{BatchConfig, BatchRun, BatchedServerSim, EventConfig, EventServerSim, TtsServer};
 use ftts_engine::ModelPairing;
 use ftts_hw::GpuDevice;
 use ftts_search::SearchKind;
+use ftts_serve::Json;
 use ftts_workload::{ArrivalPattern, Dataset, RequestArrival};
 
 const N_BEAMS: usize = 16;
@@ -98,62 +100,32 @@ fn idle_profile(run: &BatchRun) -> (f64, f64) {
     (idle / total.max(1e-12), barrier)
 }
 
-fn policy_json(label: &str, run: &BatchRun) -> String {
+fn policy(run: &BatchRun) -> Json {
     let s = run.stream_summary();
     let (idle_fraction, barrier_idle) = idle_profile(run);
-    format!(
-        r#"    "{label}": {{
-      "stream_goodput_tok_per_s": {goodput:.2},
-      "makespan_s": {makespan:.3},
-      "total_accepted_tokens": {tokens},
-      "latency_mean_s": {lat_mean:.3},
-      "latency_p95_s": {lat_p95:.3},
-      "queue_delay_mean_s": {qd_mean:.3},
-      "idle_fraction": {idle_fraction:.4},
-      "barrier_idle_s": {barrier_idle:.3},
-      "launches": {rounds},
-      "mean_cobatch_width": {width:.2},
-      "verifier_sweeps": {sweeps},
-      "verifier_occupancy_seqs_per_sweep": {occ:.3},
-      "preemptions": {preemptions},
-      "peak_reserved_bytes": {peak},
-      "pool_bytes": {pool}
-    }}"#,
-        goodput = s.stream_goodput,
-        makespan = s.makespan,
-        tokens = s.total_accepted_tokens,
-        lat_mean = s.latency.mean,
-        lat_p95 = s.latency.p95,
-        qd_mean = s.queue_delay.mean,
-        rounds = run.rounds,
-        width = run.group_iters as f64 / run.rounds.max(1) as f64,
-        sweeps = run.ver_sweeps,
-        occ = s.verifier_occupancy,
-        preemptions = run.preemptions,
-        peak = run.peak_reserved_bytes,
-        pool = run.pool_bytes,
-    )
-}
-
-fn wall_json(stats: &SampleStats) -> String {
-    format!(
-        r#"  "event_wall_clock": {{
-    "samples": {n},
-    "outliers_rejected": {outliers},
-    "mean_s": {mean:.6},
-    "min_s": {min:.6},
-    "variance_s2": {var:.9},
-    "p50_s": {p50:.6},
-    "p99_s": {p99:.6}
-  }}"#,
-        n = stats.n,
-        outliers = stats.outliers_rejected,
-        mean = stats.mean_seconds,
-        min = stats.min_seconds,
-        var = stats.variance_seconds2,
-        p50 = stats.p50_seconds,
-        p99 = stats.p99_seconds,
-    )
+    Json::object([
+        ("stream_goodput_tok_per_s", s.stream_goodput.into()),
+        ("makespan_s", s.makespan.into()),
+        ("total_accepted_tokens", s.total_accepted_tokens.into()),
+        ("latency_mean_s", s.latency.mean.into()),
+        ("latency_p95_s", s.latency.p95.into()),
+        ("queue_delay_mean_s", s.queue_delay.mean.into()),
+        ("idle_fraction", idle_fraction.into()),
+        ("barrier_idle_s", barrier_idle.into()),
+        ("launches", run.rounds.into()),
+        (
+            "mean_cobatch_width",
+            (run.group_iters as f64 / run.rounds.max(1) as f64).into(),
+        ),
+        ("verifier_sweeps", run.ver_sweeps.into()),
+        (
+            "verifier_occupancy_seqs_per_sweep",
+            s.verifier_occupancy.into(),
+        ),
+        ("preemptions", run.preemptions.into()),
+        ("peak_reserved_bytes", run.peak_reserved_bytes.into()),
+        ("pool_bytes", run.pool_bytes.into()),
+    ])
 }
 
 fn main() {
@@ -231,30 +203,47 @@ fn main() {
     // Wall-clock of the event scheduler itself (IQR-robust).
     println!("\n== pr4: scheduler wall-clock (simulator hot path) ==");
     let mut criterion = Criterion::default().sample_size(15);
-    let wall = criterion.bench_stats("event_window_replay", |b| {
+    let wall_stats = criterion.bench_stats("event_window_replay", |b| {
         b.iter(|| run_event(&arrivals, WINDOW_S))
     });
 
-    let sweep_json: Vec<String> = [0.0, 0.1, 0.5]
+    let sweep = [0.0, 0.1, 0.5]
         .iter()
         .zip(&window_sweep)
-        .map(|(w, (_, run))| {
-            format!(
-                r#"    {{ "window_s": {w}, "stream_goodput_tok_per_s": {gp:.2}, "idle_fraction": {idle:.4} }}"#,
-                gp = run.stream_summary().stream_goodput,
-                idle = idle_profile(run).0,
-            )
+        .map(|(&w, (_, run))| {
+            Json::object([
+                ("window_s", w.into()),
+                (
+                    "stream_goodput_tok_per_s",
+                    run.stream_summary().stream_goodput.into(),
+                ),
+                ("idle_fraction", idle_profile(run).0.into()),
+            ])
         })
         .collect();
-    let json = format!(
-        "{{\n  \"bench\": \"pr4_event_sched\",\n  \"workload\": {{\n    \"requests\": {requests},\n    \"n_beams\": {N_BEAMS},\n    \"arrival_interval_s\": {ARRIVAL_INTERVAL_S},\n    \"mix\": \"amc2023+aime2024 stragglers\",\n    \"search\": \"beam\"\n  }},\n  \"policies\": {{\n{lockstep_json},\n{event_json}\n  }},\n  \"event_goodput_speedup_vs_lockstep_fused8\": {speedup:.3},\n  \"lockstep_idle_fraction\": {lock_idle:.4},\n  \"event_idle_fraction\": {event_idle:.4},\n  \"lockstep_barrier_idle_s\": {lock_barrier:.3},\n  \"event_barrier_idle_s\": {event_barrier:.3},\n  \"window_sweep\": [\n{sweep}\n  ],\n  \"infinite_window_matches_lockstep\": true,\n{wall}\n}}\n",
-        requests = arrivals.len(),
-        lockstep_json = policy_json("lockstep_fused8", &lockstep),
-        event_json = policy_json("event_fused8_window", &event),
-        sweep = sweep_json.join(",\n"),
-        wall = wall_json(&wall),
-    );
-    let out_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_PR4.json");
-    std::fs::write(out_path, &json).expect("write BENCH_PR4.json");
-    println!("\nwrote {out_path}");
+    let workload = Json::object([
+        ("requests", arrivals.len().into()),
+        ("n_beams", N_BEAMS.into()),
+        ("arrival_interval_s", ARRIVAL_INTERVAL_S.into()),
+        ("mix", "amc2023+aime2024 stragglers".into()),
+        ("search", "beam".into()),
+    ]);
+    let policies = Json::object([
+        ("lockstep_fused8", policy(&lockstep)),
+        ("event_fused8_window", policy(&event)),
+    ]);
+    let report = Json::object([
+        ("bench", "pr4_event_sched".into()),
+        ("workload", workload),
+        ("policies", policies),
+        ("event_goodput_speedup_vs_lockstep_fused8", speedup.into()),
+        ("lockstep_idle_fraction", lock_idle.into()),
+        ("event_idle_fraction", event_idle.into()),
+        ("lockstep_barrier_idle_s", lock_barrier.into()),
+        ("event_barrier_idle_s", event_barrier.into()),
+        ("window_sweep", Json::Array(sweep)),
+        ("infinite_window_matches_lockstep", true.into()),
+        ("event_wall_clock", wall(&wall_stats)),
+    ]);
+    write_report("BENCH_PR4.json", &report);
 }

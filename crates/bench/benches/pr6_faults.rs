@@ -29,7 +29,8 @@
 //!
 //! Run with `cargo bench --bench pr6_faults` (release profile).
 
-use criterion::{Criterion, SampleStats};
+use criterion::Criterion;
+use ftts_bench::{wall, write_report};
 use ftts_core::{
     BatchConfig, BatchRun, BatchedServerSim, FaultPlan, FaultPolicy, RobustConfig, StormConfig,
     TtsServer,
@@ -38,6 +39,7 @@ use ftts_engine::ModelPairing;
 use ftts_hw::GpuDevice;
 use ftts_metrics::SloClass;
 use ftts_search::SearchKind;
+use ftts_serve::Json;
 use ftts_workload::{ArrivalPattern, Dataset, RequestArrival};
 
 const N_BEAMS: usize = 16;
@@ -82,77 +84,37 @@ fn run_policy(arrivals: &[RequestArrival], plan: &FaultPlan, policy: FaultPolicy
         .expect("faulted run")
 }
 
-fn policy_json(label: &str, run: &BatchRun) -> String {
+fn policy(run: &BatchRun) -> Json {
     let s = run.stream_summary();
-    let classes: Vec<String> = SloClass::ALL
-        .iter()
-        .map(|c| {
-            let cs = &s.per_class[c.index()];
-            format!(
-                r#"        "{name}": {{ "requests": {req}, "completed": {done}, "deadline_misses": {miss}, "shed": {shed}, "latency_p50_s": {p50:.3}, "latency_p99_s": {p99:.3} }}"#,
-                name = c.name(),
-                req = cs.requests,
-                done = cs.completed,
-                miss = cs.deadline_misses,
-                shed = cs.shed,
-                p50 = cs.latency_p50,
-                p99 = cs.latency_p99,
-            )
-        })
-        .collect();
-    format!(
-        r#"    "{label}": {{
-      "deadline_hit_rate": {hit:.4},
-      "slo_goodput_tok_per_s": {slo_gp:.2},
-      "stream_goodput_tok_per_s": {gp:.2},
-      "makespan_s": {makespan:.3},
-      "deadline_misses": {misses},
-      "shed": {shed},
-      "cancelled": {cancelled},
-      "degradations": {degradations},
-      "kernel_faults": {kf},
-      "fault_retries": {retries},
-      "kv_loss_events": {kv},
-      "lost_blocks": {lost},
-      "per_class": {{
-{classes}
-      }}
-    }}"#,
-        hit = s.deadline_hit_rate,
-        slo_gp = s.slo_goodput,
-        gp = s.stream_goodput,
-        makespan = s.makespan,
-        misses = s.deadline_misses,
-        shed = run.shed,
-        cancelled = run.cancelled,
-        degradations = run.degradations,
-        kf = run.kernel_faults,
-        retries = run.fault_retries,
-        kv = run.kv_loss_events,
-        lost = run.lost_blocks,
-        classes = classes.join(",\n"),
-    )
-}
-
-fn wall_json(stats: &SampleStats) -> String {
-    format!(
-        r#"  "degrade_wall_clock": {{
-    "samples": {n},
-    "outliers_rejected": {outliers},
-    "mean_s": {mean:.6},
-    "min_s": {min:.6},
-    "variance_s2": {var:.9},
-    "p50_s": {p50:.6},
-    "p99_s": {p99:.6}
-  }}"#,
-        n = stats.n,
-        outliers = stats.outliers_rejected,
-        mean = stats.mean_seconds,
-        min = stats.min_seconds,
-        var = stats.variance_seconds2,
-        p50 = stats.p50_seconds,
-        p99 = stats.p99_seconds,
-    )
+    let per_class = SloClass::ALL.iter().map(|c| {
+        let cs = &s.per_class[c.index()];
+        (
+            c.name(),
+            Json::object([
+                ("requests", cs.requests.into()),
+                ("completed", cs.completed.into()),
+                ("deadline_misses", cs.deadline_misses.into()),
+                ("shed", cs.shed.into()),
+                ("latency_p50_s", cs.latency_p50.into()),
+                ("latency_p99_s", cs.latency_p99.into()),
+            ]),
+        )
+    });
+    Json::object([
+        ("deadline_hit_rate", s.deadline_hit_rate.into()),
+        ("slo_goodput_tok_per_s", s.slo_goodput.into()),
+        ("stream_goodput_tok_per_s", s.stream_goodput.into()),
+        ("makespan_s", s.makespan.into()),
+        ("deadline_misses", s.deadline_misses.into()),
+        ("shed", run.shed.into()),
+        ("cancelled", run.cancelled.into()),
+        ("degradations", run.degradations.into()),
+        ("kernel_faults", run.kernel_faults.into()),
+        ("fault_retries", run.fault_retries.into()),
+        ("kv_loss_events", run.kv_loss_events.into()),
+        ("lost_blocks", run.lost_blocks.into()),
+        ("per_class", Json::object(per_class)),
+    ])
 }
 
 fn main() {
@@ -231,26 +193,46 @@ fn main() {
 
     println!("\n== pr6: scheduler wall-clock (degrade policy, storm replay) ==");
     let mut criterion = Criterion::default().sample_size(15);
-    let wall = criterion.bench_stats("degrade_storm_replay", |b| {
+    let wall_stats = criterion.bench_stats("degrade_storm_replay", |b| {
         b.iter(|| run_policy(&arrivals, &plan, FaultPolicy::Degrade))
     });
 
     let hit_gain_vs_retry = ds.deadline_hit_rate / rs.deadline_hit_rate.max(1e-12);
     let slo_gain_vs_retry = ds.slo_goodput / rs.slo_goodput.max(1e-12);
-    let json = format!(
-        "{{\n  \"bench\": \"pr6_faults\",\n  \"workload\": {{\n    \"requests\": {requests},\n    \"n_beams\": {N_BEAMS},\n    \"arrival_interval_s\": {ARRIVAL_INTERVAL_S},\n    \"slo_mix\": \"interactive25s/standard50s/batch90s round-robin\",\n    \"storm_seed\": {STORM_SEED},\n    \"storm_horizon_s\": {STORM_HORIZON_S},\n    \"search\": \"beam\"\n  }},\n  \"policies\": {{\n{blind_json},\n{retry_json},\n{degrade_json}\n  }},\n  \"degrade_deadline_hit_rate\": {hit:.4},\n  \"degrade_slo_goodput_tok_per_s\": {slo_gp:.2},\n  \"degrade_hit_rate_gain_vs_naive_retry\": {hit_gain:.3},\n  \"degrade_slo_goodput_gain_vs_naive_retry\": {slo_gain:.3},\n  \"retry_makespan_speedup_vs_no_handling\": {mk_speedup:.3},\n{wall}\n}}\n",
-        requests = arrivals.len(),
-        blind_json = policy_json("no_handling", &blind),
-        retry_json = policy_json("naive_retry", &retry),
-        degrade_json = policy_json("degrade", &degrade),
-        hit = ds.deadline_hit_rate,
-        slo_gp = ds.slo_goodput,
-        hit_gain = hit_gain_vs_retry,
-        slo_gain = slo_gain_vs_retry,
-        mk_speedup = bs.makespan / rs.makespan.max(1e-12),
-        wall = wall_json(&wall),
-    );
-    let out_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_PR6.json");
-    std::fs::write(out_path, &json).expect("write BENCH_PR6.json");
-    println!("\nwrote {out_path}");
+    let mk_speedup = bs.makespan / rs.makespan.max(1e-12);
+    let workload = Json::object([
+        ("requests", arrivals.len().into()),
+        ("n_beams", N_BEAMS.into()),
+        ("arrival_interval_s", ARRIVAL_INTERVAL_S.into()),
+        (
+            "slo_mix",
+            "interactive25s/standard50s/batch90s round-robin".into(),
+        ),
+        ("storm_seed", STORM_SEED.into()),
+        ("storm_horizon_s", STORM_HORIZON_S.into()),
+        ("search", "beam".into()),
+    ]);
+    let policies = Json::object([
+        ("no_handling", policy(&blind)),
+        ("naive_retry", policy(&retry)),
+        ("degrade", policy(&degrade)),
+    ]);
+    let report = Json::object([
+        ("bench", "pr6_faults".into()),
+        ("workload", workload),
+        ("policies", policies),
+        ("degrade_deadline_hit_rate", ds.deadline_hit_rate.into()),
+        ("degrade_slo_goodput_tok_per_s", ds.slo_goodput.into()),
+        (
+            "degrade_hit_rate_gain_vs_naive_retry",
+            hit_gain_vs_retry.into(),
+        ),
+        (
+            "degrade_slo_goodput_gain_vs_naive_retry",
+            slo_gain_vs_retry.into(),
+        ),
+        ("retry_makespan_speedup_vs_no_handling", mk_speedup.into()),
+        ("degrade_wall_clock", wall(&wall_stats)),
+    ]);
+    write_report("BENCH_PR6.json", &report);
 }

@@ -34,7 +34,8 @@
 //!
 //! Run with `cargo bench --bench pr7_kv_tier` (release profile).
 
-use criterion::{Criterion, SampleStats};
+use criterion::Criterion;
+use ftts_bench::{wall, write_report};
 use ftts_core::{
     BatchConfig, BatchRun, BatchedServerSim, EventConfig, EventServerSim, FaultPlan, KvTierConfig,
     StormConfig, TtsServer,
@@ -42,6 +43,7 @@ use ftts_core::{
 use ftts_engine::ModelPairing;
 use ftts_hw::GpuDevice;
 use ftts_search::SearchKind;
+use ftts_serve::Json;
 use ftts_workload::{zipf_problems, ArrivalPattern, Dataset, RequestArrival};
 
 const N_BEAMS: usize = 24;
@@ -103,51 +105,19 @@ fn recompute_tokens(run: &BatchRun) -> u64 {
         .sum()
 }
 
-fn policy_json(label: &str, run: &BatchRun) -> String {
+fn policy(run: &BatchRun) -> Json {
     let s = run.stream_summary();
-    format!(
-        r#"    "{label}": {{
-      "stream_goodput_tok_per_s": {gp:.2},
-      "makespan_s": {makespan:.3},
-      "latency_mean_s": {lat:.3},
-      "preemptions": {preempt},
-      "recompute_tokens": {recompute},
-      "kv_tier_hits": {hits},
-      "kv_tier_demotions": {demotions},
-      "kv_tier_parked_bytes": {parked},
-      "kv_tier_dropped_bytes": {dropped}
-    }}"#,
-        gp = s.stream_goodput,
-        makespan = s.makespan,
-        lat = s.latency.mean,
-        preempt = run.preemptions,
-        recompute = recompute_tokens(run),
-        hits = run.kv_tier_hits,
-        demotions = run.kv_tier_demotions,
-        parked = run.kv_tier_parked_bytes,
-        dropped = run.kv_tier_dropped_bytes,
-    )
-}
-
-fn wall_json(stats: &SampleStats) -> String {
-    format!(
-        r#"  "swap_tier_wall_clock": {{
-    "samples": {n},
-    "outliers_rejected": {outliers},
-    "mean_s": {mean:.6},
-    "min_s": {min:.6},
-    "variance_s2": {var:.9},
-    "p50_s": {p50:.6},
-    "p99_s": {p99:.6}
-  }}"#,
-        n = stats.n,
-        outliers = stats.outliers_rejected,
-        mean = stats.mean_seconds,
-        min = stats.min_seconds,
-        var = stats.variance_seconds2,
-        p50 = stats.p50_seconds,
-        p99 = stats.p99_seconds,
-    )
+    Json::object([
+        ("stream_goodput_tok_per_s", s.stream_goodput.into()),
+        ("makespan_s", s.makespan.into()),
+        ("latency_mean_s", s.latency.mean.into()),
+        ("preemptions", run.preemptions.into()),
+        ("recompute_tokens", recompute_tokens(run).into()),
+        ("kv_tier_hits", run.kv_tier_hits.into()),
+        ("kv_tier_demotions", run.kv_tier_demotions.into()),
+        ("kv_tier_parked_bytes", run.kv_tier_parked_bytes.into()),
+        ("kv_tier_dropped_bytes", run.kv_tier_dropped_bytes.into()),
+    ])
 }
 
 /// The PR's bit-equivalence anchor: a zero-capacity tier must reproduce
@@ -276,23 +246,38 @@ fn main() {
 
     println!("\n== pr7: scheduler wall-clock (ample tier, Zipf replay) ==");
     let mut criterion = Criterion::default().sample_size(15);
-    let wall = criterion.bench_stats("swap_tier_zipf_replay", |b| {
+    let wall_stats = criterion.bench_stats("swap_tier_zipf_replay", |b| {
         b.iter(|| run_tier(&arrivals, KvTierConfig::with_capacity(AMPLE_CAPACITY)))
     });
 
     let goodput_gain = ss.stream_goodput / ds.stream_goodput.max(1e-12);
     let recompute_ratio = drop_rc as f64 / swap_rc.max(1) as f64;
-    let json = format!(
-        "{{\n  \"bench\": \"pr7_kv_tier\",\n  \"workload\": {{\n    \"requests\": {REQUESTS},\n    \"distinct_problems\": {DISTINCT_PROBLEMS},\n    \"zipf_skew\": {ZIPF_SKEW},\n    \"n_beams\": {N_BEAMS},\n    \"burst_requests\": {BURST_REQUESTS},\n    \"trail_start_s\": {TRAIL_START_S},\n    \"trail_interval_s\": {TRAIL_INTERVAL_S},\n    \"memory_fraction\": {MEMORY_FRACTION},\n    \"ample_capacity_bytes\": {AMPLE_CAPACITY},\n    \"starved_capacity_bytes\": {STARVED_CAPACITY},\n    \"search\": \"beam\"\n  }},\n  \"policies\": {{\n{no_tier_json},\n{drop_json},\n{swap_json}\n  }},\n  \"swap_goodput_gain_vs_drop\": {gp_gain:.3},\n  \"drop_to_swap_recompute_ratio\": {rc_ratio:.3},\n  \"swap_tier_prefix_hits\": {hits},\n{wall}\n}}\n",
-        no_tier_json = policy_json("no_tier", &no_tier),
-        drop_json = policy_json("drop_tier", &drop_run),
-        swap_json = policy_json("swap_tier", &swap),
-        gp_gain = goodput_gain,
-        rc_ratio = recompute_ratio,
-        hits = swap.kv_tier_hits,
-        wall = wall_json(&wall),
-    );
-    let out_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_PR7.json");
-    std::fs::write(out_path, &json).expect("write BENCH_PR7.json");
-    println!("\nwrote {out_path}");
+    let workload = Json::object([
+        ("requests", REQUESTS.into()),
+        ("distinct_problems", DISTINCT_PROBLEMS.into()),
+        ("zipf_skew", ZIPF_SKEW.into()),
+        ("n_beams", N_BEAMS.into()),
+        ("burst_requests", BURST_REQUESTS.into()),
+        ("trail_start_s", TRAIL_START_S.into()),
+        ("trail_interval_s", TRAIL_INTERVAL_S.into()),
+        ("memory_fraction", MEMORY_FRACTION.into()),
+        ("ample_capacity_bytes", AMPLE_CAPACITY.into()),
+        ("starved_capacity_bytes", STARVED_CAPACITY.into()),
+        ("search", "beam".into()),
+    ]);
+    let policies = Json::object([
+        ("no_tier", policy(&no_tier)),
+        ("drop_tier", policy(&drop_run)),
+        ("swap_tier", policy(&swap)),
+    ]);
+    let report = Json::object([
+        ("bench", "pr7_kv_tier".into()),
+        ("workload", workload),
+        ("policies", policies),
+        ("swap_goodput_gain_vs_drop", goodput_gain.into()),
+        ("drop_to_swap_recompute_ratio", recompute_ratio.into()),
+        ("swap_tier_prefix_hits", swap.kv_tier_hits.into()),
+        ("swap_tier_wall_clock", wall(&wall_stats)),
+    ]);
+    write_report("BENCH_PR7.json", &report);
 }

@@ -37,7 +37,8 @@
 //!
 //! Run with `cargo bench --bench pr8_fleet` (release profile).
 
-use criterion::{Criterion, SampleStats};
+use criterion::Criterion;
+use ftts_bench::{wall, write_report};
 use ftts_core::{
     BatchConfig, EventConfig, EventServerSim, FaultEvent, FaultKind, FaultPlan, FleetConfig,
     FleetRun, FleetSim, HedgeConfig, KvTierConfig, RoutePolicy, TtsServer,
@@ -46,6 +47,7 @@ use ftts_engine::ModelPairing;
 use ftts_hw::GpuDevice;
 use ftts_metrics::SloClass;
 use ftts_search::SearchKind;
+use ftts_serve::Json;
 use ftts_workload::{zipf_problems, ArrivalPattern, Dataset, RequestArrival};
 
 const N_BEAMS: usize = 16;
@@ -170,53 +172,20 @@ fn crashy_plans() -> Vec<FaultPlan> {
     plans
 }
 
-fn policy_json(label: &str, run: &FleetRun) -> String {
+fn policy(run: &FleetRun) -> Json {
     let s = run.fleet_summary();
-    format!(
-        r#"    "{label}": {{
-      "deadline_hit_rate": {hit:.4},
-      "slo_goodput_tok_per_s": {slo_gp:.2},
-      "stream_goodput_tok_per_s": {gp:.2},
-      "makespan_s": {makespan:.3},
-      "migrations": {mig},
-      "hedges_launched": {hl},
-      "hedges_won": {hw},
-      "hedges_wasted": {hx},
-      "warm_hits": {warm},
-      "crash_downtime_s": {down:.1}
-    }}"#,
-        hit = s.deadline_hit_rate,
-        slo_gp = s.slo_goodput,
-        gp = s.stream_goodput,
-        makespan = s.makespan,
-        mig = run.migrations,
-        hl = run.hedges_launched,
-        hw = run.hedges_won,
-        hx = run.hedges_wasted,
-        warm = run.warm_hits(),
-        down = run.crash_downtime_secs,
-    )
-}
-
-fn wall_json(stats: &SampleStats) -> String {
-    format!(
-        r#"  "failover_wall_clock": {{
-    "samples": {n},
-    "outliers_rejected": {outliers},
-    "mean_s": {mean:.6},
-    "min_s": {min:.6},
-    "variance_s2": {var:.9},
-    "p50_s": {p50:.6},
-    "p99_s": {p99:.6}
-  }}"#,
-        n = stats.n,
-        outliers = stats.outliers_rejected,
-        mean = stats.mean_seconds,
-        min = stats.min_seconds,
-        var = stats.variance_seconds2,
-        p50 = stats.p50_seconds,
-        p99 = stats.p99_seconds,
-    )
+    Json::object([
+        ("deadline_hit_rate", s.deadline_hit_rate.into()),
+        ("slo_goodput_tok_per_s", s.slo_goodput.into()),
+        ("stream_goodput_tok_per_s", s.stream_goodput.into()),
+        ("makespan_s", s.makespan.into()),
+        ("migrations", run.migrations.into()),
+        ("hedges_launched", run.hedges_launched.into()),
+        ("hedges_won", run.hedges_won.into()),
+        ("hedges_wasted", run.hedges_wasted.into()),
+        ("warm_hits", run.warm_hits().into()),
+        ("crash_downtime_s", run.crash_downtime_secs.into()),
+    ])
 }
 
 /// The PR's equivalence anchor: a 1-device fleet with the pass-through
@@ -378,7 +347,7 @@ fn main() {
 
     println!("\n== pr8: scheduler wall-clock (failover + hedge replay) ==");
     let mut criterion = Criterion::default().sample_size(15);
-    let wall = criterion.bench_stats("failover_hedge_replay", |b| {
+    let wall_stats = criterion.bench_stats("failover_hedge_replay", |b| {
         b.iter(|| {
             fleet(DEVICES, RoutePolicy::Jsq, Some(hedge))
                 .run_faulted(&slo_trace, &plans)
@@ -389,19 +358,38 @@ fn main() {
     let hit_gain = fh.deadline_hit_rate / nf.deadline_hit_rate.max(1e-12);
     let slo_gain = fh.slo_goodput / nf.slo_goodput.max(1e-12);
     let warm_gain = affinity.warm_hits() as f64 / (jsq.warm_hits().max(1)) as f64;
-    let json = format!(
-        "{{\n  \"bench\": \"pr8_fleet\",\n  \"workload\": {{\n    \"requests\": {REQUESTS},\n    \"distinct_problems\": {DISTINCT_PROBLEMS},\n    \"zipf_skew\": {ZIPF_SKEW},\n    \"n_beams\": {N_BEAMS},\n    \"devices\": {DEVICES},\n    \"arrival_interval_s\": {ARRIVAL_INTERVAL_S},\n    \"crash_device\": {CRASH_DEVICE},\n    \"crash_at_s\": {CRASH_AT_S},\n    \"crash_down_s\": {CRASH_DOWN_S},\n    \"search\": \"beam\"\n  }},\n  \"policies\": {{\n{nf_json},\n{fh_json},\n{jsq_json},\n{aff_json},\n{single_json},\n{fleet4_json},\n{edge_json},\n{hetero_json}\n  }},\n  \"failover_deadline_hit_gain\": {hit_gain:.3},\n  \"failover_slo_goodput_gain\": {slo_gain:.3},\n  \"affinity_warm_hit_gain\": {warm_gain:.3},\n  \"fleet4_goodput_scaling_x\": {scaling:.3},\n  \"hetero_vs_edge_goodput_x\": {hetero_gain:.3},\n{wall}\n}}\n",
-        nf_json = policy_json("no_failover", &no_failover),
-        fh_json = policy_json("failover_hedge", &failover_hedge),
-        jsq_json = policy_json("jsq", &jsq),
-        aff_json = policy_json("prefix_affinity", &affinity),
-        single_json = policy_json("single_device", &single),
-        fleet4_json = policy_json("fleet4", &fleet4),
-        edge_json = policy_json("edge_orin_only", &edge_only),
-        hetero_json = policy_json("hetero_mixed", &hetero),
-        wall = wall_json(&wall),
-    );
-    let out_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_PR8.json");
-    std::fs::write(out_path, &json).expect("write BENCH_PR8.json");
-    println!("\nwrote {out_path}");
+    let workload = Json::object([
+        ("requests", REQUESTS.into()),
+        ("distinct_problems", DISTINCT_PROBLEMS.into()),
+        ("zipf_skew", ZIPF_SKEW.into()),
+        ("n_beams", N_BEAMS.into()),
+        ("devices", DEVICES.into()),
+        ("arrival_interval_s", ARRIVAL_INTERVAL_S.into()),
+        ("crash_device", CRASH_DEVICE.into()),
+        ("crash_at_s", CRASH_AT_S.into()),
+        ("crash_down_s", CRASH_DOWN_S.into()),
+        ("search", "beam".into()),
+    ]);
+    let policies = Json::object([
+        ("no_failover", policy(&no_failover)),
+        ("failover_hedge", policy(&failover_hedge)),
+        ("jsq", policy(&jsq)),
+        ("prefix_affinity", policy(&affinity)),
+        ("single_device", policy(&single)),
+        ("fleet4", policy(&fleet4)),
+        ("edge_orin_only", policy(&edge_only)),
+        ("hetero_mixed", policy(&hetero)),
+    ]);
+    let report = Json::object([
+        ("bench", "pr8_fleet".into()),
+        ("workload", workload),
+        ("policies", policies),
+        ("failover_deadline_hit_gain", hit_gain.into()),
+        ("failover_slo_goodput_gain", slo_gain.into()),
+        ("affinity_warm_hit_gain", warm_gain.into()),
+        ("fleet4_goodput_scaling_x", scaling.into()),
+        ("hetero_vs_edge_goodput_x", hetero_gain.into()),
+        ("failover_wall_clock", wall(&wall_stats)),
+    ]);
+    write_report("BENCH_PR8.json", &report);
 }

@@ -30,7 +30,8 @@
 //!
 //! Run with `cargo bench --bench pr9_serve` (release profile).
 
-use criterion::{Criterion, SampleStats};
+use criterion::Criterion;
+use ftts_bench::{wall, write_report};
 use ftts_core::{
     BatchConfig, BatchRun, EventConfig, EventServerSim, TenantPolicy, TenantSpec, TtsServer,
 };
@@ -138,22 +139,7 @@ fn rollups(run: &BatchRun, trace: &[RequestArrival]) -> Vec<TenantRollup> {
         .served
         .iter()
         .zip(trace)
-        .map(|(r, a)| {
-            (
-                a.tenant,
-                StreamRecord {
-                    arrived_at: r.arrived_at,
-                    finished_at: r.finished_at,
-                    queue_delay: r.queue_delay(),
-                    accepted_tokens: r.accepted_tokens(),
-                    generator_secs: r.outcome.stats.breakdown().generator_side(),
-                    verifier_secs: r.outcome.stats.breakdown().verifier,
-                    slo: r.slo,
-                    deadline: r.deadline,
-                    completed: !r.shed,
-                },
-            )
-        })
+        .map(|(r, a)| (a.tenant, r.stream_record()))
         .collect();
     TenantRollup::of(&tagged)
 }
@@ -172,47 +158,17 @@ fn tenant_peak(run: &BatchRun, tenant: u32) -> u64 {
         .map_or(0, |&(_, b)| b)
 }
 
-fn tenant_json(label: &str, roll: &TenantRollup, kv_peak: u64) -> String {
+fn tenant(roll: &TenantRollup, kv_peak: u64) -> Json {
     let s = &roll.summary;
-    format!(
-        r#"    "{label}": {{
-      "requests": {req},
-      "deadline_hit_rate": {hit:.4},
-      "mean_latency_s": {mean:.3},
-      "p99_latency_s": {p99:.3},
-      "stream_goodput_tok_per_s": {gp:.2},
-      "accepted_tokens": {tok},
-      "kv_peak_bytes": {peak}
-    }}"#,
-        req = roll.requests,
-        hit = s.deadline_hit_rate,
-        mean = s.latency.mean,
-        p99 = s.latency.p99,
-        gp = s.stream_goodput,
-        tok = s.total_accepted_tokens,
-        peak = kv_peak,
-    )
-}
-
-fn wall_json(label: &str, stats: &SampleStats) -> String {
-    format!(
-        r#"  "{label}": {{
-    "samples": {n},
-    "outliers_rejected": {outliers},
-    "mean_s": {mean:.6},
-    "min_s": {min:.6},
-    "variance_s2": {var:.9},
-    "p50_s": {p50:.6},
-    "p99_s": {p99:.6}
-  }}"#,
-        n = stats.n,
-        outliers = stats.outliers_rejected,
-        mean = stats.mean_seconds,
-        min = stats.min_seconds,
-        var = stats.variance_seconds2,
-        p50 = stats.p50_seconds,
-        p99 = stats.p99_seconds,
-    )
+    Json::object([
+        ("requests", roll.requests.into()),
+        ("deadline_hit_rate", s.deadline_hit_rate.into()),
+        ("mean_latency_s", s.latency.mean.into()),
+        ("p99_latency_s", s.latency.p99.into()),
+        ("stream_goodput_tok_per_s", s.stream_goodput.into()),
+        ("accepted_tokens", s.total_accepted_tokens.into()),
+        ("kv_peak_bytes", kv_peak.into()),
+    ])
 }
 
 /// The serve front door over the identical scenario: submit frames for
@@ -359,16 +315,34 @@ fn main() {
             .deadline_hit_rate
             .max(1.0 / trace.len() as f64);
     let cap_utilization = noisy_peak as f64 / cap as f64;
-    let json = format!(
-        "{{\n  \"bench\": \"pr9_serve\",\n  \"workload\": {{\n    \"victim_requests\": {VICTIM_REQUESTS},\n    \"noisy_requests\": {NOISY_REQUESTS},\n    \"victim_deadline_s\": {VICTIM_DEADLINE_S},\n    \"victim_interval_s\": {VICTIM_INTERVAL_S},\n    \"n_beams\": {N_BEAMS},\n    \"max_batch\": {MAX_BATCH},\n    \"noisy_cap_div\": {NOISY_CAP_DIV},\n    \"noisy_max_in_flight\": {NOISY_MAX_IN_FLIGHT},\n    \"memory_fraction\": {MEMORY_FRACTION},\n    \"search\": \"beam\"\n  }},\n  \"uncapped\": {{\n{uv},\n{un}\n  }},\n  \"fair_share\": {{\n{fv},\n{fn_}\n  }},\n  \"victim_deadline_hit_gain\": {hit_gain:.3},\n  \"noisy_cap_utilization\": {cap_utilization:.4},\n  \"front_door_victim_hit_rate\": {door_victim_hit:.4},\n{sim_wall_json},\n{door_wall_json}\n}}\n",
-        uv = tenant_json("victim", u_victim, tenant_peak(&uncapped, VICTIM)),
-        un = tenant_json("noisy", u_noisy, tenant_peak(&uncapped, NOISY)),
-        fv = tenant_json("victim", f_victim, tenant_peak(&fair, VICTIM)),
-        fn_ = tenant_json("noisy", f_noisy, tenant_peak(&fair, NOISY)),
-        sim_wall_json = wall_json("fair_share_wall_clock", &sim_wall),
-        door_wall_json = wall_json("front_door_wall_clock", &door_wall),
-    );
-    let out_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_PR9.json");
-    std::fs::write(out_path, &json).expect("write BENCH_PR9.json");
-    println!("\nwrote {out_path}");
+    let tenants = |run: &BatchRun, victim: &TenantRollup, noisy: &TenantRollup| {
+        Json::object([
+            ("victim", tenant(victim, tenant_peak(run, VICTIM))),
+            ("noisy", tenant(noisy, tenant_peak(run, NOISY))),
+        ])
+    };
+    let workload = Json::object([
+        ("victim_requests", VICTIM_REQUESTS.into()),
+        ("noisy_requests", NOISY_REQUESTS.into()),
+        ("victim_deadline_s", VICTIM_DEADLINE_S.into()),
+        ("victim_interval_s", VICTIM_INTERVAL_S.into()),
+        ("n_beams", N_BEAMS.into()),
+        ("max_batch", MAX_BATCH.into()),
+        ("noisy_cap_div", NOISY_CAP_DIV.into()),
+        ("noisy_max_in_flight", NOISY_MAX_IN_FLIGHT.into()),
+        ("memory_fraction", MEMORY_FRACTION.into()),
+        ("search", "beam".into()),
+    ]);
+    let report = Json::object([
+        ("bench", "pr9_serve".into()),
+        ("workload", workload),
+        ("uncapped", tenants(&uncapped, u_victim, u_noisy)),
+        ("fair_share", tenants(&fair, f_victim, f_noisy)),
+        ("victim_deadline_hit_gain", hit_gain.into()),
+        ("noisy_cap_utilization", cap_utilization.into()),
+        ("front_door_victim_hit_rate", door_victim_hit.into()),
+        ("fair_share_wall_clock", wall(&sim_wall)),
+        ("front_door_wall_clock", wall(&door_wall)),
+    ]);
+    write_report("BENCH_PR9.json", &report);
 }

@@ -609,16 +609,43 @@ mod tests {
         assert!(Json::parse("{} trailing").is_err());
     }
 
+    /// The repo root, where the committed reports live.
+    fn repo_root() -> std::path::PathBuf {
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+    }
+
+    /// Every committed `BENCH_PR*.json`, discovered on disk, sorted.
+    fn committed_reports() -> Vec<String> {
+        let mut reports: Vec<String> = std::fs::read_dir(repo_root())
+            .expect("repo root is readable")
+            .map(|e| {
+                e.expect("dir entry")
+                    .file_name()
+                    .into_string()
+                    .expect("utf8 name")
+            })
+            .filter(|n| n.starts_with("BENCH_PR") && n.ends_with(".json"))
+            .collect();
+        reports.sort();
+        reports
+    }
+
     #[test]
     fn parses_the_real_reports() {
-        // The committed baselines must stay parseable by the gate.
-        for file in ["BENCH_PR1.json", "BENCH_PR2.json", "BENCH_PR3.json"] {
-            let path = Path::new(env!("CARGO_MANIFEST_DIR"))
-                .join("../..")
-                .join(file);
-            let text = std::fs::read_to_string(&path).expect("baseline exists");
+        // Every committed baseline must parse, and every gated path must
+        // resolve to a number in it.
+        let specs = default_specs();
+        for file in committed_reports() {
+            let text = std::fs::read_to_string(repo_root().join(&file)).expect("baseline exists");
             let json = Json::parse(&text).expect("baseline parses");
             assert!(at_path(&json, "bench").is_some(), "{file} names its bench");
+            for spec in specs.iter().filter(|s| s.file == file) {
+                assert!(
+                    number_at_path(&json, spec.path).is_some(),
+                    "{file}: gated path '{}' is not a number",
+                    spec.path
+                );
+            }
         }
     }
 
@@ -692,18 +719,7 @@ mod tests {
         // list: any `BENCH_PR*.json` landing in the repo root without a
         // gated metric fails this test until a spec is added.
         let specs = default_specs();
-        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-        let mut reports: Vec<String> = std::fs::read_dir(&root)
-            .expect("repo root is readable")
-            .map(|e| {
-                e.expect("dir entry")
-                    .file_name()
-                    .into_string()
-                    .expect("utf8 name")
-            })
-            .filter(|n| n.starts_with("BENCH_PR") && n.ends_with(".json"))
-            .collect();
-        reports.sort();
+        let reports = committed_reports();
         assert!(
             reports.len() >= 8,
             "the committed BENCH_PR*.json baselines must be present (found {reports:?})"

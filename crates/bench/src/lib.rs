@@ -3,20 +3,25 @@
 //! Every figure in the paper's evaluation has a `[[bench]]` target in
 //! this crate (`harness = false`), so `cargo bench --workspace`
 //! regenerates the full evaluation as printed tables. EXPERIMENTS.md
-//! records the paper-vs-measured comparison. The [`gate`] module (and
-//! the `bench-gate` binary) compares freshly emitted `BENCH_PR*.json`
-//! reports against committed baselines so CI catches cross-PR
-//! regressions of earlier wins.
+//! records the paper-vs-measured comparison. The PR benches build their
+//! `BENCH_PR*.json` reports as [`Json`] values and save them with
+//! [`write_report`]; the [`gate`] module (and the `bench-gate` binary)
+//! compares freshly emitted reports against committed baselines so CI
+//! catches cross-PR regressions of earlier wins.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod gate;
 
+use std::path::Path;
+
+use criterion::SampleStats;
 use ftts_core::{AblationFlags, ServeOutcome, TtsServer};
 use ftts_engine::{EngineError, ModelPairing};
 use ftts_hw::GpuDevice;
 use ftts_model::ProblemSpec;
 use ftts_search::SearchKind;
+use ftts_serve::Json;
 use ftts_workload::Dataset;
 
 /// The paper's three generator+verifier configurations (Sec. 6.1).
@@ -109,6 +114,40 @@ pub fn speedup(fast: f64, base: f64) -> String {
     } else {
         format!("{:.2}x", fast / base)
     }
+}
+
+/// A wall-clock sample distribution as a report object.
+pub fn wall(stats: &SampleStats) -> Json {
+    Json::object([
+        ("samples", stats.n.into()),
+        ("outliers_rejected", stats.outliers_rejected.into()),
+        ("mean_s", stats.mean_seconds.into()),
+        ("min_s", stats.min_seconds.into()),
+        ("variance_s2", stats.variance_seconds2.into()),
+        ("p50_s", stats.p50_seconds.into()),
+        ("p99_s", stats.p99_seconds.into()),
+    ])
+}
+
+/// Write `report` pretty-printed to `file` at the repository root, where
+/// `bench-gate` reads the committed baselines.
+///
+/// # Panics
+///
+/// Panics when the text does not read back as `report` (a non-finite
+/// number prints as `null`) or the file cannot be written.
+pub fn write_report(file: &str, report: &Json) {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .join(file);
+    let text = format!("{report:#}\n");
+    assert_eq!(
+        Json::parse(&text).as_ref(),
+        Ok(report),
+        "{file} must read back as written"
+    );
+    std::fs::write(&path, text).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+    println!("\nwrote {}", path.display());
 }
 
 #[cfg(test)]

@@ -309,17 +309,7 @@ impl BatchRun {
         let records: Vec<StreamRecord> = self
             .served
             .iter()
-            .map(|r| StreamRecord {
-                arrived_at: r.arrived_at,
-                finished_at: r.finished_at,
-                queue_delay: r.queue_delay(),
-                accepted_tokens: r.accepted_tokens(),
-                generator_secs: r.outcome.stats.breakdown().generator_side(),
-                verifier_secs: r.outcome.stats.breakdown().verifier,
-                slo: r.slo,
-                deadline: r.deadline,
-                completed: !r.shed,
-            })
+            .map(ServedRequest::stream_record)
             .collect();
         let occupancy = if self.ver_sweeps > 0 {
             self.ver_seqs as f64 / self.ver_sweeps as f64

@@ -43,11 +43,13 @@
 //! ordered event timeline (arrivals, crashes, hedge checks, hedge
 //! resolutions), and every router observable (queue depths, completed
 //! latencies, EWMA health) is derived from per-device simulations that
-//! are themselves deterministic. The final authoritative device runs
-//! execute in parallel on the [`sweep`](crate::sweep) work-stealing
-//! harness and are `debug_assert`-checked bit-identical to the
-//! sequential caches — fleet results are invariant to worker-thread
-//! count. A 1-device fleet with the pass-through router is bit-identical
+//! are themselves deterministic. Each device's run is cached and
+//! re-simulated after every leg or cancel edit on it, so when the event
+//! queue drains the caches *are* the final device runs: the fleet
+//! returns them without simulating any device again, and spawns no
+//! worker threads. Debug builds re-run every device once more and
+//! assert that the rerun's `{:?}` equals the cache's, field for field.
+//! A 1-device fleet with the pass-through router is bit-identical
 //! to bare [`EventServerSim`](crate::EventServerSim), faulted and
 //! fault-free (enforced in `crates/core/tests/fleet.rs`).
 
@@ -60,7 +62,6 @@ use crate::batch_server::BatchRun;
 use crate::event_server::{EventConfig, PrewarmPrefix, RunDirectives};
 use crate::faults::FaultPlan;
 use crate::server::{ServedRequest, TtsServer};
-use crate::sweep::parallel_map;
 use crate::timeline::{TimelineServerSim, TimelineTuning};
 
 /// How the fleet router picks a replica for a fresh (or migrated, or
@@ -292,17 +293,7 @@ impl FleetRun {
     pub fn fleet_records(&self) -> Vec<StreamRecord> {
         self.served
             .iter()
-            .map(|r| StreamRecord {
-                arrived_at: r.arrived_at,
-                finished_at: r.finished_at,
-                queue_delay: r.queue_delay(),
-                accepted_tokens: r.accepted_tokens(),
-                generator_secs: r.outcome.stats.breakdown().generator_side(),
-                verifier_secs: r.outcome.stats.breakdown().verifier,
-                slo: r.slo,
-                deadline: r.deadline,
-                completed: !r.shed,
-            })
+            .map(ServedRequest::stream_record)
             .collect()
     }
 
@@ -467,7 +458,7 @@ impl FleetSim {
             }
         }
         engine.drive()?;
-        engine.finish(crash_downtime_secs)
+        Ok(engine.finish(crash_downtime_secs))
     }
 }
 
@@ -942,31 +933,23 @@ impl<'a> FleetEngine<'a> {
         Ok(())
     }
 
-    /// Authoritative parallel execution of every device timeline plus
-    /// fleet-level record assembly.
-    fn finish(mut self, crash_downtime_secs: f64) -> Result<FleetRun, EngineError> {
-        let devices: Vec<usize> = (0..self.sim.devices.len()).collect();
-        let runs: Vec<Result<(BatchRun, Vec<usize>), EngineError>> =
-            parallel_map(&devices, |_, &d| {
-                let cache = self.states[d].as_ref().expect("device simulated");
-                let order = cache.order.clone();
-                let (sub, directives) = self.device_stream(d, &order);
-                let run = device_run(self.sim, d, &sub, &self.device_plans[d], &directives)?;
-                Ok((run, order))
-            });
-        let mut device_runs = Vec::with_capacity(devices.len());
-        for (d, r) in runs.into_iter().enumerate() {
-            let (run, order) = r?;
-            let cached = self.states[d].as_ref().expect("device simulated");
-            debug_assert!(
-                runs_equivalent(&cached.run, &run),
-                "parallel re-execution must be bit-identical to the sequential cache"
+    /// Fleet-level record assembly over the cached device runs, which
+    /// [`FleetEngine::resim`] keeps current after every leg and cancel
+    /// edit.
+    fn finish(self, crash_downtime_secs: f64) -> FleetRun {
+        // Debug builds re-run every device once and check its cache on
+        // every field.
+        #[cfg(debug_assertions)]
+        for (d, cache) in self.states.iter().enumerate() {
+            let cache = cache.as_ref().expect("device simulated");
+            let (sub, directives) = self.device_stream(d, &cache.order);
+            let rerun = device_run(self.sim, d, &sub, &self.device_plans[d], &directives)
+                .expect("the cached run succeeded on the same inputs");
+            assert_eq!(
+                format!("{:?}", cache.run),
+                format!("{rerun:?}"),
+                "device {d}'s cached run is stale"
             );
-            self.states[d] = Some(DeviceCache {
-                run: run.clone(),
-                order,
-            });
-            device_runs.push(run);
         }
 
         // Per-request winner selection and migration accounting.
@@ -1032,7 +1015,12 @@ impl<'a> FleetEngine<'a> {
             }
         }
         let hedges_wasted = hedges_launched - hedges_won;
-        Ok(FleetRun {
+        let device_runs = self
+            .states
+            .into_iter()
+            .map(|cache| cache.expect("device simulated").run)
+            .collect();
+        FleetRun {
             device_runs,
             served,
             serving_device,
@@ -1041,27 +1029,8 @@ impl<'a> FleetEngine<'a> {
             hedges_won,
             hedges_wasted,
             crash_downtime_secs,
-        })
+        }
     }
-}
-
-/// Bit-equivalence of two device runs on every scheduler-visible
-/// surface (used to assert the parallel final pass reproduces the
-/// sequential caches).
-fn runs_equivalent(a: &BatchRun, b: &BatchRun) -> bool {
-    a.served.len() == b.served.len()
-        && a.rounds == b.rounds
-        && a.group_iters == b.group_iters
-        && a.preemptions == b.preemptions
-        && a.shed == b.shed
-        && a.cancelled == b.cancelled
-        && a.kv_tier_hits == b.kv_tier_hits
-        && a.served.iter().zip(&b.served).all(|(x, y)| {
-            x.started_at == y.started_at
-                && x.finished_at == y.finished_at
-                && x.shed == y.shed
-                && x.outcome.answer == y.outcome.answer
-        })
 }
 
 #[cfg(test)]

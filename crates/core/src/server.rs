@@ -5,6 +5,7 @@ use ftts_engine::{
     RunStats, SearchDriver, SpecConfig, StaticSplitPlanner,
 };
 use ftts_hw::GpuDevice;
+use ftts_metrics::StreamRecord;
 use ftts_model::ProblemSpec;
 use ftts_search::{make_driver, SearchKind};
 use ftts_workload::RequestArrival;
@@ -346,6 +347,23 @@ impl ServedRequest {
     /// Accepted (generated, completed-beam) tokens of the request.
     pub fn accepted_tokens(&self) -> u64 {
         self.outcome.stats.beams.iter().map(|b| b.tokens).sum()
+    }
+
+    /// The slice of this request that stream summaries and tenant
+    /// rollups read.
+    pub fn stream_record(&self) -> StreamRecord {
+        let breakdown = self.outcome.stats.breakdown();
+        StreamRecord {
+            arrived_at: self.arrived_at,
+            finished_at: self.finished_at,
+            queue_delay: self.queue_delay(),
+            accepted_tokens: self.accepted_tokens(),
+            generator_secs: breakdown.generator_side(),
+            verifier_secs: breakdown.verifier,
+            slo: self.slo,
+            deadline: self.deadline,
+            completed: !self.shed,
+        }
     }
 
     /// Whether the request missed its SLO: shed, or finished past its

@@ -18,9 +18,9 @@
 //!    in input order, so [`ServerSim::run_parallel`] and [`sweep`]
 //!    produce exactly the bytes a sequential loop would, regardless of
 //!    worker count or interleaving. The fleet layer
-//!    (`crate::fleet::FleetSim`) leans on the same property: its final
-//!    per-device pass runs on [`parallel_map`] and is debug-asserted
-//!    bit-identical to the sequential routing loop's cached timelines.
+//!    (`crate::fleet::FleetSim`) does not use the pool: its routing
+//!    loop already holds every device's final run, so it simulates no
+//!    device a second time.
 //!
 //! # Why not rayon
 //!

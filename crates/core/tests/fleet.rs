@@ -5,10 +5,10 @@
 //!   buckets — fault-free, under a (crash-free) fault storm, and with a
 //!   crash-bearing plan in no-failover mode (where the crash stays an
 //!   on-device outage).
-//! * N-device fleet results are deterministic and invariant to worker
-//!   -thread count: the final device timelines execute on the parallel
-//!   sweep harness and are `debug_assert`-checked bit-identical to the
-//!   sequential routing caches on every run of this suite.
+//! * N-device fleet results are deterministic: the fleet returns the
+//!   routing loop's cached device runs, and in a debug build (this
+//!   suite's default) re-runs every device once and checks that the
+//!   rerun's `{:?}` equals the cache's on every fleet run.
 //! * A hedged duplicate never changes the winning answer — scheduling
 //!   moves clocks, never outcomes.
 //! * Crash failover migrates interrupted requests to survivors and
@@ -185,8 +185,8 @@ fn crashy_plans() -> Vec<FaultPlan> {
 }
 
 /// N-device fleets are deterministic run-to-run, and (via the
-/// `debug_assert` in the final parallel pass, active in this build)
-/// invariant to sweep worker-thread count.
+/// debug-build rerun of every device in `finish`) their cached device
+/// runs are current.
 #[test]
 fn fleet_results_are_deterministic_across_reruns() {
     let stream = arrivals(8, 77, 6.0);

@@ -1,18 +1,26 @@
-//! Minimal line-JSON reader and string escaping for the wire protocol.
+//! Minimal JSON reader and writer for the wire protocol and the bench
+//! reports.
 //!
 //! The workspace is offline and the vendored `serde` shim has no
-//! deserializer, so the server parses incoming frames with this
-//! hand-rolled reader. It supports exactly the subset the protocol
-//! uses: one object per line built from objects, arrays, numbers,
-//! strings (every escape, `\uXXXX` and surrogate pairs included),
-//! booleans and `null`, nested at most 32 levels deep (the reader
-//! recurses once per level, so an unbounded nest of `[` would overflow
-//! the stack). Replies are *written* with plain
-//! `format!` plus [`escape`] so their field order is fixed by
-//! construction — byte-identical replies are part of the determinism
-//! contract the replay tests assert.
+//! (de)serializer, so the server parses incoming frames with this
+//! hand-rolled reader, and the benches build their `BENCH_PR*.json`
+//! reports as [`Json`] values and print them with its
+//! [`Display`](fmt::Display) impl: `{}` compact, `{:#}` two-space
+//! pretty. It supports exactly the subset both use: objects, arrays,
+//! finite numbers, strings (every escape, `\uXXXX` and surrogate pairs
+//! included), booleans and `null`, nested at most 32 levels deep (the
+//! reader recurses once per level, so an unbounded nest of `[` would
+//! overflow the stack). Every value the reader returns prints back to
+//! text that reads as the same value.
+//!
+//! Objects are `BTreeMap`s, so the writer prints keys sorted. Server
+//! replies therefore stay plain `format!` plus [`escape`]: their field
+//! order and fixed decimals are fixed by construction, and
+//! byte-identical replies are part of the determinism contract the
+//! replay tests assert.
 
 use std::collections::BTreeMap;
+use std::fmt;
 
 /// Deepest object/array nesting [`Json::parse`] accepts. Protocol frames
 /// are flat objects (depth 1); anything deeper than this is refused as
@@ -26,7 +34,9 @@ pub enum Json {
     Object(BTreeMap<String, Json>),
     /// An array.
     Array(Vec<Json>),
-    /// A number (all JSON numbers read as `f64`).
+    /// A number (all JSON numbers read as `f64`). The reader only
+    /// returns finite numbers; the writer prints a non-finite one as
+    /// `null`, since JSON text cannot carry it.
     Number(f64),
     /// A string.
     String(String),
@@ -51,6 +61,16 @@ impl Json {
             return Err(format!("trailing content at byte {pos}"));
         }
         Ok(value)
+    }
+
+    /// An object of `fields`; a repeated key keeps its last value.
+    pub fn object<'a>(fields: impl IntoIterator<Item = (&'a str, Json)>) -> Json {
+        Json::Object(
+            fields
+                .into_iter()
+                .map(|(key, value)| (key.to_string(), value))
+                .collect(),
+        )
     }
 
     /// The string at `key` of an object, if present and a string.
@@ -168,9 +188,12 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Stri
                 *pos += 1;
             }
             let s = std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?;
-            s.parse::<f64>()
-                .map(Json::Number)
-                .map_err(|_| format!("invalid number '{s}' at byte {start}"))
+            match s.parse::<f64>() {
+                // An overflowing literal reads as ±inf, which no JSON
+                // text can carry back: refuse it.
+                Ok(x) if x.is_finite() => Ok(Json::Number(x)),
+                _ => Err(format!("invalid number '{s}' at byte {start}")),
+            }
         }
         None => Err("unexpected end of input".to_string()),
     }
@@ -246,6 +269,95 @@ fn parse_hex4(bytes: &[u8], pos: &mut usize) -> Result<u32, String> {
     u32::from_str_radix(digits, 16).map_err(|e| e.to_string())
 }
 
+/// Integers convert exactly up to 2^53; larger ones round to the
+/// nearest `f64`, as every JSON number is read back as one.
+impl From<u64> for Json {
+    fn from(x: u64) -> Self {
+        Json::Number(x as f64)
+    }
+}
+
+impl From<u32> for Json {
+    fn from(x: u32) -> Self {
+        Json::Number(f64::from(x))
+    }
+}
+
+/// Exact up to 2^53, like `From<u64>`.
+impl From<usize> for Json {
+    fn from(x: usize) -> Self {
+        Json::Number(x as f64)
+    }
+}
+
+impl From<f64> for Json {
+    fn from(x: f64) -> Self {
+        Json::Number(x)
+    }
+}
+
+impl From<bool> for Json {
+    fn from(b: bool) -> Self {
+        Json::Bool(b)
+    }
+}
+
+impl From<&str> for Json {
+    fn from(s: &str) -> Self {
+        Json::String(s.to_string())
+    }
+}
+
+/// JSON text: compact with `{}`, two-space indented with `{:#}`.
+/// Finite numbers print in Rust's shortest round-trip form, so
+/// `Json::parse(&v.to_string())` returns `v` for every value the reader
+/// produces.
+impl fmt::Display for Json {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write_value(self, f, f.alternate(), 0)
+    }
+}
+
+/// Write `value`, whose container sits `depth` levels deep.
+fn write_value(
+    value: &Json,
+    f: &mut fmt::Formatter<'_>,
+    pretty: bool,
+    depth: usize,
+) -> fmt::Result {
+    let (open, close, members): (_, _, Vec<(Option<&str>, &Json)>) = match value {
+        Json::Object(map) => (
+            '{',
+            '}',
+            map.iter().map(|(k, v)| (Some(k.as_str()), v)).collect(),
+        ),
+        Json::Array(items) => ('[', ']', items.iter().map(|v| (None, v)).collect()),
+        Json::Number(x) if x.is_finite() => return write!(f, "{x}"),
+        Json::Number(_) | Json::Null => return f.write_str("null"),
+        Json::String(s) => return write!(f, "\"{}\"", escape(s)),
+        Json::Bool(b) => return write!(f, "{b}"),
+    };
+    let newline = |depth: usize| {
+        if pretty {
+            format!("\n{}", "  ".repeat(depth))
+        } else {
+            String::new()
+        }
+    };
+    write!(f, "{open}")?;
+    for (i, (key, member)) in members.iter().enumerate() {
+        write!(f, "{}{}", if i > 0 { "," } else { "" }, newline(depth + 1))?;
+        if let Some(key) = key {
+            write!(f, "\"{}\":{}", escape(key), if pretty { " " } else { "" })?;
+        }
+        write_value(member, f, pretty, depth + 1)?;
+    }
+    if !members.is_empty() {
+        f.write_str(&newline(depth))?;
+    }
+    write!(f, "{close}")
+}
+
 /// Escape a string for embedding inside a JSON string literal.
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
@@ -298,9 +410,41 @@ mod tests {
             "\"\\udd80\"",
             "\"\\u12\"",
             "\"\\u12g4\"",
+            "1e999",
+            "-1e999",
         ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} must not parse");
         }
+    }
+
+    #[test]
+    fn writes_sorted_compact_and_pretty_text() {
+        let v = Json::object([
+            ("s", "q\"\n".into()),
+            (
+                "n",
+                Json::Array(vec![16u64.into(), 0.1.into(), f64::NAN.into()]),
+            ),
+            ("e", Json::object([])),
+            ("t", true.into()),
+        ]);
+        assert_eq!(
+            v.to_string(),
+            r#"{"e":{},"n":[16,0.1,null],"s":"q\"\n","t":true}"#
+        );
+        assert_eq!(
+            format!("{v:#}"),
+            r#"{
+  "e": {},
+  "n": [
+    16,
+    0.1,
+    null
+  ],
+  "s": "q\"\n",
+  "t": true
+}"#
+        );
     }
 
     #[test]

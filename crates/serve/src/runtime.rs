@@ -309,20 +309,7 @@ impl ServeRuntime {
                 continue;
             }
             let r = self.cache.outcomes.get(&idx).expect("active sub resolved");
-            tagged.push((
-                sub.frame.tenant,
-                StreamRecord {
-                    arrived_at: r.arrived_at,
-                    finished_at: r.finished_at,
-                    queue_delay: r.queue_delay(),
-                    accepted_tokens: r.accepted_tokens(),
-                    generator_secs: r.outcome.stats.breakdown().generator_side(),
-                    verifier_secs: r.outcome.stats.breakdown().verifier,
-                    slo: r.slo,
-                    deadline: r.deadline,
-                    completed: !r.shed,
-                },
-            ));
+            tagged.push((sub.frame.tenant, r.stream_record()));
         }
         let rollups = TenantRollup::of(&tagged);
         let peak = |tenant: u32| {

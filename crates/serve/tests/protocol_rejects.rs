@@ -65,6 +65,8 @@ fn malformed_frames_never_reach_admission() {
         "{\"op\":\"submit\",\"id\":\"r\",\"tenant\":0,\"slo\":\"platinum\",\"dataset\":\"amc2023\",\"problem_seed\":1}",
         "{\"op\":\"submit\",\"id\":\"r\",\"tenant\":0,\"slo\":\"standard\",\"dataset\":\"cifar\",\"problem_seed\":1}",
         &deep_nest,
+        // Overflows f64: once read as +inf, i.e. "no deadline".
+        "{\"op\":\"submit\",\"id\":\"r\",\"tenant\":0,\"slo\":\"standard\",\"dataset\":\"amc2023\",\"problem_seed\":1,\"deadline_secs\":1e999}",
     ] {
         assert_rejected(&mut rt, line, "malformed");
     }
@@ -74,7 +76,7 @@ fn malformed_frames_never_reach_admission() {
     let stats = rt.handle_line("{\"op\":\"stats\"}");
     assert!(stats.reply.contains("\"ok\":true"), "{}", stats.reply);
     assert!(stats.reply.contains("\"requests\":0"), "{}", stats.reply);
-    assert!(stats.reply.contains("\"rejected\":7"), "{}", stats.reply);
+    assert!(stats.reply.contains("\"rejected\":8"), "{}", stats.reply);
 }
 
 #[test]
