@@ -23,6 +23,8 @@
 //!
 //! [`TimelineServerSim`]: crate::TimelineServerSim
 
+use std::rc::Rc;
+
 use ftts_engine::{EngineError, RequestRun, RunStats, SearchDriver, VerifyCharge, VerifyChunk};
 use ftts_kv::{ShareRequest, TenantShareRequest};
 use ftts_metrics::SloClass;
@@ -391,7 +393,7 @@ impl LoopState<'_> {
     pub(crate) fn admit(&mut self, global: f64) -> Result<bool, EngineError> {
         let config = self.batch();
         let edf = config.robust.slo_enforcement();
-        let arrivals = self.arrivals;
+        let arrivals = Rc::clone(&self.arrivals);
         let mut admitted = false;
         // Without mid-flight admission the gate only opens while the device
         // is idle — but once open, the whole gang fills (up to `max_batch`)
@@ -678,8 +680,13 @@ impl LoopState<'_> {
     /// replica. Reclaim is total (see [`LoopState::cancel`]), so tier usage
     /// returns to its pre-request level.
     pub(crate) fn apply_cancels(&mut self, now: f64) {
-        let cancels = &self.directives.cancels;
-        let due = |idx: usize| cancels.iter().any(|&(i, t)| i == idx && t <= now);
+        let directives = Rc::clone(&self.directives);
+        let due = |idx: usize| {
+            directives
+                .cancels
+                .iter()
+                .any(|&(i, t)| i == idx && t <= now)
+        };
         let shed: Vec<usize> = self.waiting.extract_if(.., |&mut idx| due(idx)).collect();
         self.cancel(now, &shed, false, |a| due(a.idx));
     }
@@ -727,7 +734,7 @@ impl LoopState<'_> {
             if publish {
                 self.publish_prompt(idx);
             }
-            self.served[idx] = Some(a.seal(Some(now)));
+            self.seal(a, Some(now));
             self.run.cancelled += 1;
         }
         if dropped {
@@ -898,7 +905,12 @@ mod tests {
 
         let (plan, directives) = (FaultPlan::none(), RunDirectives::default());
         let run = |tier: HostTier| {
-            let mut state = LoopState::new(&sim, &arrivals, &plan, &directives);
+            let mut state = LoopState::new(
+                &sim,
+                arrivals.as_slice().into(),
+                &plan,
+                Rc::new(directives.clone()),
+            );
             state.pool = PoolBudget::new(pool_bytes);
             state.tier = tier;
             state.waiting.push(0);

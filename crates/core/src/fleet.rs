@@ -43,15 +43,30 @@
 //! ordered event timeline (arrivals, crashes, hedge checks, hedge
 //! resolutions), and every router observable (queue depths, completed
 //! latencies, EWMA health) is derived from per-device simulations that
-//! are themselves deterministic. Each device's run is cached and
-//! re-simulated after every leg or cancel edit on it, so when the event
-//! queue drains the caches *are* the final device runs: the fleet
-//! returns them without simulating any device again, and spawns no
-//! worker threads. Debug builds re-run every device once more and
-//! assert that the rerun's `{:?}` equals the cache's, field for field.
-//! A 1-device fleet with the pass-through router is bit-identical
+//! are themselves deterministic.
+//!
+//! Each device keeps one live run of the timeline loop over its current
+//! legs, stepped lazily. An edit to its legs (a new leg, a cancel, a
+//! revived hedge loser) restarts the run from scratch and simulates
+//! nothing. A router query at instant `t` steps each device it reads
+//! until the device's next launch lies past `t` (`t` may be a future
+//! instant, such as a migration's landing), then reads only records
+//! sealed by `t` and the start of requests still in flight. Only the
+//! hedge paths read a leg's final outcome (whether it is shed, and
+//! when it finishes); they step that device until the leg is sealed.
+//! When the event queue drains, every device runs to completion in
+//! place: the fleet simulates no device a second time and spawns no
+//! worker threads. The output is bit-identical to re-simulating each
+//! device from t=0 after every edit.
+//!
+//! Debug builds check that claim on every query: each time-bounded
+//! answer, and each final outcome, must equal the same read of the
+//! device's full run, simulated from scratch once per version of its
+//! legs. A 1-device fleet with the pass-through router is bit-identical
 //! to bare [`EventServerSim`](crate::EventServerSim), faulted and
 //! fault-free (enforced in `crates/core/tests/fleet.rs`).
+
+use std::rc::Rc;
 
 use ftts_engine::EngineError;
 use ftts_metrics::{FleetSummary, StreamRecord, StreamSummary};
@@ -62,7 +77,7 @@ use crate::batch_server::BatchRun;
 use crate::event_server::{EventConfig, PrewarmPrefix, RunDirectives};
 use crate::faults::FaultPlan;
 use crate::server::{ServedRequest, TtsServer};
-use crate::timeline::{TimelineServerSim, TimelineTuning};
+use crate::timeline::{LoopState, TimelineServerSim, TimelineTuning};
 
 /// How the fleet router picks a replica for a fresh (or migrated, or
 /// hedged) request.
@@ -251,16 +266,6 @@ impl Ord for FleetEvent {
     }
 }
 
-/// A device's cached simulation: the authoritative timeline for its
-/// currently assigned legs and directives.
-#[derive(Debug, Clone)]
-struct DeviceCache {
-    run: BatchRun,
-    /// Global leg ids in the arrival order fed to the simulator —
-    /// `run.served[i]` is the record of leg `order[i]`.
-    order: Vec<usize>,
-}
-
 /// What one fleet run produced.
 #[derive(Debug, Clone)]
 pub struct FleetRun {
@@ -433,14 +438,25 @@ impl FleetSim {
                 (plans.to_vec(), vec![Vec::new(); plans.len()])
             };
 
+        // Every replica runs the same policy; build its scheduler once.
+        let policy = self.config.timeline.config(self.config.event);
+        let sims: Vec<TimelineServerSim> = self
+            .devices
+            .iter()
+            .map(|server| TimelineServerSim::new(server.clone(), self.n, self.kind, policy))
+            .collect();
         let mut engine = FleetEngine {
             sim: self,
             arrivals,
-            device_plans: &device_plans,
             crash_windows: &crash_windows,
             legs: Vec::new(),
             legs_by_device: vec![Vec::new(); self.devices.len()],
-            states: vec![None; self.devices.len()],
+            slot: Vec::new(),
+            replicas: sims
+                .iter()
+                .zip(&device_plans)
+                .map(|(sim, plan)| Replica::new(sim, plan))
+                .collect(),
             pairs: Vec::new(),
             events: std::collections::BinaryHeap::new(),
             event_seq: 0,
@@ -458,33 +474,130 @@ impl FleetSim {
             }
         }
         engine.drive()?;
-        Ok(engine.finish(crash_downtime_secs))
+        engine.finish(crash_downtime_secs)
     }
 }
 
-/// Run one device's arrival sub-stream through the timeline loop under
-/// the fleet's event policy and timeline tuning.
-fn device_run(
-    sim: &FleetSim,
-    d: usize,
-    sub: &[RequestArrival],
-    plan: &FaultPlan,
-    directives: &RunDirectives,
-) -> Result<BatchRun, EngineError> {
-    let config = sim.config.timeline.config(sim.config.event);
-    TimelineServerSim::new(sim.devices[d].clone(), sim.n, sim.kind, config)
-        .run_directed(sub, plan, directives)
+/// What the router can see of a leg at an instant `t`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Seen {
+    /// `(finished_at, shed)` when the leg's record finished by `t`.
+    finished: Option<(f64, bool)>,
+    /// Whether the leg had been admitted with a beam width by `t`.
+    started: bool,
+}
+
+impl Seen {
+    /// A sealed record seen at `t`.
+    fn of(rec: &ServedRequest, t: f64) -> Self {
+        Self {
+            finished: (rec.finished_at <= t).then_some((rec.finished_at, rec.shed)),
+            started: rec.started_at <= t && rec.granted_n > 0,
+        }
+    }
+}
+
+/// One device's live run over its current legs, stepped only as far as
+/// the router has read it.
+struct Replica<'a> {
+    state: LoopState<'a>,
+    /// The full run of this version of the device's legs, simulated
+    /// from scratch once: the oracle every lazy answer is checked
+    /// against in debug builds.
+    #[cfg(debug_assertions)]
+    reference: Option<Result<BatchRun, EngineError>>,
+}
+
+impl<'a> Replica<'a> {
+    /// A replica with no legs.
+    fn new(sim: &'a TimelineServerSim, plan: &'a FaultPlan) -> Self {
+        Self {
+            state: LoopState::new(sim, Rc::from([]), plan, Rc::default()),
+            #[cfg(debug_assertions)]
+            reference: None,
+        }
+    }
+
+    /// Restart the run from scratch on a new sub-stream and directives;
+    /// nothing is simulated until a query steps it.
+    fn restart(&mut self, sub: Vec<RequestArrival>, directives: RunDirectives) {
+        let (sim, plan) = (self.state.sim, self.state.plan);
+        self.state = LoopState::new(sim, sub.into(), plan, Rc::new(directives));
+        #[cfg(debug_assertions)]
+        {
+            self.reference = None;
+        }
+    }
+
+    /// Arrival `slot` of this device as the router sees it at `t`.
+    fn seen(&mut self, slot: usize, t: f64) -> Result<Seen, EngineError> {
+        self.state.step_past(t)?;
+        let seen = match &self.state.served[slot] {
+            Some(rec) => Seen::of(rec, t),
+            None => Seen {
+                finished: None,
+                started: self
+                    .state
+                    .live(slot)
+                    .is_some_and(|a| a.started_at <= t && a.granted_n > 0),
+            },
+        };
+        #[cfg(debug_assertions)]
+        if let Ok(full) = self.reference() {
+            assert_eq!(
+                seen,
+                Seen::of(&full.served[slot], t),
+                "arrival {slot} at {t}: the lazy run disagrees with the full run"
+            );
+        }
+        Ok(seen)
+    }
+
+    /// Arrival `slot`'s final record.
+    fn outcome(&mut self, slot: usize) -> Result<&ServedRequest, EngineError> {
+        self.state.step_until_sealed(slot)?;
+        #[cfg(debug_assertions)]
+        {
+            let lazy = format!("{:?}", self.state.served[slot]);
+            if let Ok(full) = self.reference() {
+                assert_eq!(
+                    lazy,
+                    format!("{:?}", Some(&full.served[slot])),
+                    "arrival {slot}: the lazy run disagrees with the full run"
+                );
+            }
+        }
+        Ok(self.state.served[slot].as_ref().expect("sealed"))
+    }
+
+    /// This version's full run, simulated once.
+    #[cfg(debug_assertions)]
+    fn reference(&mut self) -> &Result<BatchRun, EngineError> {
+        let state = &self.state;
+        self.reference.get_or_insert_with(|| {
+            state
+                .sim
+                .run_directed(&state.arrivals, state.plan, &state.directives)
+        })
+    }
+
+    /// Run to completion.
+    fn finish(mut self) -> Result<BatchRun, EngineError> {
+        while self.state.step()? {}
+        Ok(self.state.finish())
+    }
 }
 
 /// The sequential decision loop's working state.
 struct FleetEngine<'a> {
     sim: &'a FleetSim,
     arrivals: &'a [RequestArrival],
-    device_plans: &'a [FaultPlan],
     crash_windows: &'a [Vec<(f64, f64)>],
     legs: Vec<Leg>,
     legs_by_device: Vec<Vec<usize>>,
-    states: Vec<Option<DeviceCache>>,
+    /// Each leg's arrival index on its device's current run.
+    slot: Vec<usize>,
+    replicas: Vec<Replica<'a>>,
     /// Hedge pairs `(primary leg, hedge leg)`.
     pairs: Vec<(usize, usize)>,
     events: std::collections::BinaryHeap<std::cmp::Reverse<FleetEvent>>,
@@ -493,7 +606,7 @@ struct FleetEngine<'a> {
     migrations: u64,
 }
 
-impl<'a> FleetEngine<'a> {
+impl FleetEngine<'_> {
     fn push_event(&mut self, at: f64, kind: EventKind) {
         let rank = match kind {
             EventKind::Crash { .. } => 0,
@@ -510,24 +623,16 @@ impl<'a> FleetEngine<'a> {
         self.event_seq += 1;
     }
 
-    /// Re-simulate device `d` from its current legs and directives; the
-    /// cache is the authoritative timeline until the next change.
-    fn resim(&mut self, d: usize) -> Result<(), EngineError> {
+    /// Device `d`'s legs or directives changed: restart its run over
+    /// its current legs, in arrival order.
+    fn restart(&mut self, d: usize) {
         let mut order = self.legs_by_device[d].clone();
         order.sort_by(|&a, &b| self.legs[a].at.total_cmp(&self.legs[b].at).then(a.cmp(&b)));
-        let (sub, directives) = self.device_stream(d, &order);
-        let run = device_run(self.sim, d, &sub, &self.device_plans[d], &directives)?;
-        self.states[d] = Some(DeviceCache { run, order });
-        Ok(())
-    }
-
-    /// The arrival sub-stream and directives device `d` currently runs.
-    fn device_stream(&self, d: usize, order: &[usize]) -> (Vec<RequestArrival>, RunDirectives) {
         let mut sub = Vec::with_capacity(order.len());
         let mut directives = RunDirectives::default();
         for (pos, &id) in order.iter().enumerate() {
+            self.slot[id] = pos;
             let l = &self.legs[id];
-            debug_assert_eq!(l.device, d);
             let base = &self.arrivals[l.req];
             sub.push(RequestArrival {
                 at: l.at,
@@ -543,19 +648,31 @@ impl<'a> FleetEngine<'a> {
                 directives.prewarms.push(p);
             }
         }
-        (sub, directives)
+        self.replicas[d].restart(sub, directives);
     }
 
-    /// The cached record of a leg.
-    fn record(&self, id: usize) -> &ServedRequest {
-        let d = self.legs[id].device;
-        let cache = self.states[d].as_ref().expect("device simulated");
-        let pos = cache
-            .order
-            .iter()
-            .position(|&x| x == id)
-            .expect("leg in order");
-        &cache.run.served[pos]
+    /// Leg `id` as the router sees it at `t`.
+    fn seen(&mut self, id: usize, t: f64) -> Result<Seen, EngineError> {
+        self.replicas[self.legs[id].device].seen(self.slot[id], t)
+    }
+
+    /// Leg `id`'s final record.
+    fn outcome(&mut self, id: usize) -> Result<&ServedRequest, EngineError> {
+        self.replicas[self.legs[id].device].outcome(self.slot[id])
+    }
+
+    /// When leg `id` delivers its answer: its final finish instant, or
+    /// infinity when it is cancelled or shed.
+    fn final_finish(&mut self, id: usize) -> Result<f64, EngineError> {
+        if self.legs[id].cancel_at.is_finite() {
+            return Ok(f64::INFINITY);
+        }
+        let rec = self.outcome(id)?;
+        Ok(if rec.shed {
+            f64::INFINITY
+        } else {
+            rec.finished_at
+        })
     }
 
     /// Whether device `d` is inside a crash outage at `t`.
@@ -565,37 +682,50 @@ impl<'a> FleetEngine<'a> {
             .any(|&(at, dur)| t >= at && t < at + dur)
     }
 
+    /// Legs assigned to `d` that pass `keep`, arrived, not cancelled and
+    /// not finished at `t`.
+    fn unfinished(
+        &mut self,
+        d: usize,
+        t: f64,
+        keep: impl Fn(&Leg) -> bool,
+    ) -> Result<usize, EngineError> {
+        let mut count = 0;
+        for i in 0..self.legs_by_device[d].len() {
+            let id = self.legs_by_device[d][i];
+            let l = self.legs[id];
+            if l.at <= t && l.cancel_at > t && keep(&l) && self.seen(id, t)?.finished.is_none() {
+                count += 1;
+            }
+        }
+        Ok(count)
+    }
+
     /// Legs assigned to `d`, arrived, not cancelled and not finished at
     /// `t` — the router's queue-depth observable.
-    fn outstanding(&self, d: usize, t: f64) -> usize {
-        self.legs_by_device[d]
-            .iter()
-            .filter(|&&id| {
-                let l = &self.legs[id];
-                l.at <= t && l.cancel_at > t && self.record(id).finished_at > t
-            })
-            .count()
+    fn outstanding(&mut self, d: usize, t: f64) -> Result<usize, EngineError> {
+        self.unfinished(d, t, |_| true)
     }
 
     /// Completed legs the router has observed by `t`, as
     /// `(finished_at, device, leg id, service latency)` in completion
     /// order.
-    fn completions(&self, t: f64) -> Vec<(f64, usize, usize, f64)> {
+    fn completions(&mut self, t: f64) -> Result<Vec<(f64, usize, usize, f64)>, EngineError> {
         let mut out = Vec::new();
-        for (d, ids) in self.legs_by_device.iter().enumerate() {
-            for &id in ids {
-                let l = &self.legs[id];
-                if l.at > t {
+        for d in 0..self.legs_by_device.len() {
+            for i in 0..self.legs_by_device[d].len() {
+                let id = self.legs_by_device[d][i];
+                let at = self.legs[id].at;
+                if at > t {
                     continue;
                 }
-                let rec = self.record(id);
-                if !rec.shed && rec.finished_at <= t {
-                    out.push((rec.finished_at, d, id, rec.finished_at - l.at));
+                if let Some((finished_at, false)) = self.seen(id, t)?.finished {
+                    out.push((finished_at, d, id, finished_at - at));
                 }
             }
         }
         out.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
-        out
+        Ok(out)
     }
 
     /// Route a leg that wants to start at `t`: an alive replica under
@@ -603,12 +733,17 @@ impl<'a> FleetEngine<'a> {
     /// one that recovers first, with the leg's start pushed to the
     /// recovery instant. `None` only when `exclude` rules out the whole
     /// fleet.
-    fn route(&mut self, t: f64, exclude: Option<usize>, problem_seed: u64) -> Option<(usize, f64)> {
+    fn route(
+        &mut self,
+        t: f64,
+        exclude: Option<usize>,
+        problem_seed: u64,
+    ) -> Result<Option<(usize, f64)>, EngineError> {
         let all: Vec<usize> = (0..self.sim.devices.len())
             .filter(|&d| Some(d) != exclude)
             .collect();
         if all.is_empty() {
-            return None;
+            return Ok(None);
         }
         let alive: Vec<usize> = all.iter().copied().filter(|&d| !self.down(d, t)).collect();
         if alive.is_empty() {
@@ -624,8 +759,8 @@ impl<'a> FleetEngine<'a> {
                         .fold(t, f64::max);
                     (d, up_at)
                 })
-                .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)))?;
-            return Some(best);
+                .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+            return Ok(best);
         }
         let pick = match self.sim.config.route {
             RoutePolicy::RoundRobin => {
@@ -633,100 +768,112 @@ impl<'a> FleetEngine<'a> {
                 self.rr_next += 1;
                 d
             }
-            RoutePolicy::Jsq => self.jsq(&alive, t),
+            RoutePolicy::Jsq => self.jsq(&alive, t)?,
             RoutePolicy::PrefixAffinity => {
                 // Most recent completed publisher of this problem…
+                let arrivals = self.arrivals;
+                let same = |l: &Leg| arrivals[l.req].problem.seed == problem_seed;
                 let publisher = self
-                    .completions(t)
+                    .completions(t)?
                     .into_iter()
                     .rev()
-                    .find(|&(_, d, id, _)| {
-                        alive.contains(&d)
-                            && self.arrivals[self.legs[id].req].problem.seed == problem_seed
-                    })
+                    .find(|&(_, d, id, _)| alive.contains(&d) && same(&self.legs[id]))
                     .map(|(_, d, _, _)| d);
                 // …else a replica already working the problem…
-                let working = publisher.or_else(|| {
-                    alive.iter().copied().find(|&d| {
-                        self.legs_by_device[d].iter().any(|&id| {
-                            let l = &self.legs[id];
-                            l.at <= t
-                                && l.cancel_at > t
-                                && self.arrivals[l.req].problem.seed == problem_seed
-                                && self.record(id).finished_at > t
-                        })
-                    })
-                });
+                let mut working = publisher;
+                for &d in &alive {
+                    if working.is_some() {
+                        break;
+                    }
+                    if self.unfinished(d, t, same)? > 0 {
+                        working = Some(d);
+                    }
+                }
                 // …else shortest queue.
-                working.unwrap_or_else(|| self.jsq(&alive, t))
+                match working {
+                    Some(d) => d,
+                    None => self.jsq(&alive, t)?,
+                }
             }
             RoutePolicy::HealthEwma => {
-                let ewma = self.health_ewma(t);
-                alive
-                    .iter()
-                    .copied()
-                    .min_by(|&a, &b| {
-                        let sa = ewma[a] * (self.outstanding(a, t) + 1) as f64;
-                        let sb = ewma[b] * (self.outstanding(b, t) + 1) as f64;
-                        sa.total_cmp(&sb).then(a.cmp(&b))
-                    })
+                let ewma = self.health_ewma(t)?;
+                self.depths(&alive, t)?
+                    .into_iter()
+                    .map(|(d, depth)| (d, ewma[d] * (depth + 1) as f64))
+                    .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)))
                     .expect("alive non-empty")
+                    .0
             }
         };
-        Some((pick, t))
+        Ok(Some((pick, t)))
     }
 
-    fn jsq(&self, alive: &[usize], t: f64) -> usize {
+    fn jsq(&mut self, alive: &[usize], t: f64) -> Result<usize, EngineError> {
+        let depths = self.depths(alive, t)?;
+        let (d, _) = depths
+            .into_iter()
+            .min_by_key(|&(d, depth)| (depth, d))
+            .expect("alive non-empty");
+        Ok(d)
+    }
+
+    /// Each of `alive` with its queue depth at `t`.
+    fn depths(&mut self, alive: &[usize], t: f64) -> Result<Vec<(usize, usize)>, EngineError> {
         alive
             .iter()
-            .copied()
-            .min_by_key(|&d| (self.outstanding(d, t), d))
-            .expect("alive non-empty")
+            .map(|&d| Ok((d, self.outstanding(d, t)?)))
+            .collect()
     }
 
     /// Per-device EWMA of observed service latencies at `t` (α = 0.3,
     /// prior 1.0 — with no samples everywhere, health routing
     /// degenerates to join-shortest-queue).
-    fn health_ewma(&self, t: f64) -> Vec<f64> {
+    fn health_ewma(&mut self, t: f64) -> Result<Vec<f64>, EngineError> {
         const ALPHA: f64 = 0.3;
         let mut ewma = vec![1.0f64; self.sim.devices.len()];
-        for (_, d, _, latency) in self.completions(t) {
+        for (_, d, _, latency) in self.completions(t)? {
             ewma[d] = (1.0 - ALPHA) * ewma[d] + ALPHA * latency;
         }
-        ewma
+        Ok(ewma)
     }
 
     /// The hedge delay the router would use for a leg starting at `t`,
     /// when it has enough observed completions to estimate a p99.
-    fn hedge_delay(&self, t: f64) -> Option<f64> {
-        let h = self.sim.config.hedge.as_ref()?;
-        let mut lats: Vec<f64> = self.completions(t).into_iter().map(|c| c.3).collect();
+    fn hedge_delay(&mut self, t: f64) -> Result<Option<f64>, EngineError> {
+        let Some(h) = self.sim.config.hedge else {
+            return Ok(None);
+        };
+        let mut lats: Vec<f64> = self.completions(t)?.into_iter().map(|c| c.3).collect();
         if lats.len() < h.min_samples.max(1) {
-            return None;
+            return Ok(None);
         }
         lats.sort_by(f64::total_cmp);
         let idx = ((lats.len() as f64 * 0.99).ceil() as usize)
             .saturating_sub(1)
             .min(lats.len() - 1);
-        Some((h.delay_factor * lats[idx]).max(h.min_delay_secs))
+        Ok(Some((h.delay_factor * lats[idx]).max(h.min_delay_secs)))
     }
 
+    /// Place `leg` and restart its device.
     fn push_leg(&mut self, leg: Leg) -> usize {
         let id = self.legs.len();
         self.legs_by_device[leg.device].push(id);
         self.legs.push(leg);
+        self.slot.push(usize::MAX);
+        self.restart(leg.device);
         id
     }
 
     /// Arm a hedge check for a freshly placed leg, if hedging is
     /// enabled and the router's p99 estimate is trustworthy.
-    fn arm_hedge(&mut self, leg: usize, t: f64) {
+    fn arm_hedge(&mut self, leg: usize, t: f64) -> Result<(), EngineError> {
         if self.sim.devices.len() < 2 {
-            return;
+            return Ok(());
         }
-        if let Some(delay) = self.hedge_delay(t) {
+        if let Some(delay) = self.hedge_delay(t)? {
             self.push_event(t + delay, EventKind::HedgeCheck { leg });
         }
+        Ok(())
     }
 
     fn drive(&mut self) -> Result<(), EngineError> {
@@ -738,19 +885,13 @@ impl<'a> FleetEngine<'a> {
                 EventKind::Resolve { pair } => self.on_resolve(pair, ev.at)?,
             }
         }
-        // Make sure even leg-less devices have an (empty) timeline.
-        for d in 0..self.sim.devices.len() {
-            if self.states[d].is_none() {
-                self.resim(d)?;
-            }
-        }
         Ok(())
     }
 
     fn on_arrival(&mut self, req: usize) -> Result<(), EngineError> {
         let a = &self.arrivals[req];
         let (device, at) = self
-            .route(a.at, None, a.problem.seed)
+            .route(a.at, None, a.problem.seed)?
             .expect("route with no exclusion always places");
         let id = self.push_leg(Leg {
             req,
@@ -761,26 +902,24 @@ impl<'a> FleetEngine<'a> {
             role: LegRole::Primary,
             partner: None,
         });
-        self.resim(device)?;
-        self.arm_hedge(id, at);
-        Ok(())
+        self.arm_hedge(id, at)
     }
 
     fn on_crash(&mut self, d: usize, t: f64, down_for: f64) -> Result<(), EngineError> {
         // Every leg the outage interrupts: in flight or queued at the
         // crash, or arriving while the device is down.
         let mut interrupted: Vec<(usize, bool)> = Vec::new();
-        for &id in &self.legs_by_device[d] {
-            let l = &self.legs[id];
+        for i in 0..self.legs_by_device[d].len() {
+            let id = self.legs_by_device[d][i];
+            let l = self.legs[id];
             if l.cancel_at <= t {
                 continue;
             }
-            let rec = self.record(id);
-            let active = l.at <= t && rec.finished_at > t && !(rec.shed && rec.finished_at <= t);
+            let seen = self.seen(id, t)?;
+            let active = l.at <= t && seen.finished.is_none();
             let lands_in_outage = l.at > t && l.at < t + down_for;
             if active || lands_in_outage {
-                let had_started = rec.started_at <= t && rec.granted_n > 0;
-                interrupted.push((id, had_started));
+                interrupted.push((id, seen.started));
             }
         }
         if interrupted.is_empty() {
@@ -789,7 +928,7 @@ impl<'a> FleetEngine<'a> {
         for &(id, _) in &interrupted {
             self.legs[id].cancel_at = self.legs[id].cancel_at.min(t);
         }
-        self.resim(d)?;
+        self.restart(d);
 
         for (id, had_started) in interrupted {
             let leg = self.legs[id];
@@ -801,7 +940,7 @@ impl<'a> FleetEngine<'a> {
                 if p.device != d && p.cancel_at > t {
                     if p.cancel_at.is_finite() {
                         self.legs[pid].cancel_at = f64::INFINITY;
-                        self.resim(p.device)?;
+                        self.restart(p.device);
                     }
                     continue;
                 }
@@ -814,7 +953,7 @@ impl<'a> FleetEngine<'a> {
             // prefix to the target's host tier and warm-starts.
             let at = t + self.sim.config.migration_delay_secs;
             let seed = self.arrivals[leg.req].problem.seed;
-            let Some((target, at)) = self.route(at, Some(d), seed) else {
+            let Some((target, at)) = self.route(at, Some(d), seed)? else {
                 continue; // 1-device fleet: nowhere to go, stays shed
             };
             let prewarm = had_started.then(|| {
@@ -841,8 +980,7 @@ impl<'a> FleetEngine<'a> {
                 partner: None,
             });
             self.migrations += 1;
-            self.resim(target)?;
-            self.arm_hedge(nid, at);
+            self.arm_hedge(nid, at)?;
         }
         Ok(())
     }
@@ -852,12 +990,12 @@ impl<'a> FleetEngine<'a> {
         if leg.cancel_at.is_finite() || leg.partner.is_some() {
             return Ok(());
         }
-        let rec = self.record(id);
+        let rec = self.outcome(id)?;
         if rec.shed || rec.finished_at <= t {
             return Ok(()); // no longer a straggler
         }
         let seed = self.arrivals[leg.req].problem.seed;
-        let Some((target, at)) = self.route(t, Some(leg.device), seed) else {
+        let Some((target, at)) = self.route(t, Some(leg.device), seed)? else {
             return Ok(());
         };
         let hid = self.push_leg(Leg {
@@ -870,32 +1008,19 @@ impl<'a> FleetEngine<'a> {
             partner: Some(id),
         });
         self.legs[id].partner = Some(hid);
-        self.resim(target)?;
         let pair = self.pairs.len();
         self.pairs.push((id, hid));
-        if let Some(win) = self.pair_winner_finish(pair) {
+        if let Some(win) = self.pair_winner_finish(pair)? {
             self.push_event(win.max(at), EventKind::Resolve { pair });
         }
         Ok(())
     }
 
     /// The earlier projected finish of a hedge pair's live legs.
-    fn pair_winner_finish(&self, pair: usize) -> Option<f64> {
+    fn pair_winner_finish(&mut self, pair: usize) -> Result<Option<f64>, EngineError> {
         let (p, h) = self.pairs[pair];
-        let fin = |id: usize| {
-            let l = &self.legs[id];
-            if l.cancel_at.is_finite() {
-                return f64::INFINITY;
-            }
-            let rec = self.record(id);
-            if rec.shed {
-                f64::INFINITY
-            } else {
-                rec.finished_at
-            }
-        };
-        let win = fin(p).min(fin(h));
-        win.is_finite().then_some(win)
+        let win = self.final_finish(p)?.min(self.final_finish(h)?);
+        Ok(win.is_finite().then_some(win))
     }
 
     fn on_resolve(&mut self, pair: usize, t: f64) -> Result<(), EngineError> {
@@ -903,7 +1028,7 @@ impl<'a> FleetEngine<'a> {
         if self.legs[p].cancel_at.is_finite() || self.legs[h].cancel_at.is_finite() {
             return Ok(()); // a crash already resolved the pair
         }
-        let Some(win) = self.pair_winner_finish(pair) else {
+        let Some(win) = self.pair_winner_finish(pair)? else {
             return Ok(()); // both shed (deadlines) — nothing to cancel
         };
         if win > t + 1e-9 {
@@ -913,44 +1038,25 @@ impl<'a> FleetEngine<'a> {
             self.push_event(win, EventKind::Resolve { pair });
             return Ok(());
         }
-        let (pr, hr) = (self.record(p), self.record(h));
-        let p_fin = if pr.shed {
-            f64::INFINITY
-        } else {
-            pr.finished_at
-        };
-        let h_fin = if hr.shed {
-            f64::INFINITY
-        } else {
-            hr.finished_at
-        };
         // First finisher wins; the loser is cancelled at the winner's
         // completion with full pool/tier reclaim. Ties go to the
         // primary — the hedge is pure insurance.
+        let (p_fin, h_fin) = (self.final_finish(p)?, self.final_finish(h)?);
         let loser = if h_fin < p_fin { p } else { h };
         self.legs[loser].cancel_at = win;
-        self.resim(self.legs[loser].device)?;
+        self.restart(self.legs[loser].device);
         Ok(())
     }
 
-    /// Fleet-level record assembly over the cached device runs, which
-    /// [`FleetEngine::resim`] keeps current after every leg and cancel
-    /// edit.
-    fn finish(self, crash_downtime_secs: f64) -> FleetRun {
-        // Debug builds re-run every device once and check its cache on
-        // every field.
-        #[cfg(debug_assertions)]
-        for (d, cache) in self.states.iter().enumerate() {
-            let cache = cache.as_ref().expect("device simulated");
-            let (sub, directives) = self.device_stream(d, &cache.order);
-            let rerun = device_run(self.sim, d, &sub, &self.device_plans[d], &directives)
-                .expect("the cached run succeeded on the same inputs");
-            assert_eq!(
-                format!("{:?}", cache.run),
-                format!("{rerun:?}"),
-                "device {d}'s cached run is stale"
-            );
-        }
+    /// Run every device to completion, then assemble the fleet-level
+    /// records.
+    fn finish(self, crash_downtime_secs: f64) -> Result<FleetRun, EngineError> {
+        let device_runs = self
+            .replicas
+            .into_iter()
+            .map(Replica::finish)
+            .collect::<Result<Vec<BatchRun>, EngineError>>()?;
+        let record = |id: usize| &device_runs[self.legs[id].device].served[self.slot[id]];
 
         // Per-request winner selection and migration accounting.
         let mut served = Vec::with_capacity(self.arrivals.len());
@@ -968,9 +1074,9 @@ impl<'a> FleetEngine<'a> {
             let winner = legs_of
                 .iter()
                 .copied()
-                .filter(|&id| !self.record(id).shed)
+                .filter(|&id| !record(id).shed)
                 .min_by(|&a, &b| {
-                    let (ra, rb) = (self.record(a), self.record(b));
+                    let (ra, rb) = (record(a), record(b));
                     ra.finished_at
                         .total_cmp(&rb.finished_at)
                         .then(self.legs[a].role.rank().cmp(&self.legs[b].role.rank()))
@@ -979,7 +1085,7 @@ impl<'a> FleetEngine<'a> {
             match winner {
                 Some(id) => {
                     let leg = self.legs[id];
-                    let mut rec = self.record(id).clone();
+                    let mut rec = record(id).clone();
                     rec.arrived_at = self.arrivals[req].at;
                     if leg.role == LegRole::Hedge {
                         hedges_won += 1;
@@ -1006,8 +1112,7 @@ impl<'a> FleetEngine<'a> {
                 None => {
                     // Shed everywhere: report the primary leg's record
                     // against the original arrival.
-                    let id = legs_of[0];
-                    let mut rec = self.record(id).clone();
+                    let mut rec = record(legs_of[0]).clone();
                     rec.arrived_at = self.arrivals[req].at;
                     serving_device.push(None);
                     served.push(rec);
@@ -1015,12 +1120,7 @@ impl<'a> FleetEngine<'a> {
             }
         }
         let hedges_wasted = hedges_launched - hedges_won;
-        let device_runs = self
-            .states
-            .into_iter()
-            .map(|cache| cache.expect("device simulated").run)
-            .collect();
-        FleetRun {
+        Ok(FleetRun {
             device_runs,
             served,
             serving_device,
@@ -1029,7 +1129,7 @@ impl<'a> FleetEngine<'a> {
             hedges_won,
             hedges_wasted,
             crash_downtime_secs,
-        }
+        })
     }
 }
 

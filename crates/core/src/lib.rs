@@ -95,5 +95,5 @@ pub use server::{AblationFlags, ServeOutcome, ServedRequest, ServerSim, TtsServe
 pub use sweep::{parallel_map, sweep, SweepJob};
 pub use tenant::{TenantPolicy, TenantSpec, MAX_TENANTS};
 pub use timeline::{
-    DeviceTimeline, Segment, SegmentKind, TimelineConfig, TimelineServerSim, TimelineTuning,
+    DeviceTimeline, SegmentKind, TimelineConfig, TimelineServerSim, TimelineTuning,
 };

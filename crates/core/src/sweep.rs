@@ -19,8 +19,8 @@
 //!    produce exactly the bytes a sequential loop would, regardless of
 //!    worker count or interleaving. The fleet layer
 //!    (`crate::fleet::FleetSim`) does not use the pool: its routing
-//!    loop already holds every device's final run, so it simulates no
-//!    device a second time.
+//!    loop keeps one live run per device and finishes each in place,
+//!    so it simulates no device a second time.
 //!
 //! # Why not rayon
 //!

@@ -32,8 +32,11 @@
 //! cursor and waiting queue, the paused runs, the launching group and
 //! the rest of the in-flight set, the KV pool and host tier, the device
 //! floor, the fault cursor, the directives, the observer, the served
-//! records and the run counters. `run_directed` is `LoopState::new`, a
-//! `while state.step()? {}` loop and `state.finish()`. One `step` forms
+//! records and the run counters. It owns its arrivals and directives,
+//! so the fleet can keep one live state per device and step it only
+//! as far as its router reads (`peek_anchor`, `step_past`).
+//! `run_directed` is `LoopState::new`, a `while state.step()? {}` loop
+//! and `state.finish()`. One `step` forms
 //! a co-batch at the next anchor and runs its phases in order, each a
 //! method:
 //!
@@ -53,8 +56,9 @@
 //! `false` once every request is served. Admission, shares and the
 //! sweeps are `LoopState` methods in the `admission` module.
 //!
-//! Every launch lands on a [`DeviceTimeline`] as costed [`Segment`]s.
-//! In anchored mode the timeline only observes. Two honesty features,
+//! Every launch lands on a [`DeviceTimeline`] as costed segments, which
+//! it rolls up as it records. In anchored mode the timeline only
+//! observes. Two honesty features,
 //! set in [`TimelineTuning`], make it price what the iteration-granular
 //! model gets for free:
 //!
@@ -94,6 +98,8 @@
 //! member per launch is preserved — chunking splits the iteration's
 //! decode phase, not the TTS loop.
 
+use std::rc::Rc;
+
 use ftts_engine::{DecodeStatus, EngineError, RunPhase, StepStatus, VerifyCharge, VerifyChunk};
 use ftts_kv::{HostTier, PoolBudget};
 use ftts_metrics::TimelineOccupancy;
@@ -118,58 +124,187 @@ pub enum SegmentKind {
     Swap,
 }
 
-/// One costed kernel launch on the device timeline.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Segment {
-    /// Absolute start instant, seconds.
-    pub start: f64,
-    /// Absolute end instant, seconds (`>= start`); grows under
-    /// retroactive contention stretch.
-    pub end: f64,
-    /// Kernel kind.
-    pub kind: SegmentKind,
-    /// Sequences the kernel carried (decode frontier width, verifier
-    /// sweep sequences, or 1 for a swap transfer).
-    pub seqs: usize,
+/// A decode segment the roll-up has not folded yet: open (its request
+/// may still stretch it), or closed behind an earlier open one.
+#[derive(Debug, Clone, Copy)]
+struct Unfolded {
+    id: usize,
+    start: f64,
+    end: f64,
+    open: bool,
+}
+
+/// The interval-union sweep over segment endpoints, in time order.
+#[derive(Debug, Clone, Copy, Default)]
+struct Sweep {
+    depth: i32,
+    max_depth: i32,
+    open_at: f64,
+    busy_secs: f64,
+}
+
+impl Sweep {
+    /// Process `events`, sorted by [`sort_endpoints`].
+    fn run(&mut self, events: &[(f64, i32)]) {
+        for &(t, d) in events {
+            if self.depth == 0 && d > 0 {
+                self.open_at = t;
+            }
+            self.depth += d;
+            if self.depth == 0 {
+                self.busy_secs += t - self.open_at;
+            }
+            self.max_depth = self.max_depth.max(self.depth);
+        }
+    }
+}
+
+/// Sort sweep endpoints by instant; at equal instants ends close before
+/// starts open, so back-to-back segments never count as overlap.
+fn sort_endpoints(events: &mut [(f64, i32)]) {
+    events.sort_by(|a, b| {
+        a.0.partial_cmp(&b.0)
+            .expect("finite segment bounds")
+            .then(a.1.cmp(&b.1))
+    });
 }
 
 /// The global per-device kernel timeline: every launch the scheduler
-/// commits lands here as a [`Segment`] on one shared clock, and
-/// segments already recorded can be retroactively stretched when a
-/// later launch overlaps them.
-#[derive(Debug, Clone, Default)]
+/// commits lands here as a costed segment on one shared clock, and the
+/// timeline rolls its occupancy up as it records instead of storing
+/// the segments.
+///
+/// A decode segment stays *open* until [`DeviceTimeline::close`]: until
+/// then a later launch may retroactively [`stretch`](Self::stretch) it.
+/// Verify and swap segments are closed as they are recorded. The
+/// timeline holds only the open segments, the closed decode segments
+/// recorded after the earliest open one (per-kind sums fold in record
+/// order), and the sweep endpoints that [`DeviceTimeline::advance`] has
+/// not yet put behind every future segment. A zero-length segment
+/// counts in the span and the segment count but adds no sweep
+/// endpoints.
+#[derive(Debug, Clone)]
 pub struct DeviceTimeline {
-    segments: Vec<Segment>,
+    recorded: usize,
+    first: f64,
+    last: f64,
+    decode_secs: f64,
+    verify_secs: f64,
+    swap_secs: f64,
     stretch_secs: f64,
+    /// The latest horizon passed to [`DeviceTimeline::advance`].
+    horizon: f64,
+    /// Decode segments not yet folded, in record order.
+    unfolded: std::collections::VecDeque<Unfolded>,
+    /// Endpoints not yet swept: `(instant, 1)` opens a segment and
+    /// `(instant, -1)` closes one.
+    pending: Vec<(f64, i32)>,
+    sweep: Sweep,
+}
+
+impl Default for DeviceTimeline {
+    fn default() -> Self {
+        Self {
+            recorded: 0,
+            first: f64::INFINITY,
+            last: f64::NEG_INFINITY,
+            decode_secs: 0.0,
+            verify_secs: 0.0,
+            swap_secs: 0.0,
+            stretch_secs: 0.0,
+            horizon: f64::NEG_INFINITY,
+            unfolded: std::collections::VecDeque::new(),
+            pending: Vec::new(),
+            sweep: Sweep::default(),
+        }
+    }
 }
 
 impl DeviceTimeline {
     /// Record a segment; returns its id for later
-    /// [`DeviceTimeline::stretch`] calls.
-    pub fn record(&mut self, start: f64, duration: f64, kind: SegmentKind, seqs: usize) -> usize {
+    /// [`DeviceTimeline::stretch`] and [`DeviceTimeline::close`] calls.
+    /// A decode segment stays open until closed; any other kind is
+    /// closed as recorded. The segment must not start before the
+    /// latest [`DeviceTimeline::advance`] horizon.
+    pub fn record(&mut self, start: f64, duration: f64, kind: SegmentKind) -> usize {
         assert!(start.is_finite(), "segment start must be finite");
         assert!(duration >= 0.0, "segment duration must be non-negative");
-        self.segments.push(Segment {
-            start,
-            end: start + duration,
-            kind,
-            seqs,
-        });
-        self.segments.len() - 1
+        debug_assert!(
+            start >= self.horizon,
+            "segment starts at {start}, before the advanced horizon {}",
+            self.horizon
+        );
+        let id = self.recorded;
+        self.recorded += 1;
+        let end = start + duration;
+        self.first = self.first.min(start);
+        if end > start {
+            self.pending.push((start, 1));
+        }
+        match kind {
+            SegmentKind::Decode => self.unfolded.push_back(Unfolded {
+                id,
+                start,
+                end,
+                open: true,
+            }),
+            SegmentKind::Verify => {
+                self.verify_secs += end - start;
+                self.end_at(start, end);
+            }
+            SegmentKind::Swap => {
+                self.swap_secs += end - start;
+                self.end_at(start, end);
+            }
+        }
+        id
     }
 
-    /// Retroactively stretch segment `id` by `extra` seconds — a later
-    /// launch overlapped it and slowed its kernel. Stretch never
+    /// Retroactively stretch open segment `id` by `extra` seconds — a
+    /// later launch overlapped it and slowed its kernel. Stretch never
     /// shrinks a segment.
     pub fn stretch(&mut self, id: usize, extra: f64) {
         assert!(extra >= 0.0, "stretch never shrinks a segment");
-        self.segments[id].end += extra;
+        let s = self.open_mut(id);
+        let was_empty = s.end <= s.start;
+        s.end += extra;
+        if was_empty && s.end > s.start {
+            let start = s.start;
+            self.pending.push((start, 1));
+        }
         self.stretch_secs += extra;
     }
 
-    /// The recorded segments, in record order.
-    pub fn segments(&self) -> &[Segment] {
-        &self.segments
+    /// Close open segment `id`: nothing stretches it any more, so its
+    /// end joins the sweep and its duration folds into the decode sum
+    /// once every earlier decode segment has closed.
+    pub fn close(&mut self, id: usize) {
+        let s = self.open_mut(id);
+        s.open = false;
+        let (start, end) = (s.start, s.end);
+        self.end_at(start, end);
+        while let Some(s) = self.unfolded.front().filter(|s| !s.open) {
+            self.decode_secs += s.end - s.start;
+            self.unfolded.pop_front();
+        }
+    }
+
+    /// Promise that no segment recorded from now on starts before
+    /// `horizon`, and sweep every endpoint that lies before both the
+    /// horizon and the earliest open segment's end: no later endpoint
+    /// can sort ahead of them.
+    pub fn advance(&mut self, horizon: f64) {
+        self.horizon = self.horizon.max(horizon);
+        let due_before = self
+            .unfolded
+            .iter()
+            .filter(|s| s.open)
+            .map(|s| s.end)
+            .fold(self.horizon, f64::min);
+        sort_endpoints(&mut self.pending);
+        let due = self.pending.partition_point(|e| e.0 < due_before);
+        self.sweep.run(&self.pending[..due]);
+        self.pending.drain(..due);
     }
 
     /// Total retroactive stretch applied so far, seconds.
@@ -179,54 +314,56 @@ impl DeviceTimeline {
 
     /// Roll the timeline up into occupancy statistics: span, per-kind
     /// busy sums, the overlap-aware busy union and the peak overlap
-    /// depth.
+    /// depth. Open segments count at their current end.
     pub fn occupancy(&self) -> TimelineOccupancy {
-        if self.segments.is_empty() {
+        if self.recorded == 0 {
             return TimelineOccupancy::default();
         }
-        let mut occ = TimelineOccupancy {
-            segments: self.segments.len() as u64,
+        let mut decode_secs = self.decode_secs;
+        let mut last = self.last;
+        let mut events = self.pending.clone();
+        for s in &self.unfolded {
+            decode_secs += s.end - s.start;
+            if s.open {
+                last = last.max(s.end);
+                if s.end > s.start {
+                    events.push((s.end, -1));
+                }
+            }
+        }
+        sort_endpoints(&mut events);
+        let mut sweep = self.sweep;
+        sweep.run(&events);
+        TimelineOccupancy {
+            span_secs: (last - self.first).max(0.0),
+            busy_secs: sweep.busy_secs,
+            decode_secs,
+            verify_secs: self.verify_secs,
+            swap_secs: self.swap_secs,
             stretch_secs: self.stretch_secs,
-            ..Default::default()
-        };
-        let mut first = f64::INFINITY;
-        let mut last = f64::NEG_INFINITY;
-        let mut events: Vec<(f64, i32)> = Vec::with_capacity(self.segments.len() * 2);
-        for s in &self.segments {
-            let dur = s.end - s.start;
-            match s.kind {
-                SegmentKind::Decode => occ.decode_secs += dur,
-                SegmentKind::Verify => occ.verify_secs += dur,
-                SegmentKind::Swap => occ.swap_secs += dur,
-            }
-            first = first.min(s.start);
-            last = last.max(s.end);
-            events.push((s.start, 1));
-            events.push((s.end, -1));
+            segments: self.recorded as u64,
+            max_concurrency: sweep.max_depth.max(0) as u32,
         }
-        occ.span_secs = (last - first).max(0.0);
-        // Sweep the interval union; at equal instants ends close before
-        // starts open, so back-to-back segments never count as overlap.
-        events.sort_by(|a, b| {
-            a.0.partial_cmp(&b.0)
-                .expect("finite segment bounds")
-                .then(a.1.cmp(&b.1))
-        });
-        let mut depth = 0i32;
-        let mut max_depth = 0i32;
-        let mut open_at = 0.0f64;
-        for (t, d) in events {
-            if depth == 0 && d > 0 {
-                open_at = t;
-            }
-            depth += d;
-            if depth == 0 {
-                occ.busy_secs += t - open_at;
-            }
-            max_depth = max_depth.max(depth);
+    }
+
+    /// The open decode segment `id`.
+    fn open_mut(&mut self, id: usize) -> &mut Unfolded {
+        let at = self
+            .unfolded
+            .binary_search_by_key(&id, |s| s.id)
+            .ok()
+            .filter(|&i| self.unfolded[i].open)
+            .unwrap_or_else(|| panic!("segment {id} is not an open decode segment"));
+        &mut self.unfolded[at]
+    }
+
+    /// A closed segment's end: it bounds the span and, when the segment
+    /// has length, closes it in the sweep.
+    fn end_at(&mut self, start: f64, end: f64) {
+        self.last = self.last.max(end);
+        if end > start {
+            self.pending.push((end, -1));
         }
-        occ.max_concurrency = max_depth.max(0) as u32;
-        occ
     }
 }
 
@@ -333,8 +470,9 @@ impl TimelineConfig {
 }
 
 /// What the loop records on the device timeline: every segment, plus
-/// each request's latest decode segment (the one a later launch's
-/// contention stretches).
+/// each live request's latest decode segment — the one a later launch's
+/// contention stretches, open until the request's next decode segment
+/// or its seal.
 struct Observer {
     timeline: DeviceTimeline,
     last_decode: Vec<Option<usize>>,
@@ -353,13 +491,20 @@ impl Observer {
     fn decode(&mut self, a: &InFlight, start: f64) {
         let end = a.started_at + a.run.clock();
         if end > start {
-            let id = self.timeline.record(
-                start,
-                end - start,
-                SegmentKind::Decode,
-                a.run.decode_load().0,
-            );
+            if let Some(prev) = self.last_decode[a.idx].take() {
+                self.timeline.close(prev);
+            }
+            let id = self
+                .timeline
+                .record(start, end - start, SegmentKind::Decode);
             self.last_decode[a.idx] = Some(id);
+        }
+    }
+
+    /// Request `idx` is sealed: its latest decode segment closes.
+    fn seal(&mut self, idx: usize) {
+        if let Some(id) = self.last_decode[idx].take() {
+            self.timeline.close(id);
         }
     }
 
@@ -476,19 +621,20 @@ impl TimelineServerSim {
         plan: &FaultPlan,
         directives: &RunDirectives,
     ) -> Result<BatchRun, EngineError> {
-        let mut state = LoopState::new(self, arrivals, plan, directives);
+        let mut state = LoopState::new(self, arrivals.into(), plan, Rc::new(directives.clone()));
         while state.step()? {}
         Ok(state.finish())
     }
 }
 
 /// The run loop's state; the module docs' execution model describes
-/// it and the phases of [`LoopState::step`].
+/// it and the phases of [`LoopState::step`]. It owns its arrivals and
+/// directives, so a caller can keep a run alive and step it on demand.
 pub(crate) struct LoopState<'a> {
     pub(crate) sim: &'a TimelineServerSim,
-    pub(crate) arrivals: &'a [RequestArrival],
-    plan: &'a FaultPlan,
-    pub(crate) directives: &'a RunDirectives,
+    pub(crate) arrivals: Rc<[RequestArrival]>,
+    pub(crate) plan: &'a FaultPlan,
+    pub(crate) directives: Rc<RunDirectives>,
     /// The directed prefix handoffs in time order, and the next one due.
     prewarms: Vec<PrewarmPrefix>,
     prewarm_next: usize,
@@ -529,9 +675,9 @@ impl<'a> LoopState<'a> {
     /// (with the tenant caps set) and an empty tier.
     pub(crate) fn new(
         sim: &'a TimelineServerSim,
-        arrivals: &'a [RequestArrival],
+        arrivals: Rc<[RequestArrival]>,
         plan: &'a FaultPlan,
-        directives: &'a RunDirectives,
+        directives: Rc<RunDirectives>,
     ) -> Self {
         debug_assert!(
             arrivals.windows(2).all(|w| w[0].at <= w[1].at),
@@ -550,6 +696,7 @@ impl<'a> LoopState<'a> {
         }
         let mut prewarms = directives.prewarms.clone();
         prewarms.sort_by(|a, b| a.at.partial_cmp(&b.at).expect("finite prewarm times"));
+        let requests = arrivals.len();
         Self {
             sim,
             arrivals,
@@ -563,14 +710,14 @@ impl<'a> LoopState<'a> {
             floor: 0.0,
             finish_max: 0.0,
             cursor: FaultCursor::default(),
-            observer: Observer::new(arrivals.len()),
+            observer: Observer::new(requests),
             next_arrival: 0,
             waiting: Vec::new(),
             paused: Vec::new(),
             group: Vec::new(),
             rest: Vec::new(),
             admit_seq: 0,
-            served: (0..arrivals.len()).map(|_| None).collect(),
+            served: (0..requests).map(|_| None).collect(),
             run: BatchRun {
                 served: Vec::new(),
                 rounds: 0,
@@ -665,6 +812,16 @@ impl<'a> LoopState<'a> {
             self.floor = self.floor.max(round_end);
         }
         self.complete(&finished);
+        // Every later segment starts at or after this horizon: at the
+        // next launch (never below the floor), or at an in-flight or
+        // paused member's own clock, which never moves backward.
+        let horizon = self
+            .rest
+            .iter()
+            .chain(&self.paused)
+            .map(|a| a.started_at + a.run.clock())
+            .fold(self.floor, f64::min);
+        self.observer.timeline.advance(horizon);
         Ok(true)
     }
 
@@ -699,8 +856,22 @@ impl<'a> LoopState<'a> {
     /// every request is served. A pending arrival anchors its own
     /// (fresh) launch only when mid-flight admission could actually take
     /// it — otherwise it is ingested when the next ready-driven launch
-    /// forms.
+    /// forms. Pure: [`LoopState::anchor`] also commits the device floor
+    /// this reads.
+    pub(crate) fn peek_anchor(&self) -> Option<f64> {
+        self.next_anchor().map(|(_, anchor)| anchor)
+    }
+
+    /// [`LoopState::peek_anchor`], committing the raised device floor.
     fn anchor(&mut self) -> Option<f64> {
+        let (floor, anchor) = self.next_anchor()?;
+        self.floor = floor;
+        Some(anchor)
+    }
+
+    /// The device floor raised for the next launch, and that launch's
+    /// anchor.
+    fn next_anchor(&self) -> Option<(f64, f64)> {
         // Next decision instant: the earliest ready request, or the
         // next arrival.
         let next_ready = self
@@ -712,30 +883,80 @@ impl<'a> LoopState<'a> {
             .arrivals
             .get(self.next_arrival)
             .map_or(f64::INFINITY, |a| a.at);
+        let mut floor = self.floor;
         if self.rest.is_empty() {
             // The device is drained; nothing launches before the last
             // completion.
-            self.floor = self.floor.max(self.finish_max);
+            floor = floor.max(self.finish_max);
             if self.waiting.is_empty() && self.paused.is_empty() {
                 if self.next_arrival >= self.arrivals.len() {
                     return None;
                 }
                 // Idle until the next arrival.
-                self.floor = self.floor.max(next_arr);
+                floor = floor.max(next_arr);
             }
         }
         let batch = self.batch();
-        let arrival_anchor = next_arr.max(self.floor);
+        let arrival_anchor = next_arr.max(floor);
         let consider_arrival = batch.admit_mid_flight
             && self.rest.len() < batch.max_batch
             && arrival_anchor < next_ready;
-        Some(if self.rest.is_empty() {
-            self.floor
+        let anchor = if self.rest.is_empty() {
+            floor
         } else if consider_arrival {
             arrival_anchor
         } else {
             next_ready
-        })
+        };
+        Some((floor, anchor))
+    }
+
+    /// Step until every record that finishes by `t` is sealed: until
+    /// the next launch lies past `t`. Every record a later step seals
+    /// finishes at or after its launch, except that a launch pads its
+    /// members' clocks to the launch instant, which can land an ulp or
+    /// two below it; the stop test allows for that rounding. Stepping
+    /// further than strictly needed is always safe.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`EngineError`] from [`LoopState::step`].
+    pub(crate) fn step_past(&mut self, t: f64) -> Result<(), EngineError> {
+        let past = t + 1e-9 * t.abs().max(1.0);
+        while self.peek_anchor().is_some_and(|anchor| anchor <= past) {
+            self.step()?;
+        }
+        Ok(())
+    }
+
+    /// Step until request `idx` is sealed.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`EngineError`] from [`LoopState::step`].
+    pub(crate) fn step_until_sealed(&mut self, idx: usize) -> Result<(), EngineError> {
+        while self.served[idx].is_none() {
+            assert!(self.step()?, "a finished run seals every request");
+        }
+        Ok(())
+    }
+
+    /// Request `idx` while it is admitted and not yet sealed (in flight
+    /// or preempted). Between steps the launching group is empty.
+    pub(crate) fn live(&self, idx: usize) -> Option<&InFlight> {
+        self.rest.iter().chain(&self.paused).find(|a| a.idx == idx)
+    }
+
+    /// Seal `a` into its served record (see [`InFlight::seal`]), closing
+    /// its latest decode segment on the timeline. Returns the record's
+    /// finish instant.
+    pub(crate) fn seal(&mut self, a: InFlight, cancelled_at: Option<f64>) -> f64 {
+        let idx = a.idx;
+        self.observer.seal(idx);
+        let record = a.seal(cancelled_at);
+        let finished_at = record.finished_at;
+        self.served[idx] = Some(record);
+        finished_at
     }
 
     /// Move every in-flight request whose next iteration can start
@@ -851,12 +1072,9 @@ impl<'a> LoopState<'a> {
             let swap_start = launch;
             launch += self.sim.server.config().device.pcie_transfer_seconds(bytes);
             if launch > swap_start {
-                self.observer.timeline.record(
-                    swap_start,
-                    launch - swap_start,
-                    SegmentKind::Swap,
-                    1,
-                );
+                self.observer
+                    .timeline
+                    .record(swap_start, launch - swap_start, SegmentKind::Swap);
             }
             self.pool.release(v.idx as u64);
             v.preemptions += 1;
@@ -1037,12 +1255,9 @@ impl<'a> LoopState<'a> {
                 .iter()
                 .map(|a| a.started_at + a.run.clock())
                 .fold(f64::INFINITY, f64::min);
-            self.observer.timeline.record(
-                verify_start,
-                sweep.busy_secs,
-                SegmentKind::Verify,
-                sweep.seqs as usize,
-            );
+            self.observer
+                .timeline
+                .record(verify_start, sweep.busy_secs, SegmentKind::Verify);
         }
         charges
     }
@@ -1131,10 +1346,8 @@ impl<'a> LoopState<'a> {
             let a = self.group.remove(i);
             self.pool.release(a.idx as u64);
             self.publish_prompt(a.idx);
-            let idx = a.idx;
-            let record = a.seal(None);
-            self.finish_max = self.finish_max.max(record.finished_at);
-            self.served[idx] = Some(record);
+            let finished_at = self.seal(a, None);
+            self.finish_max = self.finish_max.max(finished_at);
         }
         // Completion boundary: re-share the surviving in-flight set.
         // Otherwise check demand drift: trees grow for many iterations
@@ -1200,9 +1413,9 @@ mod tests {
     #[test]
     fn segment_union_handles_overlap() {
         let mut tl = DeviceTimeline::default();
-        tl.record(0.0, 2.0, SegmentKind::Decode, 4);
-        tl.record(1.0, 2.0, SegmentKind::Decode, 4);
-        tl.record(4.0, 1.0, SegmentKind::Verify, 8);
+        tl.record(0.0, 2.0, SegmentKind::Decode);
+        tl.record(1.0, 2.0, SegmentKind::Decode);
+        tl.record(4.0, 1.0, SegmentKind::Verify);
         let occ = tl.occupancy();
         assert_eq!(occ.segments, 3);
         assert!((occ.span_secs - 5.0).abs() < 1e-12);
@@ -1216,8 +1429,8 @@ mod tests {
     #[test]
     fn adjacent_segments_do_not_overlap() {
         let mut tl = DeviceTimeline::default();
-        tl.record(0.0, 1.0, SegmentKind::Decode, 1);
-        tl.record(1.0, 1.0, SegmentKind::Decode, 1);
+        tl.record(0.0, 1.0, SegmentKind::Decode);
+        tl.record(1.0, 1.0, SegmentKind::Decode);
         let occ = tl.occupancy();
         assert_eq!(occ.max_concurrency, 1);
         assert!((occ.busy_secs - 2.0).abs() < 1e-12);
@@ -1226,12 +1439,66 @@ mod tests {
     #[test]
     fn stretch_extends_segment_and_rollup() {
         let mut tl = DeviceTimeline::default();
-        let id = tl.record(0.0, 1.0, SegmentKind::Decode, 2);
+        let id = tl.record(0.0, 1.0, SegmentKind::Decode);
         tl.stretch(id, 0.5);
-        assert!((tl.segments()[id].end - 1.5).abs() < 1e-12);
         let occ = tl.occupancy();
+        assert!((occ.span_secs - 1.5).abs() < 1e-12, "the stretched end");
         assert!((occ.stretch_secs - 0.5).abs() < 1e-12);
         assert!((occ.busy_secs - 1.5).abs() < 1e-12);
+        tl.close(id);
+        assert_eq!(tl.occupancy(), occ, "closing moves nothing");
+    }
+
+    #[test]
+    fn zero_length_segments_add_no_busy_time() {
+        // A zero-length segment adds no sweep endpoints: its end would
+        // sort before its start, dip the depth to -1, and the start
+        // would re-add the gap since the previous interval (busy 6 s in
+        // a 5 s span).
+        let mut tl = DeviceTimeline::default();
+        tl.record(0.0, 1.0, SegmentKind::Decode);
+        tl.record(5.0, 0.0, SegmentKind::Verify);
+        let occ = tl.occupancy();
+        assert_eq!(occ.segments, 2);
+        assert_eq!(occ.span_secs, 5.0);
+        assert_eq!(occ.busy_secs, 1.0);
+        assert_eq!(occ.max_concurrency, 1);
+    }
+
+    #[test]
+    fn advancing_sweeps_early_endpoints_without_changing_the_rollup() {
+        let mut swept = DeviceTimeline::default();
+        let mut kept = DeviceTimeline::default();
+        for tl in [&mut swept, &mut kept] {
+            let a = tl.record(0.0, 1.0, SegmentKind::Decode);
+            tl.close(a);
+            tl.record(0.5, 0.25, SegmentKind::Verify);
+        }
+        let open = swept.record(2.0, 1.0, SegmentKind::Decode);
+        swept.advance(2.0);
+        assert_eq!(
+            swept.pending,
+            [(2.0, 1)],
+            "only the open segment's start waits"
+        );
+        swept.stretch(open, 0.5);
+        swept.close(open);
+        let b = kept.record(2.0, 1.0, SegmentKind::Decode);
+        kept.stretch(b, 0.5);
+        kept.close(b);
+        assert_eq!(
+            format!("{:?}", swept.occupancy()),
+            format!("{:?}", kept.occupancy())
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "not an open decode segment")]
+    fn closed_segments_cannot_stretch() {
+        let mut tl = DeviceTimeline::default();
+        let id = tl.record(0.0, 1.0, SegmentKind::Decode);
+        tl.close(id);
+        tl.stretch(id, 0.5);
     }
 
     #[test]

@@ -5,10 +5,12 @@
 //!   buckets — fault-free, under a (crash-free) fault storm, and with a
 //!   crash-bearing plan in no-failover mode (where the crash stays an
 //!   on-device outage).
-//! * N-device fleet results are deterministic: the fleet returns the
-//!   routing loop's cached device runs, and in a debug build (this
-//!   suite's default) re-runs every device once and checks that the
-//!   rerun's `{:?}` equals the cache's on every fleet run.
+//! * N-device fleet results are deterministic. The router steps each
+//!   device's run only as far as its queries read, and in a debug build
+//!   (this suite's default) checks every answer against that device's
+//!   full run, simulated from scratch once per version of its legs.
+//!   Random small fleets exercise that query oracle under every routing
+//!   policy, with and without failover.
 //! * A hedged duplicate never changes the winning answer — scheduling
 //!   moves clocks, never outcomes.
 //! * Crash failover migrates interrupted requests to survivors and
@@ -16,13 +18,15 @@
 
 use ftts_core::{
     BatchConfig, BatchRun, EventConfig, EventServerSim, FaultEvent, FaultKind, FaultPlan,
-    FleetConfig, FleetRun, FleetSim, HedgeConfig, KvTierConfig, RoutePolicy, ServedRequest,
-    StormConfig, TimelineTuning, TtsServer,
+    FaultPolicy, FleetConfig, FleetRun, FleetSim, HedgeConfig, KvTierConfig, RobustConfig,
+    RoutePolicy, ServedRequest, StormConfig, TimelineTuning, TtsServer,
 };
 use ftts_engine::ModelPairing;
 use ftts_hw::GpuDevice;
+use ftts_metrics::SloClass;
 use ftts_search::SearchKind;
 use ftts_workload::{ArrivalPattern, Dataset, RequestArrival};
+use proptest::prelude::*;
 
 fn server(seed: u64, memory_fraction: f64) -> TtsServer {
     let mut s = TtsServer::fasttts(GpuDevice::rtx4090(), ModelPairing::pair_1_5b_1_5b());
@@ -185,8 +189,8 @@ fn crashy_plans() -> Vec<FaultPlan> {
 }
 
 /// N-device fleets are deterministic run-to-run, and (via the
-/// debug-build rerun of every device in `finish`) their cached device
-/// runs are current.
+/// debug-build query oracle) every router read of a lazily stepped
+/// device matches its full run.
 #[test]
 fn fleet_results_are_deterministic_across_reruns() {
     let stream = arrivals(8, 77, 6.0);
@@ -341,4 +345,71 @@ fn timeline_fleet_honest_joins_preserves_answers() {
         honest.device_runs.iter().any(|r| r.timeline.segments > 0),
         "at least one device recorded timeline segments"
     );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Small random fleets: 2–3 replicas, a crash of device 1, hedging,
+    /// failover on or off, every routing policy, and tight Degrade
+    /// deadlines or none. In a debug build every time-bounded router
+    /// query and every final outcome a hedge path reads is asserted
+    /// equal to the same read of the device's full run; here the run
+    /// must also serve each request exactly once.
+    #[test]
+    fn lazy_device_queries_match_full_runs(
+        seed in 0u64..500,
+        devices in 2usize..4,
+        count in 3usize..8,
+        route in 0u8..4,
+        crash_at in 2u64..20,
+        failover in any::<bool>(),
+        joins in any::<bool>(),
+        tight in any::<bool>(),
+    ) {
+        let mut batch = BatchConfig::continuous(4).with_tier(KvTierConfig::with_capacity(1 << 30));
+        if tight {
+            batch = batch.with_robust(RobustConfig::with_policy(FaultPolicy::Degrade));
+        }
+        let route = [
+            RoutePolicy::RoundRobin,
+            RoutePolicy::Jsq,
+            RoutePolicy::PrefixAffinity,
+            RoutePolicy::HealthEwma,
+        ][usize::from(route)];
+        let mut config = FleetConfig::new(EventConfig::new(batch, 0.25), route).with_hedge(
+            HedgeConfig {
+                delay_factor: 0.5,
+                min_samples: 2,
+                min_delay_secs: 1.0,
+            },
+        );
+        if !failover {
+            config = config.without_failover();
+        }
+        if joins {
+            config = config.with_timeline(
+                TimelineTuning::honest()
+                    .with_token_joins()
+                    .with_join_quantum(8),
+            );
+        }
+        let slos = [(SloClass::Interactive, 12.0), (SloClass::Standard, 30.0)];
+        let stream: Vec<RequestArrival> = arrivals(count, seed, 2.0)
+            .into_iter()
+            .enumerate()
+            .map(|(i, a)| if tight { a.with_slo(slos[i % 2].0, slos[i % 2].1) } else { a })
+            .collect();
+        let mut plans = vec![FaultPlan::none(); devices];
+        plans[1] = FaultPlan::new(vec![FaultEvent {
+            at: crash_at as f64,
+            kind: FaultKind::DeviceCrash { down_for: 30.0 },
+        }]);
+        let run = FleetSim::new(vec![server(seed, 0.55); devices], 8, SearchKind::BeamSearch, config)
+            .run_faulted(&stream, &plans)
+            .expect("fleet run");
+        prop_assert_eq!(run.served.len(), count);
+        prop_assert_eq!(run.device_runs.len(), devices);
+        prop_assert_eq!(run.hedges_launched, run.hedges_won + run.hedges_wasted);
+    }
 }

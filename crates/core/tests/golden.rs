@@ -367,6 +367,8 @@ fn honest_fixtures() -> Vec<Fixture> {
 struct FleetFixture {
     name: &'static str,
     servers: Vec<TtsServer>,
+    /// Beam width of every request.
+    beams: usize,
     arrivals: Vec<RequestArrival>,
     plans: Vec<FaultPlan>,
     config: FleetConfig,
@@ -377,9 +379,14 @@ struct FleetFixture {
 
 impl FleetFixture {
     fn run(&self, config: FleetConfig) -> FleetRun {
-        FleetSim::new(self.servers.clone(), 16, SearchKind::BeamSearch, config)
-            .run_faulted(&self.arrivals, &self.plans)
-            .expect("fleet run")
+        FleetSim::new(
+            self.servers.clone(),
+            self.beams,
+            SearchKind::BeamSearch,
+            config,
+        )
+        .run_faulted(&self.arrivals, &self.plans)
+        .expect("fleet run")
     }
 
     fn check(&self) {
@@ -426,6 +433,7 @@ fn fleet_fixtures() -> Vec<FleetFixture> {
         FleetFixture {
             name: "fleet-anchored-jsq",
             servers: vec![server(9, 0.55); 2],
+            beams: 16,
             arrivals: amc(6, 77, 4.0),
             plans: vec![FaultPlan::none(); 2],
             config: FleetConfig::new(event, RoutePolicy::Jsq),
@@ -435,6 +443,7 @@ fn fleet_fixtures() -> Vec<FleetFixture> {
         FleetFixture {
             name: "fleet-anchored-failover-hedge",
             servers: vec![server(9, 0.55); 4],
+            beams: 16,
             arrivals: amc(8, 77, 6.0),
             plans: crashy,
             config: FleetConfig::new(event, RoutePolicy::PrefixAffinity).with_hedge(HedgeConfig {
@@ -448,6 +457,7 @@ fn fleet_fixtures() -> Vec<FleetFixture> {
         FleetFixture {
             name: "fleet-honest-joins-rr",
             servers: vec![server(9, 0.55); 2],
+            beams: 16,
             arrivals: amc(6, 77, 4.0),
             plans: vec![FaultPlan::none(); 2],
             config: FleetConfig::new(event, RoutePolicy::RoundRobin),
@@ -459,6 +469,7 @@ fn fleet_fixtures() -> Vec<FleetFixture> {
         FleetFixture {
             name: "fleet-health-ewma",
             servers: vec![server(9, 0.55); 3],
+            beams: 16,
             arrivals: amc(10, 79, 3.0),
             plans: vec![
                 FaultPlan::storm(5, 40.0, &StormConfig::default()),
@@ -476,7 +487,77 @@ fn fleet_fixtures() -> Vec<FleetFixture> {
             },
         },
         sim_fleet_shape(),
+        // A hedge pair resolves at its projected winner finish, but by
+        // then the winner finishes earlier: the loser is cancelled
+        // retroactively, at the winner's new finish.
+        hedged_trio(
+            "fleet-retroactive-loser-cancel",
+            48,
+            RoutePolicy::Jsq,
+            TimelineTuning::honest()
+                .with_token_joins()
+                .with_join_quantum(8),
+        ),
+        // A hedge check finds its leg still running, but the leg's run
+        // sheds it later (a deadline cancel), so no hedge launches.
+        hedged_trio(
+            "fleet-hedge-check-shed-later",
+            5,
+            RoutePolicy::PrefixAffinity,
+            TimelineTuning::anchored(),
+        ),
     ]
+}
+
+/// Three replicas behind aggressive hedging (half the observed p99,
+/// after two completions) with tight Degrade deadlines, and device 1
+/// down for 40 s from `6 + seed % 7` seconds: eight AMC requests 2 s
+/// apart at 8 beams. The seeds come from a scan of such streams for
+/// runs that take the router path each fixture names.
+fn hedged_trio(
+    name: &'static str,
+    seed: u64,
+    route: RoutePolicy,
+    tuning: TimelineTuning,
+) -> FleetFixture {
+    let event = EventConfig::new(
+        BatchConfig::continuous(4)
+            .with_tier(KvTierConfig::with_capacity(1 << 30))
+            .with_robust(RobustConfig::with_policy(FaultPolicy::Degrade)),
+        0.25,
+    );
+    let slos = [
+        (SloClass::Interactive, 12.0),
+        (SloClass::Standard, 30.0),
+        (SloClass::Batch, 60.0),
+    ];
+    let arrivals = uniform(Dataset::Amc2023, 8, seed, 2.0)
+        .into_iter()
+        .enumerate()
+        .map(|(i, a)| a.with_slo(slos[i % 3].0, slos[i % 3].1))
+        .collect();
+    let mut plans = vec![FaultPlan::none(); 3];
+    plans[1] = FaultPlan::new(vec![FaultEvent {
+        at: 6.0 + (seed % 7) as f64,
+        kind: FaultKind::DeviceCrash { down_for: 40.0 },
+    }]);
+    FleetFixture {
+        name,
+        servers: vec![server(9, 0.55); 3],
+        beams: 8,
+        arrivals,
+        plans,
+        config: FleetConfig::new(event, route).with_hedge(HedgeConfig {
+            delay_factor: 0.5,
+            min_samples: 2,
+            min_delay_secs: 1.0,
+        }),
+        tuning,
+        covers: |run| {
+            assert!(run.migrations > 0, "crash failover migrates");
+            assert!(run.hedges_launched > 0, "a straggler is hedged");
+        },
+    }
 }
 
 /// The shape of perfbench's `sim-fleet` workload
@@ -537,6 +618,7 @@ fn sim_fleet_shape() -> FleetFixture {
     FleetFixture {
         name: "fleet-sim-fleet-shape",
         servers,
+        beams: 16,
         arrivals,
         plans,
         config: FleetConfig::new(event, RoutePolicy::PrefixAffinity).with_hedge(HedgeConfig {
@@ -625,6 +707,8 @@ golden_tests! {
     fleet_honest_joins_rr => "fleet-honest-joins-rr",
     fleet_health_ewma => "fleet-health-ewma",
     fleet_sim_fleet_shape => "fleet-sim-fleet-shape",
+    fleet_retroactive_loser_cancel => "fleet-retroactive-loser-cancel",
+    fleet_hedge_check_shed_later => "fleet-hedge-check-shed-later",
 }
 
 #[test]

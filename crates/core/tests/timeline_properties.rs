@@ -10,14 +10,20 @@
 //! 3. **Stretch monotonicity**: retroactive contention stretch never
 //!    shrinks a segment — ends only move right, and the roll-up's
 //!    `stretch_secs` accounts every applied second.
-//! 4. **Run determinism**: a `(workload seed, storm, mode)` triple
+//! 4. **Streaming equals stored**: the streaming [`DeviceTimeline`]
+//!    rolls up, `{:?}`-identically, what a reference that stores every
+//!    segment and sweeps them once computes, under any interleaving of
+//!    records, stretches and closes of open segments, and `advance`
+//!    calls that keep the horizon contract, zero-length segments
+//!    included. Properties 1–3 are checked on both.
+//! 5. **Run determinism**: a `(workload seed, storm, mode)` triple
 //!    fully determines a `TimelineServerSim` run — honest contention
 //!    pricing and token-granularity joins replay bit-identically.
-//! 5. **Conservation under honesty**: per served request,
+//! 6. **Conservation under honesty**: per served request,
 //!    `queue_delay + breakdown.total()` equals arrival-to-completion
 //!    wall-clock in every timeline mode; `join_wait` stays a slice of
 //!    `idle`.
-//! 6. **Prefix stability**: appending one arrival at instant `A`, later
+//! 7. **Prefix stability**: appending one arrival at instant `A`, later
 //!    than every arrival of a stream, leaves every record that finished
 //!    before `A` unchanged (`{:?}`-identical), on every front door. The
 //!    loop's one lookahead is `price_decode` reading the next known
@@ -34,7 +40,7 @@ use ftts_core::{
 };
 use ftts_engine::ModelPairing;
 use ftts_hw::GpuDevice;
-use ftts_metrics::SloClass;
+use ftts_metrics::{SloClass, TimelineOccupancy};
 use ftts_search::SearchKind;
 use ftts_workload::{ArrivalPattern, Dataset, RequestArrival};
 use proptest::prelude::*;
@@ -58,6 +64,78 @@ fn kind_of(tag: u8) -> SegmentKind {
 /// seconds.
 fn secs(centi: u64) -> f64 {
     centi as f64 / 100.0
+}
+
+/// The stored-segment roll-up the streaming [`DeviceTimeline`] must
+/// reproduce: every segment kept in record order and swept once, with
+/// ends before starts at equal instants and no sweep endpoints for a
+/// zero-length segment.
+#[derive(Default)]
+struct StoredTimeline {
+    /// `(start, end, kind)` per segment, in record order.
+    segments: Vec<(f64, f64, SegmentKind)>,
+    stretch_secs: f64,
+}
+
+impl StoredTimeline {
+    fn record(&mut self, start: f64, duration: f64, kind: SegmentKind) -> usize {
+        self.segments.push((start, start + duration, kind));
+        self.segments.len() - 1
+    }
+
+    fn stretch(&mut self, id: usize, extra: f64) {
+        self.segments[id].1 += extra;
+        self.stretch_secs += extra;
+    }
+
+    fn occupancy(&self) -> TimelineOccupancy {
+        if self.segments.is_empty() {
+            return TimelineOccupancy::default();
+        }
+        let mut occ = TimelineOccupancy {
+            segments: self.segments.len() as u64,
+            stretch_secs: self.stretch_secs,
+            ..Default::default()
+        };
+        let (mut first, mut last) = (f64::INFINITY, f64::NEG_INFINITY);
+        let mut events: Vec<(f64, i32)> = Vec::new();
+        for &(start, end, kind) in &self.segments {
+            match kind {
+                SegmentKind::Decode => occ.decode_secs += end - start,
+                SegmentKind::Verify => occ.verify_secs += end - start,
+                SegmentKind::Swap => occ.swap_secs += end - start,
+            }
+            first = first.min(start);
+            last = last.max(end);
+            if end > start {
+                events.push((start, 1));
+                events.push((end, -1));
+            }
+        }
+        occ.span_secs = (last - first).max(0.0);
+        events.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
+        let (mut depth, mut max_depth, mut open_at) = (0i32, 0i32, 0.0f64);
+        for (t, d) in events {
+            if depth == 0 && d > 0 {
+                open_at = t;
+            }
+            depth += d;
+            if depth == 0 {
+                occ.busy_secs += t - open_at;
+            }
+            max_depth = max_depth.max(depth);
+        }
+        occ.max_concurrency = max_depth.max(0) as u32;
+        occ
+    }
+}
+
+/// Both roll-ups must print identically.
+fn assert_same_rollup(streaming: &DeviceTimeline, stored: &StoredTimeline) {
+    assert_eq!(
+        format!("{:?}", streaming.occupancy()),
+        format!("{:?}", stored.occupancy())
+    );
 }
 
 fn timeline_run(
@@ -176,11 +254,17 @@ proptest! {
         segs in prop::collection::vec((0u64..10_000, 0u64..1_000, 0u8..6), 1..40),
     ) {
         let mut tl = DeviceTimeline::default();
+        let mut stored = StoredTimeline::default();
         let mut total_dur = 0.0f64;
         for &(start, dur, tag) in &segs {
-            tl.record(secs(start), secs(dur), kind_of(tag), usize::from(tag) + 1);
+            let id = tl.record(secs(start), secs(dur), kind_of(tag));
+            stored.record(secs(start), secs(dur), kind_of(tag));
+            if kind_of(tag) == SegmentKind::Decode {
+                tl.close(id);
+            }
             total_dur += secs(dur);
         }
+        assert_same_rollup(&tl, &stored);
         let occ = tl.occupancy();
         prop_assert_eq!(occ.segments, segs.len() as u64);
         // busy + idle == span, exactly (idle is defined as the clamped
@@ -205,22 +289,74 @@ proptest! {
         stretches in prop::collection::vec((0usize..20, 0u64..300), 0..30),
     ) {
         let mut tl = DeviceTimeline::default();
+        let mut stored = StoredTimeline::default();
+        let mut ids = Vec::new();
         for &(start, dur) in &segs {
-            tl.record(secs(start), secs(dur), SegmentKind::Decode, 1);
+            ids.push(tl.record(secs(start), secs(dur), SegmentKind::Decode));
+            stored.record(secs(start), secs(dur), SegmentKind::Decode);
         }
-        let before: Vec<f64> = tl.segments().iter().map(|s| s.end).collect();
+        let before: Vec<f64> = stored.segments.iter().map(|s| s.1).collect();
         let mut applied = 0.0f64;
-        for &(id, extra) in &stretches {
-            let id = id % segs.len();
-            tl.stretch(id, secs(extra));
+        for &(i, extra) in &stretches {
+            let i = i % segs.len();
+            tl.stretch(ids[i], secs(extra));
+            stored.stretch(i, secs(extra));
             applied += secs(extra);
         }
-        for (s, &b) in tl.segments().iter().zip(&before) {
-            prop_assert!(s.end >= b, "stretch moved an end left");
-            prop_assert!(s.end >= s.start, "stretch broke segment ordering");
+        for (&(start, end, _), &b) in stored.segments.iter().zip(&before) {
+            prop_assert!(end >= b, "stretch moved an end left");
+            prop_assert!(end >= start, "stretch broke segment ordering");
         }
+        assert_same_rollup(&tl, &stored);
         let occ = tl.occupancy();
         prop_assert!((occ.stretch_secs - applied).abs() <= 1e-9 * applied.max(1.0));
+        prop_assert!((tl.stretch_secs() - applied).abs() <= 1e-9 * applied.max(1.0));
+    }
+
+    /// Random records, stretches and closes of open decode segments,
+    /// and horizon advances. Every record starts at or after the latest
+    /// horizon, as the contract requires; durations and stretches are
+    /// zero one time in four. The roll-ups must agree after every
+    /// operation, open segments included.
+    #[test]
+    fn streaming_rollup_equals_the_stored_sweep(
+        ops in prop::collection::vec(((0u8..5, 0u64..2_000), (0u64..600, 0u8..6)), 1..80),
+    ) {
+        let mut tl = DeviceTimeline::default();
+        let mut stored = StoredTimeline::default();
+        let mut open: Vec<(usize, usize)> = Vec::new();
+        let mut horizon = 0.0f64;
+        let zero_or = |n: u64| if n.is_multiple_of(4) { 0.0 } else { secs(n) };
+        for &((op, a), (b, tag)) in &ops {
+            match op {
+                0 | 1 => {
+                    let (start, dur, kind) = (horizon + secs(a), zero_or(b), kind_of(tag));
+                    let id = tl.record(start, dur, kind);
+                    let pos = stored.record(start, dur, kind);
+                    if kind == SegmentKind::Decode {
+                        open.push((id, pos));
+                    }
+                }
+                2 if !open.is_empty() => {
+                    let (id, pos) = open[a as usize % open.len()];
+                    tl.stretch(id, zero_or(b));
+                    stored.stretch(pos, zero_or(b));
+                }
+                3 if !open.is_empty() => {
+                    let (id, _) = open.remove(a as usize % open.len());
+                    tl.close(id);
+                }
+                _ => {
+                    horizon += secs(a % 500);
+                    tl.advance(horizon);
+                }
+            }
+            assert_same_rollup(&tl, &stored);
+        }
+        for (id, _) in open {
+            tl.close(id);
+        }
+        assert_same_rollup(&tl, &stored);
     }
 
     #[test]
