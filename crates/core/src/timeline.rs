@@ -1093,23 +1093,25 @@ impl<'a> LoopState<'a> {
     /// (requests outside the launch overlap it on the device), and
     /// speculates only while it has the device to itself and nobody is
     /// queued, until the next known arrival — the loop's one lookahead —
-    /// would start waiting: the two-phase rule.
-    fn price_decode(&mut self, decoding: impl Fn(usize) -> bool) {
+    /// would start waiting: the two-phase rule. `rest` is the decode
+    /// load of the requests outside the launch, summed once per launch:
+    /// they do not step during it, joiners enter the group, and
+    /// contention stretches move only their clocks.
+    fn price_decode(&mut self, rest: (usize, u64), decoding: impl Fn(usize) -> bool) {
+        debug_assert_eq!(rest, decode_load(&self.rest), "the rest stepped mid-launch");
         let alone = self.group.len() == 1
             && self.rest.is_empty()
             && self.waiting.is_empty()
             && self.paused.is_empty();
         let next_at = self.arrivals.get(self.next_arrival).map(|a| a.at);
-        let loads: Vec<(usize, u64)> = self.group.iter().map(|a| a.run.decode_load()).collect();
-        let (rest_seqs, rest_ctx) = decode_load(&self.rest);
-        let total_seqs = loads.iter().map(|l| l.0).sum::<usize>() + rest_seqs;
-        let total_ctx = loads.iter().map(|l| l.1).sum::<u64>() + rest_ctx;
+        let (group_seqs, group_ctx) = decode_load(&self.group);
+        let (total_seqs, total_ctx) = (group_seqs + rest.0, group_ctx + rest.1);
         for (i, a) in self.group.iter_mut().enumerate() {
             if !decoding(i) {
                 continue;
             }
-            a.run
-                .set_co_batch(total_seqs - loads[i].0, total_ctx - loads[i].1);
+            let (seqs, ctx) = a.run.decode_load();
+            a.run.set_co_batch(total_seqs - seqs, total_ctx - ctx);
             let spec_off = match next_at {
                 _ if !alone => 0.0,
                 Some(at) => (at - a.started_at).max(0.0),
@@ -1133,7 +1135,7 @@ impl<'a> LoopState<'a> {
     /// generation phase, recorded on the device timeline. Returns which
     /// members planned an iteration (the rest finished).
     fn decode_phase(&mut self) -> Result<Vec<bool>, EngineError> {
-        self.price_decode(|_| true);
+        self.price_decode(decode_load(&self.rest), |_| true);
         let mut planned = Vec::with_capacity(self.group.len());
         for a in &mut self.group {
             let seg_start = a.started_at + a.run.clock();
@@ -1151,12 +1153,15 @@ impl<'a> LoopState<'a> {
         let tuning = self.sim.config.tuning;
         let mut gen_done: Vec<bool> = self.group.iter().map(|a| a.run.is_finished()).collect();
         let mut planned: Vec<bool> = gen_done.iter().map(|done| !done).collect();
+        let rest = decode_load(&self.rest);
+        let mut chunk_end: Vec<Option<f64>> = Vec::with_capacity(self.group.len());
         loop {
-            // Re-derive the co-batch every chunk: membership (joins,
-            // early generation finishes) and context both move at chunk
-            // boundaries.
-            self.price_decode(|i| !gen_done[i]);
-            let mut chunk_end: Vec<Option<f64>> = vec![None; self.group.len()];
+            // Re-derive the group's share of the co-batch every chunk:
+            // membership (joins, early generation finishes) and context
+            // both move at chunk boundaries.
+            self.price_decode(rest, |i| !gen_done[i]);
+            chunk_end.clear();
+            chunk_end.resize(self.group.len(), None);
             for (i, a) in self.group.iter_mut().enumerate() {
                 if gen_done[i] {
                     continue;

@@ -500,6 +500,11 @@ pub struct RequestRun {
     breakdown: LatencyBreakdown,
     beams: Vec<Beam>,
     frontier: Vec<usize>,
+    /// Context tokens summed over the frontier's paths: summed afresh
+    /// wherever the frontier is rebuilt, then raised by `k` for each
+    /// frontier path a decode chunk extends. Read by
+    /// [`RequestRun::decode_load`].
+    frontier_ctx: u64,
     stats: RunStats,
     trace: Option<UtilizationTrace>,
     spec_off_after: f64,
@@ -531,6 +536,10 @@ pub struct RequestRun {
     /// The decode chunk planned by `plan_decode_chunk`, awaiting its
     /// `apply_decode_chunk` charge.
     pending_decode: Option<DecodeChunk>,
+    /// The planned chunk's decode-step cost and the co-batch
+    /// `(co_seqs, co_ctx_sum)` it was priced under; reused only while
+    /// both the chunk and the declared co-batch are unchanged.
+    chunk_price: Option<(DecodeChunk, usize, u64, ftts_hw::KernelCost)>,
     /// Verifier chunks produced by `take_verify_batch`, awaiting their
     /// `apply_verify_results` charges.
     pending_chunks: Vec<VerifyChunk>,
@@ -618,6 +627,7 @@ impl RequestRun {
             breakdown: LatencyBreakdown::default(),
             beams: Vec::new(),
             frontier: Vec::new(),
+            frontier_ctx: 0,
             stats: RunStats {
                 correct_answer: problem.correct_answer(),
                 ..RunStats::default()
@@ -644,6 +654,7 @@ impl RequestRun {
             phase: RunPhase::Ready,
             gen_target_batch: 0,
             pending_decode: None,
+            chunk_price: None,
             pending_chunks: Vec::new(),
             pending_verify_all: true,
             last_demand: 0,
@@ -924,6 +935,7 @@ impl RequestRun {
             return false;
         }
         let frontier = std::mem::take(&mut self.frontier);
+        self.frontier_ctx = 0;
         for &bi in &frontier {
             self.beams[bi].state = BeamState::Pruned;
             self.discard_leftover_spec(bi);
@@ -1020,13 +1032,26 @@ impl RequestRun {
 
     /// This request's decode load as seen by co-scheduled requests:
     /// `(frontier sequences, total context tokens)`.
+    ///
+    /// O(1): the context total is a running sum, summed afresh when the
+    /// frontier is rebuilt (branching, retiring terminal paths, a First
+    /// Finish cut) and raised by `k` for every frontier path a decode
+    /// chunk extends. Debug builds assert it against the frontier fold.
     pub fn decode_load(&self) -> (usize, u64) {
-        let ctx = self
-            .frontier
+        debug_assert_eq!(
+            self.frontier_ctx,
+            self.fold_frontier_ctx(),
+            "running frontier context drifted from its fold"
+        );
+        (self.frontier.len(), self.frontier_ctx)
+    }
+
+    /// Context tokens summed over the frontier's paths, from scratch.
+    fn fold_frontier_ctx(&self) -> u64 {
+        self.frontier
             .iter()
             .map(|&i| self.gen_kv.seq_tokens(self.beams[i].kv))
-            .sum();
-        (self.frontier.len(), ctx)
+            .sum()
     }
 
     /// Advance the internal clock to `t` as idle time (a co-batch window
@@ -1264,11 +1289,7 @@ impl RequestRun {
         let avg_ctx = if self.frontier.is_empty() {
             self.problem.prompt_tokens
         } else {
-            self.frontier
-                .iter()
-                .map(|&i| self.gen_kv.seq_tokens(self.beams[i].kv))
-                .sum::<u64>()
-                / self.frontier.len() as u64
+            self.decode_load().1 / self.frontier.len() as u64
         };
         let step_tokens = self.problem.steps.median_tokens as u64;
         let mut leaves = std::mem::take(&mut self.scratch.leaves);
@@ -1550,6 +1571,8 @@ impl RequestRun {
         match planned {
             Some(chunk) => {
                 self.pending_decode = Some(chunk);
+                let cost = self.price_chunk(&chunk);
+                self.chunk_price = Some((chunk, self.co_seqs, self.co_ctx_sum, cost));
                 Ok(DecodeStatus::Planned(chunk))
             }
             None => {
@@ -1564,18 +1587,47 @@ impl RequestRun {
     /// what a scheduler uses to find the next shared chunk boundary
     /// before committing the chunk. Bit-identical to the charge
     /// [`RequestRun::apply_decode_chunk`] books (same float ops).
+    ///
+    /// [`RequestRun::plan_decode_chunk`] prices the chunk once under the
+    /// co-batch declared at plan time; that price is reused while the
+    /// declared co-batch is unchanged, and the chunk is priced again
+    /// after any [`RequestRun::set_co_batch`] that changes it.
     pub fn chunk_seconds(&self, chunk: &DecodeChunk) -> f64 {
+        self.chunk_cost(chunk).seconds * chunk.k as f64
+    }
+
+    /// The decode-step cost of `chunk` under the co-batch declared now:
+    /// the plan-time price while the chunk and the declared co-batch
+    /// are the ones it was priced under, otherwise priced afresh.
+    fn chunk_cost(&self, chunk: &DecodeChunk) -> ftts_hw::KernelCost {
+        match self.chunk_price {
+            Some((priced, seqs, ctx, cost))
+                if priced == *chunk && seqs == self.co_seqs && ctx == self.co_ctx_sum =>
+            {
+                cost
+            }
+            _ => self.price_chunk(chunk),
+        }
+    }
+
+    /// Price one decode step of `chunk` over the declared co-batch:
+    /// sequences co-scheduled from other requests ride the same decode
+    /// kernel (one shared weight sweep, everyone's KV traffic). With no
+    /// co-batch this reduces to the standalone cost exactly.
+    fn price_chunk(&self, chunk: &DecodeChunk) -> ftts_hw::KernelCost {
         let total_batch = chunk.batch + self.co_seqs;
         let avg_ctx = (chunk.ctx_sum + self.co_ctx_sum) / total_batch as u64 + chunk.k / 2;
-        self.gen_roof.decode_step(total_batch, avg_ctx).seconds * chunk.k as f64
+        self.gen_roof.decode_step(total_batch, avg_ctx)
     }
 
     /// Chunked sub-iteration decode, step 2: charge the planned chunk's
     /// decode kernel (priced over the co-batch declared *now*, which may
     /// differ from the plan-time co-batch — that is the point of
-    /// token-granularity joins) and apply its `k` tokens to every batch
-    /// member: extend KV, handle memory-pressure deferral, advance
-    /// speculative slots, retire members whose step completed.
+    /// token-granularity joins — so the plan-time price is reused only
+    /// when the declared co-batch is unchanged) and apply its `k`
+    /// tokens to every batch member: extend KV, handle memory-pressure
+    /// deferral, advance speculative slots, retire members whose step
+    /// completed.
     ///
     /// Returns [`DecodeStatus::Decoding`] while the generation phase has
     /// more work and [`DecodeStatus::Generated`] when it completed
@@ -1611,13 +1663,7 @@ impl RequestRun {
         let mut still_active = std::mem::take(&mut self.scratch.still_active);
         let mut kept_spec = std::mem::take(&mut self.scratch.kept_spec);
 
-        // Sequences co-scheduled from other requests ride the same
-        // decode kernel: one shared weight sweep, everyone's KV
-        // traffic. With no co-batch this reduces to the standalone
-        // cost exactly.
-        let total_batch = chunk.batch + self.co_seqs;
-        let avg_ctx = (chunk.ctx_sum + self.co_ctx_sum) / total_batch as u64 + k / 2;
-        let step_cost = self.gen_roof.decode_step(total_batch, avg_ctx);
+        let step_cost = self.chunk_cost(&chunk);
         let dt = step_cost.seconds * k as f64;
         self.advance(dt, step_cost.compute_util, Phase::Generation);
         self.breakdown.generator += dt;
@@ -1628,7 +1674,10 @@ impl RequestRun {
         let mut emergency = false;
         for &bi in &active {
             match self.gen_kv.extend(self.beams[bi].kv, k) {
-                Ok(()) => self.beams[bi].step_done += k,
+                Ok(()) => {
+                    self.beams[bi].step_done += k;
+                    self.frontier_ctx += k;
+                }
                 Err(KvError::InsufficientMemory { .. }) => {
                     emergency = true;
                     deferred.push(bi);
@@ -1642,7 +1691,10 @@ impl RequestRun {
             still_failing.clear();
             for &bi in &deferred {
                 match self.gen_kv.extend(self.beams[bi].kv, k) {
-                    Ok(()) => self.beams[bi].step_done += k,
+                    Ok(()) => {
+                        self.beams[bi].step_done += k;
+                        self.frontier_ctx += k;
+                    }
                     Err(_) => still_failing.push(bi),
                 }
             }
@@ -2068,6 +2120,7 @@ impl RequestRun {
         recycled.clear();
         self.scratch.frontier_next = recycled;
         self.frontier = remaining;
+        self.frontier_ctx = self.fold_frontier_ctx();
     }
 
     /// Expand selected beams into children, applying speculative
@@ -2086,6 +2139,7 @@ impl RequestRun {
         // prefixes. The frontier is taken (not cloned) and recycled as
         // next iteration's scratch.
         let mut old_frontier = std::mem::take(&mut self.frontier);
+        self.frontier_ctx = 0;
         for &bi in &old_frontier {
             if !selected.contains(&bi) {
                 self.beams[bi].state = BeamState::Pruned;
@@ -2107,6 +2161,7 @@ impl RequestRun {
         old_frontier.clear();
         self.scratch.frontier_next = old_frontier;
         self.frontier = next_frontier;
+        self.frontier_ctx = self.fold_frontier_ctx();
         Ok(())
     }
 

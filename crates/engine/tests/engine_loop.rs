@@ -469,3 +469,273 @@ fn infeasible_memory_reports_path_exceeds() {
     let err = eng.run(&problem(0), 8, &mut driver);
     assert!(err.is_err(), "a ~0-byte KV budget cannot serve");
 }
+
+/// Where [`drive_chunked`] stands when it calls back.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Boundary {
+    /// Between two decode chunks of a generation phase.
+    Chunk,
+    /// Between iterations ([`ftts_engine::RunPhase::Ready`]).
+    Iteration,
+}
+
+/// One decode chunk as [`drive_chunked`] saw it: the chunk, and the
+/// run's `decode_load()` before and after its apply.
+struct ChunkSeen {
+    chunk: ftts_engine::DecodeChunk,
+    before: (usize, u64),
+    after: (usize, u64),
+}
+
+/// `decode_load()` with its checks. Debug builds assert the running
+/// context sum against the frontier fold inside `decode_load`; any
+/// build checks it against the generator working set, which is the same
+/// sum without prefix sharing and never more than it with sharing.
+fn checked_decode_load(run: &ftts_engine::RequestRun, sharing: bool) -> (usize, u64) {
+    let load = run.decode_load();
+    let bytes_per_token = ModelPairing::pair_1_5b_1_5b().gen_spec.kv_bytes_per_token();
+    let (working_set, _) = run.kv_working_set();
+    if sharing {
+        assert!(working_set <= load.1 * bytes_per_token, "{load:?}");
+    } else {
+        assert_eq!(working_set, load.1 * bytes_per_token, "{load:?}");
+    }
+    load
+}
+
+/// Drive `run` to completion through chunked decode capped at 2 tokens
+/// per chunk, verifying solo, checking `decode_load()` at every chunk
+/// and iteration boundary, and handing the run to `at` at each one (it
+/// may preempt, lose KV, re-budget or cut). Returns every chunk seen.
+fn drive_chunked(
+    run: &mut ftts_engine::RequestRun,
+    driver: &mut dyn SearchDriver,
+    sharing: bool,
+    mut at: impl FnMut(&mut ftts_engine::RequestRun, Boundary),
+) -> Vec<ChunkSeen> {
+    use ftts_engine::DecodeStatus;
+    let mut seen = Vec::new();
+    while !run.is_finished() {
+        let status = match run.plan_decode_chunk(driver, 2).unwrap() {
+            DecodeStatus::Finished => break,
+            DecodeStatus::Planned(chunk) => {
+                let before = checked_decode_load(run, sharing);
+                let status = run.apply_decode_chunk(driver).unwrap();
+                let after = checked_decode_load(run, sharing);
+                seen.push(ChunkSeen {
+                    chunk,
+                    before,
+                    after,
+                });
+                status
+            }
+            status => status,
+        };
+        if status == DecodeStatus::Decoding {
+            at(run, Boundary::Chunk);
+            continue;
+        }
+        verify_solo(run, driver);
+        checked_decode_load(run, sharing);
+        if !run.is_finished() {
+            at(run, Boundary::Iteration);
+            checked_decode_load(run, sharing);
+        }
+    }
+    seen
+}
+
+/// Settle a generated iteration with solo-costed verifier sweeps.
+fn verify_solo(run: &mut ftts_engine::RequestRun, driver: &mut dyn SearchDriver) {
+    use ftts_engine::{VerifyCharge, VerifyChunk};
+    let chunks: Vec<VerifyChunk> = run.take_verify_batch().to_vec();
+    let charges: Vec<VerifyCharge> = chunks
+        .iter()
+        .map(|c| VerifyCharge::full(&c.solo_cost(run.verifier_roofline())))
+        .collect();
+    run.apply_verify_results(driver, &charges).unwrap();
+}
+
+fn engine_with_sharing(spec: SpecConfig, fraction: f64, seed: u64, sharing: bool) -> Engine {
+    let mut cfg = EngineConfig::baseline(GpuDevice::rtx4090(), ModelPairing::pair_1_5b_1_5b());
+    cfg.spec = spec;
+    cfg.memory_fraction = fraction;
+    cfg.seed = seed;
+    cfg.prefix_sharing = sharing;
+    Engine::new(cfg, Box::new(FifoOrder), Box::new(StaticSplitPlanner))
+}
+
+#[test]
+fn decode_load_running_sum_tracks_the_frontier_through_every_transition() {
+    for sharing in [true, false] {
+        let eng = engine_with_sharing(SpecConfig::fasttts_default(), 0.9, 5, sharing);
+        let mut driver = PlainBeam { n: 16, b: 4 };
+        let mut run = eng
+            .begin(&problem(0), 16, &mut driver, f64::INFINITY, None)
+            .unwrap();
+        let (mut iterations, mut chunks_at, mut preempted, mut lost, mut cut) = (0, 0, 0, 0, 0);
+        let seen = drive_chunked(&mut run, &mut driver, sharing, |run, at| match at {
+            Boundary::Chunk => {
+                chunks_at += 1;
+                // KV loss between chunks drops only unpinned blocks;
+                // context lengths are logical and stay put.
+                if chunks_at == 7 {
+                    lost += run.lose_device_kv();
+                }
+            }
+            Boundary::Iteration => {
+                iterations += 1;
+                match iterations {
+                    1 => {
+                        preempted += run.preempt();
+                        let t = run.clock() + 1.0;
+                        run.sync_clock_to(t);
+                    }
+                    2 => lost += run.lose_device_kv(),
+                    _ if run.first_finish_cut(0.0) => {
+                        cut += 1;
+                        assert_eq!(run.decode_load(), (0, 0), "a cut empties the frontier");
+                    }
+                    _ => {}
+                }
+            }
+        });
+        assert!(preempted > 0 && lost > 0, "the transitions happened");
+        assert_eq!(cut, 1, "the First Finish cut fired");
+        assert!(seen.len() > 20, "only {} chunks", seen.len());
+        for s in &seen {
+            // Without deferrals, a chunk grows the frontier's context
+            // by k per decoding frontier path, never by more.
+            assert_eq!(
+                s.before.0, s.after.0,
+                "the frontier is rebuilt only between iterations"
+            );
+            assert!(s.after.1 - s.before.1 <= s.chunk.k * s.chunk.batch as u64);
+        }
+    }
+}
+
+#[test]
+fn decode_load_running_sum_survives_emergency_deferrals() {
+    // 32 beams at 28% memory: some chunks cannot extend every decoding
+    // path, and the deferred paths are re-queued without their tokens.
+    // Without speculation a chunk's batch is exactly its decoding
+    // frontier paths, so a deferral shows as context growth below k
+    // per path.
+    let eng = engine_with_sharing(SpecConfig::disabled(), 0.28, 5, true);
+    let mut driver = PlainBeam { n: 32, b: 4 };
+    let mut run = eng
+        .begin(&problem(0), 32, &mut driver, f64::INFINITY, None)
+        .unwrap();
+    let seen = drive_chunked(&mut run, &mut driver, true, |_, _| {});
+    let deferred = seen
+        .iter()
+        .filter(|s| s.after.1 - s.before.1 < s.chunk.k * s.chunk.batch as u64)
+        .count();
+    assert!(deferred > 0, "no chunk deferred a path");
+    for s in &seen {
+        assert_eq!(
+            (s.after.1 - s.before.1) % s.chunk.k,
+            0,
+            "growth is k per extended path"
+        );
+    }
+    assert!(!run.finish().beams.is_empty());
+}
+
+#[test]
+fn a_co_batch_declared_after_planning_reprices_the_chunk() {
+    // Two identical runs decode the same chunks under the same co-batch
+    // (6 sequences, 6,000 context tokens), except that `late` plans each
+    // chunk alone and only then declares it. Its plan-time price must
+    // never leak into `chunk_seconds` or into the generator time apply
+    // books.
+    use ftts_engine::DecodeStatus;
+    let begin = |driver: &mut PlainBeam| {
+        engine(SpecConfig::fasttts_default(), 0.9, 3, false)
+            .begin(&problem(0), 8, driver, f64::INFINITY, None)
+            .unwrap()
+    };
+    let (mut late_driver, mut early_driver) = (PlainBeam { n: 8, b: 4 }, PlainBeam { n: 8, b: 4 });
+    let mut late = begin(&mut late_driver);
+    let mut early = begin(&mut early_driver);
+    early.set_co_batch(6, 6_000);
+    let mut repriced = 0;
+    while !late.is_finished() {
+        late.set_co_batch(0, 0);
+        let planned = late.plan_decode_chunk(&mut late_driver, 2).unwrap();
+        let status = early.plan_decode_chunk(&mut early_driver, 2).unwrap();
+        assert_eq!(planned, status);
+        let status = match planned {
+            DecodeStatus::Planned(chunk) => {
+                let alone = late.chunk_seconds(&chunk);
+                late.set_co_batch(6, 6_000);
+                let seconds = late.chunk_seconds(&chunk);
+                assert_eq!(seconds.to_bits(), early.chunk_seconds(&chunk).to_bits());
+                assert!(seconds > alone, "the co-batch slows the chunk");
+                repriced += 1;
+                let status = late.apply_decode_chunk(&mut late_driver).unwrap();
+                assert_eq!(status, early.apply_decode_chunk(&mut early_driver).unwrap());
+                status
+            }
+            DecodeStatus::Finished => break,
+            status => status,
+        };
+        assert_eq!(late.clock().to_bits(), early.clock().to_bits());
+        if status == DecodeStatus::Generated {
+            verify_solo(&mut late, &mut late_driver);
+            verify_solo(&mut early, &mut early_driver);
+        }
+    }
+    assert!(repriced > 20, "only {repriced} chunks");
+    let (late, early) = (late.finish(), early.finish());
+    assert_stats_identical(&late, &early);
+    assert_eq!(
+        late.completion.breakdown.generator.to_bits(),
+        early.completion.breakdown.generator.to_bits()
+    );
+}
+
+#[test]
+fn decode_load_running_sum_survives_a_retry_after_aborting_speculation() {
+    // Once speculative slots are decoding, shrink the KV budget 3% per
+    // chunk until a chunk cannot extend every active path. That chunk
+    // aborts speculation to free its blocks and retries the deferred
+    // paths; the retries that succeed must raise the running sum too.
+    // Without prefix sharing the working-set check in
+    // `checked_decode_load` holds it to the fold in release builds too.
+    let eng = engine_with_sharing(SpecConfig::fasttts_default(), 0.3, 5, false);
+    let mut driver = PlainBeam { n: 16, b: 4 };
+    let mut run = eng
+        .begin(&problem(0), 16, &mut driver, f64::INFINITY, None)
+        .unwrap();
+    let (mut full, mut spec_at, mut squeezed) = (0, 0, false);
+    drive_chunked(&mut run, &mut driver, false, |run, at| match at {
+        Boundary::Chunk => {
+            let spec = run.stats().spec.spec_tokens;
+            if spec_at == 0 {
+                spec_at = spec;
+            } else if !squeezed && spec > spec_at + 64 {
+                if run.stats().spec.preempted_branches > 0 {
+                    squeezed = true;
+                } else {
+                    full = full.max(run.kv_budget());
+                    let budget = run.kv_budget();
+                    run.set_kv_budget(budget / 100 * 97);
+                }
+            }
+        }
+        Boundary::Iteration => {
+            if full > 0 {
+                run.set_kv_budget(full);
+                full = 0;
+            }
+            spec_at = 0;
+        }
+    });
+    assert!(
+        squeezed,
+        "no chunk aborted speculation under memory pressure"
+    );
+    assert!(!run.finish().beams.is_empty());
+}

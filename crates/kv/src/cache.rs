@@ -869,6 +869,10 @@ impl KvCache {
     /// working set a cache must retain to serve all of them without
     /// recomputation. With prefix sharing this is the (deduplicated)
     /// tree size; without it, the plain sum of path lengths.
+    ///
+    /// Each leaf climbs its parent pointers only until it reaches a node
+    /// already counted: every ancestor of a counted node was counted
+    /// with it.
     pub fn unique_path_tokens(&self, leaves: &[NodeId]) -> u64 {
         if !self.config.prefix_sharing {
             return leaves.iter().map(|&l| self.seq_tokens(l)).sum();
@@ -876,10 +880,14 @@ impl KvCache {
         let mut seen = std::collections::HashSet::new();
         let mut total = 0u64;
         for &leaf in leaves {
-            for id in self.tree.logical_path(leaf) {
-                if seen.insert(id) {
-                    total += self.tree.node(id).n_tokens;
+            let mut cur = Some(leaf);
+            while let Some(id) = cur {
+                if !seen.insert(id) {
+                    break;
                 }
+                let node = self.tree.node(id);
+                total += node.n_tokens;
+                cur = node.parent;
             }
         }
         total

@@ -186,45 +186,40 @@ impl PrefixTree {
         path
     }
 
-    /// Full ancestor path (root → node) regardless of sharing mode.
-    pub fn logical_path(&self, node: NodeId) -> Vec<NodeId> {
-        let mut path = Vec::with_capacity(self.node(node).depth as usize + 1);
-        let mut cur = Some(node);
-        while let Some(id) = cur {
-            path.push(id);
-            cur = self.node(id).parent;
-        }
-        path.reverse();
-        path
-    }
-
     /// Shared prefix length, in tokens, between the sequences ending at
     /// `a` and `b` — the paper's `P(c_i, c_j)` (Sec. 4.2).
+    ///
+    /// Climbs parent pointers instead of building root-to-leaf paths:
+    /// both nodes rise to equal depth, then together until they meet,
+    /// remembering on each side the child just below the meeting node.
+    /// Each sequence diverges where that child starts, or at its own end
+    /// when the node is itself the meeting node (an ancestor of the
+    /// other). Nodes under different roots share nothing.
     pub fn shared_prefix(&self, a: NodeId, b: NodeId) -> u64 {
         if a == b {
             return self.node(a).end();
         }
-        let pa = self.logical_path(a);
-        let pb = self.logical_path(b);
-        let mut common = 0usize;
-        while common < pa.len() && common < pb.len() && pa[common] == pb[common] {
-            common += 1;
+        let (mut x, mut y) = (a, b);
+        let (mut below_x, mut below_y) = (None, None);
+        while self.node(x).depth > self.node(y).depth {
+            below_x = Some(x);
+            x = self.node(x).parent.expect("a deeper node has a parent");
         }
-        if common == 0 {
-            return 0;
+        while self.node(y).depth > self.node(x).depth {
+            below_y = Some(y);
+            y = self.node(y).parent.expect("a deeper node has a parent");
         }
-        // Divergence offsets within/after the last common node.
-        let oa = if common < pa.len() {
-            self.node(pa[common]).start
-        } else {
-            self.node(a).end()
+        while x != y {
+            let (Some(px), Some(py)) = (self.node(x).parent, self.node(y).parent) else {
+                return 0;
+            };
+            (below_x, below_y) = (Some(x), Some(y));
+            (x, y) = (px, py);
+        }
+        let diverge = |below: Option<NodeId>, own: NodeId| {
+            below.map_or(self.node(own).end(), |child| self.node(child).start)
         };
-        let ob = if common < pb.len() {
-            self.node(pb[common]).start
-        } else {
-            self.node(b).end()
-        };
-        oa.min(ob)
+        diverge(below_x, a).min(diverge(below_y, b))
     }
 
     /// Total sequence length in tokens for the path ending at `node`.

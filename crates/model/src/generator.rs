@@ -1,5 +1,8 @@
 //! The synthetic reasoning generator.
 
+use std::cell::RefCell;
+use std::collections::HashMap;
+
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -315,11 +318,14 @@ impl SyntheticGenerator {
     /// rather than an idiosyncratic one.
     pub const APPROACH_DECOY_PROB: f64 = 0.8;
 
-    /// Zipf over decoys `1..answer_space`.
+    /// Zipf over decoys `1..answer_space`. The normaliser is the same
+    /// for every draw of a dataset, so it comes from a per-thread memo
+    /// (see [`zipf_normaliser`]); the inverse-CDF walk below exits after
+    /// a few terms at the datasets' concentrations (s >= 1.8).
     fn zipf_decoy<R: rand::Rng>(problem: &ProblemSpec, rng: &mut R) -> u32 {
         let n = (problem.answer_space.max(2) - 1) as usize;
         let s = problem.decoy_concentration;
-        let total: f64 = (1..=n).map(|k| (k as f64).powf(-s)).sum();
+        let total = zipf_normaliser(n, s);
         let mut u = rng.gen::<f64>() * total;
         for k in 1..=n {
             u -= (k as f64).powf(-s);
@@ -336,6 +342,26 @@ impl SyntheticGenerator {
         let logit = self.profile.answer_slope * quality + self.profile.answer_bias;
         1.0 / (1.0 + (-logit).exp())
     }
+}
+
+thread_local! {
+    /// Zipf normalisers already summed on this thread, keyed by
+    /// `(terms, exponent bits)`. A pass draws about a hundred thousand
+    /// wrong answers over a handful of datasets, so nearly every lookup
+    /// hits.
+    static ZIPF_NORMALISERS: RefCell<HashMap<(usize, u64), f64>> = RefCell::new(HashMap::new());
+}
+
+/// `sum(k^-s for k in 1..=n)`, summed once per thread per `(n, s)` in
+/// exactly the order of the direct sum, so a memo hit returns the same
+/// bits a fresh sum would.
+fn zipf_normaliser(n: usize, s: f64) -> f64 {
+    ZIPF_NORMALISERS.with(|memo| {
+        *memo
+            .borrow_mut()
+            .entry((n, s.to_bits()))
+            .or_insert_with(|| (1..=n).map(|k| (k as f64).powf(-s)).sum())
+    })
 }
 
 #[cfg(test)]
@@ -465,6 +491,80 @@ mod tests {
         }
         // Decoy 1 (most popular) should beat decoy 20 clearly.
         assert!(counts[1] > 3 * counts[20].max(1));
+    }
+
+    /// `(answer_space, decoy_concentration)` of the four datasets, in
+    /// `ftts_workload::Dataset::all()` order (AIME, AMC, MATH-500,
+    /// HumanEval), then the crate-doc example.
+    const DECOY_PARAMS: [(u32, f64); 5] =
+        [(1000, 1.8), (800, 2.0), (500, 1.9), (50, 2.5), (64, 1.2)];
+
+    fn direct_normaliser(n: usize, s: f64) -> f64 {
+        (1..=n).map(|k| (k as f64).powf(-s)).sum()
+    }
+
+    /// `zipf_decoy` without the memo: the normaliser summed on every
+    /// draw.
+    fn zipf_decoy_direct<R: Rng>(problem: &ProblemSpec, rng: &mut R) -> u32 {
+        let n = (problem.answer_space.max(2) - 1) as usize;
+        let s = problem.decoy_concentration;
+        let mut u = rng.gen::<f64>() * direct_normaliser(n, s);
+        for k in 1..=n {
+            u -= (k as f64).powf(-s);
+            if u <= 0.0 {
+                return k as u32;
+            }
+        }
+        n as u32
+    }
+
+    #[test]
+    fn zipf_normaliser_memo_returns_the_direct_sum_bits() {
+        let check = || {
+            for (space, s) in DECOY_PARAMS {
+                let n = (space - 1) as usize;
+                let cached =
+                    || ZIPF_NORMALISERS.with(|m| m.borrow().contains_key(&(n, s.to_bits())));
+                assert!(!cached(), "a new thread starts with an empty memo");
+                let miss = zipf_normaliser(n, s);
+                assert!(cached());
+                let hit = zipf_normaliser(n, s);
+                let direct = direct_normaliser(n, s);
+                assert_eq!(miss.to_bits(), direct.to_bits(), "miss, n {n}, s {s}");
+                assert_eq!(hit.to_bits(), direct.to_bits(), "hit, n {n}, s {s}");
+            }
+            // The exponent is part of the key: HumanEval's term count
+            // under the crate-doc exponent is a new entry.
+            let (n, s) = (49, 1.2);
+            assert_eq!(
+                zipf_normaliser(n, s).to_bits(),
+                direct_normaliser(n, s).to_bits()
+            );
+        };
+        let threads: Vec<_> = (0..2).map(|_| std::thread::spawn(check)).collect();
+        for t in threads {
+            t.join().expect("memo check thread");
+        }
+    }
+
+    #[test]
+    fn zipf_decoy_draws_match_the_unmemoized_formula() {
+        for (i, (space, s)) in DECOY_PARAMS.into_iter().enumerate() {
+            let p = ProblemSpec {
+                answer_space: space,
+                decoy_concentration: s,
+                ..problem()
+            };
+            let mut memo_rng = stream(&[i as u64, 0xDEC0]);
+            let mut direct_rng = stream(&[i as u64, 0xDEC0]);
+            for draw in 0..2_000 {
+                assert_eq!(
+                    SyntheticGenerator::zipf_decoy(&p, &mut memo_rng),
+                    zipf_decoy_direct(&p, &mut direct_rng),
+                    "draw {draw}, answer space {space}, s {s}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -402,11 +402,13 @@ impl ServeConfig {
             if !(storm.horizon_secs > 0.0 && storm.horizon_secs.is_finite()) {
                 return Err("faults horizon_secs must be positive".to_string());
             }
-            if storm.slowdown_factor < 1.0 {
-                return Err("faults slowdown_factor must be >= 1".to_string());
+            // Written so that NaN fails too: a NaN storm value used to
+            // pass here and panic the first replay.
+            if !(storm.slowdown_factor >= 1.0 && storm.slowdown_factor.is_finite()) {
+                return Err("faults slowdown_factor must be finite and >= 1".to_string());
             }
-            if storm.slowdown_secs <= 0.0 {
-                return Err("faults slowdown_secs must be positive".to_string());
+            if !(storm.slowdown_secs > 0.0 && storm.slowdown_secs.is_finite()) {
+                return Err("faults slowdown_secs must be finite and positive".to_string());
             }
         }
         Ok(())

@@ -152,6 +152,16 @@ mod tests {
     }
 
     #[test]
+    fn decoy_parameters_match_the_generator_memo_tests() {
+        // ftts-model's decoy-normaliser tests cover exactly these pairs.
+        let params: Vec<(u32, f64)> = Dataset::all()
+            .iter()
+            .map(|d| (d.answer_space(), d.decoy_concentration()))
+            .collect();
+        assert_eq!(params, [(1000, 1.8), (800, 2.0), (500, 1.9), (50, 2.5)]);
+    }
+
+    #[test]
     fn different_seeds_differ() {
         let a = Dataset::Amc2023.problems(5, 1);
         let b = Dataset::Amc2023.problems(5, 2);
