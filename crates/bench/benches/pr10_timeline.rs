@@ -197,7 +197,7 @@ fn anchor_identical(event: &BatchRun, anchored: &BatchRun) -> bool {
 fn main() {
     let arrivals = straggler_arrivals();
     let event_w0 = run_event(&arrivals, 0.0);
-    let anchored = run_timeline(&arrivals, TimelineConfig::anchored(event_config(0.0)));
+    let anchored = run_timeline(&arrivals, TimelineConfig::from(event_config(0.0)));
     let iter_w0 = run_timeline(&arrivals, TimelineConfig::honest(event_config(0.0)));
     let joins_w0 = run_timeline(
         &arrivals,

@@ -31,7 +31,7 @@ use ftts_metrics::SloClass;
 use ftts_search::make_driver;
 use ftts_workload::RequestArrival;
 
-use crate::faults::degraded_beams;
+use crate::faults::{degraded_beams, DEGRADE_QUEUE_PER_LEVEL};
 use crate::server::{ServeOutcome, ServedRequest};
 use crate::timeline::LoopState;
 
@@ -409,9 +409,6 @@ impl LoopState<'_> {
                 return Ok(admitted);
             }
             let share = self.pool.equal_share(in_flight + 1);
-            if in_flight > 0 && share < config.min_share_bytes {
-                return Ok(admitted);
-            }
             // Candidates in tiebreak order: every readmission candidate
             // (pause order), then the head of the arrival queue. Under SLO
             // enforcement both classes rank earliest-deadline-first instead
@@ -511,15 +508,14 @@ impl LoopState<'_> {
                         // Graceful degradation: under SLO enforcement the
                         // controller shrinks the TTS budget (beam width) of
                         // fresh admissions while the backlog is deep — one
-                        // halving per `degrade_queue_per_level` queued or
+                        // halving per `DEGRADE_QUEUE_PER_LEVEL` queued or
                         // preempted requests, floored per SLO class — so
                         // the system trades answer-quality headroom for
                         // deadline hits *before* it resorts to shedding.
                         let n = self.sim.n;
                         let n_granted = if edf {
                             let backlog = self.waiting.len() + self.paused.len();
-                            let level =
-                                (backlog / config.robust.degrade_queue_per_level.max(1)) as u32;
+                            let level = (backlog / DEGRADE_QUEUE_PER_LEVEL) as u32;
                             degraded_beams(n, arrival.slo, level)
                         } else {
                             n
@@ -615,12 +611,12 @@ impl LoopState<'_> {
     /// Deadline/SLO enforcement sweep, active only under
     /// [`FaultPolicy::Degrade`](crate::FaultPolicy::Degrade):
     ///
-    /// * **Early rejection** — waiting arrivals whose deadline slack has
-    ///   fallen below [`RobustConfig::min_slack_secs`](crate::RobustConfig)
-    ///   are shed immediately (admitting them would waste device time on a
-    ///   guaranteed miss), as are arrivals whose prompt working set exceeds
-    ///   the *entire* KV pool (they could never be admitted at any share —
-    ///   the graceful form of the engine's hard infeasibility error).
+    /// * **Early rejection** — waiting arrivals already past their
+    ///   deadline are shed immediately (admitting them would waste device
+    ///   time on a guaranteed miss), as are arrivals whose prompt working
+    ///   set exceeds the *entire* KV pool (they could never be admitted at
+    ///   any share — the graceful form of the engine's hard infeasibility
+    ///   error).
     /// * **Timeout cancellation** — admitted runs past their deadline are
     ///   hopeless and are cancelled (see [`LoopState::cancel`]). Their
     ///   prompt prefix is published to the tier on the way out, so a retry
@@ -635,7 +631,8 @@ impl LoopState<'_> {
         if !config.robust.slo_enforcement() {
             return;
         }
-        // Early rejection: expired slack, or a prompt no share could host.
+        // Early rejection: an expired deadline, or a prompt no share could
+        // host.
         // Prompt tokens already host-resident in the tier (a published warm
         // prefix) swap in instead of occupying fresh device KV at prefill,
         // so only the *cold* tail counts against the device working set —
@@ -646,7 +643,7 @@ impl LoopState<'_> {
             .waiting
             .extract_if(.., |&mut idx| {
                 let a = &self.arrivals[idx];
-                let expired = a.deadline - now < config.robust.min_slack_secs;
+                let expired = a.deadline < now;
                 let cold_tokens = a
                     .problem
                     .prompt_tokens
@@ -867,10 +864,10 @@ pub(crate) fn cost_verify_sweeps(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event_server::{EventConfig, RunDirectives};
+    use crate::event_server::RunDirectives;
     use crate::faults::{FaultPlan, FaultPolicy, RobustConfig};
     use crate::server::TtsServer;
-    use crate::timeline::{TimelineConfig, TimelineServerSim};
+    use crate::timeline::TimelineServerSim;
     use ftts_engine::ModelPairing;
     use ftts_hw::GpuDevice;
     use ftts_kv::{HostTier, KvTierConfig, PoolBudget};
@@ -889,12 +886,7 @@ mod tests {
         let config = crate::BatchConfig::continuous(2)
             .with_robust(RobustConfig::with_policy(FaultPolicy::Degrade));
         let gen_bpt = server.config().models.gen_spec.kv_bytes_per_token();
-        let sim = TimelineServerSim::new(
-            server,
-            4,
-            SearchKind::BeamSearch,
-            TimelineConfig::anchored(EventConfig::lockstep(config)),
-        );
+        let sim = TimelineServerSim::new(server, 4, SearchKind::BeamSearch, config);
         let problems = Dataset::Aime2024.problems(1, 7);
         let arrivals = ArrivalPattern::Burst { at: 0.0 }.schedule(&problems, 0);
         let prompt = arrivals[0].problem.prompt_tokens;

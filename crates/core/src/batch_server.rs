@@ -60,11 +60,11 @@
 //!   paper's Sec. 4.1.2 rule, and exactly [`ServerSim`]'s rule when the
 //!   batch size is 1.
 //!
-//! [`BatchedServerSim`] is the infinite-window anchored preset of the
-//! timeline run loop, `TimelineConfig::anchored(EventConfig::lockstep(
-//! config))`, and keeps no loop of its own: an infinite co-batch window
-//! makes every launch wait for the whole in-flight set, so each launch
-//! is a lockstep round.
+//! [`BatchedServerSim`] is another name for [`TimelineServerSim`]: a
+//! [`BatchConfig`] converts into the infinite-window anchored policy
+//! (`TimelineConfig::from(EventConfig::lockstep(config))`), and an
+//! infinite co-batch window makes every launch wait for the whole
+//! in-flight set, so each launch is a lockstep round.
 //!
 //! With `max_batch = 1` and mid-flight admission disabled the scheduler
 //! reproduces [`ServerSim::run`] bit-for-bit (outcomes, latencies,
@@ -75,19 +75,16 @@
 //! `crates/core/tests/golden.rs`.
 //!
 //! [`ServerSim`]: crate::ServerSim
+//! [`TimelineServerSim`]: crate::TimelineServerSim
 
-use ftts_engine::EngineError;
 use ftts_kv::KvTierConfig;
 use ftts_metrics::{StreamRecord, StreamSummary};
-use ftts_search::SearchKind;
-use ftts_workload::RequestArrival;
 use serde::{Deserialize, Serialize};
 
-use crate::event_server::EventConfig;
-use crate::faults::{FaultPlan, RobustConfig};
-use crate::server::{ServedRequest, TtsServer};
+use crate::faults::RobustConfig;
+use crate::server::ServedRequest;
 use crate::tenant::TenantPolicy;
-use crate::timeline::{TimelineConfig, TimelineServerSim};
+use crate::timeline::TimelineServerSim;
 
 /// Request-level scheduling knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -98,9 +95,6 @@ pub struct BatchConfig {
     /// batching). When `false`, admission waits for the device to drain
     /// — batch-1 FIFO or gang scheduling depending on `max_batch`.
     pub admit_mid_flight: bool,
-    /// Do not admit a request mid-flight if equal shares would fall
-    /// below this many bytes (0 = only `max_batch` limits admission).
-    pub min_share_bytes: u64,
     /// Fuse all in-flight requests' verifier prefills into one shared
     /// sweep per round instead of serializing per-request kernels on
     /// the shared accelerator.
@@ -141,7 +135,6 @@ impl BatchConfig {
         Self {
             max_batch: 1,
             admit_mid_flight: false,
-            min_share_bytes: 0,
             fused_verify: false,
             demand_shares: false,
             first_finish: false,
@@ -212,9 +205,8 @@ impl BatchConfig {
 }
 
 /// Result of replaying one arrival stream through the scheduler run
-/// loop — via [`BatchedServerSim`], [`crate::EventServerSim`] or
-/// [`crate::TimelineServerSim`].
-#[derive(Debug, Clone)]
+/// loop ([`TimelineServerSim`]).
+#[derive(Debug, Clone, Default)]
 pub struct BatchRun {
     /// Per-request records, in arrival order.
     pub served: Vec<ServedRequest>,
@@ -280,9 +272,10 @@ pub struct BatchRun {
     /// caps held for the whole run. Empty without a tenant policy.
     pub tenant_peak_bytes: Vec<(u32, u64)>,
     /// Device-timeline occupancy roll-up. Every run records its
-    /// launches as segments on the device timeline; under the anchored
-    /// presets ([`BatchedServerSim`], [`crate::EventServerSim`]) the
-    /// timeline only observes, so `stretch_secs` stays 0.
+    /// launches as segments on the device timeline; under an anchored
+    /// policy (from an [`EventConfig`](crate::EventConfig) or a
+    /// [`BatchConfig`]) the timeline only observes, so `stretch_secs`
+    /// stays 0.
     pub timeline: ftts_metrics::TimelineOccupancy,
 }
 
@@ -323,63 +316,19 @@ impl BatchRun {
 }
 
 /// Replays a request arrival stream with continuous batching across
-/// requests over one shared accelerator and KV pool, in lockstep
-/// rounds: the infinite-window anchored preset of the timeline run
-/// loop.
-#[derive(Debug, Clone)]
-pub struct BatchedServerSim {
-    sim: TimelineServerSim,
-}
-
-impl BatchedServerSim {
-    /// Simulate `server` answering requests with `n` beams each under
-    /// the given batching policy.
-    pub fn new(server: TtsServer, n: usize, kind: SearchKind, config: BatchConfig) -> Self {
-        let config = TimelineConfig::anchored(EventConfig::lockstep(config));
-        Self {
-            sim: TimelineServerSim::new(server, n, kind, config),
-        }
-    }
-
-    /// The batching policy in effect.
-    pub fn config(&self) -> &BatchConfig {
-        &self.sim.config().event.batch
-    }
-
-    /// Serve the arrival stream to completion on a fault-free device.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`EngineError`] when a request cannot fit even with
-    /// the entire pool to itself.
-    pub fn run(&self, arrivals: &[RequestArrival]) -> Result<BatchRun, EngineError> {
-        self.sim.run(arrivals)
-    }
-
-    /// Serve the arrival stream to completion while `plan` injects
-    /// faults into the simulated device. The empty plan reproduces
-    /// [`BatchedServerSim::run`] bit-for-bit; any plan is itself
-    /// deterministic (same `(stream, plan, config)` → same run).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`EngineError`] when a request cannot fit even with
-    /// the entire pool to itself.
-    pub fn run_faulted(
-        &self,
-        arrivals: &[RequestArrival],
-        plan: &FaultPlan,
-    ) -> Result<BatchRun, EngineError> {
-        self.sim.run_faulted(arrivals, plan)
-    }
-}
+/// requests over one shared accelerator and KV pool, in lockstep rounds
+/// when built from a [`BatchConfig`]: the one scheduler run loop, under
+/// the name the lockstep callers use.
+pub type BatchedServerSim = TimelineServerSim;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::server::TtsServer;
     use ftts_engine::ModelPairing;
     use ftts_hw::GpuDevice;
-    use ftts_workload::{ArrivalPattern, Dataset};
+    use ftts_search::SearchKind;
+    use ftts_workload::{ArrivalPattern, Dataset, RequestArrival};
 
     fn server(seed: u64, memory_fraction: f64) -> TtsServer {
         let mut s = TtsServer::fasttts(GpuDevice::rtx4090(), ModelPairing::pair_1_5b_1_5b());
@@ -523,19 +472,6 @@ mod tests {
             assert_eq!(r.outcome.stats.beams.len(), f.outcome.stats.beams.len());
         }
         assert!(saw_preempted);
-    }
-
-    #[test]
-    fn min_share_caps_concurrency() {
-        let arrivals = overload_arrivals(4, 61);
-        let pool = server(1, 0.9).config().kv_budget_bytes();
-        let mut config = BatchConfig::continuous(4);
-        // Equal shares for 3+ requests would dip below the floor.
-        config.min_share_bytes = pool / 2;
-        let run = BatchedServerSim::new(server(1, 0.9), 8, SearchKind::BeamSearch, config)
-            .run(&arrivals)
-            .expect("run");
-        assert_eq!(run.served.len(), 4);
     }
 
     #[test]

@@ -36,35 +36,31 @@
 //!   launches is safe (`RunPhase` asserts it).
 //! * **Shared admission, shares and preemption.** Admission order,
 //!   equal/demand-proportional KV shares and youngest-first preemption
-//!   are the `crate::admission` code every preset runs. Shares and caps
+//!   are the `crate::admission` code every policy runs. Shares and caps
 //!   count the *whole* in-flight set, not just the launching group.
 //!
 //! # One loop, two anchors
 //!
-//! [`EventServerSim`] is the anchored preset of the timeline run loop
-//! (`TimelineConfig::anchored(config)`) and keeps no loop of its own.
-//! Two degenerate windows pin it to known-good behaviour:
+//! [`EventServerSim`] is another name for the one scheduler type,
+//! [`TimelineServerSim`]: an [`EventConfig`] converts into the anchored
+//! policy (`TimelineConfig::from(config)`), under which the timeline
+//! only observes. Two degenerate windows pin it to known-good
+//! behaviour:
 //!
 //! * **Batch 1** ([`BatchConfig::fifo`]): groups are always singletons
 //!   and the loop reproduces [`ServerSim::run`](crate::ServerSim::run)
 //!   exactly (checked in `crates/core/tests/event_sched.rs`).
 //! * **Infinite window** ([`EventConfig::lockstep`]): every launch
 //!   waits for all in-flight requests, so the launch is the lockstep
-//!   barrier and the device floor advances to each round's end — the
-//!   [`BatchedServerSim`](crate::BatchedServerSim) preset, including
+//!   barrier and the device floor advances to each round's end — what
+//!   [`BatchedServerSim`](crate::BatchedServerSim) runs, including
 //!   `barrier_idle` attribution.
 //!
 //! Both modes and the windows between them are frozen as golden
 //! fingerprints in `crates/core/tests/golden.rs`.
 
-use ftts_engine::EngineError;
-use ftts_search::SearchKind;
-use ftts_workload::RequestArrival;
-
-use crate::batch_server::{BatchConfig, BatchRun};
-use crate::faults::FaultPlan;
-use crate::server::TtsServer;
-use crate::timeline::{TimelineConfig, TimelineServerSim};
+use crate::batch_server::BatchConfig;
+use crate::timeline::TimelineServerSim;
 
 /// Event-driven scheduling knobs: a request-level batching policy plus
 /// the co-batch window.
@@ -96,8 +92,8 @@ impl EventConfig {
     }
 
     /// The degenerate infinite-window mode: every launch waits for all
-    /// in-flight requests, reproducing [`crate::BatchedServerSim`]'s
-    /// lockstep rounds bit-for-bit — the correctness anchor.
+    /// in-flight requests, so each launch is a lockstep round — the
+    /// policy a [`BatchConfig`] converts into.
     pub fn lockstep(batch: BatchConfig) -> Self {
         Self {
             batch,
@@ -124,10 +120,10 @@ pub struct PrewarmPrefix {
     pub bytes: u64,
 }
 
-/// External directives applied to one [`EventServerSim`] run — the
-/// interface a fleet router uses to steer a device timeline it does not
-/// otherwise control. Empty directives leave the run bit-identical to
-/// [`EventServerSim::run_faulted`].
+/// External directives applied to one scheduler run — the interface a
+/// fleet router uses to steer a device timeline it does not otherwise
+/// control. Empty directives leave the run bit-identical to
+/// [`TimelineServerSim::run_faulted`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunDirectives {
     /// `(arrival index, instant)`: cancel the request at the first
@@ -150,76 +146,19 @@ impl RunDirectives {
 
 /// Replays a request arrival stream with event-driven
 /// (iteration-granularity) continuous batching over one shared
-/// accelerator and KV pool: the anchored preset of the timeline run
-/// loop. See the module docs for the execution model.
-#[derive(Debug, Clone)]
-pub struct EventServerSim {
-    sim: TimelineServerSim,
-}
-
-impl EventServerSim {
-    /// Simulate `server` answering requests with `n` beams each under
-    /// the given event-driven policy.
-    pub fn new(server: TtsServer, n: usize, kind: SearchKind, config: EventConfig) -> Self {
-        Self {
-            sim: TimelineServerSim::new(server, n, kind, TimelineConfig::anchored(config)),
-        }
-    }
-
-    /// The event-driven policy in effect.
-    pub fn config(&self) -> &EventConfig {
-        &self.sim.config().event
-    }
-
-    /// Serve the arrival stream to completion on a fault-free device.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`EngineError`] when a request cannot fit even with
-    /// the entire pool to itself.
-    pub fn run(&self, arrivals: &[RequestArrival]) -> Result<BatchRun, EngineError> {
-        self.sim.run(arrivals)
-    }
-
-    /// Serve the arrival stream to completion while `plan` injects
-    /// faults into the simulated device (see
-    /// [`TimelineServerSim::run_faulted`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`EngineError`] when a request cannot fit even with
-    /// the entire pool to itself.
-    pub fn run_faulted(
-        &self,
-        arrivals: &[RequestArrival],
-        plan: &FaultPlan,
-    ) -> Result<BatchRun, EngineError> {
-        self.sim.run_faulted(arrivals, plan)
-    }
-
-    /// Serve the arrival stream under `plan` while `directives` steer
-    /// the run from outside (see [`TimelineServerSim::run_directed`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`EngineError`] when a request cannot fit even with
-    /// the entire pool to itself.
-    pub fn run_directed(
-        &self,
-        arrivals: &[RequestArrival],
-        plan: &FaultPlan,
-        directives: &RunDirectives,
-    ) -> Result<BatchRun, EngineError> {
-        self.sim.run_directed(arrivals, plan, directives)
-    }
-}
+/// accelerator and KV pool when built from an [`EventConfig`]: the one
+/// scheduler run loop, under the name the event-driven callers use. See
+/// the module docs for the execution model.
+pub type EventServerSim = TimelineServerSim;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::server::TtsServer;
     use ftts_engine::ModelPairing;
     use ftts_hw::GpuDevice;
-    use ftts_workload::{ArrivalPattern, Dataset};
+    use ftts_search::SearchKind;
+    use ftts_workload::{ArrivalPattern, Dataset, RequestArrival};
 
     fn server(seed: u64, memory_fraction: f64) -> TtsServer {
         let mut s = TtsServer::fasttts(GpuDevice::rtx4090(), ModelPairing::pair_1_5b_1_5b());

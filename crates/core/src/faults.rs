@@ -1,8 +1,8 @@
 //! Deterministic fault injection and the SLO/robustness policy.
 //!
 //! Every run so far assumed a perfect device and infinite patience. This
-//! module makes robustness first-class, in three pieces shared by both
-//! request schedulers ([`BatchedServerSim`] and [`EventServerSim`]):
+//! module makes robustness first-class, in three pieces the scheduler
+//! run loop ([`TimelineServerSim`]) consumes at its launch boundaries:
 //!
 //! * **A seeded fault plan** ([`FaultPlan`]) — a sorted timeline of
 //!   [`FaultEvent`]s perturbing the simulated device: transient kernel
@@ -10,8 +10,8 @@
 //!   loss. The plan is *data*, not randomness at run time: the same
 //!   `(seed, plan)` pair always replays bit-identically, and the empty
 //!   plan leaves a run bit-identical to the fault-free scheduler (the
-//!   equivalence anchors extend to faulty runs because both schedulers
-//!   consume the plan through the same cursor at their launch
+//!   equivalence anchors extend to faulty runs because every policy
+//!   consumes the plan through the same cursor at its launch
 //!   boundaries).
 //! * **A retry/repair model.** A kernel fault poisons the next launch:
 //!   the launch's device work is partially wasted and the iteration is
@@ -19,13 +19,13 @@
 //!   tokens live outside the device kernels, so a retry replays the
 //!   same iteration deterministically with warm KV. Under
 //!   [`FaultPolicy::NoHandling`] the failed kernel is re-dispatched
-//!   blindly into the still-faulty device ([`RobustConfig::blind_retries`]
-//!   collisions of pure device burn); with retry handling the launch
-//!   pays one wasted attempt plus *exponential backoff* off-device —
-//!   the device is free during backoff, which is exactly what the
-//!   event-driven scheduler exploits. KV loss drops unpinned
-//!   device-resident blocks (no host copy); recovery is the normal
-//!   recompute-on-pin path, i.e. deterministic replay. All fault time
+//!   blindly into the still-faulty device (four collisions of pure
+//!   device burn); with retry handling the launch pays one wasted
+//!   attempt plus *exponential backoff* off-device — the device is free
+//!   during backoff, which is exactly what the event-driven scheduler
+//!   exploits. KV loss drops unpinned device-resident blocks (no host
+//!   copy); recovery is the normal recompute-on-pin path, i.e.
+//!   deterministic replay. All fault time
 //!   is booked to the dedicated `LatencyBreakdown::fault` bucket, never
 //!   to the busy phases — retries cannot double-bill device time.
 //! * **Deadlines, SLO classes and graceful degradation**
@@ -37,8 +37,7 @@
 //!   pressure *before* shedding load — the FastTTS-specific degradation
 //!   axis.
 //!
-//! [`BatchedServerSim`]: crate::BatchedServerSim
-//! [`EventServerSim`]: crate::EventServerSim
+//! [`TimelineServerSim`]: crate::TimelineServerSim
 
 use ftts_metrics::SloClass;
 use ftts_model::stream;
@@ -80,18 +79,6 @@ pub enum FaultKind {
         /// (cold, empty KV) at `at + down_for`.
         down_for: f64,
     },
-    /// A device-health degradation window: like
-    /// [`FaultKind::Slowdown`] but modelling a sick replica (ECC
-    /// scrubbing, a flaky PCIe link) rather than thermals. Every launch
-    /// starting within `[at, at + duration)` runs `factor`× slower;
-    /// health-aware fleet routing observes the inflated completion
-    /// latencies and steers new work away.
-    DeviceDegrade {
-        /// Kernel-time multiplier, `>= 1`.
-        factor: f64,
-        /// Window length in seconds, `> 0`.
-        duration: f64,
-    },
 }
 
 /// One scheduled fault.
@@ -127,17 +114,6 @@ pub struct StormConfig {
     pub slowdown_secs: f64,
     /// Device KV-loss events to scatter.
     pub kv_losses: usize,
-    /// Whole-device crash/recovery events to scatter (device-scoped;
-    /// defaults to 0 so pre-existing storms are bit-identical).
-    pub device_crashes: usize,
-    /// Outage length of each crash, seconds.
-    pub crash_down_secs: f64,
-    /// Device-health degradation windows to scatter (defaults to 0).
-    pub device_degrades: usize,
-    /// Kernel-time multiplier inside each degradation window (`>= 1`).
-    pub degrade_factor: f64,
-    /// Length of each degradation window, seconds.
-    pub degrade_secs: f64,
 }
 
 impl Default for StormConfig {
@@ -148,11 +124,6 @@ impl Default for StormConfig {
             slowdown_factor: 1.5,
             slowdown_secs: 10.0,
             kv_losses: 2,
-            device_crashes: 0,
-            crash_down_secs: 60.0,
-            device_degrades: 0,
-            degrade_factor: 2.0,
-            degrade_secs: 30.0,
         }
     }
 }
@@ -175,8 +146,7 @@ impl FaultPlan {
         for e in &events {
             assert!(e.at >= 0.0 && e.at.is_finite(), "fault time must be finite");
             match e.kind {
-                FaultKind::Slowdown { factor, duration }
-                | FaultKind::DeviceDegrade { factor, duration } => {
+                FaultKind::Slowdown { factor, duration } => {
                     assert!(factor >= 1.0, "slowdown factor must be >= 1");
                     assert!(duration > 0.0, "slowdown window must be positive");
                 }
@@ -220,26 +190,6 @@ impl FaultPlan {
                 kind: FaultKind::KvLoss,
             });
         }
-        // Device-scoped events draw *after* the legacy kinds so a
-        // config with the new knobs at zero replays the exact RNG
-        // sequence of older storms — existing plans stay bit-identical.
-        for _ in 0..cfg.device_crashes {
-            events.push(FaultEvent {
-                at: rng.gen::<f64>() * horizon,
-                kind: FaultKind::DeviceCrash {
-                    down_for: cfg.crash_down_secs,
-                },
-            });
-        }
-        for _ in 0..cfg.device_degrades {
-            events.push(FaultEvent {
-                at: rng.gen::<f64>() * horizon,
-                kind: FaultKind::DeviceDegrade {
-                    factor: cfg.degrade_factor,
-                    duration: cfg.degrade_secs,
-                },
-            });
-        }
         Self::new(events)
     }
 
@@ -263,10 +213,6 @@ impl FaultPlan {
                 break;
             }
             if let FaultKind::Slowdown {
-                factor: f,
-                duration,
-            }
-            | FaultKind::DeviceDegrade {
                 factor: f,
                 duration,
             } = e.kind
@@ -311,9 +257,9 @@ impl FaultPlan {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum FaultPolicy {
     /// No fault handling: a failed kernel is re-dispatched blindly into
-    /// the still-faulty device ([`RobustConfig::blind_retries`]
-    /// immediate collisions, pure device burn, no backoff), deadlines
-    /// are observed but never enforced, nothing degrades or sheds.
+    /// the still-faulty device (four immediate collisions, pure device
+    /// burn, no backoff), deadlines are observed but never enforced,
+    /// nothing degrades or sheds.
     NoHandling,
     /// Retry with exponential backoff from the last committed state
     /// (warm KV). No deadline enforcement, no degradation — the
@@ -328,52 +274,33 @@ pub enum FaultPolicy {
     Degrade,
 }
 
-/// Fault-handling and SLO knobs, carried inside
+/// First retry's backoff, seconds; attempt `k` waits `2^k` times this
+/// (exponential backoff).
+const BACKOFF_BASE_SECS: f64 = 0.25;
+/// Fraction of a launch's device time wasted per failed kernel attempt
+/// (the fault hits partway through the kernel).
+const WASTE_FRAC: f64 = 0.5;
+/// [`FaultPolicy::NoHandling`] only: immediate re-dispatches burned into
+/// the still-faulty device per kernel fault.
+const BLIND_RETRIES: u32 = 4;
+/// Degradation controller: one degradation level (beam-width halving)
+/// per this many queued-or-preempted requests.
+pub(crate) const DEGRADE_QUEUE_PER_LEVEL: usize = 2;
+
+/// The fault-handling and SLO policy, carried inside
 /// [`BatchConfig`](crate::BatchConfig). The default (`Retry` policy,
 /// empty fault plan) changes nothing about a fault-free run — the
 /// equivalence anchors rely on that.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct RobustConfig {
     /// The response policy.
     pub policy: FaultPolicy,
-    /// First retry's backoff, seconds; attempt `k` waits `2^k` times
-    /// this (exponential backoff).
-    pub backoff_base_secs: f64,
-    /// Fraction of a launch's device time wasted per failed kernel
-    /// attempt (the fault hits partway through the kernel).
-    pub waste_frac: f64,
-    /// [`FaultPolicy::NoHandling`] only: immediate re-dispatches burned
-    /// into the still-faulty device per kernel fault.
-    pub blind_retries: u32,
-    /// Degradation controller: one degradation level (beam-width
-    /// halving) per this many queued-or-preempted requests.
-    pub degrade_queue_per_level: usize,
-    /// Early rejection: shed an arrival at admission time if its
-    /// deadline slack has fallen below this many seconds (0 rejects
-    /// only already-expired requests).
-    pub min_slack_secs: f64,
-}
-
-impl Default for RobustConfig {
-    fn default() -> Self {
-        Self {
-            policy: FaultPolicy::default(),
-            backoff_base_secs: 0.25,
-            waste_frac: 0.5,
-            blind_retries: 4,
-            degrade_queue_per_level: 2,
-            min_slack_secs: 0.0,
-        }
-    }
 }
 
 impl RobustConfig {
-    /// The given policy with default knobs.
+    /// The given policy.
     pub fn with_policy(policy: FaultPolicy) -> Self {
-        Self {
-            policy,
-            ..Self::default()
-        }
+        Self { policy }
     }
 
     /// Whether deadline/SLO machinery (rejection, EDF, cancellation,
@@ -430,7 +357,7 @@ pub(crate) struct LaunchFaults {
     /// KV-loss events that fired.
     pub(crate) kv_losses: u32,
     /// Extra *device-busy* seconds per wasted-kernel second of the
-    /// member's iteration: `waste_frac × attempts`, plus the throttle
+    /// member's iteration: `WASTE_FRAC × attempts`, plus the throttle
     /// stretch `factor - 1`. Multiplied by each member's own iteration
     /// time (members of one launch share the kernel, so they share the
     /// failure).
@@ -468,7 +395,7 @@ impl LaunchFaults {
                     out.kv_losses += 1;
                     out.backoff_secs += down_for;
                 }
-                FaultKind::Slowdown { .. } | FaultKind::DeviceDegrade { .. } => {}
+                FaultKind::Slowdown { .. } => {}
             }
         }
         let slow = plan.slowdown_factor(t) - 1.0;
@@ -481,17 +408,17 @@ impl LaunchFaults {
                     // still-faulty device: every attempt burns another
                     // wasted kernel slice, and the device is busy the
                     // whole time.
-                    out.retries = out.kernel_faults * robust.blind_retries.max(1);
-                    out.busy_stretch += robust.waste_frac * out.retries as f64;
+                    out.retries = out.kernel_faults * BLIND_RETRIES;
+                    out.busy_stretch += WASTE_FRAC * out.retries as f64;
                 }
                 FaultPolicy::Retry | FaultPolicy::Degrade => {
                     // One wasted attempt per fault, then exponential
                     // backoff clears the transient: the k-th fault of a
                     // launch waits 2^k × base off-device.
                     out.retries = out.kernel_faults;
-                    out.busy_stretch += robust.waste_frac * out.kernel_faults as f64;
+                    out.busy_stretch += WASTE_FRAC * out.kernel_faults as f64;
                     for k in 0..out.kernel_faults {
-                        out.backoff_secs += robust.backoff_base_secs * f64::powi(2.0, k as i32);
+                        out.backoff_secs += BACKOFF_BASE_SECS * f64::powi(2.0, k as i32);
                     }
                 }
             }
@@ -608,14 +535,14 @@ mod tests {
         assert_eq!(f.retries, 2);
         // 0.25 * (2^0 + 2^1)
         assert!((f.backoff_secs - 0.75).abs() < 1e-12);
-        assert!((f.busy_stretch - 2.0 * retry.waste_frac).abs() < 1e-12);
+        assert!((f.busy_stretch - 2.0 * WASTE_FRAC).abs() < 1e-12);
 
         let blind = RobustConfig::with_policy(FaultPolicy::NoHandling);
         let mut cursor = FaultCursor::default();
         let f = LaunchFaults::at(&mut cursor, &plan, &blind, 5.0);
-        assert_eq!(f.retries, 2 * blind.blind_retries);
+        assert_eq!(f.retries, 2 * BLIND_RETRIES);
         assert_eq!(f.backoff_secs, 0.0, "no backoff, pure burn");
-        assert!(f.busy_stretch > 2.0 * blind.waste_frac);
+        assert!(f.busy_stretch > 2.0 * WASTE_FRAC);
     }
 
     #[test]
@@ -631,38 +558,25 @@ mod tests {
 
     #[test]
     fn device_scoped_storms_are_deterministic_and_opt_in() {
-        // Default knobs draw zero device-scoped events: pre-existing
-        // (seed, horizon, cfg) storms replay bit-identically.
-        let legacy = FaultPlan::storm(7, 100.0, &StormConfig::default());
-        assert!(legacy.crash_windows().is_empty());
-        assert_eq!(legacy.without_crashes(), legacy);
+        // Storms draw no device-scoped events: crashes enter a plan
+        // only through `FaultPlan::new`.
+        let storm = FaultPlan::storm(7, 100.0, &StormConfig::default());
+        assert!(storm.crash_windows().is_empty());
+        assert_eq!(storm.without_crashes(), storm);
 
-        let cfg = StormConfig {
-            device_crashes: 2,
-            crash_down_secs: 25.0,
-            device_degrades: 1,
-            degrade_factor: 3.0,
-            degrade_secs: 40.0,
-            ..StormConfig::default()
+        let crash = |at| FaultEvent {
+            at,
+            kind: FaultKind::DeviceCrash { down_for: 25.0 },
         };
-        let a = FaultPlan::storm(7, 100.0, &cfg);
-        let b = FaultPlan::storm(7, 100.0, &cfg);
-        assert_eq!(a, b, "same (seed, horizon, config), same plan");
-        assert_ne!(a, FaultPlan::storm(8, 100.0, &cfg));
-        assert_eq!(
-            a.events().len(),
-            cfg.kernel_faults + cfg.slowdowns + cfg.kv_losses + 3
-        );
+        let mut events = storm.events().to_vec();
+        events.extend([crash(60.0), crash(15.0)]);
+        let a = FaultPlan::new(events);
         for w in a.events().windows(2) {
             assert!(w[0].at <= w[1].at, "plans stay sorted");
         }
-        // The legacy kinds draw before the device-scoped ones, so the
-        // non-crash, non-degrade slice matches the legacy storm.
-        let crashes = a.crash_windows();
-        assert_eq!(crashes.len(), 2);
-        assert!(crashes.iter().all(|&(at, d)| at < 100.0 && d == 25.0));
+        assert_eq!(a.crash_windows(), vec![(15.0, 25.0), (60.0, 25.0)]);
         let stripped = a.without_crashes();
-        assert_eq!(stripped.events().len(), a.events().len() - 2);
+        assert_eq!(stripped, storm, "stripping restores the storm");
         assert!(stripped.crash_windows().is_empty());
     }
 
@@ -681,20 +595,6 @@ mod tests {
             (f.backoff_secs - 30.0).abs() < 1e-12,
             "waits out the outage"
         );
-    }
-
-    #[test]
-    fn degrade_windows_throttle_like_slowdowns() {
-        let plan = FaultPlan::new(vec![FaultEvent {
-            at: 10.0,
-            kind: FaultKind::DeviceDegrade {
-                factor: 2.5,
-                duration: 5.0,
-            },
-        }]);
-        assert_eq!(plan.slowdown_factor(9.0), 1.0);
-        assert_eq!(plan.slowdown_factor(12.0), 2.5);
-        assert_eq!(plan.slowdown_factor(15.5), 1.0, "window expired");
     }
 
     #[test]

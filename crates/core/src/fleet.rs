@@ -3,24 +3,24 @@
 //! A [`FleetSim`] runs one device timeline per replica behind a router:
 //! each replica runs the timeline loop
 //! ([`TimelineServerSim`](crate::TimelineServerSim)) under the fleet's
-//! event policy and [`FleetConfig::timeline`] tuning. The edge "fleet"
-//! the paper targets is a handful of flaky accelerators, so robustness
-//! is built into the routing layer rather than bolted on:
+//! [`FleetConfig::policy`]. The edge "fleet" the paper targets is a
+//! handful of flaky accelerators, so robustness is built into the
+//! routing layer rather than bolted on:
 //!
 //! * **Pluggable routing** ([`RoutePolicy`]): round-robin, join-shortest
 //!   -queue, prefix-affinity (follow the replica whose
 //!   [`HostTier`](crate::HostTier) holds the warm prompt prefix), and
-//!   health-aware EWMA-latency routing (sick replicas — degrade windows,
-//!   crash recoveries — report inflated completion latencies and shed
-//!   new load).
+//!   health-aware EWMA-latency routing (sick replicas — slowdown
+//!   windows, crash recoveries — report inflated completion latencies
+//!   and shed new load).
 //! * **Crash failover.** Device-scoped crash events
 //!   ([`FaultKind::DeviceCrash`](crate::FaultKind)) are stripped from
 //!   the per-device fault plan and handled here: every leg in flight or
 //!   queued on the crashed replica is cancelled there (device KV lost —
 //!   the PR 6 replay path; parked tier bytes unparked — nothing
 //!   strands), and, with [`FleetConfig::failover`] on, re-routed to a
-//!   surviving replica after [`FleetConfig::migration_delay_secs`]. A
-//!   leg that had already prefilled hands its prompt prefix to the
+//!   surviving replica after a 2-second hand-off. A leg that had
+//!   already prefilled hands its prompt prefix to the
 //!   target's host tier ([`PrewarmPrefix`]) so the migrated attempt
 //!   warm-starts (PR 7 `WarmStart`) instead of re-prefilling. The
 //!   migration budget is booked into the winning record's
@@ -63,8 +63,9 @@
 //! answer, and each final outcome, must equal the same read of the
 //! device's full run, simulated from scratch once per version of its
 //! legs. A 1-device fleet with the pass-through router is bit-identical
-//! to bare [`EventServerSim`](crate::EventServerSim), faulted and
-//! fault-free (enforced in `crates/core/tests/fleet.rs`).
+//! to a bare [`TimelineServerSim`](crate::TimelineServerSim) under the
+//! same policy, faulted and fault-free (enforced in
+//! `crates/core/tests/fleet.rs`).
 
 use std::rc::Rc;
 
@@ -77,7 +78,7 @@ use crate::batch_server::BatchRun;
 use crate::event_server::{EventConfig, PrewarmPrefix, RunDirectives};
 use crate::faults::FaultPlan;
 use crate::server::{ServedRequest, TtsServer};
-use crate::timeline::{LoopState, TimelineServerSim, TimelineTuning};
+use crate::timeline::{LoopState, TimelineConfig, TimelineServerSim, TimelineTuning};
 
 /// How the fleet router picks a replica for a fresh (or migrated, or
 /// hedged) request.
@@ -130,44 +131,43 @@ impl Default for HedgeConfig {
     }
 }
 
+/// Seconds a migrated leg spends in hand-off (re-route, host-path
+/// transfer) before it re-arrives at the failover target. Booked to the
+/// winning record's fault bucket.
+const MIGRATION_DELAY_SECS: f64 = 2.0;
+
 /// Fleet-level serving knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FleetConfig {
-    /// The per-device event-driven scheduling policy (every replica
-    /// runs the same scheduler; the servers themselves may differ).
-    pub event: EventConfig,
+    /// The per-device scheduling policy: every replica runs the same
+    /// scheduler (the servers themselves may differ).
+    /// [`FleetConfig::new`] sets the anchored policy of its event
+    /// config, under which the timeline only observes;
+    /// [`FleetConfig::with_timeline`] turns on honesty features
+    /// (retroactive contention pricing, token-granularity decode joins
+    /// — see [`TimelineTuning`]).
+    pub policy: TimelineConfig,
     /// The routing policy.
     pub route: RoutePolicy,
     /// Crash failover: when on, device-crash events are handled at the
     /// routing layer — interrupted legs migrate to surviving replicas
-    /// and the router steers around downtime windows. When off (the
-    /// naive baseline) crashes stay in the device plan as outages.
+    /// after a 2-second hand-off, and the router steers around downtime
+    /// windows. When off (the naive baseline) crashes stay in the device
+    /// plan as outages.
     pub failover: bool,
-    /// Seconds a migrated leg spends in hand-off (re-route, host-path
-    /// transfer) before it re-arrives at the failover target. Booked to
-    /// the winning record's fault bucket.
-    pub migration_delay_secs: f64,
     /// Hedged execution for stragglers; `None` disables hedging.
     pub hedge: Option<HedgeConfig>,
-    /// Honesty features of the per-device timeline loop (retroactive
-    /// contention pricing, token-granularity decode joins — see
-    /// [`TimelineTuning`]). [`FleetConfig::new`] sets the anchored
-    /// tuning, under which every replica runs the plain event-driven
-    /// policy and the timeline only observes.
-    pub timeline: TimelineTuning,
 }
 
 impl FleetConfig {
-    /// The given event policy with routing `route`, failover on, a
-    /// 2-second migration hand-off and no hedging.
+    /// The given event policy, anchored, with routing `route`, failover
+    /// on and no hedging.
     pub fn new(event: EventConfig, route: RoutePolicy) -> Self {
         Self {
-            event,
+            policy: event.into(),
             route,
             failover: true,
-            migration_delay_secs: 2.0,
             hedge: None,
-            timeline: TimelineTuning::anchored(),
         }
     }
 
@@ -179,7 +179,7 @@ impl FleetConfig {
 
     /// Run every device's timeline loop with the given honesty tuning.
     pub fn with_timeline(mut self, tuning: TimelineTuning) -> Self {
-        self.timeline = tuning;
+        self.policy.tuning = tuning;
         self
     }
 
@@ -362,10 +362,6 @@ impl FleetSim {
     /// policy in `config`.
     pub fn new(devices: Vec<TtsServer>, n: usize, kind: SearchKind, config: FleetConfig) -> Self {
         assert!(!devices.is_empty(), "a fleet needs at least one device");
-        assert!(
-            config.migration_delay_secs >= 0.0,
-            "migration delay must be non-negative"
-        );
         if let Some(h) = &config.hedge {
             assert!(h.delay_factor > 0.0, "hedge delay factor must be positive");
             assert!(h.min_delay_secs >= 0.0, "hedge floor must be non-negative");
@@ -439,11 +435,12 @@ impl FleetSim {
             };
 
         // Every replica runs the same policy; build its scheduler once.
-        let policy = self.config.timeline.config(self.config.event);
         let sims: Vec<TimelineServerSim> = self
             .devices
             .iter()
-            .map(|server| TimelineServerSim::new(server.clone(), self.n, self.kind, policy))
+            .map(|server| {
+                TimelineServerSim::new(server.clone(), self.n, self.kind, self.config.policy)
+            })
             .collect();
         let mut engine = FleetEngine {
             sim: self,
@@ -951,7 +948,7 @@ impl FleetEngine<'_> {
             // Fail over to a surviving replica after the hand-off
             // delay; a leg that had already prefilled hands its prompt
             // prefix to the target's host tier and warm-starts.
-            let at = t + self.sim.config.migration_delay_secs;
+            let at = t + MIGRATION_DELAY_SECS;
             let seed = self.arrivals[leg.req].problem.seed;
             let Some((target, at)) = self.route(at, Some(d), seed)? else {
                 continue; // 1-device fleet: nowhere to go, stays shed
@@ -1101,7 +1098,7 @@ impl FleetEngine<'_> {
                         })
                         .count();
                     if hops > 0 {
-                        let budget = hops as f64 * self.sim.config.migration_delay_secs;
+                        let budget = hops as f64 * MIGRATION_DELAY_SECS;
                         rec.started_at -= budget;
                         rec.outcome.stats.completion.latency += budget;
                         rec.outcome.stats.completion.breakdown.fault += budget;
@@ -1142,6 +1139,7 @@ mod tests {
     fn config_builders() {
         let cfg = FleetConfig::new(EventConfig::windowed(4, 0.2), RoutePolicy::PrefixAffinity)
             .with_hedge(HedgeConfig::default());
+        assert_eq!(cfg.policy, EventConfig::windowed(4, 0.2).into());
         assert!(cfg.failover);
         assert!(cfg.hedge.is_some());
         let naive = cfg.without_failover();

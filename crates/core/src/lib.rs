@@ -28,24 +28,25 @@
 //! streams FIFO at batch size 1 with two-phase preemptive scheduling
 //! (Sec. 4.1.2). Continuous batching across requests — mid-flight
 //! admission, co-batched decode, elastic KV pool shares, vLLM-style
-//! preemption — runs in one scheduler loop,
-//! [`TimelineServerSim::run_directed`], which records every kernel
-//! launch on a per-device [`DeviceTimeline`]. The scheduler front doors
-//! are presets of that loop: [`BatchedServerSim`] runs lockstep rounds
-//! (an infinite co-batch window), [`EventServerSim`] schedules at
-//! iteration granularity inside a finite [`EventConfig::window_secs`],
-//! and a [`TimelineConfig`] adds honest retroactive contention pricing
-//! and token-granularity decode joins. At batch 1 every front door
-//! reproduces [`ServerSim`] bit-for-bit, and the multi-request anchors
-//! are frozen as golden fingerprints (see `timeline`'s module docs).
+//! preemption — runs in one scheduler type, [`TimelineServerSim`], whose
+//! one loop ([`TimelineServerSim::run_directed`]) records every kernel
+//! launch on a per-device [`DeviceTimeline`]. Its constructor takes any
+//! policy that converts into a [`TimelineConfig`]: a [`BatchConfig`]
+//! runs lockstep rounds (an infinite co-batch window), an
+//! [`EventConfig`] schedules at iteration granularity inside a finite
+//! [`EventConfig::window_secs`], and a [`TimelineConfig`] adds honest
+//! retroactive contention pricing and token-granularity decode joins.
+//! [`BatchedServerSim`] and [`EventServerSim`] are other names for the
+//! same type. At batch 1 every policy reproduces [`ServerSim`]
+//! bit-for-bit, and the multi-request anchors are frozen as golden
+//! fingerprints (see `timeline`'s module docs).
 //!
-//! For evaluation at scale, the `sweep` module provides a parallel
-//! harness: [`ServerSim::run_parallel`] replays independent request
-//! streams across OS threads, and [`sweep`]/[`SweepJob`] fan a
-//! configuration grid out the same way — with results guaranteed (and
-//! tested) bit-identical to sequential execution thanks to the stack's
-//! stable-key deterministic seeding. See `sweep`'s module docs for the
-//! exact determinism rules.
+//! For evaluation at scale, [`ServerSim::run_parallel`] replays
+//! independent request streams across OS threads through
+//! [`parallel_map`], with results guaranteed (and tested) bit-identical
+//! to sequential execution thanks to the stack's stable-key
+//! deterministic seeding. See `sweep`'s module docs for the exact
+//! determinism rules.
 //!
 //! # Quickstart
 //!
@@ -67,7 +68,6 @@
 
 mod admission;
 mod batch_server;
-mod eval;
 mod event_server;
 mod faults;
 mod fleet;
@@ -79,7 +79,6 @@ mod tenant;
 mod timeline;
 
 pub use batch_server::{BatchConfig, BatchRun, BatchedServerSim};
-pub use eval::{evaluate, EvalConfig, EvalSummary};
 pub use event_server::{EventConfig, EventServerSim, PrewarmPrefix, RunDirectives};
 pub use faults::{
     degraded_beams, FaultEvent, FaultKind, FaultPlan, FaultPolicy, RobustConfig, StormConfig,
@@ -92,7 +91,7 @@ pub use ftts_kv::{HostTier, KvTierConfig, TierStats};
 pub use memalloc::RooflinePlanner;
 pub use prefix_sched::{PrefixAwareOrder, WorstCaseOrder};
 pub use server::{AblationFlags, ServeOutcome, ServedRequest, ServerSim, TtsServer};
-pub use sweep::{parallel_map, sweep, SweepJob};
+pub use sweep::parallel_map;
 pub use tenant::{TenantPolicy, TenantSpec, MAX_TENANTS};
 pub use timeline::{
     DeviceTimeline, SegmentKind, TimelineConfig, TimelineServerSim, TimelineTuning,

@@ -1,6 +1,5 @@
-//! Parallel evaluation harness: run independent request streams and
-//! configuration sweeps across OS threads with results bit-identical to
-//! sequential execution.
+//! Parallel evaluation harness: run independent request streams across
+//! OS threads with results bit-identical to sequential execution.
 //!
 //! # Determinism guarantees
 //!
@@ -11,13 +10,13 @@
 //! never on global mutable RNG state, wall-clock time or thread identity.
 //! Two consequences, which the tests in this module assert:
 //!
-//! 1. **Per-request seeding is explicit.** A sweep job's results are a
-//!    pure function of `(server config, problem specs, n, kind)`.
+//! 1. **Per-request seeding is explicit.** A stream's results are a
+//!    pure function of `(server config, arrivals, n, kind)`.
 //! 2. **Parallel == sequential, bit for bit.** [`parallel_map`] assigns
 //!    each input to exactly one closure invocation and returns results
-//!    in input order, so [`ServerSim::run_parallel`] and [`sweep`]
-//!    produce exactly the bytes a sequential loop would, regardless of
-//!    worker count or interleaving. The fleet layer
+//!    in input order, so [`ServerSim::run_parallel`] produces exactly
+//!    the bytes a sequential loop would, regardless of worker count or
+//!    interleaving. The fleet layer
 //!    (`crate::fleet::FleetSim`) does not use the pool: its routing
 //!    loop keeps one live run per device and finishes each in place,
 //!    so it simulates no device a second time.
@@ -34,11 +33,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use ftts_engine::EngineError;
-use ftts_model::ProblemSpec;
-use ftts_search::SearchKind;
 use ftts_workload::RequestArrival;
 
-use crate::server::{ServeOutcome, ServedRequest, ServerSim, TtsServer};
+use crate::server::{ServedRequest, ServerSim};
 
 /// Map `f` over `items` on up to `available_parallelism` OS threads,
 /// returning results in input order.
@@ -90,43 +87,6 @@ where
     collected.into_iter().map(|(_, r)| r).collect()
 }
 
-/// One cell of a configuration sweep: a server, a problem set and a
-/// search configuration to evaluate.
-#[derive(Debug, Clone)]
-pub struct SweepJob {
-    /// Display label for reports (e.g. `"4090/1.5B+7B/n=64"`).
-    pub label: String,
-    /// The serving system under test.
-    pub server: TtsServer,
-    /// Problems to serve, in order.
-    pub problems: Vec<ProblemSpec>,
-    /// Beams per request.
-    pub n: usize,
-    /// Search algorithm.
-    pub kind: SearchKind,
-}
-
-impl SweepJob {
-    /// Serve every problem sequentially (the deterministic reference
-    /// path; [`sweep`] runs this same code on a worker thread).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`EngineError`].
-    pub fn run(&self) -> Result<Vec<ServeOutcome>, EngineError> {
-        self.problems
-            .iter()
-            .map(|p| self.server.serve(p, self.n, self.kind))
-            .collect()
-    }
-}
-
-/// Evaluate sweep jobs in parallel. `results[i]` is exactly what
-/// `jobs[i].run()` returns — see the module docs for why.
-pub fn sweep(jobs: &[SweepJob]) -> Vec<Result<Vec<ServeOutcome>, EngineError>> {
-    parallel_map(jobs, |_, job| job.run())
-}
-
 impl ServerSim {
     /// Replay independent arrival streams in parallel, one stream per
     /// work item. `results[i]` is bit-identical to `self.run(&streams[i])`:
@@ -148,8 +108,10 @@ impl ServerSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::server::TtsServer;
     use ftts_engine::ModelPairing;
     use ftts_hw::GpuDevice;
+    use ftts_search::SearchKind;
     use ftts_workload::{ArrivalPattern, Dataset};
 
     fn server(seed: u64) -> TtsServer {
@@ -203,52 +165,16 @@ mod tests {
     }
 
     #[test]
-    fn sweep_matches_sequential_jobs() {
-        let jobs: Vec<SweepJob> = [8usize, 16]
-            .iter()
-            .map(|&n| SweepJob {
-                label: format!("n={n}"),
-                server: server(7),
-                problems: Dataset::Aime2024.problems(2, 11),
-                n,
-                kind: SearchKind::BeamSearch,
-            })
-            .collect();
-        let parallel = sweep(&jobs);
-        for (job, par) in jobs.iter().zip(&parallel) {
-            let seq = job.run().unwrap();
-            let par = par.as_ref().unwrap();
-            assert_eq!(seq.len(), par.len());
-            for (s, p) in seq.iter().zip(par) {
-                assert_eq!(s.answer, p.answer);
-                assert_eq!(s.goodput(), p.goodput());
-                assert_eq!(s.latency(), p.latency());
-            }
-        }
-    }
-
-    #[test]
-    fn sweep_reports_errors_per_job() {
+    fn run_parallel_reports_errors_per_stream() {
         let mut starved = server(1);
         starved.config_mut().memory_fraction = 0.26; // weights alone exceed this
-        let jobs = vec![
-            SweepJob {
-                label: "ok".into(),
-                server: server(1),
-                problems: Dataset::Amc2023.problems(1, 5),
-                n: 8,
-                kind: SearchKind::BeamSearch,
-            },
-            SweepJob {
-                label: "starved".into(),
-                server: starved,
-                problems: Dataset::Amc2023.problems(1, 5),
-                n: 8,
-                kind: SearchKind::BeamSearch,
-            },
+        let sim = ServerSim::new(starved, 8, SearchKind::BeamSearch);
+        let streams = vec![
+            Vec::new(),
+            ArrivalPattern::Burst { at: 0.0 }.schedule(&Dataset::Amc2023.problems(1, 5), 0),
         ];
-        let results = sweep(&jobs);
-        assert!(results[0].is_ok());
+        let results = sim.run_parallel(&streams);
+        assert!(results[0].as_ref().is_ok_and(Vec::is_empty));
         assert!(results[1].is_err(), "infeasible budget must fail loudly");
     }
 }

@@ -2,14 +2,17 @@
 //! global per-device kernel timeline.
 //!
 //! [`TimelineServerSim::run_directed`] is the one request-level serving
-//! loop in this crate. The other batching schedulers are presets of it,
-//! and keep no loop of their own:
+//! loop in this crate, and [`TimelineServerSim`] the one scheduler type.
+//! [`BatchedServerSim`](crate::BatchedServerSim) and
+//! [`EventServerSim`](crate::EventServerSim) are other names for it.
+//! [`TimelineServerSim::new`] takes any policy that converts into a
+//! [`TimelineConfig`]:
 //!
-//! | front door | policy |
+//! | policy | converts into |
 //! |---|---|
-//! | [`BatchedServerSim`](crate::BatchedServerSim) | `TimelineConfig::anchored(EventConfig::lockstep(batch))`: lockstep rounds |
-//! | [`EventServerSim`](crate::EventServerSim) | `TimelineConfig::anchored(event)`: launches inside a co-batch window |
-//! | [`TimelineServerSim`] | any [`TimelineConfig`], honesty features included |
+//! | [`BatchConfig`] | `TimelineConfig::from(EventConfig::lockstep(batch))`: anchored lockstep rounds |
+//! | [`EventConfig`] | the anchored policy: launches inside a co-batch window, the timeline only observes |
+//! | [`TimelineConfig`] | itself, honesty features included |
 //!
 //! [`ServerSim`](crate::ServerSim) keeps its own short FIFO loop over
 //! `Engine::run_with_deadline`; it is the independent reference the
@@ -87,7 +90,8 @@
 //!
 //! `crates/core/tests/golden.rs` freezes every anchor fixture's output
 //! as a fingerprint. Each row was recorded from separate lockstep,
-//! event-driven and timeline loops that agreed bit for bit.
+//! event-driven and timeline loops that agreed bit for bit, before the
+//! three were folded into this one.
 //!
 //! # Granularity limits
 //!
@@ -440,14 +444,22 @@ pub struct TimelineConfig {
     pub tuning: TimelineTuning,
 }
 
-impl TimelineConfig {
-    /// The anchored mode ([`TimelineTuning::anchored`]): the policy
-    /// [`EventServerSim`](crate::EventServerSim) runs under `event`;
-    /// the timeline only observes.
-    pub fn anchored(event: EventConfig) -> Self {
+/// The anchored mode ([`TimelineTuning::anchored`]) of `event`: the
+/// timeline only observes.
+impl From<EventConfig> for TimelineConfig {
+    fn from(event: EventConfig) -> Self {
         TimelineTuning::anchored().config(event)
     }
+}
 
+/// Anchored lockstep rounds ([`EventConfig::lockstep`]) of `batch`.
+impl From<BatchConfig> for TimelineConfig {
+    fn from(batch: BatchConfig) -> Self {
+        EventConfig::lockstep(batch).into()
+    }
+}
+
+impl TimelineConfig {
     /// Honest iteration-granularity scheduling
     /// ([`TimelineTuning::honest`]).
     pub fn honest(event: EventConfig) -> Self {
@@ -537,8 +549,8 @@ fn decode_load<'a>(runs: impl IntoIterator<Item = &'a InFlight>) -> (usize, u64)
 /// a costed segment on one clock, cross-launch decode overlap is
 /// priced retroactively, and (optionally) arrivals join the in-flight
 /// decode batch at token-chunk boundaries. This is the crate's one
-/// scheduler run loop; see the module docs for the execution model and
-/// the presets built on it.
+/// scheduler type and run loop; see the module docs for the execution
+/// model and the policies it takes.
 #[derive(Debug, Clone)]
 pub struct TimelineServerSim {
     pub(crate) server: TtsServer,
@@ -549,8 +561,15 @@ pub struct TimelineServerSim {
 
 impl TimelineServerSim {
     /// Simulate `server` answering requests with `n` beams each under
-    /// the given timeline policy.
-    pub fn new(server: TtsServer, n: usize, kind: SearchKind, config: TimelineConfig) -> Self {
+    /// the given policy (see the module docs for what each policy type
+    /// converts into).
+    pub fn new(
+        server: TtsServer,
+        n: usize,
+        kind: SearchKind,
+        config: impl Into<TimelineConfig>,
+    ) -> Self {
+        let config = config.into();
         assert!(
             config.event.batch.max_batch >= 1,
             "need at least one batch slot"
@@ -569,11 +588,6 @@ impl TimelineServerSim {
             kind,
             config,
         }
-    }
-
-    /// The timeline policy in effect.
-    pub fn config(&self) -> &TimelineConfig {
-        &self.config
     }
 
     /// Serve the arrival stream to completion on a fault-free device.
@@ -719,30 +733,8 @@ impl<'a> LoopState<'a> {
             admit_seq: 0,
             served: (0..requests).map(|_| None).collect(),
             run: BatchRun {
-                served: Vec::new(),
-                rounds: 0,
-                group_iters: 0,
-                preemptions: 0,
-                peak_reserved_bytes: 0,
                 pool_bytes,
-                ver_sweeps: 0,
-                ver_seqs: 0,
-                ver_busy_secs: 0.0,
-                kernel_faults: 0,
-                fault_retries: 0,
-                kv_loss_events: 0,
-                lost_blocks: 0,
-                shed: 0,
-                cancelled: 0,
-                degradations: 0,
-                final_reserved_bytes: 0,
-                kv_tier_hits: 0,
-                kv_tier_demotions: 0,
-                kv_tier_parked_bytes: 0,
-                kv_tier_dropped_bytes: 0,
-                kv_tier_unparked_bytes: 0,
-                tenant_peak_bytes: Vec::new(),
-                timeline: TimelineOccupancy::default(),
+                ..BatchRun::default()
             },
         }
     }
@@ -1391,8 +1383,11 @@ mod tests {
     #[test]
     fn config_presets() {
         let event = EventConfig::windowed(4, 0.0);
-        let anchored = TimelineConfig::anchored(event);
+        let anchored = TimelineConfig::from(event);
         assert!(!anchored.tuning.contention && !anchored.tuning.token_joins);
+        let lockstep = TimelineConfig::from(BatchConfig::fused(4));
+        assert_eq!(lockstep.tuning, TimelineTuning::anchored());
+        assert_eq!(lockstep.event, EventConfig::lockstep(BatchConfig::fused(4)));
         let honest = TimelineConfig::honest(event);
         assert!(honest.tuning.contention && !honest.tuning.token_joins);
         let joins = TimelineConfig::honest(event)
@@ -1412,7 +1407,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "join quantum must be at least one token")]
     fn zero_quantum_is_rejected() {
-        let _ = TimelineConfig::anchored(EventConfig::windowed(4, 0.0)).with_join_quantum(0);
+        let _ = TimelineConfig::from(EventConfig::windowed(4, 0.0)).with_join_quantum(0);
     }
 
     #[test]

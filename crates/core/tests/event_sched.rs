@@ -295,7 +295,7 @@ fn timeline_batch1_matches_serversim() {
             server(11, 0.9),
             8,
             SearchKind::BeamSearch,
-            TimelineConfig::anchored(EventConfig::new(BatchConfig::fifo(), window)),
+            TimelineConfig::from(EventConfig::new(BatchConfig::fifo(), window)),
         )
         .run(&arrivals)
         .expect("timeline run");
@@ -344,7 +344,7 @@ fn honest_timeline_conserves_time_and_prices_overlap() {
         server(5, 0.9),
         16,
         SearchKind::BeamSearch,
-        TimelineConfig::anchored(event),
+        TimelineConfig::from(event),
     )
     .run(&arrivals)
     .expect("anchored run");

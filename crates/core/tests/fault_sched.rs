@@ -240,18 +240,18 @@ fn preempted_request_past_deadline_is_cancelled_and_reclaimed() {
     // The PR-4 pressure fixture: four AIME problems bursting into a
     // 30% memory budget forces a preemption cascade. A 100s deadline
     // lands inside the loser's swap-out window, so SLO enforcement must
-    // cancel it while it is host-resident and reclaim every byte.
+    // cancel it while it is host-resident and reclaim every byte. The
+    // Batch class never degrades, which isolates deadline enforcement
+    // from budget degradation: every request keeps the full beam width,
+    // so the preemption cascade actually happens.
     let problems = Dataset::Aime2024.problems(4, 51);
     let arrivals: Vec<RequestArrival> = ArrivalPattern::Burst { at: 0.0 }
         .schedule(&problems, 0)
         .into_iter()
-        .map(|a| a.with_slo(SloClass::Standard, 100.0))
+        .map(|a| a.with_slo(SloClass::Batch, 100.0))
         .collect();
-    let mut robust = RobustConfig::with_policy(FaultPolicy::Degrade);
-    // Isolate deadline enforcement from budget degradation: keep the
-    // full beam width so the preemption cascade actually happens.
-    robust.degrade_queue_per_level = 1000;
-    let cfg = BatchConfig::continuous(4).with_robust(robust);
+    let cfg =
+        BatchConfig::continuous(4).with_robust(RobustConfig::with_policy(FaultPolicy::Degrade));
     let run = BatchedServerSim::new(server(13, 0.30), 24, SearchKind::BeamSearch, cfg)
         .run_faulted(&arrivals, &FaultPlan::none())
         .expect("run");

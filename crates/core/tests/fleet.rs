@@ -123,9 +123,8 @@ fn one_device_fleet_is_bit_identical_under_storm() {
     let config = event_config();
     let storm = StormConfig {
         kernel_faults: 2,
-        slowdowns: 1,
+        slowdowns: 2,
         kv_losses: 1,
-        device_degrades: 1,
         ..StormConfig::default()
     };
     let plan = FaultPlan::storm(0xF1EE7, 90.0, &storm);

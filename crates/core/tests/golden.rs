@@ -14,25 +14,22 @@
 //! fleet.
 //!
 //! `golden/anchors.txt` holds one `<row> <fingerprint>` line per row.
-//! Every scheduler front door that can run a fixture must reproduce both
-//! of its lines:
-//!
-//! * an anchored policy runs through `TimelineServerSim` and
-//!   `EventServerSim`, and at an infinite window through
-//!   `BatchedServerSim` too;
-//! * an honest policy runs through `TimelineServerSim` alone;
-//! * a fleet runs with `FleetConfig::new` and, when its tuning is
-//!   anchored, with that tuning attached explicitly.
+//! Each fixture runs once and must reproduce both of its lines: a
+//! single-device fixture through the one scheduler type,
+//! `TimelineServerSim` (`BatchedServerSim` and `EventServerSim` are
+//! other names for it), and a fleet fixture through `FleetSim`. The rows
+//! were recorded when the lockstep, event-driven and timeline front
+//! doors were separate loops that agreed bit for bit, so they still pin
+//! what each of those loops computed.
 //!
 //! On a mismatch the test prints the line it computed. A deliberate
 //! behaviour change edits `anchors.txt` by hand and records why in
 //! CHANGES.md; there is no regeneration switch.
 
 use ftts_core::{
-    BatchConfig, BatchRun, BatchedServerSim, EventConfig, EventServerSim, FaultPlan, FaultPolicy,
-    FleetConfig, FleetRun, FleetSim, HedgeConfig, KvTierConfig, RobustConfig, RoutePolicy,
-    StormConfig, TenantPolicy, TenantSpec, TimelineConfig, TimelineServerSim, TimelineTuning,
-    TtsServer,
+    BatchConfig, BatchRun, EventConfig, FaultPlan, FaultPolicy, FleetConfig, FleetRun, FleetSim,
+    HedgeConfig, KvTierConfig, RobustConfig, RoutePolicy, StormConfig, TenantPolicy, TenantSpec,
+    TimelineConfig, TimelineServerSim, TimelineTuning, TtsServer,
 };
 use ftts_core::{FaultEvent, FaultKind};
 use ftts_engine::ModelPairing;
@@ -94,19 +91,13 @@ fn golden(fixture: &str) -> &'static str {
         .unwrap_or_else(|| panic!("anchors.txt has no row for fixture {fixture}"))
 }
 
-/// Compare every front door's fingerprint with the fixture's golden
-/// row; on a mismatch, fail with the lines the runs computed.
-fn check(fixture: &str, computed: &[(&str, String)]) {
-    let want = golden(fixture);
-    let drifted: Vec<String> = computed
-        .iter()
-        .filter(|(_, fp)| fp != want)
-        .map(|(front, fp)| format!("{front}: {fixture} {fp}"))
-        .collect();
+/// Compare a computed fingerprint with its golden row; on a mismatch,
+/// fail with the line the run computed.
+fn check(row: &str, computed: &str) {
+    let want = golden(row);
     assert!(
-        drifted.is_empty(),
-        "fixture {fixture} drifted from its golden row `{fixture} {want}`; computed:\n{}",
-        drifted.join("\n")
+        computed == want,
+        "row {row} drifted from its golden line `{row} {want}`; computed:\n{row} {computed}"
     );
 }
 
@@ -136,7 +127,7 @@ impl Fixture {
         name: &'static str,
         (seed, memory_fraction, n): (u64, f64, usize),
         arrivals: Vec<RequestArrival>,
-        config: TimelineConfig,
+        config: impl Into<TimelineConfig>,
     ) -> Self {
         Self {
             name,
@@ -145,22 +136,8 @@ impl Fixture {
             n,
             arrivals,
             plan: FaultPlan::none(),
-            config,
+            config: config.into(),
         }
-    }
-
-    fn lockstep(
-        name: &'static str,
-        sim: (u64, f64, usize),
-        arrivals: Vec<RequestArrival>,
-        batch: BatchConfig,
-    ) -> Self {
-        Self::new(
-            name,
-            sim,
-            arrivals,
-            TimelineConfig::anchored(EventConfig::lockstep(batch)),
-        )
     }
 
     fn with_plan(mut self, plan: FaultPlan) -> Self {
@@ -168,56 +145,18 @@ impl Fixture {
         self
     }
 
-    fn server(&self) -> TtsServer {
-        server(self.seed, self.memory_fraction)
-    }
-
-    fn anchored(&self) -> bool {
-        self.config == TimelineConfig::anchored(self.config.event)
-    }
-
-    /// Run the fixture through every front door that accepts its
-    /// policy.
-    fn runs(&self) -> Vec<(&'static str, BatchRun)> {
-        let kind = SearchKind::BeamSearch;
-        let timeline = TimelineServerSim::new(self.server(), self.n, kind, self.config)
-            .run_faulted(&self.arrivals, &self.plan)
-            .expect("timeline run");
-        let mut runs = vec![("TimelineServerSim", timeline)];
-        if self.anchored() {
-            let event = EventServerSim::new(self.server(), self.n, kind, self.config.event)
-                .run_faulted(&self.arrivals, &self.plan)
-                .expect("event run");
-            runs.push(("EventServerSim", event));
-            if self.config.event.window_secs.is_infinite() {
-                let lockstep =
-                    BatchedServerSim::new(self.server(), self.n, kind, self.config.event.batch)
-                        .run_faulted(&self.arrivals, &self.plan)
-                        .expect("lockstep run");
-                runs.push(("BatchedServerSim", lockstep));
-            }
-        }
-        runs
-    }
-
     fn check(&self) {
-        let runs = self.runs();
-        let label = format!("{} via {}", self.name, runs[0].0);
-        if self.anchored() {
-            assert_observer(&label, &runs[0].1.timeline);
+        let server = server(self.seed, self.memory_fraction);
+        let run = TimelineServerSim::new(server, self.n, SearchKind::BeamSearch, self.config)
+            .run_faulted(&self.arrivals, &self.plan)
+            .expect("scheduler run");
+        if self.config.tuning == TimelineTuning::anchored() {
+            assert_observer(self.name, &run.timeline);
         } else {
-            assert!(runs[0].1.timeline.segments > 0, "{label}: segments");
+            assert!(run.timeline.segments > 0, "{}: segments", self.name);
         }
-        let computed: Vec<(&str, String)> = runs
-            .iter()
-            .map(|(front, run)| (*front, fingerprint(run)))
-            .collect();
-        check(self.name, &computed);
-        let timelines: Vec<(&str, String)> = runs
-            .iter()
-            .map(|(front, run)| (*front, hash_debug(&run.timeline)))
-            .collect();
-        check(&timeline_row(self.name), &timelines);
+        check(self.name, &fingerprint(&run));
+        check(&timeline_row(self.name), &hash_debug(&run.timeline));
     }
 }
 
@@ -271,47 +210,47 @@ fn lockstep_fixtures() -> Vec<Fixture> {
     }
     deadlines[2] = deadlines[2].clone().with_slo(SloClass::Batch, 60.0);
     vec![
-        Fixture::lockstep(
+        Fixture::new(
             "lockstep-continuous-4",
             (5, 0.9, 8),
             amc6(),
             BatchConfig::continuous(4),
         ),
-        Fixture::lockstep(
+        Fixture::new(
             "lockstep-fused-8",
             (17, 0.9, 16),
             uniform(Dataset::Amc2023, 5, 29, 1.0),
             BatchConfig::fused(8),
         ),
-        Fixture::lockstep(
+        Fixture::new(
             "lockstep-gang-3",
             (3, 0.9, 8),
             uniform(Dataset::Amc2023, 5, 31, 1.0),
             BatchConfig::gang(3),
         ),
-        Fixture::lockstep(
+        Fixture::new(
             "lockstep-pressure",
             (13, 0.30, 24),
             pressured(),
             BatchConfig::continuous(4),
         ),
-        Fixture::lockstep(
+        Fixture::new(
             "lockstep-storm",
             (5, 0.9, 8),
             amc6(),
             BatchConfig::continuous(4),
         )
         .with_plan(storm()),
-        Fixture::lockstep("lockstep-tiered", (13, 0.30, 24), pressured(), tiered),
-        Fixture::lockstep("lockstep-tiered-storm", (13, 0.30, 24), pressured(), tiered)
+        Fixture::new("lockstep-tiered", (13, 0.30, 24), pressured(), tiered),
+        Fixture::new("lockstep-tiered-storm", (13, 0.30, 24), pressured(), tiered)
             .with_plan(storm()),
-        Fixture::lockstep(
+        Fixture::new(
             "lockstep-noisy-neighbour",
             (7, 0.45, 12),
             noisy_neighbour(),
             BatchConfig::fused(4).with_tenants(tenants),
         ),
-        Fixture::lockstep(
+        Fixture::new(
             "lockstep-degrade-deadline",
             (13, 0.30, 24),
             deadlines,
@@ -324,7 +263,7 @@ fn lockstep_fixtures() -> Vec<Fixture> {
 
 fn windowed_fixtures() -> Vec<Fixture> {
     let amc6 = || uniform(Dataset::Amc2023, 6, 41, 1.0);
-    let anchored = |window| TimelineConfig::anchored(EventConfig::windowed(8, window));
+    let anchored = |window| EventConfig::windowed(8, window);
     let tiered = BatchConfig::continuous(4).with_tier(KvTierConfig::with_capacity(1 << 30));
     vec![
         Fixture::new("anchored-window-0", (5, 0.9, 16), amc6(), anchored(0.0)),
@@ -341,7 +280,7 @@ fn windowed_fixtures() -> Vec<Fixture> {
             "anchored-host-tier",
             (13, 0.30, 24),
             pressured(),
-            TimelineConfig::anchored(EventConfig::new(tiered, 0.2)),
+            EventConfig::new(tiered, 0.2),
         ),
     ]
 }
@@ -372,49 +311,36 @@ struct FleetFixture {
     arrivals: Vec<RequestArrival>,
     plans: Vec<FaultPlan>,
     config: FleetConfig,
-    tuning: TimelineTuning,
     /// Asserts the run exercises the paths the fixture is for.
     covers: fn(&FleetRun),
 }
 
 impl FleetFixture {
-    fn run(&self, config: FleetConfig) -> FleetRun {
-        FleetSim::new(
+    fn check(&self) {
+        let run = FleetSim::new(
             self.servers.clone(),
             self.beams,
             SearchKind::BeamSearch,
-            config,
+            self.config,
         )
         .run_faulted(&self.arrivals, &self.plans)
-        .expect("fleet run")
-    }
-
-    fn check(&self) {
-        let tuned = self.run(self.config.with_timeline(self.tuning));
-        (self.covers)(&tuned);
-        let mut computed = vec![("FleetConfig::with_timeline", fleet_fingerprint(&tuned))];
-        let mut timelines = vec![(
-            "FleetConfig::with_timeline",
-            fleet_timeline_fingerprint(&tuned),
-        )];
-        if self.tuning == TimelineTuning::anchored() {
-            for (d, run) in tuned.device_runs.iter().enumerate() {
-                if !run.served.is_empty() {
-                    assert_observer(&format!("{} device {d}", self.name), &run.timeline);
+        .expect("fleet run");
+        (self.covers)(&run);
+        if self.config.policy.tuning == TimelineTuning::anchored() {
+            for (d, device) in run.device_runs.iter().enumerate() {
+                if !device.served.is_empty() {
+                    assert_observer(&format!("{} device {d}", self.name), &device.timeline);
                 }
             }
-            let plain = self.run(self.config);
-            computed.push(("FleetConfig::new", fleet_fingerprint(&plain)));
-            timelines.push(("FleetConfig::new", fleet_timeline_fingerprint(&plain)));
         } else {
             assert!(
-                tuned.device_runs.iter().any(|r| r.timeline.segments > 0),
+                run.device_runs.iter().any(|r| r.timeline.segments > 0),
                 "{}: segments",
                 self.name
             );
         }
-        check(self.name, &computed);
-        check(&timeline_row(self.name), &timelines);
+        check(self.name, &fleet_fingerprint(&run));
+        check(&timeline_row(self.name), &fleet_timeline_fingerprint(&run));
     }
 }
 
@@ -437,7 +363,6 @@ fn fleet_fixtures() -> Vec<FleetFixture> {
             arrivals: amc(6, 77, 4.0),
             plans: vec![FaultPlan::none(); 2],
             config: FleetConfig::new(event, RoutePolicy::Jsq),
-            tuning: TimelineTuning::anchored(),
             covers: |_| {},
         },
         FleetFixture {
@@ -451,7 +376,6 @@ fn fleet_fixtures() -> Vec<FleetFixture> {
                 min_samples: 2,
                 min_delay_secs: 1.0,
             }),
-            tuning: TimelineTuning::anchored(),
             covers: |_| {},
         },
         FleetFixture {
@@ -460,10 +384,11 @@ fn fleet_fixtures() -> Vec<FleetFixture> {
             beams: 16,
             arrivals: amc(6, 77, 4.0),
             plans: vec![FaultPlan::none(); 2],
-            config: FleetConfig::new(event, RoutePolicy::RoundRobin),
-            tuning: TimelineTuning::honest()
-                .with_token_joins()
-                .with_join_quantum(8),
+            config: FleetConfig::new(event, RoutePolicy::RoundRobin).with_timeline(
+                TimelineTuning::honest()
+                    .with_token_joins()
+                    .with_join_quantum(8),
+            ),
             covers: |_| {},
         },
         FleetFixture {
@@ -477,7 +402,6 @@ fn fleet_fixtures() -> Vec<FleetFixture> {
                 FaultPlan::storm(6, 40.0, &StormConfig::default()),
             ],
             config: FleetConfig::new(event, RoutePolicy::HealthEwma),
-            tuning: TimelineTuning::anchored(),
             covers: |run| {
                 let used: Vec<usize> = run.serving_device.iter().flatten().copied().collect();
                 assert!(
@@ -547,12 +471,13 @@ fn hedged_trio(
         beams: 8,
         arrivals,
         plans,
-        config: FleetConfig::new(event, route).with_hedge(HedgeConfig {
-            delay_factor: 0.5,
-            min_samples: 2,
-            min_delay_secs: 1.0,
-        }),
-        tuning,
+        config: FleetConfig::new(event, route)
+            .with_hedge(HedgeConfig {
+                delay_factor: 0.5,
+                min_samples: 2,
+                min_delay_secs: 1.0,
+            })
+            .with_timeline(tuning),
         covers: |run| {
             assert!(run.migrations > 0, "crash failover migrates");
             assert!(run.hedges_launched > 0, "a straggler is hedged");
@@ -621,14 +546,17 @@ fn sim_fleet_shape() -> FleetFixture {
         beams: 16,
         arrivals,
         plans,
-        config: FleetConfig::new(event, RoutePolicy::PrefixAffinity).with_hedge(HedgeConfig {
-            delay_factor: 1.5,
-            min_samples: 3,
-            min_delay_secs: 5.0,
-        }),
-        tuning: TimelineTuning::honest()
-            .with_token_joins()
-            .with_join_quantum(2),
+        config: FleetConfig::new(event, RoutePolicy::PrefixAffinity)
+            .with_hedge(HedgeConfig {
+                delay_factor: 1.5,
+                min_samples: 3,
+                min_delay_secs: 5.0,
+            })
+            .with_timeline(
+                TimelineTuning::honest()
+                    .with_token_joins()
+                    .with_join_quantum(2),
+            ),
         covers: |run| {
             let devices = &run.device_runs;
             assert!(run.migrations > 0, "crash failover migrates");
@@ -652,7 +580,7 @@ fn sim_fleet_shape() -> FleetFixture {
 // Tests: one per golden row.
 // ---------------------------------------------------------------------
 
-/// Build the named fixture and check it through every front door.
+/// Build the named fixture and check its two rows.
 fn check_fixture(name: &str) {
     if let Some(f) = single_fixtures().into_iter().find(|f| f.name == name) {
         return f.check();

@@ -405,7 +405,7 @@ proptest! {
     ) {
         let event = EventConfig::windowed(4, 0.0);
         let config = match mode {
-            0 => TimelineConfig::anchored(event),
+            0 => TimelineConfig::from(event),
             1 => TimelineConfig::honest(event),
             _ => TimelineConfig::honest(event).with_token_joins().with_join_quantum(8),
         };

@@ -702,40 +702,10 @@ impl KvCache {
     }
 
     /// Swap every unpinned GPU-resident node to host memory, freeing its
-    /// blocks. Returns the number of bytes moved (for PCIe costing).
+    /// blocks: the capped walk with no cap, so nothing drops. Returns the
+    /// number of bytes moved (for PCIe costing).
     pub fn swap_out_unpinned(&mut self) -> u64 {
-        let ids: Vec<NodeId> = self
-            .tree
-            .nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.residency == Residency::Gpu && n.pin_count == 0)
-            .map(|(i, _)| NodeId(i as u32))
-            .collect();
-        let mut blocks = 0;
-        for id in ids {
-            let (owned, parent) = {
-                let node = self.tree.node_mut(id);
-                node.residency = Residency::Host;
-                let owned = node.owned_blocks;
-                node.owned_blocks = 0;
-                (owned, node.parent)
-            };
-            self.pool.free(owned);
-            blocks += owned;
-            if self.config.prefix_sharing {
-                if let Some(p) = parent {
-                    self.tree.node_mut(p).gpu_children -= 1;
-                }
-            }
-        }
-        // Every candidate was GPU-resident and unpinned, so the whole
-        // index (and the unpinned-GPU block sum) empties at once;
-        // remaining GPU nodes are pinned and thus not candidates.
-        self.evictable.clear();
-        self.unpinned_gpu_blocks = 0;
-        self.stats.swapped_out_blocks += blocks;
-        blocks * self.config.block_bytes()
+        self.swap_out_unpinned_capped(u64::MAX).0
     }
 
     /// Swap unpinned GPU-resident nodes to host memory until at most
@@ -747,8 +717,7 @@ impl KvCache {
     /// Nodes are visited in ascending [`NodeId`] order — parents are
     /// created before children, so shared prefixes (the most valuable
     /// KV to keep) claim the capped host space first. Returns
-    /// `(swapped_bytes, dropped_bytes)`; with `cap_bytes == u64::MAX`
-    /// this is exactly [`KvCache::swap_out_unpinned`].
+    /// `(swapped_bytes, dropped_bytes)`.
     pub fn swap_out_unpinned_capped(&mut self, cap_bytes: u64) -> (u64, u64) {
         let block_bytes = self.config.block_bytes();
         let ids: Vec<NodeId> = self
@@ -788,8 +757,9 @@ impl KvCache {
                 }
             }
         }
-        // Same reasoning as `swap_out_unpinned`: every candidate was
-        // GPU-resident and unpinned, so the index empties wholesale.
+        // Every candidate was GPU-resident and unpinned, so the whole
+        // index (and the unpinned-GPU block sum) empties at once;
+        // remaining GPU nodes are pinned and thus not candidates.
         self.evictable.clear();
         self.unpinned_gpu_blocks = 0;
         self.stats.swapped_out_blocks += swapped;
@@ -835,8 +805,8 @@ impl KvCache {
                 }
             }
         }
-        // Same reasoning as `swap_out_unpinned`: every candidate was
-        // GPU-resident and unpinned, so the index empties wholesale.
+        // Same reasoning as `swap_out_unpinned_capped`: every candidate
+        // was GPU-resident and unpinned, so the index empties wholesale.
         self.evictable.clear();
         self.unpinned_gpu_blocks = 0;
         self.stats.lost_blocks += blocks;
@@ -1105,22 +1075,6 @@ mod tests {
         assert_eq!(cost.transfer_in_bytes, 2 * 16 * 4);
         assert_eq!(cost.recompute_tokens, 32);
         kv.audit_eviction_index();
-    }
-
-    #[test]
-    fn uncapped_swap_out_matches_legacy() {
-        let mut a = cache(100);
-        let mut b = cache(100);
-        for kv in [&mut a, &mut b] {
-            let r = kv.root(48).unwrap();
-            kv.pin(r).unwrap();
-            kv.unpin(r);
-        }
-        let legacy = a.swap_out_unpinned();
-        let (swapped, dropped) = b.swap_out_unpinned_capped(u64::MAX);
-        assert_eq!(swapped, legacy);
-        assert_eq!(dropped, 0);
-        assert_eq!(a.stats(), b.stats());
     }
 
     #[test]

@@ -98,11 +98,12 @@ impl Value {
 
 type Table = BTreeMap<String, (usize, Value)>;
 
-/// Raw parse result: plain tables plus array-of-tables.
+/// Raw parse result: plain tables plus array-of-tables, each row with
+/// the line of its `[[name]]` header.
 #[derive(Debug, Default)]
 struct Document {
     tables: BTreeMap<String, Table>,
-    arrays: BTreeMap<String, Vec<Table>>,
+    arrays: BTreeMap<String, Vec<(usize, Table)>>,
 }
 
 fn parse_scalar(raw: &str, line_no: usize) -> Result<Value, String> {
@@ -151,7 +152,7 @@ fn parse_document(text: &str) -> Result<Document, String> {
                 return Err(format!("line {line_no}: empty section name"));
             }
             let rows = doc.arrays.entry(name.clone()).or_default();
-            rows.push(Table::new());
+            rows.push((line_no, Table::new()));
             current = Some((name, Some(rows.len() - 1)));
         } else if let Some(name) = line.strip_prefix('[').and_then(|s| s.strip_suffix(']')) {
             let name = name.trim().to_string();
@@ -170,7 +171,9 @@ fn parse_document(text: &str) -> Result<Document, String> {
             }
             let value = parse_scalar(value, line_no)?;
             let table = match &current {
-                Some((name, Some(idx))) => &mut doc.arrays.get_mut(name).expect("open array")[*idx],
+                Some((name, Some(idx))) => {
+                    &mut doc.arrays.get_mut(name).expect("open array")[*idx].1
+                }
                 Some((name, None)) => doc.tables.get_mut(name).expect("open table"),
                 None => return Err(format!("line {line_no}: key before any [section]")),
             };
@@ -229,6 +232,14 @@ impl Reader<'_> {
                 v.type_name()
             )),
         }
+    }
+
+    fn u32(&self, key: &str, default: u32) -> Result<u32, String> {
+        let value = self.u64(key, u64::from(default))?;
+        u32::try_from(value).map_err(|_| {
+            let (line, _) = self.get(key).expect("only a given value can overflow");
+            format!("line {line}: [{}] {key} must fit u32", self.section)
+        })
     }
 
     fn usize(&self, key: &str, default: usize) -> Result<usize, String> {
@@ -298,7 +309,7 @@ impl ServeConfig {
                 .get("tenants")
                 .map(|rows| {
                     rows.iter()
-                        .map(|row| {
+                        .map(|(line, row)| {
                             let t = Reader {
                                 section: "tenants",
                                 table: row,
@@ -310,16 +321,15 @@ impl ServeConfig {
                                 "max_open",
                                 "max_in_flight",
                             ])?;
+                            if t.get("id").is_none() {
+                                return Err(format!("line {line}: [[tenants]] row has no id"));
+                            }
                             Ok(TenantCfg {
-                                id: u32::try_from(t.u64("id", u64::MAX)?)
-                                    .map_err(|_| "[[tenants]] id must fit u32".to_string())?,
-                                weight: u32::try_from(t.u64("weight", 1)?)
-                                    .map_err(|_| "[[tenants]] weight must fit u32".to_string())?,
+                                id: t.u32("id", 0)?,
+                                weight: t.u32("weight", 1)?,
                                 kv_cap_frac: t.f64("kv_cap_frac", 0.0)?,
                                 max_open: t.usize("max_open", 0)?,
-                                max_in_flight: u32::try_from(t.u64("max_in_flight", 0)?).map_err(
-                                    |_| "[[tenants]] max_in_flight must fit u32".to_string(),
-                                )?,
+                                max_in_flight: t.u32("max_in_flight", 0)?,
                             })
                         })
                         .collect::<Result<Vec<_>, String>>()

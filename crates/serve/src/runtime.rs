@@ -393,11 +393,6 @@ impl ServeRuntime {
                         slowdown_factor: s.slowdown_factor,
                         slowdown_secs: s.slowdown_secs,
                         kv_losses: s.kv_losses,
-                        device_crashes: 0,
-                        crash_down_secs: 60.0,
-                        device_degrades: 0,
-                        degrade_factor: 2.0,
-                        degrade_secs: 30.0,
                     },
                 )
             })

@@ -194,3 +194,25 @@ fn non_finite_storm_values_are_refused() {
         assert!(!check(text.as_bytes()));
     }
 }
+
+#[test]
+fn tenant_rows_name_a_missing_id_and_the_line_of_an_overflow() {
+    // A row without an id used to be refused as "id must fit u32" (the
+    // missing key defaulted to u64::MAX), and no u32 overflow named
+    // its line.
+    let text = "[server]\n[[tenants]]\nweight = 2\n";
+    let err = ServeConfig::parse(text).expect_err("no id");
+    assert_eq!(err, "line 2: [[tenants]] row has no id");
+    assert!(!check(text.as_bytes()));
+    for (row, key) in [
+        ("id = 5000000000", "id"),
+        ("id = 1\nweight = 5000000000", "weight"),
+        ("id = 1\nmax_in_flight = 5000000000", "max_in_flight"),
+    ] {
+        let text = format!("[server]\n[[tenants]]\n{row}\n");
+        let err = ServeConfig::parse(&text).expect_err(row);
+        let line = text.lines().count();
+        assert_eq!(err, format!("line {line}: [tenants] {key} must fit u32"));
+        assert!(!check(text.as_bytes()));
+    }
+}

@@ -50,7 +50,7 @@ fn main() -> Result<(), fasttts::EngineError> {
         fasttts::TimelineServerSim::new(server(), 16, SearchKind::BeamSearch, config)
             .run_faulted(&arrivals, &FaultPlan::none())
     };
-    let anchored = timeline(TimelineConfig::anchored(EventConfig::windowed(6, 0.0)))?;
+    let anchored = timeline(TimelineConfig::from(EventConfig::windowed(6, 0.0)))?;
     let honest = timeline(TimelineConfig::honest(EventConfig::windowed(6, 0.0)))?;
     let joins = timeline(
         TimelineConfig::honest(EventConfig::windowed(6, 0.0))
