@@ -28,10 +28,14 @@
 //! * retroactive contention is real: the honest window-0 run books
 //!   stretch seconds > 0 and no longer coincides with the
 //!   infinite-window (lockstep) run — the overlap-pricing gap is > 0;
-//! * the anchored timeline (contention off, joins off) reproduces
-//!   `EventServerSim` bit-for-bit on the same fixture — completion
-//!   instants, answers, and every breakdown bucket;
+//! * the anchored event scheduler (contention off, joins off) records
+//!   segments on the timeline but never stretches them;
 //! * answers are schedule-invariant across all policies.
+//!
+//! `EventServerSim` is the one scheduler type under the anchored
+//! policy, so the golden `anchored-*` rows in
+//! `crates/core/tests/golden/anchors.txt` pin its bit-equivalence with
+//! the event-driven loop those rows were recorded from.
 //!
 //! Run with `cargo bench --bench pr10_timeline` (release profile).
 
@@ -178,26 +182,10 @@ fn policy(run: &BatchRun) -> Json {
     ])
 }
 
-/// The anchored timeline must reproduce `EventServerSim` bit-for-bit:
-/// instants, answers, tokens and every breakdown bucket.
-fn anchor_identical(event: &BatchRun, anchored: &BatchRun) -> bool {
-    event.served.len() == anchored.served.len()
-        && event.rounds == anchored.rounds
-        && event.group_iters == anchored.group_iters
-        && event.served.iter().zip(&anchored.served).all(|(e, a)| {
-            e.started_at == a.started_at
-                && e.finished_at == a.finished_at
-                && e.outcome.answer == a.outcome.answer
-                && e.accepted_tokens() == a.accepted_tokens()
-                && e.outcome.stats.breakdown() == a.outcome.stats.breakdown()
-        })
-}
-
 #[allow(clippy::too_many_lines)]
 fn main() {
     let arrivals = straggler_arrivals();
     let event_w0 = run_event(&arrivals, 0.0);
-    let anchored = run_timeline(&arrivals, TimelineConfig::from(event_config(0.0)));
     let iter_w0 = run_timeline(&arrivals, TimelineConfig::honest(event_config(0.0)));
     let joins_w0 = run_timeline(
         &arrivals,
@@ -218,7 +206,6 @@ fn main() {
     );
     for (label, run) in [
         ("event w=0 (pr4)", &event_w0),
-        ("timeline anchored", &anchored),
         ("timeline iter w=0", &iter_w0),
         ("timeline joins w=0", &joins_w0),
         ("timeline iter w=inf", &iter_winf),
@@ -235,15 +222,10 @@ fn main() {
         );
     }
 
-    // Gate (a): the anchored timeline is bit-identical to the event
-    // scheduler — the equivalence anchor that licenses everything else.
-    let anchor_ok = anchor_identical(&event_w0, &anchored);
+    // Gate (a): the anchored event scheduler only observes: it records
+    // segments on the timeline and never stretches them.
     assert!(
-        anchor_ok,
-        "anchored timeline must reproduce EventServerSim bit-for-bit"
-    );
-    assert!(
-        anchored.timeline.segments > 0 && anchored.timeline.stretch_secs == 0.0,
+        event_w0.timeline.segments > 0 && event_w0.timeline.stretch_secs == 0.0,
         "the anchor records segments but never stretches"
     );
 
@@ -312,7 +294,7 @@ fn main() {
     );
 
     // Answers are schedule-invariant across every policy.
-    for other in [&anchored, &iter_w0, &joins_w0, &iter_winf] {
+    for other in [&iter_w0, &joins_w0, &iter_winf] {
         for (e, o) in event_w0.served.iter().zip(&other.served) {
             assert_eq!(
                 e.outcome.answer, o.outcome.answer,
@@ -335,7 +317,6 @@ fn main() {
     });
 
     let stretch = iter_w0.timeline.stretch_secs;
-    let anchor = if anchor_ok { 1.0 } else { 0.0 };
     let workload = Json::object([
         ("requests", arrivals.len().into()),
         ("n_beams", N_BEAMS.into()),
@@ -349,7 +330,6 @@ fn main() {
     ]);
     let policies = Json::object([
         ("event_w0", policy(&event_w0)),
-        ("timeline_anchored", policy(&anchored)),
         ("timeline_iter_w0", policy(&iter_w0)),
         ("timeline_joins_w0", policy(&joins_w0)),
         ("timeline_iter_winf", policy(&iter_winf)),
@@ -367,7 +347,6 @@ fn main() {
         ("join_wait_reduction_x", wait_reduction.into()),
         ("retroactive_stretch_secs", stretch.into()),
         ("w0_vs_winf_goodput_gap_frac", gap_frac.into()),
-        ("anchor_bitwise_identical_to_event", anchor.into()),
         ("timeline_wall_clock", wall(&wall_stats)),
     ]);
     write_report("BENCH_PR10.json", &report);

@@ -287,15 +287,6 @@ pub fn default_specs() -> Vec<MetricSpec> {
             direction: HigherIsBetter,
         },
         MetricSpec {
-            file: "BENCH_PR10.json",
-            path: "anchor_bitwise_identical_to_event",
-            label: "PR10 anchored timeline bit-identical to EventServerSim",
-            min_ratio: 0.0,
-            // The equivalence anchor is boolean: 1.0 or the gate is red.
-            absolute: Some(1.0),
-            direction: HigherIsBetter,
-        },
-        MetricSpec {
             file: "BENCH_PR9.json",
             path: "fair_share.victim.deadline_hit_rate",
             label: "PR9 victim deadline-hit rate under fair share",

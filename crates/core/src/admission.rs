@@ -36,6 +36,7 @@ use crate::server::{ServeOutcome, ServedRequest};
 use crate::timeline::LoopState;
 
 /// One in-flight (or preempted) request.
+#[derive(Clone)]
 pub(crate) struct InFlight {
     /// Index into the arrival stream (doubles as the pool holder id).
     pub(crate) idx: usize,

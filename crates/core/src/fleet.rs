@@ -46,25 +46,46 @@
 //! are themselves deterministic.
 //!
 //! Each device keeps one live run of the timeline loop over its current
-//! legs, stepped lazily. An edit to its legs (a new leg, a cancel, a
-//! revived hedge loser) restarts the run from scratch and simulates
-//! nothing. A router query at instant `t` steps each device it reads
-//! until the device's next launch lies past `t` (`t` may be a future
-//! instant, such as a migration's landing), then reads only records
-//! sealed by `t` and the start of requests still in flight. Only the
-//! hedge paths read a leg's final outcome (whether it is shed, and
-//! when it finishes); they step that device until the leg is sealed.
-//! When the event queue drains, every device runs to completion in
-//! place: the fleet simulates no device a second time and spawns no
-//! worker threads. The output is bit-identical to re-simulating each
-//! device from t=0 after every edit.
+//! legs, stepped lazily. A router query at instant `t` steps each
+//! device it reads until the device's next launch lies past `t` (`t`
+//! may be a future instant, such as a migration's landing), then reads
+//! only records sealed by `t` and the start of requests still in
+//! flight. Only the hedge paths read a leg's final outcome (whether it
+//! is shed, and when it finishes); they step that device until the leg
+//! is sealed. When the event queue drains, every device runs to
+//! completion in place: the fleet spawns no worker threads.
 //!
-//! Debug builds check that claim on every query: each time-bounded
-//! answer, and each final outcome, must equal the same read of the
-//! device's full run, simulated from scratch once per version of its
-//! legs. A 1-device fleet with the pass-through router is bit-identical
-//! to a bare [`TimelineServerSim`](crate::TimelineServerSim) under the
-//! same policy, faulted and fault-free (enforced in
+//! An edit to a device's legs changes its inputs from an instant `e`
+//! on: a new leg arrives at `e` (its warm-start prefix lands then too),
+//! a cancel takes effect at `e`, or a revived hedge loser's old cancel
+//! instant `e` goes away. Every step of the loop reports the instant up
+//! to which it read its inputs, so the device resumes from the latest
+//! state no step of which read anything at or after `e`, instead of
+//! from t=0, and simulates nothing until a query steps it. There are
+//! three paths:
+//!
+//! * **in place** — no executed step read that far: the live run takes
+//!   the new inputs and goes on;
+//! * **restored** — the device keeps at most one checkpoint, a copy of
+//!   its run taken just before the first step that a later edit could
+//!   still invalidate (one whose reads reach the fleet's event clock);
+//!   when no step before the checkpoint read that far, the run goes on
+//!   from it;
+//! * **from scratch** — otherwise. Edits land at or after the event
+//!   clock, with two exceptions that may precede what even the
+//!   checkpoint read: a hedge loser's cancel lands at the winner's
+//!   finish, which lies behind the clock when that finish moved earlier
+//!   after the resolution was scheduled, and reviving a loser after a
+//!   crash removes its cancel at that old instant.
+//!
+//! The output is bit-identical to re-simulating each device from t=0
+//! after every edit. Debug builds check that claim on every query: each
+//! time-bounded answer, each final outcome and each device's final run
+//! must equal the same read of the device's full run, simulated from
+//! scratch once per version of its legs. A 1-device fleet with the
+//! pass-through router is bit-identical to a bare
+//! [`TimelineServerSim`](crate::TimelineServerSim) under the same
+//! policy, faulted and fault-free (enforced in
 //! `crates/core/tests/fleet.rs`).
 
 use std::rc::Rc;
@@ -410,6 +431,16 @@ impl FleetSim {
         arrivals: &[RequestArrival],
         plans: &[FaultPlan],
     ) -> Result<FleetRun, EngineError> {
+        self.simulate(arrivals, plans).map(|(run, _)| run)
+    }
+
+    /// [`FleetSim::run_faulted`], with how many edits took each resume
+    /// path.
+    fn simulate(
+        &self,
+        arrivals: &[RequestArrival],
+        plans: &[FaultPlan],
+    ) -> Result<(FleetRun, Resumes), EngineError> {
         assert_eq!(plans.len(), self.devices.len(), "one fault plan per device");
         debug_assert!(
             arrivals.windows(2).all(|w| w[0].at <= w[1].at),
@@ -457,8 +488,10 @@ impl FleetSim {
             pairs: Vec::new(),
             events: std::collections::BinaryHeap::new(),
             event_seq: 0,
+            clock: f64::NEG_INFINITY,
             rr_next: 0,
             migrations: 0,
+            resumes: Resumes::default(),
         };
         // Seed the timeline: every arrival, plus (failover only) every
         // crash window start.
@@ -471,7 +504,8 @@ impl FleetSim {
             }
         }
         engine.drive()?;
-        engine.finish(crash_downtime_secs)
+        let resumes = engine.resumes;
+        Ok((engine.finish(crash_downtime_secs)?, resumes))
     }
 }
 
@@ -494,10 +528,46 @@ impl Seen {
     }
 }
 
+/// How a replica resumed its run after an edit to its legs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Resume {
+    /// No executed step read anything the edit changed: the live run
+    /// goes on over the new legs.
+    InPlace,
+    /// The checkpoint read nothing the edit changed: the run goes on
+    /// from there.
+    Restored,
+    /// Both read past the edit: the run starts over.
+    Scratch,
+}
+
+/// How many edits took each [`Resume`] path.
+#[derive(Debug, Clone, Copy, Default)]
+struct Resumes {
+    in_place: u64,
+    restored: u64,
+    scratch: u64,
+}
+
+impl Resumes {
+    fn count(&mut self, path: Resume) {
+        match path {
+            Resume::InPlace => self.in_place += 1,
+            Resume::Restored => self.restored += 1,
+            Resume::Scratch => self.scratch += 1,
+        }
+    }
+}
+
 /// One device's live run over its current legs, stepped only as far as
-/// the router has read it.
+/// the router has read it, and at most one checkpoint to resume from
+/// after an edit.
 struct Replica<'a> {
     state: LoopState<'a>,
+    /// A copy of `state` taken just before the first step that a later
+    /// edit could still invalidate, with the latest instant up to which
+    /// any step since the copy read its inputs.
+    checkpoint: Option<(LoopState<'a>, f64)>,
     /// The full run of this version of the device's legs, simulated
     /// from scratch once: the oracle every lazy answer is checked
     /// against in debug builds.
@@ -510,25 +580,86 @@ impl<'a> Replica<'a> {
     fn new(sim: &'a TimelineServerSim, plan: &'a FaultPlan) -> Self {
         Self {
             state: LoopState::new(sim, Rc::from([]), plan, Rc::default()),
+            checkpoint: None,
             #[cfg(debug_assertions)]
             reference: None,
         }
     }
 
-    /// Restart the run from scratch on a new sub-stream and directives;
-    /// nothing is simulated until a query steps it.
-    fn restart(&mut self, sub: Vec<RequestArrival>, directives: RunDirectives) {
-        let (sim, plan) = (self.state.sim, self.state.plan);
-        self.state = LoopState::new(sim, sub.into(), plan, Rc::new(directives));
+    /// The device's legs changed, and nothing at or before `edit`
+    /// changed with them: resume on the new sub-stream and directives
+    /// from the latest state in which no executed step read anything at
+    /// or after `edit`. Nothing is simulated until a query steps it.
+    fn resume(&mut self, sub: Vec<RequestArrival>, directives: RunDirectives, edit: f64) -> Resume {
+        let (sub, directives) = (Rc::from(sub), Rc::new(directives));
+        let path = if self.state.read_until < edit {
+            Resume::InPlace
+        } else if let Some((checkpoint, _)) = self
+            .checkpoint
+            .take()
+            .filter(|(checkpoint, _)| checkpoint.read_until < edit)
+        {
+            self.state = checkpoint;
+            Resume::Restored
+        } else {
+            Resume::Scratch
+        };
+        if path == Resume::Scratch {
+            let (sim, plan) = (self.state.sim, self.state.plan);
+            self.state = LoopState::new(sim, sub, plan, directives);
+        } else {
+            self.state.rebase(sub, directives);
+        }
         #[cfg(debug_assertions)]
         {
             self.reference = None;
         }
+        path
+    }
+
+    /// Drop the checkpoint once every step since it read its inputs
+    /// only up to before `clock`: an edit at or after `clock` resumes
+    /// the live run in place, or a checkpoint taken now, as well.
+    fn drop_stale(&mut self, clock: f64) {
+        if self
+            .checkpoint
+            .as_ref()
+            .is_some_and(|&(_, since)| since < clock)
+        {
+            self.checkpoint = None;
+        }
+    }
+
+    /// One step of the live run while the fleet handles an event at
+    /// `clock`: a stale checkpoint is dropped first, and a copy of the
+    /// run is kept as the checkpoint when none is held.
+    fn step(&mut self, clock: f64) -> Result<Option<f64>, EngineError> {
+        self.drop_stale(clock);
+        let state = &self.state;
+        let (_, since) = self
+            .checkpoint
+            .get_or_insert_with(|| (state.clone(), f64::NEG_INFINITY));
+        let read = self.state.step()?;
+        *since = since.max(read.unwrap_or(f64::INFINITY));
+        Ok(read)
     }
 
     /// Arrival `slot` of this device as the router sees it at `t`.
-    fn seen(&mut self, slot: usize, t: f64) -> Result<Seen, EngineError> {
-        self.state.step_past(t)?;
+    /// Steps until every record that finishes by `t` is sealed: until
+    /// the next launch lies past `t`. Every record a later step seals
+    /// finishes at or after its launch, except that a launch pads its
+    /// members' clocks to the launch instant, which can land an ulp or
+    /// two below it; the stop test allows for that rounding. Stepping
+    /// further than strictly needed is always safe.
+    fn seen(&mut self, slot: usize, t: f64, clock: f64) -> Result<Seen, EngineError> {
+        let past = t + 1e-9 * t.abs().max(1.0);
+        while self
+            .state
+            .peek_anchor()
+            .is_some_and(|anchor| anchor <= past)
+        {
+            self.step(clock)?;
+        }
         let seen = match &self.state.served[slot] {
             Some(rec) => Seen::of(rec, t),
             None => Seen {
@@ -550,9 +681,14 @@ impl<'a> Replica<'a> {
         Ok(seen)
     }
 
-    /// Arrival `slot`'s final record.
-    fn outcome(&mut self, slot: usize) -> Result<&ServedRequest, EngineError> {
-        self.state.step_until_sealed(slot)?;
+    /// Arrival `slot`'s final record, stepping until it is sealed.
+    fn outcome(&mut self, slot: usize, clock: f64) -> Result<&ServedRequest, EngineError> {
+        while self.state.served[slot].is_none() {
+            assert!(
+                self.step(clock)?.is_some(),
+                "a finished run seals every request"
+            );
+        }
         #[cfg(debug_assertions)]
         {
             let lazy = format!("{:?}", self.state.served[slot]);
@@ -578,10 +714,23 @@ impl<'a> Replica<'a> {
         })
     }
 
-    /// Run to completion.
+    /// Run to completion. Debug builds check the resumed run against a
+    /// from-scratch run of the final legs, `{:?}` for `{:?}`.
     fn finish(mut self) -> Result<BatchRun, EngineError> {
-        while self.state.step()? {}
-        Ok(self.state.finish())
+        self.checkpoint = None;
+        while self.state.step()?.is_some() {}
+        #[cfg(debug_assertions)]
+        let full = self.reference().as_ref().ok().map(|r| format!("{r:?}"));
+        let run = self.state.finish();
+        #[cfg(debug_assertions)]
+        if let Some(full) = full {
+            assert_eq!(
+                format!("{run:?}"),
+                full,
+                "the resumed run disagrees with a from-scratch run of its legs"
+            );
+        }
+        Ok(run)
     }
 }
 
@@ -599,8 +748,11 @@ struct FleetEngine<'a> {
     pairs: Vec<(usize, usize)>,
     events: std::collections::BinaryHeap<std::cmp::Reverse<FleetEvent>>,
     event_seq: u64,
+    /// The instant of the event being handled.
+    clock: f64,
     rr_next: usize,
     migrations: u64,
+    resumes: Resumes,
 }
 
 impl FleetEngine<'_> {
@@ -620,9 +772,12 @@ impl FleetEngine<'_> {
         self.event_seq += 1;
     }
 
-    /// Device `d`'s legs or directives changed: restart its run over
-    /// its current legs, in arrival order.
-    fn restart(&mut self, d: usize) {
+    /// Device `d`'s legs or directives changed at instant `at`, and
+    /// nothing before it: resume its run over its current legs, in
+    /// arrival order. The instant is a new leg's arrival (its prewarm
+    /// lands then too), a cancel's instant, or the old cancel instant of
+    /// a revived leg.
+    fn edit(&mut self, d: usize, at: f64) {
         let mut order = self.legs_by_device[d].clone();
         order.sort_by(|&a, &b| self.legs[a].at.total_cmp(&self.legs[b].at).then(a.cmp(&b)));
         let mut sub = Vec::with_capacity(order.len());
@@ -645,17 +800,18 @@ impl FleetEngine<'_> {
                 directives.prewarms.push(p);
             }
         }
-        self.replicas[d].restart(sub, directives);
+        let path = self.replicas[d].resume(sub, directives, at);
+        self.resumes.count(path);
     }
 
     /// Leg `id` as the router sees it at `t`.
     fn seen(&mut self, id: usize, t: f64) -> Result<Seen, EngineError> {
-        self.replicas[self.legs[id].device].seen(self.slot[id], t)
+        self.replicas[self.legs[id].device].seen(self.slot[id], t, self.clock)
     }
 
     /// Leg `id`'s final record.
     fn outcome(&mut self, id: usize) -> Result<&ServedRequest, EngineError> {
-        self.replicas[self.legs[id].device].outcome(self.slot[id])
+        self.replicas[self.legs[id].device].outcome(self.slot[id], self.clock)
     }
 
     /// When leg `id` delivers its answer: its final finish instant, or
@@ -851,13 +1007,13 @@ impl FleetEngine<'_> {
         Ok(Some((h.delay_factor * lats[idx]).max(h.min_delay_secs)))
     }
 
-    /// Place `leg` and restart its device.
+    /// Place `leg` and resume its device.
     fn push_leg(&mut self, leg: Leg) -> usize {
         let id = self.legs.len();
         self.legs_by_device[leg.device].push(id);
         self.legs.push(leg);
         self.slot.push(usize::MAX);
-        self.restart(leg.device);
+        self.edit(leg.device, leg.at);
         id
     }
 
@@ -875,6 +1031,10 @@ impl FleetEngine<'_> {
 
     fn drive(&mut self) -> Result<(), EngineError> {
         while let Some(std::cmp::Reverse(ev)) = self.events.pop() {
+            self.clock = ev.at;
+            for replica in &mut self.replicas {
+                replica.drop_stale(ev.at);
+            }
             match ev.kind {
                 EventKind::Arrival { req } => self.on_arrival(req)?,
                 EventKind::Crash { device, down_for } => self.on_crash(device, ev.at, down_for)?,
@@ -925,7 +1085,7 @@ impl FleetEngine<'_> {
         for &(id, _) in &interrupted {
             self.legs[id].cancel_at = self.legs[id].cancel_at.min(t);
         }
-        self.restart(d);
+        self.edit(d, t);
 
         for (id, had_started) in interrupted {
             let leg = self.legs[id];
@@ -937,7 +1097,7 @@ impl FleetEngine<'_> {
                 if p.device != d && p.cancel_at > t {
                     if p.cancel_at.is_finite() {
                         self.legs[pid].cancel_at = f64::INFINITY;
-                        self.restart(p.device);
+                        self.edit(p.device, p.cancel_at);
                     }
                     continue;
                 }
@@ -1041,13 +1201,16 @@ impl FleetEngine<'_> {
         let (p_fin, h_fin) = (self.final_finish(p)?, self.final_finish(h)?);
         let loser = if h_fin < p_fin { p } else { h };
         self.legs[loser].cancel_at = win;
-        self.restart(self.legs[loser].device);
+        self.edit(self.legs[loser].device, win);
         Ok(())
     }
 
     /// Run every device to completion, then assemble the fleet-level
     /// records.
-    fn finish(self, crash_downtime_secs: f64) -> Result<FleetRun, EngineError> {
+    fn finish(mut self, crash_downtime_secs: f64) -> Result<FleetRun, EngineError> {
+        for replica in &mut self.replicas {
+            replica.checkpoint = None;
+        }
         let device_runs = self
             .replicas
             .into_iter()
@@ -1134,6 +1297,172 @@ impl FleetEngine<'_> {
 mod tests {
     use super::*;
     use crate::batch_server::BatchConfig;
+    use crate::faults::{FaultEvent, FaultKind, FaultPolicy, RobustConfig, StormConfig};
+    use ftts_engine::ModelPairing;
+    use ftts_hw::GpuDevice;
+    use ftts_kv::KvTierConfig;
+    use ftts_metrics::SloClass;
+    use ftts_workload::{zipf_problems, ArrivalPattern, Dataset};
+
+    fn server(device: GpuDevice) -> TtsServer {
+        let mut s = TtsServer::fasttts(device, ModelPairing::pair_1_5b_1_5b());
+        s.config_mut().seed = 17;
+        s.config_mut().memory_fraction = 0.55;
+        s
+    }
+
+    /// One job of the sim-fleet workload's shape (the golden
+    /// `fleet-sim-fleet-shape` fixtures): four replicas under prefix
+    /// affinity with hedging, honest contention with 2-token joins, a
+    /// host tier, Degrade SLOs, a storm on every device and a crash of
+    /// device 1 at 25 s.
+    fn sim_fleet_shape(seed: u64) -> (FleetSim, Vec<RequestArrival>, Vec<FaultPlan>) {
+        let devices = [
+            GpuDevice::rtx4090(),
+            GpuDevice::jetson_orin(),
+            GpuDevice::rtx4090(),
+            GpuDevice::jetson_orin(),
+        ]
+        .into_iter()
+        .map(server)
+        .collect();
+        let event = EventConfig::new(
+            BatchConfig::continuous(4)
+                .with_tier(KvTierConfig::with_capacity(1 << 33))
+                .with_robust(RobustConfig::with_policy(FaultPolicy::Degrade)),
+            0.25,
+        );
+        let config = FleetConfig::new(event, RoutePolicy::PrefixAffinity)
+            .with_hedge(HedgeConfig {
+                delay_factor: 1.5,
+                min_samples: 3,
+                min_delay_secs: 5.0,
+            })
+            .with_timeline(
+                TimelineTuning::honest()
+                    .with_token_joins()
+                    .with_join_quantum(2),
+            );
+        let slos = [
+            (SloClass::Interactive, 90.0),
+            (SloClass::Standard, 120.0),
+            (SloClass::Batch, 180.0),
+        ];
+        let ranked = Dataset::Amc2023.problems(4, seed);
+        let arrivals = ArrivalPattern::Uniform { interval: 4.0 }
+            .schedule(&zipf_problems(&ranked, 12, 1.2, seed), seed)
+            .into_iter()
+            .enumerate()
+            .map(|(i, a)| a.with_slo(slos[i % 3].0, slos[i % 3].1))
+            .collect();
+        let plans = (0..4u64)
+            .map(|d| {
+                let storm = FaultPlan::storm(seed + d, 60.0, &StormConfig::default());
+                let mut events = storm.events().to_vec();
+                if d == 1 {
+                    events.push(FaultEvent {
+                        at: 25.0,
+                        kind: FaultKind::DeviceCrash { down_for: 300.0 },
+                    });
+                }
+                FaultPlan::new(events)
+            })
+            .collect();
+        let fleet = FleetSim::new(devices, 16, SearchKind::BeamSearch, config);
+        (fleet, arrivals, plans)
+    }
+
+    #[test]
+    fn sim_fleet_edits_resume_in_place_and_from_checkpoints() {
+        // The seeds of the golden `fleet-sim-fleet-shape` rows. Debug
+        // builds check every lazy read, and each device's final run,
+        // against a from-scratch run of its legs.
+        for seed in [0, 16, 20, 22] {
+            let (fleet, arrivals, plans) = sim_fleet_shape(seed);
+            let (_, resumes) = fleet.simulate(&arrivals, &plans).expect("fleet run");
+            assert!(
+                resumes.in_place > 0 && resumes.restored > 0,
+                "seed {seed}: {resumes:?}"
+            );
+        }
+    }
+
+    /// A replica over `base`, stepped by a router query at 10 s: its
+    /// checkpoint then sits before the first step that read past 10 s.
+    fn queried_replica<'a>(
+        sim: &'a TimelineServerSim,
+        plan: &'a FaultPlan,
+        base: &[RequestArrival],
+    ) -> Replica<'a> {
+        let mut replica = Replica::new(sim, plan);
+        replica.resume(base.to_vec(), RunDirectives::default(), 0.0);
+        replica.seen(0, 10.0, 10.0).expect("query");
+        replica
+    }
+
+    #[test]
+    fn every_resume_path_reads_like_a_full_run() {
+        let sim = TimelineServerSim::new(
+            server(GpuDevice::rtx4090()),
+            8,
+            SearchKind::BeamSearch,
+            TimelineConfig::honest(EventConfig::windowed(4, 0.0))
+                .with_token_joins()
+                .with_join_quantum(8),
+        );
+        let plan = FaultPlan::none();
+        let problems = Dataset::Amc2023.problems(6, 3);
+        let base = ArrivalPattern::Uniform { interval: 2.0 }.schedule(&problems[..5], 0);
+        let extra = ArrivalPattern::Burst { at: 0.0 }.schedule(&problems[5..], 0)[0].clone();
+        let probe = queried_replica(&sim, &plan, &base);
+        let live = probe.state.read_until;
+        let (checkpoint, _) = probe.checkpoint.as_ref().expect("a checkpoint");
+        let before = checkpoint.read_until;
+        assert!(
+            0.0 < before && before < 10.0 && 10.0 <= live,
+            "{before} {live}"
+        );
+        // Each edit adds an arrival at `e` and cancels request 0 at `e`:
+        // past every read, inside the checkpoint's future, and at the
+        // checkpoint's own horizon, which no kept state can serve.
+        for (e, path) in [
+            (live + 1.0, Resume::InPlace),
+            (10.0, Resume::Restored),
+            (before, Resume::Scratch),
+        ] {
+            let mut sub = base.clone();
+            let pos = sub.partition_point(|a| a.at <= e);
+            sub.insert(
+                pos,
+                RequestArrival {
+                    at: e,
+                    ..extra.clone()
+                },
+            );
+            let directives = RunDirectives {
+                cancels: vec![(0, e)],
+                prewarms: Vec::new(),
+            };
+            let full = sim
+                .run_directed(&sub, &plan, &directives)
+                .expect("full run");
+            let mut replica = queried_replica(&sim, &plan, &base);
+            assert_eq!(replica.resume(sub.clone(), directives, e), path);
+            for step in 0..=400 {
+                let t = f64::from(step) * 0.5;
+                for (slot, rec) in full.served.iter().enumerate() {
+                    let seen = replica.seen(slot, t, t).expect("query");
+                    assert_eq!(seen, Seen::of(rec, t), "{path:?}: arrival {slot} at {t}");
+                }
+            }
+            for (slot, rec) in full.served.iter().enumerate() {
+                let lazy = replica.outcome(slot, 200.0).expect("outcome");
+                assert_eq!(format!("{lazy:?}"), format!("{rec:?}"), "{path:?}: {slot}");
+            }
+            let run = replica.finish().expect("finish");
+            assert_eq!(format!("{run:?}"), format!("{full:?}"), "{path:?}");
+        }
+    }
 
     #[test]
     fn config_builders() {

@@ -37,11 +37,11 @@
 //! floor, the fault cursor, the directives, the observer, the served
 //! records and the run counters. It owns its arrivals and directives,
 //! so the fleet can keep one live state per device and step it only
-//! as far as its router reads (`peek_anchor`, `step_past`).
-//! `run_directed` is `LoopState::new`, a `while state.step()? {}` loop
-//! and `state.finish()`. One `step` forms
-//! a co-batch at the next anchor and runs its phases in order, each a
-//! method:
+//! as far as its router reads (`peek_anchor`). `run_directed` is
+//! `LoopState::new`, a `while state.step()?.is_some() {}` loop and
+//! `state.finish()`. The state is `Clone`: a copy taken between steps
+//! finishes exactly as the original does. One `step` forms a co-batch
+//! at the next anchor and runs its phases in order, each a method:
 //!
 //! 1. **boundary** — ingest due arrivals, land due prefix handoffs,
 //!    sweep directed cancels and deadlines, admit, rebalance elastic
@@ -56,8 +56,14 @@
 //!    survivors to the in-flight set.
 //!
 //! A boundary that forms no launch returns early, and `step` returns
-//! `false` once every request is served. Admission, shares and the
-//! sweeps are `LoopState` methods in the `admission` module.
+//! `None` once every request is served. Otherwise it returns its read
+//! horizon: the instant up to which it read the run's inputs (its
+//! launch instant, or a launch's round end). Inputs that agree with
+//! the current ones up to the latest read horizon take the same steps,
+//! so `LoopState::rebase` swaps them into a live or copied state and the
+//! run goes on from there; that is how the fleet resumes a device after
+//! a routing edit instead of replaying it from t=0. Admission, shares
+//! and the sweeps are `LoopState` methods in the `admission` module.
 //!
 //! Every launch lands on a [`DeviceTimeline`] as costed segments, which
 //! it rolls up as it records. In anchored mode the timeline only
@@ -128,14 +134,44 @@ pub enum SegmentKind {
     Swap,
 }
 
-/// A decode segment the roll-up has not folded yet: open (its request
-/// may still stretch it), or closed behind an earlier open one.
+/// An open decode segment: its request may still stretch it.
 #[derive(Debug, Clone, Copy)]
-struct Unfolded {
+struct Open {
     id: usize,
+    /// Its position among the decode segments, in record order.
+    seq: usize,
     start: f64,
     end: f64,
-    open: bool,
+}
+
+/// A sweep endpoint packed into one `u64`: the instant's bits shifted
+/// left by one, with the low bit set for a segment start. Instants are
+/// non-negative, so keys sort by instant, and at equal instants an end
+/// (low bit clear) sorts before a start: back-to-back segments never
+/// count as overlap.
+fn endpoint(at: f64, start: bool) -> u64 {
+    debug_assert!(at >= 0.0, "timeline instants are non-negative, got {at}");
+    // The shift drops the sign bit: -0.0 packs (and sweeps) as 0.0, and
+    // a negative instant would pack as its magnitude.
+    (at.to_bits() << 1) | u64::from(start)
+}
+
+/// Merge the sorted `fresh` keys into the sorted `keys`, in place.
+fn merge_sorted(keys: &mut Vec<u64>, fresh: &[u64]) {
+    let (mut i, mut j) = (keys.len(), fresh.len());
+    keys.resize(i + j, 0);
+    for k in (0..keys.len()).rev() {
+        if j == 0 {
+            break;
+        }
+        if i > 0 && keys[i - 1] > fresh[j - 1] {
+            keys[k] = keys[i - 1];
+            i -= 1;
+        } else {
+            keys[k] = fresh[j - 1];
+            j -= 1;
+        }
+    }
 }
 
 /// The interval-union sweep over segment endpoints, in time order.
@@ -148,9 +184,11 @@ struct Sweep {
 }
 
 impl Sweep {
-    /// Process `events`, sorted by [`sort_endpoints`].
-    fn run(&mut self, events: &[(f64, i32)]) {
-        for &(t, d) in events {
+    /// Process sorted [`endpoint`] keys.
+    fn run(&mut self, keys: &[u64]) {
+        for &key in keys {
+            let t = f64::from_bits(key >> 1);
+            let d = if key & 1 == 1 { 1 } else { -1 };
             if self.depth == 0 && d > 0 {
                 self.open_at = t;
             }
@@ -163,16 +201,6 @@ impl Sweep {
     }
 }
 
-/// Sort sweep endpoints by instant; at equal instants ends close before
-/// starts open, so back-to-back segments never count as overlap.
-fn sort_endpoints(events: &mut [(f64, i32)]) {
-    events.sort_by(|a, b| {
-        a.0.partial_cmp(&b.0)
-            .expect("finite segment bounds")
-            .then(a.1.cmp(&b.1))
-    });
-}
-
 /// The global per-device kernel timeline: every launch the scheduler
 /// commits lands here as a costed segment on one shared clock, and the
 /// timeline rolls its occupancy up as it records instead of storing
@@ -180,13 +208,13 @@ fn sort_endpoints(events: &mut [(f64, i32)]) {
 ///
 /// A decode segment stays *open* until [`DeviceTimeline::close`]: until
 /// then a later launch may retroactively [`stretch`](Self::stretch) it.
-/// Verify and swap segments are closed as they are recorded. The
-/// timeline holds only the open segments, the closed decode segments
-/// recorded after the earliest open one (per-kind sums fold in record
-/// order), and the sweep endpoints that [`DeviceTimeline::advance`] has
-/// not yet put behind every future segment. A zero-length segment
-/// counts in the span and the segment count but adds no sweep
-/// endpoints.
+/// Verify and swap segments are closed as they are recorded. Per-kind
+/// sums fold in record order, so the timeline holds the open segments,
+/// the durations of the closed decode segments recorded after the
+/// earliest open one, and the sweep endpoints that
+/// [`DeviceTimeline::advance`] has not yet put behind every future
+/// segment, each packed into one `u64`. A zero-length segment counts in
+/// the span and the segment count but adds no sweep endpoints.
 #[derive(Debug, Clone)]
 pub struct DeviceTimeline {
     recorded: usize,
@@ -198,11 +226,18 @@ pub struct DeviceTimeline {
     stretch_secs: f64,
     /// The latest horizon passed to [`DeviceTimeline::advance`].
     horizon: f64,
-    /// Decode segments not yet folded, in record order.
-    unfolded: std::collections::VecDeque<Unfolded>,
-    /// Endpoints not yet swept: `(instant, 1)` opens a segment and
-    /// `(instant, -1)` closes one.
-    pending: Vec<(f64, i32)>,
+    /// Decode segments recorded so far.
+    decodes: usize,
+    /// One duration per decode segment not yet folded, in record order,
+    /// from the earliest open one on; an open segment's slot is filled
+    /// when it closes.
+    unfolded: std::collections::VecDeque<f64>,
+    /// The open decode segments, in record order.
+    open: Vec<Open>,
+    /// Endpoints not yet swept, sorted.
+    pending: Vec<u64>,
+    /// Endpoints recorded since the last advance, unsorted.
+    fresh: Vec<u64>,
     sweep: Sweep,
 }
 
@@ -217,8 +252,11 @@ impl Default for DeviceTimeline {
             swap_secs: 0.0,
             stretch_secs: 0.0,
             horizon: f64::NEG_INFINITY,
+            decodes: 0,
             unfolded: std::collections::VecDeque::new(),
+            open: Vec::new(),
             pending: Vec::new(),
+            fresh: Vec::new(),
             sweep: Sweep::default(),
         }
     }
@@ -243,15 +281,19 @@ impl DeviceTimeline {
         let end = start + duration;
         self.first = self.first.min(start);
         if end > start {
-            self.pending.push((start, 1));
+            self.fresh.push(endpoint(start, true));
         }
         match kind {
-            SegmentKind::Decode => self.unfolded.push_back(Unfolded {
-                id,
-                start,
-                end,
-                open: true,
-            }),
+            SegmentKind::Decode => {
+                self.open.push(Open {
+                    id,
+                    seq: self.decodes,
+                    start,
+                    end,
+                });
+                self.decodes += 1;
+                self.unfolded.push_back(0.0);
+            }
             SegmentKind::Verify => {
                 self.verify_secs += end - start;
                 self.end_at(start, end);
@@ -269,12 +311,13 @@ impl DeviceTimeline {
     /// shrinks a segment.
     pub fn stretch(&mut self, id: usize, extra: f64) {
         assert!(extra >= 0.0, "stretch never shrinks a segment");
-        let s = self.open_mut(id);
+        let at = self.open_at(id);
+        let s = &mut self.open[at];
         let was_empty = s.end <= s.start;
         s.end += extra;
         if was_empty && s.end > s.start {
             let start = s.start;
-            self.pending.push((start, 1));
+            self.fresh.push(endpoint(start, true));
         }
         self.stretch_secs += extra;
     }
@@ -283,30 +326,36 @@ impl DeviceTimeline {
     /// end joins the sweep and its duration folds into the decode sum
     /// once every earlier decode segment has closed.
     pub fn close(&mut self, id: usize) {
-        let s = self.open_mut(id);
-        s.open = false;
-        let (start, end) = (s.start, s.end);
-        self.end_at(start, end);
-        while let Some(s) = self.unfolded.front().filter(|s| !s.open) {
-            self.decode_secs += s.end - s.start;
-            self.unfolded.pop_front();
+        let s = self.open.remove(self.open_at(id));
+        let folded = self.decodes - self.unfolded.len();
+        self.unfolded[s.seq - folded] = s.end - s.start;
+        self.end_at(s.start, s.end);
+        let first_open = self.open.first().map_or(self.decodes, |o| o.seq);
+        for _ in folded..first_open {
+            self.decode_secs += self.unfolded.pop_front().expect("an unfolded slot");
         }
     }
 
     /// Promise that no segment recorded from now on starts before
     /// `horizon`, and sweep every endpoint that lies before both the
     /// horizon and the earliest open segment's end: no later endpoint
-    /// can sort ahead of them.
+    /// can sort ahead of them. Only the endpoints recorded since the
+    /// last advance are sorted; they merge into the sorted remainder.
     pub fn advance(&mut self, horizon: f64) {
         self.horizon = self.horizon.max(horizon);
-        let due_before = self
-            .unfolded
-            .iter()
-            .filter(|s| s.open)
-            .map(|s| s.end)
-            .fold(self.horizon, f64::min);
-        sort_endpoints(&mut self.pending);
-        let due = self.pending.partition_point(|e| e.0 < due_before);
+        let due_before = self.open.iter().map(|s| s.end).fold(self.horizon, f64::min);
+        self.fresh.sort_unstable();
+        merge_sorted(&mut self.pending, &self.fresh);
+        self.fresh.clear();
+        debug_assert!(self.pending.is_sorted(), "merged endpoints stay sorted");
+        // Keys below an end at `due_before` are exactly the endpoints
+        // strictly before it.
+        let limit = if due_before > 0.0 {
+            endpoint(due_before, false)
+        } else {
+            0
+        };
+        let due = self.pending.partition_point(|&k| k < limit);
         self.sweep.run(&self.pending[..due]);
         self.pending.drain(..due);
     }
@@ -326,16 +375,22 @@ impl DeviceTimeline {
         let mut decode_secs = self.decode_secs;
         let mut last = self.last;
         let mut events = self.pending.clone();
-        for s in &self.unfolded {
-            decode_secs += s.end - s.start;
-            if s.open {
-                last = last.max(s.end);
-                if s.end > s.start {
-                    events.push((s.end, -1));
+        events.extend_from_slice(&self.fresh);
+        let folded = self.decodes - self.unfolded.len();
+        let mut open = self.open.iter().peekable();
+        for (seq, &duration) in (folded..).zip(&self.unfolded) {
+            match open.next_if(|s| s.seq == seq) {
+                Some(s) => {
+                    decode_secs += s.end - s.start;
+                    last = last.max(s.end);
+                    if s.end > s.start {
+                        events.push(endpoint(s.end, false));
+                    }
                 }
+                None => decode_secs += duration,
             }
         }
-        sort_endpoints(&mut events);
+        events.sort_unstable();
         let mut sweep = self.sweep;
         sweep.run(&events);
         TimelineOccupancy {
@@ -350,15 +405,11 @@ impl DeviceTimeline {
         }
     }
 
-    /// The open decode segment `id`.
-    fn open_mut(&mut self, id: usize) -> &mut Unfolded {
-        let at = self
-            .unfolded
+    /// The position of open decode segment `id` in the open list.
+    fn open_at(&self, id: usize) -> usize {
+        self.open
             .binary_search_by_key(&id, |s| s.id)
-            .ok()
-            .filter(|&i| self.unfolded[i].open)
-            .unwrap_or_else(|| panic!("segment {id} is not an open decode segment"));
-        &mut self.unfolded[at]
+            .unwrap_or_else(|_| panic!("segment {id} is not an open decode segment"))
     }
 
     /// A closed segment's end: it bounds the span and, when the segment
@@ -366,7 +417,7 @@ impl DeviceTimeline {
     fn end_at(&mut self, start: f64, end: f64) {
         self.last = self.last.max(end);
         if end > start {
-            self.pending.push((end, -1));
+            self.fresh.push(endpoint(end, false));
         }
     }
 }
@@ -485,6 +536,7 @@ impl TimelineConfig {
 /// each live request's latest decode segment — the one a later launch's
 /// contention stretches, open until the request's next decode segment
 /// or its seal.
+#[derive(Clone)]
 struct Observer {
     timeline: DeviceTimeline,
     last_decode: Vec<Option<usize>>,
@@ -535,6 +587,17 @@ impl Observer {
             }
         }
     }
+}
+
+/// The directed prefix handoffs in time order, after checking that
+/// every directed cancel names one of `arrivals`.
+fn checked_prewarms(arrivals: &[RequestArrival], directives: &RunDirectives) -> Vec<PrewarmPrefix> {
+    for &(idx, _) in &directives.cancels {
+        assert!(idx < arrivals.len(), "cancel index out of range");
+    }
+    let mut prewarms = directives.prewarms.clone();
+    prewarms.sort_by(|a, b| a.at.partial_cmp(&b.at).expect("finite prewarm times"));
+    prewarms
 }
 
 /// Summed decode load `(sequences, context tokens)` of `runs`.
@@ -636,7 +699,7 @@ impl TimelineServerSim {
         directives: &RunDirectives,
     ) -> Result<BatchRun, EngineError> {
         let mut state = LoopState::new(self, arrivals.into(), plan, Rc::new(directives.clone()));
-        while state.step()? {}
+        while state.step()?.is_some() {}
         Ok(state.finish())
     }
 }
@@ -644,6 +707,9 @@ impl TimelineServerSim {
 /// The run loop's state; the module docs' execution model describes
 /// it and the phases of [`LoopState::step`]. It owns its arrivals and
 /// directives, so a caller can keep a run alive and step it on demand.
+/// A clone is an independent copy of the run at a step boundary: stepped
+/// to the end, it finishes exactly as the original does.
+#[derive(Clone)]
 pub(crate) struct LoopState<'a> {
     pub(crate) sim: &'a TimelineServerSim,
     pub(crate) arrivals: Rc<[RequestArrival]>,
@@ -652,6 +718,10 @@ pub(crate) struct LoopState<'a> {
     /// The directed prefix handoffs in time order, and the next one due.
     prewarms: Vec<PrewarmPrefix>,
     prewarm_next: usize,
+    /// The latest instant up to which an executed step read the inputs
+    /// (see [`LoopState::step`]): new inputs that agree with the old ones
+    /// up to it take the same steps ([`LoopState::rebase`]).
+    pub(crate) read_until: f64,
     pub(crate) pool: PoolBudget,
     pub(crate) tier: HostTier,
     /// Generator KV bytes per token, the unit of a prompt prefix.
@@ -705,11 +775,7 @@ impl<'a> LoopState<'a> {
                 pool.set_tenant_cap(u64::from(spec.id), spec.kv_cap_bytes);
             }
         }
-        for &(idx, _) in &directives.cancels {
-            assert!(idx < arrivals.len(), "cancel index out of range");
-        }
-        let mut prewarms = directives.prewarms.clone();
-        prewarms.sort_by(|a, b| a.at.partial_cmp(&b.at).expect("finite prewarm times"));
+        let prewarms = checked_prewarms(&arrivals, &directives);
         let requests = arrivals.len();
         Self {
             sim,
@@ -718,6 +784,7 @@ impl<'a> LoopState<'a> {
             directives,
             prewarms,
             prewarm_next: 0,
+            read_until: f64::NEG_INFINITY,
             pool,
             tier: HostTier::new(batch.tier),
             gen_bpt: sim.server.config().models.gen_spec.kv_bytes_per_token(),
@@ -749,16 +816,23 @@ impl<'a> LoopState<'a> {
     }
 
     /// Advance past one pre-launch boundary and, when it forms a
-    /// co-batch, run that launch. Returns `false` once every request is
-    /// served.
+    /// co-batch, run that launch. Returns the step's read horizon, the
+    /// instant up to which it read the inputs (arrivals, directed
+    /// cancels and prefix handoffs), or `None` once every request is
+    /// served. A step that forms no launch reads up to its launch
+    /// instant, and a launch up to its round end: that bounds its
+    /// chunk-boundary ingests, the speculation lookahead in
+    /// `price_decode` and the next anchor, so it is conservative.
     ///
     /// # Errors
     ///
     /// Propagates [`EngineError`] when a request cannot fit even with
     /// the entire pool to itself.
-    pub(crate) fn step(&mut self) -> Result<bool, EngineError> {
+    pub(crate) fn step(&mut self) -> Result<Option<f64>, EngineError> {
         let Some(anchor) = self.anchor() else {
-            return Ok(false);
+            // The run read that no arrival is left.
+            self.read_until = f64::INFINITY;
+            return Ok(None);
         };
         let launch = self.form_group(anchor);
         self.boundary(launch)?;
@@ -774,14 +848,14 @@ impl<'a> LoopState<'a> {
             // Idle to the next arrival (or done), or the anchor produced
             // no launch (a blocked arrival, or every in-flight request
             // beyond the horizon): wait for the next event.
-            return Ok(true);
+            return Ok(Some(self.read(launch)));
         }
         let launch = self.preempt(launch);
         // The launch (with any preemption PCIe time) is committed device
         // time: later launches never precede it.
         self.floor = self.floor.max(launch);
         if self.group.is_empty() {
-            return Ok(true);
+            return Ok(Some(self.read(launch)));
         }
         // One launch: the group executes one TTS iteration over the
         // shared accelerator.
@@ -814,7 +888,64 @@ impl<'a> LoopState<'a> {
             .map(|a| a.started_at + a.run.clock())
             .fold(self.floor, f64::min);
         self.observer.timeline.advance(horizon);
-        Ok(true)
+        Ok(Some(self.read(round_end)))
+    }
+
+    /// Note that a step read the inputs up to `until`, and return it.
+    fn read(&mut self, until: f64) -> f64 {
+        self.read_until = self.read_until.max(until);
+        until
+    }
+
+    /// Swap in new inputs, as if the run had started from them. They
+    /// must agree with the current ones on everything an executed step
+    /// read, that is up to [`LoopState::read_until`]: then the steps
+    /// taken so far are the steps the new inputs take, and the run goes
+    /// on from here. Arrivals may be added (a request not yet ingested
+    /// may move to a later index) and directives added or moved; the
+    /// served records and the observer's per-request ids grow to the new
+    /// request count.
+    pub(crate) fn rebase(&mut self, arrivals: Rc<[RequestArrival]>, directives: Rc<RunDirectives>) {
+        debug_assert!(
+            self.reads_agree(&arrivals, &directives),
+            "new inputs differ from the old ones before the read horizon {}",
+            self.read_until
+        );
+        let prewarms = checked_prewarms(&arrivals, &directives);
+        let requests = arrivals.len();
+        debug_assert!(requests >= self.served.len(), "a rebase drops no request");
+        self.served.resize_with(requests, || None);
+        self.observer.last_decode.resize(requests, None);
+        self.prewarms = prewarms;
+        self.arrivals = arrivals;
+        self.directives = directives;
+    }
+
+    /// Whether `arrivals` and `directives` agree with the current inputs
+    /// on everything read up to [`LoopState::read_until`]: the arrivals
+    /// and prefix handoffs due by then, and the cancels due by then of
+    /// every ingested request.
+    fn reads_agree(&self, arrivals: &[RequestArrival], directives: &RunDirectives) -> bool {
+        let until = self.read_until;
+        let due = |a: &RequestArrival| a.at <= until;
+        let landed = |p: &PrewarmPrefix| p.at <= until;
+        let cancel = |d: &RunDirectives, idx: usize| {
+            d.cancels
+                .iter()
+                .filter(|&&(i, t)| i == idx && t <= until)
+                .fold(f64::INFINITY, |m, &(_, t)| m.min(t))
+        };
+        let prewarms = checked_prewarms(arrivals, directives);
+        self.arrivals
+            .iter()
+            .take_while(|a| due(a))
+            .eq(arrivals.iter().take_while(|a| due(a)))
+            && self
+                .prewarms
+                .iter()
+                .take_while(|p| landed(p))
+                .eq(prewarms.iter().take_while(|p| landed(p)))
+            && (0..self.next_arrival).all(|i| cancel(&self.directives, i) == cancel(directives, i))
     }
 
     /// The records, with the pool, tier and observer read-outs.
@@ -901,36 +1032,6 @@ impl<'a> LoopState<'a> {
             next_ready
         };
         Some((floor, anchor))
-    }
-
-    /// Step until every record that finishes by `t` is sealed: until
-    /// the next launch lies past `t`. Every record a later step seals
-    /// finishes at or after its launch, except that a launch pads its
-    /// members' clocks to the launch instant, which can land an ulp or
-    /// two below it; the stop test allows for that rounding. Stepping
-    /// further than strictly needed is always safe.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`EngineError`] from [`LoopState::step`].
-    pub(crate) fn step_past(&mut self, t: f64) -> Result<(), EngineError> {
-        let past = t + 1e-9 * t.abs().max(1.0);
-        while self.peek_anchor().is_some_and(|anchor| anchor <= past) {
-            self.step()?;
-        }
-        Ok(())
-    }
-
-    /// Step until request `idx` is sealed.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`EngineError`] from [`LoopState::step`].
-    pub(crate) fn step_until_sealed(&mut self, idx: usize) -> Result<(), EngineError> {
-        while self.served[idx].is_none() {
-            assert!(self.step()?, "a finished run seals every request");
-        }
-        Ok(())
     }
 
     /// Request `idx` while it is admitted and not yet sealed (in flight
@@ -1380,6 +1481,172 @@ mod tests {
         ArrivalPattern::Uniform { interval }.schedule(&problems, 0)
     }
 
+    /// Golden-fixture shapes for the clone and rebase checks: each
+    /// label with its scheduler, arrivals and fault plan.
+    fn clone_fixtures() -> Vec<(
+        &'static str,
+        TimelineServerSim,
+        Vec<RequestArrival>,
+        FaultPlan,
+    )> {
+        use crate::faults::{FaultPolicy, RobustConfig, StormConfig};
+        use crate::tenant::{TenantPolicy, TenantSpec};
+        use ftts_kv::KvTierConfig;
+        use ftts_metrics::SloClass;
+        let sim = |seed, fraction, n, config: TimelineConfig| {
+            TimelineServerSim::new(server(seed, fraction), n, SearchKind::BeamSearch, config)
+        };
+        let pressured =
+            ArrivalPattern::Burst { at: 0.0 }.schedule(&Dataset::Aime2024.problems(4, 51), 0);
+        let tenants = TenantPolicy::new(&[
+            TenantSpec {
+                id: 0,
+                weight: 2,
+                kv_cap_bytes: u64::MAX,
+                max_in_flight: 0,
+            },
+            TenantSpec {
+                id: 1,
+                weight: 1,
+                kv_cap_bytes: server(7, 0.45).config().kv_budget_bytes() / 2,
+                max_in_flight: 2,
+            },
+        ]);
+        let slos = [
+            (SloClass::Interactive, 15.0),
+            (SloClass::Standard, 40.0),
+            (SloClass::Batch, f64::INFINITY),
+        ];
+        let tenanted = arrivals(6, 13, 1.0)
+            .into_iter()
+            .enumerate()
+            .map(|(i, a)| {
+                a.with_tenant(i as u32 % 2)
+                    .with_slo(slos[i % 3].0, slos[i % 3].1)
+            })
+            .collect();
+        let degrade = BatchConfig::continuous(4)
+            .with_tenants(tenants)
+            .with_robust(RobustConfig::with_policy(FaultPolicy::Degrade));
+        let storm = FaultPlan::storm(7, 60.0, &StormConfig::default());
+        vec![
+            (
+                "lockstep",
+                sim(5, 0.9, 8, BatchConfig::continuous(4).into()),
+                arrivals(6, 41, 1.0),
+                FaultPlan::none(),
+            ),
+            (
+                "event window 0.2, tenants, Degrade",
+                sim(7, 0.45, 12, EventConfig::new(degrade, 0.2).into()),
+                tenanted,
+                FaultPlan::none(),
+            ),
+            (
+                "honest token joins q8",
+                sim(
+                    5,
+                    0.9,
+                    16,
+                    TimelineConfig::honest(EventConfig::windowed(6, 0.0))
+                        .with_token_joins()
+                        .with_join_quantum(8),
+                ),
+                arrivals(6, 41, 0.5),
+                FaultPlan::none(),
+            ),
+            (
+                "tiered",
+                sim(
+                    13,
+                    0.30,
+                    24,
+                    BatchConfig::continuous(4)
+                        .with_tier(KvTierConfig::with_capacity(1 << 28))
+                        .into(),
+                ),
+                pressured,
+                FaultPlan::none(),
+            ),
+            (
+                "storm",
+                sim(5, 0.9, 8, BatchConfig::continuous(4).into()),
+                arrivals(6, 41, 1.0),
+                storm,
+            ),
+        ]
+    }
+
+    #[test]
+    fn a_clone_at_any_step_boundary_finishes_like_the_original() {
+        for (label, sim, stream, plan) in clone_fixtures() {
+            let full = format!("{:?}", sim.run_faulted(&stream, &plan).expect("full run"));
+            let mut state = LoopState::new(&sim, stream.into(), &plan, Rc::default());
+            let mut steps = 0;
+            loop {
+                let mut clone = state.clone();
+                while clone.step().expect("clone step").is_some() {}
+                let run = format!("{:?}", clone.finish());
+                assert!(
+                    run == full,
+                    "{label}: the clone taken after step {steps} diverged"
+                );
+                if state.step().expect("step").is_none() {
+                    break;
+                }
+                steps += 1;
+            }
+            assert_eq!(format!("{:?}", state.finish()), full, "{label}");
+        }
+    }
+
+    #[test]
+    fn rebasing_before_the_edit_equals_a_run_from_scratch() {
+        for (label, sim, stream, plan) in clone_fixtures() {
+            let last = stream.last().expect("arrivals").at;
+            let mid = stream[stream.len() / 2].at + 0.25;
+            for edit in [0.5, mid, last, last + 3.0, last + 20.0] {
+                // Add one arrival at the edit, after any arrival at the
+                // same instant (mid-stream edits move later requests to
+                // later indices), and cancel request 0 there.
+                let mut edited = stream.clone();
+                let pos = edited.partition_point(|a| a.at <= edit);
+                edited.insert(
+                    pos,
+                    RequestArrival {
+                        at: edit,
+                        ..stream[0].clone()
+                    },
+                );
+                let directives = RunDirectives {
+                    cancels: vec![(0, edit)],
+                    prewarms: Vec::new(),
+                };
+                let full = sim
+                    .run_directed(&edited, &plan, &directives)
+                    .expect("full run");
+                // The latest state whose steps read nothing at or after
+                // the edit.
+                let mut state = LoopState::new(&sim, stream.clone().into(), &plan, Rc::default());
+                loop {
+                    let before = state.clone();
+                    if state.step().expect("step").is_none() || state.read_until >= edit {
+                        state = before;
+                        break;
+                    }
+                }
+                assert!(state.read_until < edit);
+                state.rebase(edited.into(), Rc::new(directives));
+                while state.step().expect("step").is_some() {}
+                assert_eq!(
+                    format!("{:?}", state.finish()),
+                    format!("{full:?}"),
+                    "{label}: rebased before the edit at {edit}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn config_presets() {
         let event = EventConfig::windowed(4, 0.0);
@@ -1478,7 +1745,7 @@ mod tests {
         swept.advance(2.0);
         assert_eq!(
             swept.pending,
-            [(2.0, 1)],
+            [endpoint(2.0, true)],
             "only the open segment's start waits"
         );
         swept.stretch(open, 0.5);

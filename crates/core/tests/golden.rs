@@ -410,7 +410,10 @@ fn fleet_fixtures() -> Vec<FleetFixture> {
                 );
             },
         },
-        sim_fleet_shape(),
+        sim_fleet_shape("fleet-sim-fleet-shape", 0),
+        sim_fleet_shape("fleet-sim-fleet-shape-seed-16", 16),
+        sim_fleet_shape("fleet-sim-fleet-shape-seed-20", 20),
+        sim_fleet_shape("fleet-sim-fleet-shape-seed-22", 22),
         // A hedge pair resolves at its projected winner finish, but by
         // then the winner finishes earlier: the loser is cancelled
         // retroactively, at the winner's new finish.
@@ -491,10 +494,13 @@ fn hedged_trio(
 /// honest contention with 2-token joins, a host tier, Degrade SLOs,
 /// twelve Zipf draws over four problems, a fault storm on every device
 /// and a crash of device 1 at 25 s. One job, at a uniform 4 s cadence
-/// instead of Poisson gaps; its seed is one whose run migrates, hedges,
-/// sheds, degrades, warm-starts and stretches.
-fn sim_fleet_shape() -> FleetFixture {
-    const SEED: u64 = 0;
+/// instead of Poisson gaps, seeded by `seed`. Every seed's run migrates
+/// and hedges; seed 0's also sheds, degrades, warm-starts and
+/// stretches. The other seeds resume their devices' runs in place and
+/// from checkpoints after the router's edits (see the `fleet` module
+/// docs), so together the rows pin every resume path the sim-fleet
+/// workload takes.
+fn sim_fleet_shape(name: &'static str, seed: u64) -> FleetFixture {
     let servers = [
         GpuDevice::rtx4090(),
         GpuDevice::jetson_orin(),
@@ -520,16 +526,16 @@ fn sim_fleet_shape() -> FleetFixture {
         (SloClass::Standard, 120.0),
         (SloClass::Batch, 180.0),
     ];
-    let ranked = Dataset::Amc2023.problems(4, SEED);
+    let ranked = Dataset::Amc2023.problems(4, seed);
     let arrivals = ArrivalPattern::Uniform { interval: 4.0 }
-        .schedule(&zipf_problems(&ranked, 12, 1.2, SEED), SEED)
+        .schedule(&zipf_problems(&ranked, 12, 1.2, seed), seed)
         .into_iter()
         .enumerate()
         .map(|(i, a)| a.with_slo(slos[i % 3].0, slos[i % 3].1))
         .collect();
     let plans = (0..4u64)
         .map(|d| {
-            let storm = FaultPlan::storm(SEED + d, 60.0, &StormConfig::default());
+            let storm = FaultPlan::storm(seed + d, 60.0, &StormConfig::default());
             let mut events = storm.events().to_vec();
             if d == 1 {
                 events.push(FaultEvent {
@@ -541,7 +547,7 @@ fn sim_fleet_shape() -> FleetFixture {
         })
         .collect();
     FleetFixture {
-        name: "fleet-sim-fleet-shape",
+        name,
         servers,
         beams: 16,
         arrivals,
@@ -557,23 +563,33 @@ fn sim_fleet_shape() -> FleetFixture {
                     .with_token_joins()
                     .with_join_quantum(2),
             ),
-        covers: |run| {
-            let devices = &run.device_runs;
-            assert!(run.migrations > 0, "crash failover migrates");
-            assert!(run.hedges_launched > 0, "a straggler is hedged");
-            assert!(devices.iter().any(|r| r.shed > 0), "an arrival is shed");
-            assert!(run.served.iter().any(|r| r.shed), "a request ends shed");
-            assert!(
-                devices.iter().any(|r| r.degradations > 0),
-                "Degrade narrows"
-            );
-            assert!(devices.iter().any(|r| r.kv_tier_hits > 0), "a warm start");
-            assert!(
-                devices.iter().any(|r| r.timeline.stretch_secs > 0.0),
-                "contention stretches"
-            );
+        covers: if seed == 0 {
+            sim_fleet_covers_all
+        } else {
+            |run| {
+                assert!(run.migrations > 0, "crash failover migrates");
+                assert!(run.hedges_launched > 0, "a straggler is hedged");
+            }
         },
     }
+}
+
+/// What seed 0 of the sim-fleet shape exercises.
+fn sim_fleet_covers_all(run: &FleetRun) {
+    let devices = &run.device_runs;
+    assert!(run.migrations > 0, "crash failover migrates");
+    assert!(run.hedges_launched > 0, "a straggler is hedged");
+    assert!(devices.iter().any(|r| r.shed > 0), "an arrival is shed");
+    assert!(run.served.iter().any(|r| r.shed), "a request ends shed");
+    assert!(
+        devices.iter().any(|r| r.degradations > 0),
+        "Degrade narrows"
+    );
+    assert!(devices.iter().any(|r| r.kv_tier_hits > 0), "a warm start");
+    assert!(
+        devices.iter().any(|r| r.timeline.stretch_secs > 0.0),
+        "contention stretches"
+    );
 }
 
 // ---------------------------------------------------------------------
@@ -635,6 +651,9 @@ golden_tests! {
     fleet_honest_joins_rr => "fleet-honest-joins-rr",
     fleet_health_ewma => "fleet-health-ewma",
     fleet_sim_fleet_shape => "fleet-sim-fleet-shape",
+    fleet_sim_fleet_shape_seed_16 => "fleet-sim-fleet-shape-seed-16",
+    fleet_sim_fleet_shape_seed_20 => "fleet-sim-fleet-shape-seed-20",
+    fleet_sim_fleet_shape_seed_22 => "fleet-sim-fleet-shape-seed-22",
     fleet_retroactive_loser_cancel => "fleet-retroactive-loser-cancel",
     fleet_hedge_check_shed_later => "fleet-hedge-check-shed-later",
 }

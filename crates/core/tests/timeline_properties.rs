@@ -14,8 +14,10 @@
 //!    rolls up, `{:?}`-identically, what a reference that stores every
 //!    segment and sweeps them once computes, under any interleaving of
 //!    records, stretches and closes of open segments, and `advance`
-//!    calls that keep the horizon contract, zero-length segments
-//!    included. Properties 1–3 are checked on both.
+//!    calls that keep the horizon contract (each merges the newly
+//!    recorded endpoints into the sorted ones), zero-length segments
+//!    and endpoints tied at the horizon included. Properties 1–3 are
+//!    checked on both.
 //! 5. **Run determinism**: a `(workload seed, storm, mode)` triple
 //!    fully determines a `TimelineServerSim` run — honest contention
 //!    pricing and token-granularity joins replay bit-identically.
@@ -315,12 +317,16 @@ proptest! {
 
     /// Random records, stretches and closes of open decode segments,
     /// and horizon advances. Every record starts at or after the latest
-    /// horizon, as the contract requires; durations and stretches are
-    /// zero one time in four. The roll-ups must agree after every
-    /// operation, open segments included.
+    /// horizon, as the contract requires, and one kind of record starts
+    /// exactly at it, so merged endpoints tie with swept and pending
+    /// ones; durations and stretches are zero one time in four. The
+    /// roll-ups must agree after every operation, open segments
+    /// included, and after every advance, which merges the endpoints
+    /// recorded since the last one into the sorted remainder, again
+    /// after a second advance to the same horizon.
     #[test]
     fn streaming_rollup_equals_the_stored_sweep(
-        ops in prop::collection::vec(((0u8..5, 0u64..2_000), (0u64..600, 0u8..6)), 1..80),
+        ops in prop::collection::vec(((0u8..6, 0u64..2_000), (0u64..600, 0u8..6)), 1..80),
     ) {
         let mut tl = DeviceTimeline::default();
         let mut stored = StoredTimeline::default();
@@ -329,8 +335,9 @@ proptest! {
         let zero_or = |n: u64| if n.is_multiple_of(4) { 0.0 } else { secs(n) };
         for &((op, a), (b, tag)) in &ops {
             match op {
-                0 | 1 => {
-                    let (start, dur, kind) = (horizon + secs(a), zero_or(b), kind_of(tag));
+                0 | 1 | 5 => {
+                    let at = if op == 5 { 0 } else { a };
+                    let (start, dur, kind) = (horizon + secs(at), zero_or(b), kind_of(tag));
                     let id = tl.record(start, dur, kind);
                     let pos = stored.record(start, dur, kind);
                     if kind == SegmentKind::Decode {
@@ -348,6 +355,8 @@ proptest! {
                 }
                 _ => {
                     horizon += secs(a % 500);
+                    tl.advance(horizon);
+                    assert_same_rollup(&tl, &stored);
                     tl.advance(horizon);
                 }
             }

@@ -22,13 +22,33 @@ pub struct SelectCtx {
     pub completed: usize,
 }
 
+/// Clones a boxed [`SearchDriver`]; every `Clone` driver has it.
+pub trait SearchDriverClone {
+    /// A boxed copy of this driver, mid-search state included.
+    fn box_clone(&self) -> Box<dyn SearchDriver>;
+}
+
+impl<T: SearchDriver + Clone + 'static> SearchDriverClone for T {
+    fn box_clone(&self) -> Box<dyn SearchDriver> {
+        Box::new(self.clone())
+    }
+}
+
+impl Clone for Box<dyn SearchDriver> {
+    fn clone(&self) -> Self {
+        self.box_clone()
+    }
+}
+
 /// A TTS search algorithm, driving selection and branching.
 ///
 /// The engine owns execution and timing; the driver owns the *search
 /// heuristics* — exactly the split the paper's pattern analysis justifies
 /// (Sec. 3.1: all mainstream TTS methods are instances of one
-/// generation/verification loop differing in these hooks).
-pub trait SearchDriver {
+/// generation/verification loop differing in these hooks). Every driver
+/// can be copied mid-search ([`SearchDriverClone::box_clone`]), so a
+/// scheduler can copy the runs it drives.
+pub trait SearchDriver: SearchDriverClone {
     /// Algorithm name for reports.
     fn name(&self) -> &'static str {
         "custom"
@@ -424,7 +444,8 @@ struct SpecTask {
 /// verification phase dominated the simulator's own runtime, so they are
 /// owned by [`Run`] and recycled (cleared, never shrunk) across
 /// iterations. Methods that need a container while also borrowing
-/// `self` mutably `mem::take` it and hand it back when done.
+/// `self` mutably `mem::take` it and hand it back when done. It carries
+/// nothing from one iteration to the next, so a clone starts empty.
 #[derive(Default)]
 struct Scratch {
     /// Order-policy input items (generation phase).
@@ -476,6 +497,12 @@ struct Scratch {
     charges: Vec<VerifyCharge>,
 }
 
+impl Clone for Scratch {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
+}
+
 /// All per-request state of one TTS request, resumable step by step.
 ///
 /// A `RequestRun` owns its KV caches, policies, search frontier and
@@ -483,7 +510,9 @@ struct Scratch {
 /// and interleave them one iteration at a time — the substrate for
 /// continuous batching across requests. [`Engine::run`] drives exactly
 /// this state machine to completion in a single call; [`Engine::begin`]
-/// hands it out for external scheduling.
+/// hands it out for external scheduling. A clone is an independent run
+/// that continues exactly as the original would.
+#[derive(Clone)]
 pub struct RequestRun {
     cfg: std::sync::Arc<EngineConfig>,
     order: Box<dyn OrderPolicy>,

@@ -42,9 +42,12 @@ mod stats;
 pub use beam::{Beam, BeamId, BeamState, ScoredBeam};
 pub use config::{EngineConfig, ModelPairing, SpecConfig};
 pub use engine::{
-    DecodeChunk, DecodeStatus, Engine, EngineError, RequestRun, RunPhase, SearchDriver, SelectCtx,
-    StepStatus, VerifyCharge, VerifyChunk, WarmStart,
+    DecodeChunk, DecodeStatus, Engine, EngineError, RequestRun, RunPhase, SearchDriver,
+    SearchDriverClone, SelectCtx, StepStatus, VerifyCharge, VerifyChunk, WarmStart,
 };
-pub use order::{FifoOrder, OrderItem, OrderPolicy, RandomOrder};
-pub use planner::{working_set_demand, MemoryPlan, MemoryPlanner, PlanContext, StaticSplitPlanner};
+pub use order::{FifoOrder, OrderItem, OrderPolicy, OrderPolicyClone, RandomOrder};
+pub use planner::{
+    working_set_demand, MemoryPlan, MemoryPlanner, MemoryPlannerClone, PlanContext,
+    StaticSplitPlanner,
+};
 pub use stats::{FaultRunStats, RunStats, SpecStats};

@@ -24,8 +24,26 @@ pub struct OrderItem {
     pub born_rank: u32,
 }
 
+/// Clones a boxed [`OrderPolicy`]; every `Clone` policy has it.
+pub trait OrderPolicyClone {
+    /// A boxed copy of this policy, state included.
+    fn box_clone(&self) -> Box<dyn OrderPolicy>;
+}
+
+impl<T: OrderPolicy + Clone + 'static> OrderPolicyClone for T {
+    fn box_clone(&self) -> Box<dyn OrderPolicy> {
+        Box::new(self.clone())
+    }
+}
+
+impl Clone for Box<dyn OrderPolicy> {
+    fn clone(&self) -> Self {
+        self.box_clone()
+    }
+}
+
 /// Orders the frontier before group packing.
-pub trait OrderPolicy: std::fmt::Debug + Send {
+pub trait OrderPolicy: OrderPolicyClone + std::fmt::Debug + Send {
     /// Policy name for reports.
     fn name(&self) -> &'static str;
 

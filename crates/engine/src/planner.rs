@@ -82,8 +82,26 @@ pub fn working_set_demand(config: &EngineConfig, ctx: &PlanContext) -> u64 {
     forward.max(resident)
 }
 
+/// Clones a boxed [`MemoryPlanner`]; every `Clone` planner has it.
+pub trait MemoryPlannerClone {
+    /// A boxed copy of this planner, state included.
+    fn box_clone(&self) -> Box<dyn MemoryPlanner>;
+}
+
+impl<T: MemoryPlanner + Clone + 'static> MemoryPlannerClone for T {
+    fn box_clone(&self) -> Box<dyn MemoryPlanner> {
+        Box::new(self.clone())
+    }
+}
+
+impl Clone for Box<dyn MemoryPlanner> {
+    fn clone(&self) -> Self {
+        self.box_clone()
+    }
+}
+
 /// Decides the generator/verifier KV split.
-pub trait MemoryPlanner: std::fmt::Debug + Send {
+pub trait MemoryPlanner: MemoryPlannerClone + std::fmt::Debug + Send {
     /// Planner name for reports.
     fn name(&self) -> &'static str;
 

@@ -8,6 +8,7 @@ use ftts_hw::GpuDevice;
 use ftts_workload::Dataset;
 
 /// Plain beam search: keep the top n/B beams, expand each into B children.
+#[derive(Clone)]
 struct PlainBeam {
     n: usize,
     b: usize,

@@ -116,7 +116,7 @@ pub struct TierStats {
 /// every mutation. A zero-capacity tier accepts nothing and hits
 /// nothing, so callers gating on [`HostTier::enabled`] reproduce
 /// pre-tier behaviour exactly.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct HostTier {
     config: KvTierConfig,
     used: u64,

@@ -432,6 +432,45 @@ mod tests {
     }
 
     #[test]
+    fn a_driver_cloned_mid_search_selects_like_the_original() {
+        // A frontier per iteration: scores and subtrees shift with the
+        // iteration, so each selection differs.
+        let frontier = |it: u32| -> Vec<ScoredBeam> {
+            (0..12)
+                .map(|i| ScoredBeam {
+                    depth: it + 1,
+                    ..beam(i, f64::from((i * 7 + it * 3) % 11) / 11.0, (i + it) % 6)
+                })
+                .collect()
+        };
+        let ctx = |it: u32| SelectCtx {
+            iteration: it,
+            n_target: 16,
+            completed: it as usize,
+        };
+        for kind in SearchKind::all() {
+            let mut original = make_driver(kind, 16, 4);
+            for it in 0..3 {
+                original.select(&frontier(it), &ctx(it));
+            }
+            let mut clone = original.box_clone();
+            assert_eq!(clone.name(), original.name());
+            for it in 3..8 {
+                assert_eq!(
+                    clone.step_token_cap(it),
+                    original.step_token_cap(it),
+                    "{kind}"
+                );
+                assert_eq!(
+                    clone.select(&frontier(it), &ctx(it)),
+                    original.select(&frontier(it), &ctx(it)),
+                    "{kind}: iteration {it}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn empty_frontier_yields_empty_selection() {
         for kind in SearchKind::all() {
             let mut d = make_driver(kind, 8, 4);

@@ -50,7 +50,6 @@ fn main() -> Result<(), fasttts::EngineError> {
         fasttts::TimelineServerSim::new(server(), 16, SearchKind::BeamSearch, config)
             .run_faulted(&arrivals, &FaultPlan::none())
     };
-    let anchored = timeline(TimelineConfig::from(EventConfig::windowed(6, 0.0)))?;
     let honest = timeline(TimelineConfig::honest(EventConfig::windowed(6, 0.0)))?;
     let joins = timeline(
         TimelineConfig::honest(EventConfig::windowed(6, 0.0))
@@ -64,7 +63,6 @@ fn main() -> Result<(), fasttts::EngineError> {
     );
     for (label, run) in [
         ("event w=0", &event),
-        ("timeline anchored", &anchored),
         ("timeline honest", &honest),
         ("timeline token-joins", &joins),
     ] {
@@ -76,13 +74,11 @@ fn main() -> Result<(), fasttts::EngineError> {
         );
     }
 
-    // The anchored timeline is the equivalence anchor: same instants,
-    // same answers, same breakdowns as the event scheduler.
-    for (e, a) in event.served.iter().zip(&anchored.served) {
-        assert_eq!(e.started_at, a.started_at, "anchored instants match");
-        assert_eq!(e.finished_at, a.finished_at, "anchored instants match");
-        assert_eq!(e.outcome.answer, a.outcome.answer, "anchored answers match");
-    }
+    // The anchored event scheduler only observes the timeline.
+    assert!(
+        event.timeline.segments > 0 && event.timeline.stretch_secs == 0.0,
+        "the anchor records segments but never stretches"
+    );
     // Answers are schedule-invariant under honest pricing and joins.
     for other in [&honest, &joins] {
         for (e, o) in event.served.iter().zip(&other.served) {
@@ -90,8 +86,8 @@ fn main() -> Result<(), fasttts::EngineError> {
         }
     }
     println!(
-        "\nThe anchored timeline reproduces the event scheduler exactly while\n\
-         recording every launch as costed segments on one device clock.\n\
+        "\nThe anchored event scheduler records every launch as costed\n\
+         segments on one device clock without pricing their overlap.\n\
          Honest mode retroactively stretches overlapped launches (window 0\n\
          stops getting free overlap); token joins then win the stretch back\n\
          by admitting arrivals at chunk boundaries instead of launch\n\
