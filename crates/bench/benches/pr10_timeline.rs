@@ -15,7 +15,7 @@
 //! only shows in goodput there.)
 //!
 //! Every timeline policy here runs with **honest contention pricing**
-//! on ([`TimelineConfig::honest`]): overlapping launches retroactively
+//! on ([`TimelineTuning::honest`]): overlapping launches retroactively
 //! stretch each other on the shared device timeline, so window = 0 no
 //! longer gets free overlap. That keeps the comparison fair — the PR's
 //! speedup is *scheduling* (joining sooner), not optimistic costing.
@@ -42,7 +42,7 @@
 use criterion::Criterion;
 use ftts_bench::{wall, write_report};
 use ftts_core::{
-    BatchRun, EventConfig, EventServerSim, FaultPlan, TimelineConfig, TimelineServerSim, TtsServer,
+    BatchRun, EventConfig, EventServerSim, FaultPlan, TimelineServerSim, TimelineTuning, TtsServer,
 };
 use ftts_engine::ModelPairing;
 use ftts_hw::GpuDevice;
@@ -120,10 +120,19 @@ fn run_event(arrivals: &[RequestArrival], window: f64) -> BatchRun {
     .expect("event run")
 }
 
-fn run_timeline(arrivals: &[RequestArrival], config: TimelineConfig) -> BatchRun {
+fn run_timeline(arrivals: &[RequestArrival], tuning: TimelineTuning, window: f64) -> BatchRun {
+    let config = tuning.config(event_config(window));
     TimelineServerSim::new(server(17), N_BEAMS, SearchKind::BeamSearch, config)
         .run_faulted(arrivals, &FaultPlan::none())
         .expect("timeline run")
+}
+
+/// Honest contention pricing with token joins every `JOIN_QUANTUM`
+/// decode tokens.
+fn token_joins() -> TimelineTuning {
+    TimelineTuning::honest()
+        .with_token_joins()
+        .with_join_quantum(JOIN_QUANTUM)
 }
 
 /// Mean seconds an arrival waited before entering the decode batch.
@@ -186,17 +195,9 @@ fn policy(run: &BatchRun) -> Json {
 fn main() {
     let arrivals = straggler_arrivals();
     let event_w0 = run_event(&arrivals, 0.0);
-    let iter_w0 = run_timeline(&arrivals, TimelineConfig::honest(event_config(0.0)));
-    let joins_w0 = run_timeline(
-        &arrivals,
-        TimelineConfig::honest(event_config(0.0))
-            .with_token_joins()
-            .with_join_quantum(JOIN_QUANTUM),
-    );
-    let iter_winf = run_timeline(
-        &arrivals,
-        TimelineConfig::honest(event_config(f64::INFINITY)),
-    );
+    let iter_w0 = run_timeline(&arrivals, TimelineTuning::honest(), 0.0);
+    let joins_w0 = run_timeline(&arrivals, token_joins(), 0.0);
+    let iter_winf = run_timeline(&arrivals, TimelineTuning::honest(), f64::INFINITY);
 
     println!("== pr10: global device timeline on the straggler overload ==");
     println!(
@@ -236,13 +237,8 @@ fn main() {
     let (gi, gj) = (iter_w0.stream_summary(), joins_w0.stream_summary());
     let join_speedup = gj.stream_goodput / gi.stream_goodput.max(1e-12);
     let sparse = sparse_arrivals();
-    let sparse_iter = run_timeline(&sparse, TimelineConfig::honest(event_config(0.0)));
-    let sparse_joins = run_timeline(
-        &sparse,
-        TimelineConfig::honest(event_config(0.0))
-            .with_token_joins()
-            .with_join_quantum(JOIN_QUANTUM),
-    );
+    let sparse_iter = run_timeline(&sparse, TimelineTuning::honest(), 0.0);
+    let sparse_joins = run_timeline(&sparse, token_joins(), 0.0);
     let (late_iter, late_joins) = (
         mean_late_latency(&sparse_iter),
         mean_late_latency(&sparse_joins),
@@ -306,14 +302,7 @@ fn main() {
     println!("\n== pr10: scheduler wall-clock (token-join replay) ==");
     let mut criterion = Criterion::default().sample_size(15);
     let wall_stats = criterion.bench_stats("timeline_joins_replay", |b| {
-        b.iter(|| {
-            run_timeline(
-                &arrivals,
-                TimelineConfig::honest(event_config(0.0))
-                    .with_token_joins()
-                    .with_join_quantum(JOIN_QUANTUM),
-            )
-        })
+        b.iter(|| run_timeline(&arrivals, token_joins(), 0.0))
     });
 
     let stretch = iter_w0.timeline.stretch_secs;

@@ -56,271 +56,256 @@ pub struct MetricSpec {
     pub path: &'static str,
     /// Short human label for the delta table.
     pub label: &'static str,
-    /// Minimum tolerated goodness ratio (fresh vs baseline, direction-
-    /// normalized): `0.95` fails on a > 5% regression. Ignored when
-    /// [`MetricSpec::absolute`] is set.
-    pub min_ratio: f64,
-    /// Absolute bound that *replaces* the baseline-relative ratio test:
-    /// a floor for higher-is-better metrics, a ceiling for
-    /// lower-is-better ones. Use it for metrics where ratios misbehave —
-    /// wall-clock-derived numbers (whose committed baseline was measured
-    /// on a different machine) and near-zero fractions (where tiny
-    /// absolute shifts produce huge ratios).
-    pub absolute: Option<f64>,
-    /// Which way the metric is supposed to move.
+    /// The tolerance the fresh value must clear.
+    pub bound: Bound,
+    /// Which way the metric is supposed to move (normalizes the ratio
+    /// column).
     pub direction: Direction,
+}
+
+/// The goodness ratio (fresh vs baseline, direction-normalized) every
+/// [`Bound::Ratio`] metric must clear: a > 5% regression fails.
+pub const MIN_RATIO: f64 = 0.95;
+
+/// The tolerance of one gated metric.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Bound {
+    /// The goodness ratio against the baseline must stay at or above
+    /// [`MIN_RATIO`].
+    Ratio,
+    /// The fresh value must be at least this floor, whatever the
+    /// baseline.
+    AtLeast(f64),
+    /// The fresh value must be at most this ceiling, whatever the
+    /// baseline.
+    AtMost(f64),
 }
 
 /// The committed gate: one entry per headline metric of each PR's
 /// bench. All simulated-time metrics (goodput, speedups) are
 /// deterministic — any drift is a code change — so their ratio
-/// tolerances are deliberately loose (5%) erosion catchers. The two
-/// exceptions use absolute bounds instead: PR 1's eviction speedup is
-/// *wall-clock*-derived (machine-dependent, so a cross-machine ratio
-/// would be flaky) and PR 4's idle fraction sits near zero (where a
-/// ratio trips on numeric dust).
+/// tolerances are deliberately loose (5%) erosion catchers. Absolute
+/// bounds replace the ratio where ratios misbehave: wall-clock-derived
+/// numbers such as PR 1's eviction speedup (a committed baseline
+/// measured on another machine would make a ratio flaky), near-zero
+/// fractions such as PR 4's idle fraction (where a ratio trips on
+/// numeric dust), and a PR's own acceptance bar.
 pub fn default_specs() -> Vec<MetricSpec> {
+    use Bound::{AtLeast, AtMost, Ratio};
     use Direction::{HigherIsBetter, LowerIsBetter};
     vec![
         MetricSpec {
             file: "BENCH_PR1.json",
             path: "eviction.speedup_vs_seed",
             label: "PR1 eviction speedup vs seed scan",
-            min_ratio: 0.0,
             // Wall-clock metric: the indexed eviction win is ~26x on
             // any machine; the gate only needs to catch the index
             // collapsing back toward the seed scan's 1x.
-            absolute: Some(5.0),
+            bound: AtLeast(5.0),
             direction: HigherIsBetter,
         },
         MetricSpec {
             file: "BENCH_PR2.json",
             path: "continuous_goodput_speedup_vs_fifo",
             label: "PR2 continuous-4 goodput vs FIFO",
-            min_ratio: 0.95,
-            absolute: None,
+            bound: Ratio,
             direction: HigherIsBetter,
         },
         MetricSpec {
             file: "BENCH_PR2.json",
             path: "policies.continuous_batch4.stream_goodput_tok_per_s",
             label: "PR2 continuous-4 stream goodput",
-            min_ratio: 0.95,
-            absolute: None,
+            bound: Ratio,
             direction: HigherIsBetter,
         },
         MetricSpec {
             file: "BENCH_PR3.json",
             path: "fused8_goodput_speedup_vs_continuous4",
             label: "PR3 fused-8 goodput vs continuous-4",
-            min_ratio: 0.95,
-            absolute: None,
+            bound: Ratio,
             direction: HigherIsBetter,
         },
         MetricSpec {
             file: "BENCH_PR3.json",
             path: "policies.fused_batch8.stream_goodput_tok_per_s",
             label: "PR3 fused-8 stream goodput",
-            min_ratio: 0.95,
-            absolute: None,
+            bound: Ratio,
             direction: HigherIsBetter,
         },
         MetricSpec {
             file: "BENCH_PR4.json",
             path: "event_goodput_speedup_vs_lockstep_fused8",
             label: "PR4 event goodput vs lockstep fused-8",
-            min_ratio: 0.95,
-            absolute: None,
+            bound: Ratio,
             direction: HigherIsBetter,
         },
         MetricSpec {
             file: "BENCH_PR4.json",
             path: "policies.event_fused8_window.stream_goodput_tok_per_s",
             label: "PR4 event stream goodput",
-            min_ratio: 0.95,
-            absolute: None,
+            bound: Ratio,
             direction: HigherIsBetter,
         },
         MetricSpec {
             file: "BENCH_PR4.json",
             path: "event_idle_fraction",
             label: "PR4 event idle fraction",
-            min_ratio: 0.0,
             // Near-zero fraction (0.004 at the baseline): an absolute
             // ceiling expresses the actual invariant — event-driven
             // scheduling keeps idle far below lockstep's ~46% — without
             // tripping on half-a-percentage-point shifts.
-            absolute: Some(0.05),
+            bound: AtMost(0.05),
             direction: LowerIsBetter,
         },
         MetricSpec {
             file: "BENCH_PR6.json",
             path: "degrade_deadline_hit_rate",
             label: "PR6 degrade deadline-hit rate",
-            min_ratio: 0.95,
-            absolute: None,
+            bound: Ratio,
             direction: HigherIsBetter,
         },
         MetricSpec {
             file: "BENCH_PR6.json",
             path: "policies.degrade.slo_goodput_tok_per_s",
             label: "PR6 degrade SLO goodput",
-            min_ratio: 0.95,
-            absolute: None,
+            bound: Ratio,
             direction: HigherIsBetter,
         },
         MetricSpec {
             file: "BENCH_PR6.json",
             path: "degrade_slo_goodput_gain_vs_naive_retry",
             label: "PR6 degrade SLO-goodput gain vs naive retry",
-            min_ratio: 0.95,
-            absolute: None,
+            bound: Ratio,
             direction: HigherIsBetter,
         },
         MetricSpec {
             file: "BENCH_PR7.json",
             path: "swap_goodput_gain_vs_drop",
             label: "PR7 swap-tier goodput gain vs drop-and-recompute",
-            min_ratio: 0.95,
-            absolute: None,
+            bound: Ratio,
             direction: HigherIsBetter,
         },
         MetricSpec {
             file: "BENCH_PR7.json",
             path: "policies.swap_tier.stream_goodput_tok_per_s",
             label: "PR7 swap-tier stream goodput",
-            min_ratio: 0.95,
-            absolute: None,
+            bound: Ratio,
             direction: HigherIsBetter,
         },
         MetricSpec {
             file: "BENCH_PR7.json",
             path: "drop_to_swap_recompute_ratio",
             label: "PR7 recompute-token ratio (drop vs swap)",
-            min_ratio: 0.95,
-            absolute: None,
+            bound: Ratio,
             direction: HigherIsBetter,
         },
         MetricSpec {
             file: "BENCH_PR8.json",
             path: "failover_deadline_hit_gain",
             label: "PR8 failover deadline-hit gain vs no-failover",
-            min_ratio: 0.95,
-            absolute: None,
+            bound: Ratio,
             direction: HigherIsBetter,
         },
         MetricSpec {
             file: "BENCH_PR8.json",
             path: "failover_slo_goodput_gain",
             label: "PR8 failover SLO-goodput gain vs no-failover",
-            min_ratio: 0.95,
-            absolute: None,
+            bound: Ratio,
             direction: HigherIsBetter,
         },
         MetricSpec {
             file: "BENCH_PR8.json",
             path: "affinity_warm_hit_gain",
             label: "PR8 prefix-affinity warm-hit gain vs JSQ",
-            min_ratio: 0.95,
-            absolute: None,
+            bound: Ratio,
             direction: HigherIsBetter,
         },
         MetricSpec {
             file: "BENCH_PR8.json",
             path: "fleet4_goodput_scaling_x",
             label: "PR8 4-device crash-free goodput scaling",
-            min_ratio: 0.0,
             // The ISSUE's absolute bar: near-linear capacity scaling,
             // never below 3x on four devices.
-            absolute: Some(3.0),
+            bound: AtLeast(3.0),
             direction: HigherIsBetter,
         },
         MetricSpec {
             file: "BENCH_PR8.json",
             path: "hetero_vs_edge_goodput_x",
             label: "PR8 hetero (Orin+A100) goodput gain vs all-Orin",
-            min_ratio: 0.0,
             // JSQ must steer the cadenced trace toward the fast
             // replicas; at or below 1.2x the heterogeneity signal is
             // lost in the noise.
-            absolute: Some(1.2),
+            bound: AtLeast(1.2),
             direction: HigherIsBetter,
         },
         MetricSpec {
             file: "BENCH_PR10.json",
             path: "token_join_goodput_speedup_vs_iteration_joins",
             label: "PR10 token-join goodput vs iteration joins (honest w=0)",
-            min_ratio: 0.0,
             // Strictly-beats is the PR's acceptance bar, under honest
             // contention pricing on both sides.
-            absolute: Some(1.01),
+            bound: AtLeast(1.01),
             direction: HigherIsBetter,
         },
         MetricSpec {
             file: "BENCH_PR10.json",
             path: "join_wait_reduction_x",
             label: "PR10 late-arrival join-latency cut vs iteration joins",
-            min_ratio: 0.0,
             // The sparse fixture's launch-boundary wait must shrink when
             // arrivals join at chunk boundaries instead.
-            absolute: Some(1.01),
+            bound: AtLeast(1.01),
             direction: HigherIsBetter,
         },
         MetricSpec {
             file: "BENCH_PR10.json",
             path: "retroactive_stretch_secs",
             label: "PR10 retroactive contention stretch (honest w=0)",
-            min_ratio: 0.0,
             // Honest pricing must actually stretch overlapped launches;
             // 0.5 s is well below the fixture's ~1.2 s but far from 0.
-            absolute: Some(0.5),
+            bound: AtLeast(0.5),
             direction: HigherIsBetter,
         },
         MetricSpec {
             file: "BENCH_PR10.json",
             path: "w0_vs_winf_goodput_gap_frac",
             label: "PR10 honest w=0 vs w=inf goodput gap",
-            min_ratio: 0.0,
             // Window = 0 must stay meaningfully distinct from lockstep
             // even after overlap is priced (fixture sits near 0.64).
-            absolute: Some(0.2),
+            bound: AtLeast(0.2),
             direction: HigherIsBetter,
         },
         MetricSpec {
             file: "BENCH_PR9.json",
             path: "fair_share.victim.deadline_hit_rate",
             label: "PR9 victim deadline-hit rate under fair share",
-            min_ratio: 0.0,
             // Near-zero fractions ratio badly; the fixture is tuned so
             // fair share saves every victim deadline.
-            absolute: Some(0.99),
+            bound: AtLeast(0.99),
             direction: HigherIsBetter,
         },
         MetricSpec {
             file: "BENCH_PR9.json",
             path: "victim_deadline_hit_gain",
             label: "PR9 victim deadline-hit gain vs uncapped",
-            min_ratio: 0.0,
             // Strictly-beats is the PR's acceptance bar: any gain at or
             // below 1.0 means the tenant layer stopped protecting.
-            absolute: Some(1.05),
+            bound: AtLeast(1.05),
             direction: HigherIsBetter,
         },
         MetricSpec {
             file: "BENCH_PR9.json",
             path: "noisy_cap_utilization",
             label: "PR9 noisy tenant peak vs hard cap",
-            min_ratio: 0.0,
             // Cap compliance: peak grant / cap must never exceed 1.0.
-            absolute: Some(1.0),
+            bound: AtMost(1.0),
             direction: LowerIsBetter,
         },
         MetricSpec {
             file: "BENCH_PR9.json",
             path: "fair_share.victim.stream_goodput_tok_per_s",
             label: "PR9 victim stream goodput under fair share",
-            min_ratio: 0.95,
-            absolute: None,
+            bound: Ratio,
             direction: HigherIsBetter,
         },
     ]
@@ -425,16 +410,17 @@ pub fn run_gate(baseline_dir: &Path, fresh_dir: &Path, specs: &[MetricSpec]) -> 
             let ratio = baseline
                 .zip(fresh)
                 .map(|(b, f)| goodness_ratio(b, f, spec.direction));
-            let (ok, tolerance) = match (spec.absolute, spec.direction) {
-                (Some(bound), Direction::HigherIsBetter) => {
-                    (fresh.is_some_and(|f| f >= bound), format!("abs >= {bound}"))
+            let (ok, tolerance) = match spec.bound {
+                Bound::Ratio => (
+                    ratio.is_some_and(|r| r >= MIN_RATIO),
+                    format!("ratio >= {MIN_RATIO:.2}"),
+                ),
+                Bound::AtLeast(floor) => {
+                    (fresh.is_some_and(|f| f >= floor), format!("abs >= {floor}"))
                 }
-                (Some(bound), Direction::LowerIsBetter) => {
-                    (fresh.is_some_and(|f| f <= bound), format!("abs <= {bound}"))
-                }
-                (None, _) => (
-                    ratio.is_some_and(|r| r >= spec.min_ratio),
-                    format!("ratio >= {:.2}", spec.min_ratio),
+                Bound::AtMost(ceiling) => (
+                    fresh.is_some_and(|f| f <= ceiling),
+                    format!("abs <= {ceiling}"),
                 ),
             };
             GateRow {
@@ -519,16 +505,14 @@ pub fn self_test() -> Result<(), String> {
             file: "BENCH_SELFTEST.json",
             path: "policies.best.goodput",
             label: "selftest goodput",
-            min_ratio: 0.95,
-            absolute: None,
+            bound: Bound::Ratio,
             direction: Direction::HigherIsBetter,
         },
         MetricSpec {
             file: "BENCH_SELFTEST.json",
             path: "idle_fraction",
             label: "selftest idle fraction",
-            min_ratio: 0.0,
-            absolute: Some(0.15),
+            bound: Bound::AtMost(0.15),
             direction: Direction::LowerIsBetter,
         },
     ];
@@ -656,8 +640,7 @@ mod tests {
             file: "BENCH_NOPE.json",
             path: "x",
             label: "missing",
-            min_ratio: 0.9,
-            absolute: None,
+            bound: Bound::Ratio,
             direction: Direction::HigherIsBetter,
         }];
         let report = run_gate(&dir, &dir, &specs);
@@ -675,8 +658,7 @@ mod tests {
             file: "BENCH_WB.json",
             path: "policies.best.goodput",
             label: "wb goodput",
-            min_ratio: 0.95,
-            absolute: None,
+            bound: Bound::Ratio,
             direction: Direction::HigherIsBetter,
         }];
         // A report whose gated metric is missing must refuse to install.

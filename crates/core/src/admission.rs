@@ -1,16 +1,16 @@
 //! Admission, shares and sweeps of the timeline run loop
 //! ([`TimelineServerSim`]): the in-flight request record and its served
-//! record, the admission/readmission pass with its deterministic
-//! ordering tiebreak, KV-share resizing (equal, demand-proportional and
-//! tenant fair-share), the deadline and directed cancellation sweeps,
-//! and the shared-accelerator verifier sweep pricing.
+//! record, the admission pass (readmits first, then the queue), KV-share
+//! resizing (equal, demand-proportional and tenant fair-share), the
+//! deadline and directed cancellation sweeps, and the
+//! shared-accelerator verifier sweep pricing.
 //!
 //! Admission, shares and sweeps are methods on the loop's state,
 //! `LoopState` (defined in the `timeline` module), and read and write
 //! its queues, pool, tier, records and counters directly:
 //!
-//! * `admit` moves readmits and fresh arrivals into the launching
-//!   `group` and counts degradations;
+//! * `admit` moves preempted runs, then fresh arrivals, into the
+//!   launching `group` and counts degradations;
 //! * `enforce_slo` (deadlines) and `apply_cancels` (directives) choose
 //!   what to shed and cancel, and share one cancellation walk that
 //!   seals each request, reclaims its pool and tier bytes, counts it
@@ -25,7 +25,9 @@
 
 use std::rc::Rc;
 
-use ftts_engine::{EngineError, RequestRun, RunStats, SearchDriver, VerifyCharge, VerifyChunk};
+use ftts_engine::{
+    EngineError, RequestRun, RunStats, SearchDriver, VerifyCharge, VerifyChunk, Wait, WarmStart,
+};
 use ftts_kv::{ShareRequest, TenantShareRequest};
 use ftts_metrics::SloClass;
 use ftts_search::make_driver;
@@ -77,7 +79,7 @@ impl InFlight {
     /// The absolute device time this request's next iteration could
     /// start — the event a ready queue is keyed on.
     pub(crate) fn ready_at(&self) -> f64 {
-        self.started_at + self.run.next_event_at()
+        self.started_at + self.run.clock()
     }
 
     /// Seal the request into its served record. A completed run
@@ -111,61 +113,17 @@ impl InFlight {
     }
 }
 
-/// An admission candidate, in the order classes the tiebreak ranks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum AdmitCandidate {
-    /// A preempted run awaiting readmission, by position in the paused
-    /// queue (pause order).
-    Readmit(usize),
-    /// A fresh arrival at the head of the waiting queue, by arrival
-    /// index (stream position).
-    Fresh(usize),
-}
-
-/// The deterministic admission-order tiebreak both schedulers share.
-///
-/// Readmission candidates outrank fresh arrivals — a preempted run
-/// holds accepted tokens that must not starve behind new work — and
-/// within a class, earlier position wins: pause order for readmits,
-/// stream position for arrivals. Simultaneous arrivals therefore admit
-/// in arrival-index order, deterministically, on every scheduler.
-pub(crate) fn admission_rank(candidate: AdmitCandidate) -> (u8, usize) {
-    match candidate {
-        AdmitCandidate::Readmit(pos) => (0, pos),
-        AdmitCandidate::Fresh(idx) => (1, idx),
-    }
-}
-
-/// Idle-pad `a`'s internal clock up to the absolute instant `global` —
-/// a co-batch window wait, a readmission gap or a shared-device wait.
-/// Skips members already at (or past) the instant so the
-/// relative→absolute round trip cannot perturb their clock by a ulp —
-/// bit-exactness with the FIFO path depends on this.
-pub(crate) fn pad_to(a: &mut InFlight, global: f64) {
+/// Idle-pad `a`'s internal clock up to the absolute instant `global`,
+/// booking the gap as `wait` (see [`Wait`]): a co-batch window wait, a
+/// readmission gap or a shared-device wait, a lockstep round barrier,
+/// or a token-join wait. Skips members already at (or past) the instant
+/// so the relative→absolute round trip cannot perturb their clock by a
+/// ulp — bit-exactness with the FIFO path depends on this.
+pub(crate) fn pad(a: &mut InFlight, global: f64, wait: Wait) {
     let clock = a.run.clock();
     let absolute = a.started_at + clock;
     if absolute < global {
-        a.run.sync_clock_to(clock + (global - absolute));
-    }
-}
-
-/// Like [`pad_to`], but books the gap as *token-join* idle — the wait
-/// at a shared chunk boundary for the slowest co-batched decode chunk.
-pub(crate) fn pad_to_join(a: &mut InFlight, global: f64) {
-    let clock = a.run.clock();
-    let absolute = a.started_at + clock;
-    if absolute < global {
-        a.run.sync_clock_to_join(clock + (global - absolute));
-    }
-}
-
-/// Like [`pad_to`], but books the gap as *barrier* idle — the lockstep
-/// round-barrier wait event-driven scheduling removes.
-pub(crate) fn pad_to_barrier(a: &mut InFlight, global: f64) {
-    let clock = a.run.clock();
-    let absolute = a.started_at + clock;
-    if absolute < global {
-        a.run.sync_clock_to_barrier(clock + (global - absolute));
+        a.run.wait_until(clock + (global - absolute), wait);
     }
 }
 
@@ -378,31 +336,30 @@ impl LoopState<'_> {
 
 /// Admission and the cancellation sweeps.
 impl LoopState<'_> {
-    /// Admit readmission candidates and fresh arrivals into the group,
-    /// at equal KV shares (a demand-proportional policy rebalances right
-    /// after the admission boundary). Candidate order is
-    /// [`admission_rank`]: preempted runs hold accepted work, so they go
-    /// first; fresh arrivals stay FIFO (only the queue head is ever
-    /// attempted) — except under
-    /// [`FaultPolicy::Degrade`](crate::FaultPolicy::Degrade), where both
-    /// classes rank earliest-deadline-first and the degradation
-    /// controller may grant fresh admissions a narrower beam width under
-    /// queue pressure (each one counts as a degradation). The rest of
-    /// the in-flight set resizes its reservations with everyone else's
-    /// and counts against `max_batch`, but admissions never join it.
-    /// Returns whether anyone was admitted (shares were resized).
+    /// Admit preempted runs and fresh arrivals into the group, one at a
+    /// time, at equal KV shares (a demand-proportional policy rebalances
+    /// right after the admission boundary), until `max_batch` is full or
+    /// nobody else can join. Preempted runs hold accepted work, so the
+    /// first of them that can progress at the share readmits
+    /// ([`LoopState::readmit_order`]); only when none can does the next
+    /// arrival ([`LoopState::fresh_candidate`]) start. Under
+    /// [`FaultPolicy::Degrade`](crate::FaultPolicy::Degrade) both go
+    /// earliest-deadline-first, and the degradation controller may grant
+    /// fresh admissions a narrower beam width under queue pressure (each
+    /// one counts as a degradation). The rest of the in-flight set
+    /// resizes its reservations with everyone else's and counts against
+    /// `max_batch`, but admissions never join it. Returns whether anyone
+    /// was admitted (shares were resized).
     pub(crate) fn admit(&mut self, global: f64) -> Result<bool, EngineError> {
         let config = self.batch();
-        let edf = config.robust.slo_enforcement();
-        let arrivals = Rc::clone(&self.arrivals);
-        let mut admitted = false;
         // Without mid-flight admission the gate only opens while the device
         // is idle — but once open, the whole gang fills (up to `max_batch`)
         // before the batch runs to completion.
         let device_idle = self.group.is_empty() && self.rest.is_empty();
         if !config.admit_mid_flight && !device_idle {
-            return Ok(admitted);
+            return Ok(false);
         }
+        let mut admitted = false;
         loop {
             let in_flight = self.group.len() + self.rest.len();
             if in_flight >= config.max_batch || (self.paused.is_empty() && self.waiting.is_empty())
@@ -410,202 +367,187 @@ impl LoopState<'_> {
                 return Ok(admitted);
             }
             let share = self.pool.equal_share(in_flight + 1);
-            // Candidates in tiebreak order: every readmission candidate
-            // (pause order), then the head of the arrival queue. Under SLO
-            // enforcement both classes rank earliest-deadline-first instead
-            // (readmits still outrank fresh arrivals — they hold accepted
-            // work), with position as the deterministic tiebreak. A tenant
-            // policy filters both classes by admission quota first, so a
-            // quota-blocked tenant's arrivals queue without blocking other
-            // tenants' arrivals behind them.
-            let (paused, waiting) = (&self.paused, &self.waiting);
-            let mut readmit_order: Vec<usize> = (0..paused.len())
-                .filter(|&pos| self.tenant_quota_open(paused[pos].tenant))
-                .collect();
-            let fresh_pos = if edf {
-                readmit_order.sort_by(|&x, &y| {
-                    paused[x]
-                        .deadline
-                        .partial_cmp(&paused[y].deadline)
-                        .expect("finite or +inf deadlines")
-                        .then(x.cmp(&y))
-                });
-                (0..waiting.len())
-                    .filter(|&x| self.tenant_quota_open(arrivals[waiting[x]].tenant))
-                    .min_by(|&x, &y| {
-                        arrivals[waiting[x]]
-                            .deadline
-                            .partial_cmp(&arrivals[waiting[y]].deadline)
-                            .expect("finite or +inf deadlines")
-                            .then(waiting[x].cmp(&waiting[y]))
-                    })
-            } else if config.tenants.is_some() {
-                (0..waiting.len()).find(|&x| self.tenant_quota_open(arrivals[waiting[x]].tenant))
-            } else if waiting.is_empty() {
-                None
-            } else {
-                Some(0)
-            };
-            let candidates: Vec<AdmitCandidate> = readmit_order
+            let readmit = self
+                .readmit_order()
                 .into_iter()
-                .map(AdmitCandidate::Readmit)
-                .chain(fresh_pos.map(|p| AdmitCandidate::Fresh(waiting[p])))
-                .collect();
-            debug_assert!(
-                edf || candidates
-                    .windows(2)
-                    .all(|w| admission_rank(w[0]) < admission_rank(w[1])),
-                "non-EDF candidates are already in tiebreak order"
-            );
-            let joining_others = in_flight > 0;
-            let mut progressed = false;
-            for cand in candidates {
-                match cand {
-                    AdmitCandidate::Readmit(pos) => {
-                        // First preempted run that can make progress at this
-                        // share. Joining a multi-request batch additionally
-                        // requires its working set to fit, or it would
-                        // bounce straight back out; with the device to
-                        // itself it may thrash, as FIFO would.
-                        let cand = self.tenant_probe_share(share, self.paused[pos].tenant);
-                        let p = &mut self.paused[pos];
-                        if !matches!(p.probe, Some((s, _, _)) if s == cand) {
-                            p.run.set_kv_budget(cand);
-                            p.probe = Some((cand, p.run.can_progress(), p.run.fits_working_set()));
-                        }
-                        let (_, can_progress, fits_ws) = p.probe.expect("probe just set");
-                        if !(can_progress && (!joining_others || fits_ws)) {
-                            continue;
-                        }
-                        let mut p = self.paused.remove(pos);
-                        p.run.set_kv_budget(cand);
-                        self.shrink(share);
-                        assert!(
-                            self.pool.reserve(p.idx as u64, cand),
-                            "ledger must have room"
-                        );
-                        // The parked host bytes are coming back on-device:
-                        // free the tier's ledger now; the actual swap-in is
-                        // charged lazily as host-resident nodes pin
-                        // (restore path), same as the legacy implicit host.
-                        self.tier.unpark(p.idx as u64);
-                        p.preempted_secs += global - p.paused_at;
-                        pad_to(&mut p, global);
-                        p.admit_seq = self.admit_seq;
-                        self.admit_seq += 1;
-                        self.group.push(p);
-                        // Tenant mode under-subscribes the ledger by design
-                        // (caps withhold bytes); the tenant rebalance right
-                        // after this boundary sets the real shares, so the
-                        // full-subscription top-up does not apply.
-                        if config.tenants.is_none() {
-                            self.top_up_first_holder(share);
-                        }
-                        admitted = true;
-                        progressed = true;
-                    }
-                    AdmitCandidate::Fresh(idx) => {
-                        let arrival = &arrivals[idx];
-                        // Graceful degradation: under SLO enforcement the
-                        // controller shrinks the TTS budget (beam width) of
-                        // fresh admissions while the backlog is deep — one
-                        // halving per `DEGRADE_QUEUE_PER_LEVEL` queued or
-                        // preempted requests, floored per SLO class — so
-                        // the system trades answer-quality headroom for
-                        // deadline hits *before* it resorts to shedding.
-                        let n = self.sim.n;
-                        let n_granted = if edf {
-                            let backlog = self.waiting.len() + self.paused.len();
-                            let level = (backlog / DEGRADE_QUEUE_PER_LEVEL) as u32;
-                            degraded_beams(n, arrival.slo, level)
-                        } else {
-                            n
-                        };
-                        let mut driver = make_driver(self.sim.kind, n_granted, 4);
-                        // Warm start from the host tier: a published prefix
-                        // for this problem replaces that many prompt tokens'
-                        // prefill with a costed host→device swap-in. Peek
-                        // (not lookup) so a failed admission attempt does
-                        // not perturb hotness; the hit/miss is registered
-                        // once on success.
-                        let warm_tokens = self
-                            .tier
-                            .peek_prefix_tokens(arrival.problem.seed)
-                            .min(arrival.problem.prompt_tokens);
-                        let warm = (warm_tokens > 0).then_some(ftts_engine::WarmStart {
-                            tokens: warm_tokens,
-                        });
-                        let cand = self.tenant_probe_share(share, arrival.tenant);
-                        match self.sim.server.begin_request_warm(
-                            &arrival.problem,
-                            n_granted,
-                            driver.as_mut(),
-                            f64::INFINITY,
-                            Some(cand),
-                            warm,
-                        ) {
-                            Ok(mut run) => {
-                                if self.tier.enabled() {
-                                    self.tier.lookup_prefix(arrival.problem.seed);
-                                    run.set_swap_accounting(true);
-                                }
-                                let pos = self
-                                    .waiting
-                                    .iter()
-                                    .position(|&w| w == idx)
-                                    .expect("candidate still queued");
-                                self.waiting.remove(pos);
-                                self.shrink(share);
-                                assert!(
-                                    self.pool.reserve(idx as u64, cand),
-                                    "ledger must have room"
-                                );
-                                self.group.push(InFlight {
-                                    idx,
-                                    run,
-                                    driver,
-                                    arrived_at: arrival.at,
-                                    slo: arrival.slo,
-                                    deadline: arrival.deadline,
-                                    tenant: arrival.tenant,
-                                    granted_n: n_granted,
-                                    started_at: global,
-                                    admit_seq: self.admit_seq,
-                                    preemptions: 0,
-                                    preempted_secs: 0.0,
-                                    paused_at: 0.0,
-                                    probe: None,
-                                    declared_demand: 0,
-                                });
-                                if config.tenants.is_none() {
-                                    self.top_up_first_holder(share);
-                                }
-                                self.admit_seq += 1;
-                                admitted = true;
-                                if n_granted < n {
-                                    self.run.degradations += 1;
-                                }
-                                progressed = true;
-                            }
-                            // The whole pool cannot host this prompt:
-                            // infeasible.
-                            Err(e) if in_flight == 0 => return Err(e),
-                            // A share cannot: leave it queued until capacity
-                            // frees (FIFO — later arrivals wait behind it).
-                            Err(_) => return Ok(admitted),
-                        }
-                    }
+                .find(|&pos| self.can_readmit(pos, share, in_flight > 0));
+            if let Some(pos) = readmit {
+                self.readmit(pos, share, global);
+            } else if let Some(idx) = self.fresh_candidate() {
+                match self.admit_fresh(idx, share, global) {
+                    Ok(()) => {}
+                    // The whole pool cannot host this prompt: infeasible.
+                    Err(e) if in_flight == 0 => return Err(e),
+                    // A share cannot: leave it queued until capacity frees
+                    // (later arrivals wait behind it).
+                    Err(_) => return Ok(admitted),
                 }
-                if progressed {
-                    break;
-                }
-            }
-            if !progressed {
+            } else {
                 // Only unfittable preempted runs remain (and no admissible
                 // arrival); wait for the batch to drain and shares to
                 // regrow.
                 return Ok(admitted);
             }
+            admitted = true;
+        }
+    }
+
+    /// Paused positions in readmission order: pause order, or earliest
+    /// deadline first (pause order breaking ties) under SLO enforcement.
+    /// A tenant policy skips tenants without admission quota, so a
+    /// quota-blocked tenant's runs wait without blocking other tenants'.
+    fn readmit_order(&self) -> Vec<usize> {
+        let paused = &self.paused;
+        let mut order: Vec<usize> = (0..paused.len())
+            .filter(|&pos| self.tenant_quota_open(paused[pos].tenant))
+            .collect();
+        if self.batch().robust.slo_enforcement() {
+            order.sort_by(|&x, &y| {
+                paused[x]
+                    .deadline
+                    .partial_cmp(&paused[y].deadline)
+                    .expect("finite or +inf deadlines")
+                    .then(x.cmp(&y))
+            });
+        }
+        order
+    }
+
+    /// The arrival to start next: the queue head, or the earliest
+    /// deadline (arrival index breaking ties) under SLO enforcement,
+    /// among arrivals whose tenant has admission quota.
+    fn fresh_candidate(&self) -> Option<usize> {
+        let arrivals = &self.arrivals;
+        let open = |idx: &usize| self.tenant_quota_open(arrivals[*idx].tenant);
+        let mut queued = self.waiting.iter().copied().filter(open);
+        if self.batch().robust.slo_enforcement() {
+            queued.min_by(|&x, &y| {
+                arrivals[x]
+                    .deadline
+                    .partial_cmp(&arrivals[y].deadline)
+                    .expect("finite or +inf deadlines")
+                    .then(x.cmp(&y))
+            })
+        } else {
+            queued.next()
+        }
+    }
+
+    /// Whether paused run `pos` can make progress at its tenant's probe
+    /// share of `share`. Joining a multi-request batch additionally
+    /// requires its working set to fit, or it would bounce straight back
+    /// out; with the device to itself it may thrash, as FIFO would.
+    fn can_readmit(&mut self, pos: usize, share: u64, joining_others: bool) -> bool {
+        let cand = self.tenant_probe_share(share, self.paused[pos].tenant);
+        let p = &mut self.paused[pos];
+        if !matches!(p.probe, Some((s, _, _)) if s == cand) {
+            p.run.set_kv_budget(cand);
+            p.probe = Some((cand, p.run.can_progress(), p.run.fits_working_set()));
+        }
+        let (_, can_progress, fits_ws) = p.probe.expect("probe just set");
+        can_progress && (!joining_others || fits_ws)
+    }
+
+    /// Readmit paused run `pos` into the group at `global`.
+    fn readmit(&mut self, pos: usize, share: u64, global: f64) {
+        let cand = self.tenant_probe_share(share, self.paused[pos].tenant);
+        let mut p = self.paused.remove(pos);
+        p.run.set_kv_budget(cand);
+        // The parked host bytes are coming back on-device: free the
+        // tier's ledger now; the actual swap-in is charged lazily as
+        // host-resident nodes pin (restore path), same as the legacy
+        // implicit host.
+        self.tier.unpark(p.idx as u64);
+        p.preempted_secs += global - p.paused_at;
+        pad(&mut p, global, Wait::Idle);
+        self.join_group(p, share, cand);
+    }
+
+    /// Start arrival `idx` at `global` and move it from the queue into
+    /// the group. Graceful degradation: under SLO enforcement the
+    /// controller shrinks the TTS budget (beam width) of fresh
+    /// admissions while the backlog is deep — one halving per
+    /// `DEGRADE_QUEUE_PER_LEVEL` queued or preempted requests, floored
+    /// per SLO class — so the system trades answer-quality headroom for
+    /// deadline hits *before* it resorts to shedding.
+    fn admit_fresh(&mut self, idx: usize, share: u64, global: f64) -> Result<(), EngineError> {
+        let arrivals = Rc::clone(&self.arrivals);
+        let arrival = &arrivals[idx];
+        let n = self.sim.n;
+        let n_granted = if self.batch().robust.slo_enforcement() {
+            let backlog = self.waiting.len() + self.paused.len();
+            let level = (backlog / DEGRADE_QUEUE_PER_LEVEL) as u32;
+            degraded_beams(n, arrival.slo, level)
+        } else {
+            n
+        };
+        let mut driver = make_driver(self.sim.kind, n_granted, 4);
+        // Warm start from the host tier: a published prefix for this
+        // problem replaces that many prompt tokens' prefill with a costed
+        // host→device swap-in. Peek (not lookup) so a failed admission
+        // attempt does not perturb hotness; the hit/miss is registered
+        // once on success.
+        let warm_tokens = self
+            .tier
+            .peek_prefix_tokens(arrival.problem.seed)
+            .min(arrival.problem.prompt_tokens);
+        let warm = (warm_tokens > 0).then_some(WarmStart {
+            tokens: warm_tokens,
+        });
+        let cand = self.tenant_probe_share(share, arrival.tenant);
+        let mut run = self.sim.server.begin_request(
+            &arrival.problem,
+            n_granted,
+            driver.as_mut(),
+            Some(cand),
+            warm,
+        )?;
+        if self.tier.enabled() {
+            self.tier.lookup_prefix(arrival.problem.seed);
+            run.set_swap_accounting(true);
+        }
+        self.waiting.retain(|&w| w != idx);
+        let a = InFlight {
+            idx,
+            run,
+            driver,
+            arrived_at: arrival.at,
+            slo: arrival.slo,
+            deadline: arrival.deadline,
+            tenant: arrival.tenant,
+            granted_n: n_granted,
+            started_at: global,
+            admit_seq: 0,
+            preemptions: 0,
+            preempted_secs: 0.0,
+            paused_at: 0.0,
+            probe: None,
+            declared_demand: 0,
+        };
+        self.join_group(a, share, cand);
+        if n_granted < n {
+            self.run.degradations += 1;
+        }
+        Ok(())
+    }
+
+    /// Move `a` into the group with a reservation of `cand` bytes after
+    /// shrinking everyone in flight to `share`, as the youngest request.
+    fn join_group(&mut self, mut a: InFlight, share: u64, cand: u64) {
+        self.shrink(share);
+        assert!(
+            self.pool.reserve(a.idx as u64, cand),
+            "ledger must have room"
+        );
+        a.admit_seq = self.admit_seq;
+        self.admit_seq += 1;
+        self.group.push(a);
+        // Tenant mode under-subscribes the ledger by design (caps
+        // withhold bytes); the tenant rebalance right after this
+        // boundary sets the real shares, so the full-subscription top-up
+        // does not apply.
+        if self.batch().tenants.is_none() {
+            self.top_up_first_holder(share);
         }
     }
 
@@ -848,7 +790,7 @@ pub(crate) fn cost_verify_sweeps(
             if plans[i].is_empty() {
                 continue;
             }
-            pad_to(a, device_free);
+            pad(a, device_free, Wait::Idle);
             let mut end = a.started_at + a.run.clock();
             for chunk in &plans[i] {
                 let cost = chunk.solo_cost(a.run.verifier_roofline());
@@ -926,46 +868,85 @@ mod tests {
         );
     }
 
+    /// The arrival that joins a one-slot group when `admit(0.0)` runs
+    /// over the preempted runs of `paused` (arrival indices, in pause
+    /// order) and the queue `waiting`. Arrival `i` has deadline
+    /// `deadlines[i]`; `degrade` turns on earliest-deadline-first
+    /// admission.
+    fn first_to_join(
+        degrade: bool,
+        deadlines: &[f64],
+        paused: &[usize],
+        waiting: &[usize],
+    ) -> usize {
+        let server = TtsServer::fasttts(GpuDevice::rtx4090(), ModelPairing::pair_1_5b_1_5b());
+        let mut config = crate::BatchConfig::continuous(1);
+        if degrade {
+            config = config.with_robust(RobustConfig::with_policy(FaultPolicy::Degrade));
+        }
+        let sim = TimelineServerSim::new(server, 4, SearchKind::BeamSearch, config);
+        let problems = Dataset::Aime2024.problems(deadlines.len(), 7);
+        let arrivals: Vec<RequestArrival> = ArrivalPattern::Burst { at: 0.0 }
+            .schedule(&problems, 0)
+            .into_iter()
+            .zip(deadlines)
+            .map(|(a, &deadline)| RequestArrival { deadline, ..a })
+            .collect();
+        let plan = FaultPlan::none();
+        let mut state = LoopState::new(&sim, arrivals.as_slice().into(), &plan, Rc::default());
+        for &idx in paused {
+            let a = &arrivals[idx];
+            let mut driver = make_driver(sim.kind, sim.n, 4);
+            let run = sim
+                .server
+                .begin_request(&a.problem, sim.n, driver.as_mut(), None, None)
+                .expect("the prompt fits");
+            state.paused.push(InFlight {
+                idx,
+                run,
+                driver,
+                arrived_at: a.at,
+                slo: a.slo,
+                deadline: a.deadline,
+                tenant: a.tenant,
+                granted_n: sim.n,
+                started_at: 0.0,
+                admit_seq: idx as u64,
+                preemptions: 1,
+                preempted_secs: 0.0,
+                paused_at: 0.0,
+                probe: None,
+                declared_demand: 0,
+            });
+        }
+        state.waiting.extend_from_slice(waiting);
+        assert!(state.admit(0.0).expect("admission runs"), "someone joins");
+        assert_eq!(state.group.len(), 1, "the group has one slot");
+        state.group[0].idx
+    }
+
+    /// Deadlines that order arrivals 0, 2, 1 earliest first.
+    const DEADLINES: [f64; 3] = [5.0, 30.0, 10.0];
+
     #[test]
-    fn readmits_outrank_fresh_arrivals() {
-        assert!(
-            admission_rank(AdmitCandidate::Readmit(5)) < admission_rank(AdmitCandidate::Fresh(0))
-        );
+    fn a_paused_run_joins_ahead_of_the_queue_in_pause_order() {
+        assert_eq!(first_to_join(false, &DEADLINES, &[1, 2], &[0]), 1);
     }
 
     #[test]
-    fn within_class_earlier_position_wins() {
-        assert!(
-            admission_rank(AdmitCandidate::Readmit(0)) < admission_rank(AdmitCandidate::Readmit(1))
-        );
-        assert!(
-            admission_rank(AdmitCandidate::Fresh(2)) < admission_rank(AdmitCandidate::Fresh(3))
-        );
+    fn with_nothing_paused_the_queue_head_joins() {
+        assert_eq!(first_to_join(false, &DEADLINES, &[], &[1, 2, 0]), 1);
     }
 
     #[test]
-    fn sorting_candidates_is_deterministic_for_simultaneous_arrivals() {
-        // Simultaneous arrivals (same instant, distinct stream indices)
-        // plus a couple of readmission candidates, shuffled: sorting by
-        // the rank always recovers pause order first, then arrival
-        // order — the scheduler-independent admission order.
-        let mut candidates = vec![
-            AdmitCandidate::Fresh(4),
-            AdmitCandidate::Readmit(1),
-            AdmitCandidate::Fresh(2),
-            AdmitCandidate::Readmit(0),
-            AdmitCandidate::Fresh(3),
-        ];
-        candidates.sort_by_key(|&c| admission_rank(c));
-        assert_eq!(
-            candidates,
-            vec![
-                AdmitCandidate::Readmit(0),
-                AdmitCandidate::Readmit(1),
-                AdmitCandidate::Fresh(2),
-                AdmitCandidate::Fresh(3),
-                AdmitCandidate::Fresh(4),
-            ]
-        );
+    fn degrade_readmits_the_earliest_deadline_ahead_of_the_queue() {
+        // Arrival 0's deadline is the earliest, but it has no accepted
+        // work to lose: the paused run due first goes ahead of it.
+        assert_eq!(first_to_join(true, &DEADLINES, &[1, 2], &[0]), 2);
+    }
+
+    #[test]
+    fn degrade_admits_the_queued_arrival_with_the_earliest_deadline() {
+        assert_eq!(first_to_join(true, &DEADLINES, &[], &[1, 2, 0]), 0);
     }
 }

@@ -10,11 +10,12 @@
 //! continuous batching does — scheduling at *iteration* granularity:
 //!
 //! * **A ready queue instead of rounds.** Each in-flight request
-//!   carries its own next-event time (`started_at +
-//!   RequestRun::next_event_at()` — the instant its next iteration
-//!   could start). The scheduler always serves the earliest event: the
-//!   earliest-ready request, or a pending arrival when mid-flight
-//!   admission could open a fresh co-batch of its own.
+//!   carries its own next-event time (`started_at + RequestRun::clock()`
+//!   — the instant its next iteration could start, since a run between
+//!   iterations is ready at its own clock). The scheduler always serves
+//!   the earliest event: the earliest-ready request, or a pending
+//!   arrival when mid-flight admission could open a fresh co-batch of
+//!   its own.
 //! * **Opportunistic co-batching inside a window.** Waiting forever for
 //!   partners re-creates the barrier; never waiting forfeits the
 //!   co-batched decode's amortized weight sweep and the fused verifier

@@ -1406,9 +1406,10 @@ mod tests {
             server(GpuDevice::rtx4090()),
             8,
             SearchKind::BeamSearch,
-            TimelineConfig::honest(EventConfig::windowed(4, 0.0))
+            TimelineTuning::honest()
                 .with_token_joins()
-                .with_join_quantum(8),
+                .with_join_quantum(8)
+                .config(EventConfig::windowed(4, 0.0)),
         );
         let plan = FaultPlan::none();
         let problems = Dataset::Amc2023.problems(6, 3);

@@ -228,7 +228,10 @@ impl TtsServer {
     /// Start a resumable run for one request — the entry point the
     /// continuous-batching scheduler uses to multiplex many requests
     /// over one simulated accelerator. `kv_budget` is the request's
-    /// share of the shared KV pool (`None` = the whole device budget).
+    /// share of the shared KV pool (`None` = the whole device budget);
+    /// `warm` is a warm-start grant from the host KV tier, whose
+    /// `warm.tokens` prompt-prefix tokens swap in from host RAM instead
+    /// of prefilling (see [`Engine::begin`]).
     ///
     /// # Errors
     ///
@@ -239,33 +242,10 @@ impl TtsServer {
         problem: &ProblemSpec,
         n: usize,
         driver: &mut dyn ftts_engine::SearchDriver,
-        spec_off_after: f64,
-        kv_budget: Option<u64>,
-    ) -> Result<ftts_engine::RequestRun, EngineError> {
-        self.engine()
-            .begin(problem, n, driver, spec_off_after, kv_budget)
-    }
-
-    /// [`TtsServer::begin_request`] with a warm-start grant from the
-    /// host KV tier: `warm.tokens` prompt-prefix tokens swap in from
-    /// host RAM instead of prefilling. `None` is bit-identical to
-    /// [`TtsServer::begin_request`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`EngineError`] when the prompt cannot fit in the
-    /// share.
-    pub fn begin_request_warm(
-        &self,
-        problem: &ProblemSpec,
-        n: usize,
-        driver: &mut dyn ftts_engine::SearchDriver,
-        spec_off_after: f64,
         kv_budget: Option<u64>,
         warm: Option<ftts_engine::WarmStart>,
     ) -> Result<ftts_engine::RequestRun, EngineError> {
-        self.engine()
-            .begin_warm(problem, n, driver, spec_off_after, kv_budget, warm)
+        self.engine().begin(problem, n, driver, kv_budget, warm)
     }
 
     /// Serve one problem with `n` beams using a named search algorithm.

@@ -110,7 +110,9 @@
 
 use std::rc::Rc;
 
-use ftts_engine::{DecodeStatus, EngineError, RunPhase, StepStatus, VerifyCharge, VerifyChunk};
+use ftts_engine::{
+    DecodeStatus, EngineError, RunPhase, StepStatus, VerifyCharge, VerifyChunk, Wait,
+};
 use ftts_kv::{HostTier, PoolBudget};
 use ftts_metrics::TimelineOccupancy;
 use ftts_search::SearchKind;
@@ -507,28 +509,6 @@ impl From<EventConfig> for TimelineConfig {
 impl From<BatchConfig> for TimelineConfig {
     fn from(batch: BatchConfig) -> Self {
         EventConfig::lockstep(batch).into()
-    }
-}
-
-impl TimelineConfig {
-    /// Honest iteration-granularity scheduling
-    /// ([`TimelineTuning::honest`]).
-    pub fn honest(event: EventConfig) -> Self {
-        TimelineTuning::honest().config(event)
-    }
-
-    /// Enable token-granularity decode joins (keeps the current
-    /// contention setting).
-    pub fn with_token_joins(mut self) -> Self {
-        self.tuning = self.tuning.with_token_joins();
-        self
-    }
-
-    /// Override the join quantum (decode tokens per sequence between
-    /// chunk boundaries).
-    pub fn with_join_quantum(mut self, quantum: u64) -> Self {
-        self.tuning = self.tuning.with_join_quantum(quantum);
-        self
     }
 }
 
@@ -1070,13 +1050,13 @@ impl<'a> LoopState<'a> {
             .iter()
             .map(InFlight::ready_at)
             .fold(anchor.max(self.floor), f64::max);
-        let lockstep = self.lockstep();
+        let wait = if self.lockstep() {
+            Wait::Barrier
+        } else {
+            Wait::Idle
+        };
         for a in &mut self.group {
-            if lockstep {
-                admission::pad_to_barrier(a, launch);
-            } else {
-                admission::pad_to(a, launch);
-            }
+            admission::pad(a, launch, wait);
         }
         launch
     }
@@ -1095,10 +1075,9 @@ impl<'a> LoopState<'a> {
 
     /// The pre-launch boundary: ingest arrivals due by the launch, land
     /// due prefix handoffs in the tier, sweep directed cancels and
-    /// deadlines, admit (readmits first, then fresh arrivals — the
-    /// shared tiebreak) into the group at the launch instant, rebalance
-    /// elastic shares, and stretch the bystanders the admitted load
-    /// slows.
+    /// deadlines, admit (readmits first, then fresh arrivals) into the
+    /// group at the launch instant, rebalance elastic shares, and
+    /// stretch the bystanders the admitted load slows.
     fn boundary(&mut self, launch: f64) -> Result<(), EngineError> {
         self.ingest(launch);
         // Directed prefix handoffs due by this launch land in the tier
@@ -1153,15 +1132,16 @@ impl<'a> LoopState<'a> {
             let mut v = self.group.remove(vi);
             // With a host tier, swap-down is capped at the tier's free
             // capacity: what fits parks (and is PCIe-costed), the
-            // overflow is dropped and recomputed on readmission.
-            let bytes = if self.tier.enabled() {
-                let (swapped, dropped) = v.run.preempt_capped(self.tier.available_bytes());
-                self.tier.park(v.idx as u64, swapped);
-                self.run.kv_tier_dropped_bytes += dropped;
-                swapped
+            // overflow is dropped and recomputed on readmission. Without
+            // one, everything swaps out and `park` is a no-op.
+            let cap = if self.tier.enabled() {
+                self.tier.available_bytes()
             } else {
-                v.run.preempt()
+                u64::MAX
             };
+            let (bytes, dropped) = v.run.preempt(cap);
+            self.tier.park(v.idx as u64, bytes);
+            self.run.kv_tier_dropped_bytes += dropped;
             let swap_start = launch;
             launch += self.sim.server.config().device.pcie_transfer_seconds(bytes);
             if launch > swap_start {
@@ -1297,7 +1277,7 @@ impl<'a> LoopState<'a> {
                     // Members still decoding wait for the slowest chunk
                     // — the token-join sync (boundary is absolute; the
                     // pad converts to this run's relative clock).
-                    admission::pad_to_join(a, boundary);
+                    admission::pad(a, boundary, Wait::Join);
                 }
             }
             // Token-granularity join: arrivals due by the boundary admit
@@ -1548,9 +1528,10 @@ mod tests {
                     5,
                     0.9,
                     16,
-                    TimelineConfig::honest(EventConfig::windowed(6, 0.0))
+                    TimelineTuning::honest()
                         .with_token_joins()
-                        .with_join_quantum(8),
+                        .with_join_quantum(8)
+                        .config(EventConfig::windowed(6, 0.0)),
                 ),
                 arrivals(6, 41, 0.5),
                 FaultPlan::none(),
@@ -1655,26 +1636,20 @@ mod tests {
         let lockstep = TimelineConfig::from(BatchConfig::fused(4));
         assert_eq!(lockstep.tuning, TimelineTuning::anchored());
         assert_eq!(lockstep.event, EventConfig::lockstep(BatchConfig::fused(4)));
-        let honest = TimelineConfig::honest(event);
+        let honest = TimelineTuning::honest().config(event);
         assert!(honest.tuning.contention && !honest.tuning.token_joins);
-        let joins = TimelineConfig::honest(event)
+        assert_eq!(honest.event, event);
+        let joins = TimelineTuning::honest()
             .with_token_joins()
             .with_join_quantum(8);
-        assert!(joins.tuning.token_joins);
-        assert_eq!(joins.tuning.join_quantum, 8);
-        assert_eq!(
-            joins,
-            TimelineTuning::honest()
-                .with_token_joins()
-                .with_join_quantum(8)
-                .config(event)
-        );
+        assert!(joins.contention && joins.token_joins);
+        assert_eq!(joins.join_quantum, 8);
     }
 
     #[test]
     #[should_panic(expected = "join quantum must be at least one token")]
     fn zero_quantum_is_rejected() {
-        let _ = TimelineConfig::from(EventConfig::windowed(4, 0.0)).with_join_quantum(0);
+        let _ = TimelineTuning::anchored().with_join_quantum(0);
     }
 
     #[test]
@@ -1775,7 +1750,7 @@ mod tests {
             server(5, 0.9),
             8,
             SearchKind::BeamSearch,
-            TimelineConfig::honest(EventConfig::windowed(4, 0.0)),
+            TimelineTuning::honest().config(EventConfig::windowed(4, 0.0)),
         )
         .run(&stream)
         .expect("timeline run");
@@ -1797,7 +1772,7 @@ mod tests {
             server(9, 0.9),
             8,
             SearchKind::BeamSearch,
-            TimelineConfig::honest(event),
+            TimelineTuning::honest().config(event),
         )
         .run(&stream)
         .expect("iteration run");
@@ -1805,7 +1780,7 @@ mod tests {
             server(9, 0.9),
             8,
             SearchKind::BeamSearch,
-            TimelineConfig::honest(event).with_token_joins(),
+            TimelineTuning::honest().with_token_joins().config(event),
         )
         .run(&stream)
         .expect("joins run");
@@ -1824,7 +1799,7 @@ mod tests {
             server(3, 0.9),
             8,
             SearchKind::BeamSearch,
-            TimelineConfig::honest(event),
+            TimelineTuning::honest().config(event),
         )
         .run(&stream)
         .expect("iteration run");
@@ -1839,9 +1814,10 @@ mod tests {
             server(3, 0.9),
             8,
             SearchKind::BeamSearch,
-            TimelineConfig::honest(event)
+            TimelineTuning::honest()
                 .with_token_joins()
-                .with_join_quantum(4),
+                .with_join_quantum(4)
+                .config(event),
         )
         .run(&stream)
         .expect("joins run");

@@ -16,7 +16,7 @@
 
 use ftts_core::{
     BatchConfig, BatchedServerSim, EventConfig, EventServerSim, ServedRequest, ServerSim,
-    TimelineConfig, TimelineServerSim, TtsServer,
+    TimelineConfig, TimelineServerSim, TimelineTuning, TtsServer,
 };
 use ftts_engine::ModelPairing;
 use ftts_hw::GpuDevice;
@@ -321,7 +321,7 @@ fn honest_timeline_conserves_time_and_prices_overlap() {
         server(5, 0.9),
         16,
         SearchKind::BeamSearch,
-        TimelineConfig::honest(event),
+        TimelineTuning::honest().config(event),
     )
     .run(&arrivals)
     .expect("honest run");
@@ -361,9 +361,10 @@ fn token_join_timeline_conserves_time() {
         server(5, 0.9),
         16,
         SearchKind::BeamSearch,
-        TimelineConfig::honest(EventConfig::windowed(6, 0.0))
+        TimelineTuning::honest()
             .with_token_joins()
-            .with_join_quantum(8),
+            .with_join_quantum(8)
+            .config(EventConfig::windowed(6, 0.0)),
     )
     .run(&arrivals)
     .expect("joins run");

@@ -287,14 +287,19 @@ fn windowed_fixtures() -> Vec<Fixture> {
 
 fn honest_fixtures() -> Vec<Fixture> {
     let amc6 = || uniform(Dataset::Amc2023, 6, 41, 0.5);
-    let honest = TimelineConfig::honest(EventConfig::windowed(6, 0.0));
+    let (honest, event) = (TimelineTuning::honest(), EventConfig::windowed(6, 0.0));
     vec![
-        Fixture::new("honest-window-0", (5, 0.9, 16), amc6(), honest),
+        Fixture::new(
+            "honest-window-0",
+            (5, 0.9, 16),
+            amc6(),
+            honest.config(event),
+        ),
         Fixture::new(
             "token-joins-q8",
             (5, 0.9, 16),
             amc6(),
-            honest.with_token_joins().with_join_quantum(8),
+            honest.with_token_joins().with_join_quantum(8).config(event),
         ),
     ]
 }

@@ -38,7 +38,7 @@ use ftts_core::{
     BatchConfig, BatchedServerSim, DeviceTimeline, EventConfig, EventServerSim, FaultPlan,
     FaultPolicy, FleetConfig, FleetSim, HedgeConfig, KvTierConfig, RobustConfig, RoutePolicy,
     SegmentKind, ServedRequest, StormConfig, TenantPolicy, TenantSpec, TimelineConfig,
-    TimelineServerSim, TtsServer,
+    TimelineServerSim, TimelineTuning, TtsServer,
 };
 use ftts_engine::ModelPairing;
 use ftts_hw::GpuDevice;
@@ -378,11 +378,11 @@ proptest! {
     ) {
         // Faults stay launch-granularity; keep the faulted determinism
         // check on the iteration path and the joins check fault-free.
-        let base = TimelineConfig::honest(EventConfig::windowed(4, 0.0));
+        let (honest, event) = (TimelineTuning::honest(), EventConfig::windowed(4, 0.0));
         let (config, storm) = if joins {
-            (base.with_token_joins().with_join_quantum(8), quiet_storm())
+            (honest.with_token_joins().with_join_quantum(8).config(event), quiet_storm())
         } else {
-            (base, StormConfig {
+            (honest.config(event), StormConfig {
                 kernel_faults,
                 slowdowns,
                 kv_losses: 0,
@@ -415,8 +415,8 @@ proptest! {
         let event = EventConfig::windowed(4, 0.0);
         let config = match mode {
             0 => TimelineConfig::from(event),
-            1 => TimelineConfig::honest(event),
-            _ => TimelineConfig::honest(event).with_token_joins().with_join_quantum(8),
+            1 => TimelineTuning::honest().config(event),
+            _ => TimelineTuning::honest().with_token_joins().with_join_quantum(8).config(event),
         };
         let run = timeline_run(seed, count, &quiet_storm(), config);
         for (i, r) in run.served.iter().enumerate() {
@@ -498,9 +498,10 @@ proptest! {
         gap in prop_oneof![5u64..1_000, 1_000u64..4_000],
     ) {
         let (stream, extra) = prefix_streams(seed, count, 30.0, secs(gap));
-        let config = TimelineConfig::honest(EventConfig::windowed(4, 0.0))
+        let config = TimelineTuning::honest()
             .with_token_joins()
-            .with_join_quantum(8);
+            .with_join_quantum(8)
+            .config(EventConfig::windowed(4, 0.0));
         let sim = TimelineServerSim::new(server(seed, 0.9), 8, SearchKind::BeamSearch, config);
         let run = |s: &[RequestArrival]| sim.run(s).expect("timeline run").served;
         assert_prefix_stable("token joins", run, &stream, &extra);

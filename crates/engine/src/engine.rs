@@ -177,18 +177,13 @@ impl Engine {
         assert!(n > 0, "need at least one beam");
         // The policies move into the (owned, resumable) run and come back
         // afterwards, so the engine stays usable for the next request.
-        let order = std::mem::replace(&mut self.order, Box::new(crate::order::FifoOrder));
-        let planner = std::mem::replace(&mut self.planner, Box::new(StaticSplitPlanner));
-        let mut run = RequestRun::start(
+        let placeholder = Engine::new(
             self.config.clone(),
-            order,
-            planner,
-            problem,
-            n,
-            spec_off_after,
-            None,
-            None,
+            Box::new(crate::order::FifoOrder),
+            Box::new(StaticSplitPlanner),
         );
+        let engine = std::mem::replace(self, placeholder);
+        let mut run = RequestRun::start(engine, problem, n, spec_off_after, None, None);
         let mut result = run.init(driver);
         if result.is_ok() {
             loop {
@@ -202,9 +197,8 @@ impl Engine {
                 }
             }
         }
-        let (stats, order, planner) = run.into_parts();
-        self.order = order;
-        self.planner = planner;
+        let (stats, engine) = run.into_parts();
+        *self = engine;
         result.map(|()| stats)
     }
 
@@ -217,6 +211,11 @@ impl Engine {
     /// `kv_budget` overrides the device KV budget for this request (its
     /// share of a pool shared with other in-flight requests); `None`
     /// means the whole device budget, exactly like [`Engine::run`].
+    /// `warm` grants a warm start from a host KV tier: `warm.tokens`
+    /// prompt-prefix tokens are host-resident, so the run swaps them in
+    /// (booked to the `swap` latency bucket) and prefills only the cold
+    /// tail; `None` prefills the whole prompt. Speculation is allowed
+    /// until [`RequestRun::set_spec_off_after`] moves its cut-off.
     ///
     /// # Errors
     ///
@@ -227,47 +226,11 @@ impl Engine {
         problem: &ProblemSpec,
         n: usize,
         driver: &mut dyn SearchDriver,
-        spec_off_after: f64,
-        kv_budget: Option<u64>,
-    ) -> Result<RequestRun, EngineError> {
-        self.begin_warm(problem, n, driver, spec_off_after, kv_budget, None)
-    }
-
-    /// [`Engine::begin`] with an optional warm start from a host KV
-    /// tier: `warm.tokens` prompt-prefix tokens are host-resident, so
-    /// the run swaps them in (booked to the `swap` latency bucket) and
-    /// prefills only the cold tail. `None` is bit-identical to
-    /// [`Engine::begin`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::PathExceedsMemory`] when the prompt alone
-    /// cannot fit in the generator's KV allocation.
-    pub fn begin_warm(
-        self,
-        problem: &ProblemSpec,
-        n: usize,
-        driver: &mut dyn SearchDriver,
-        spec_off_after: f64,
         kv_budget: Option<u64>,
         warm: Option<WarmStart>,
     ) -> Result<RequestRun, EngineError> {
         assert!(n > 0, "need at least one beam");
-        let Engine {
-            config,
-            order,
-            planner,
-        } = self;
-        let mut run = RequestRun::start(
-            config,
-            order,
-            planner,
-            problem,
-            n,
-            spec_off_after,
-            kv_budget,
-            warm,
-        );
+        let mut run = RequestRun::start(self, problem, n, f64::INFINITY, kv_budget, warm);
         run.init(driver)?;
         Ok(run)
     }
@@ -281,6 +244,23 @@ impl Engine {
 pub struct WarmStart {
     /// Host-resident prompt-prefix tokens (clamped to the prompt length).
     pub tokens: u64,
+}
+
+/// What an idle wait ([`RequestRun::wait_until`]) books to besides
+/// the `idle` latency bucket, so idle attribution can tell the waits
+/// apart.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Wait {
+    /// A co-batch window wait, a readmission gap or a shared-device
+    /// wait: `idle` only.
+    Idle,
+    /// A lockstep-round barrier wait, the scheduling artifact an
+    /// event-driven scheduler removes: also `barrier_idle`.
+    Barrier,
+    /// A token-join wait at a shared chunk boundary for the slowest
+    /// co-batched decode chunk, where newly arrived requests may join
+    /// the batch: also `join_wait`.
+    Join,
 }
 
 /// Progress of a [`RequestRun`] after one [`RequestRun::step`].
@@ -439,20 +419,11 @@ struct SpecTask {
     generated: u64,
 }
 
-/// Reusable per-iteration containers. The serve loop runs thousands of
-/// iterations per request; allocating these afresh in every generation /
-/// verification phase dominated the simulator's own runtime, so they are
-/// owned by [`Run`] and recycled (cleared, never shrunk) across
-/// iterations. Methods that need a container while also borrowing
-/// `self` mutably `mem::take` it and hand it back when done. It carries
-/// nothing from one iteration to the next, so a clone starts empty.
+/// The generation phase's working set: the admission queue, the decode
+/// batch and the speculative slots with their bookkeeping. The
+/// decode-chunk calls take it whole out of [`Scratch`] and hand it back.
 #[derive(Default)]
-struct Scratch {
-    /// Order-policy input items (generation phase).
-    items: Vec<OrderItem>,
-    /// Frontier beam indices in scheduling order (generation phase
-    /// output, reused by the verification phase).
-    ordered: Vec<usize>,
+struct GenPhase {
     /// Admission queue of frontier beam indices.
     queue: std::collections::VecDeque<usize>,
     /// Currently decoding beam indices.
@@ -465,12 +436,6 @@ struct Scratch {
     still_failing: Vec<usize>,
     /// Survivors of the active set after a segment.
     still_active: Vec<usize>,
-    /// Scored frontier view handed to the search driver.
-    scored: Vec<ScoredBeam>,
-    /// Selected (beam index, children) pairs.
-    picks: Vec<(usize, usize)>,
-    /// Frontier KV leaves (replanning).
-    leaves: Vec<NodeId>,
     /// SelectSPEC score bins per frontier beam.
     bins: std::collections::HashMap<usize, u64>,
     /// Speculative branches started per beam this phase.
@@ -481,6 +446,30 @@ struct Scratch {
     spec_tasks: Vec<SpecTask>,
     /// Retained speculative tasks while filtering (avoids realloc).
     kept_spec: Vec<SpecTask>,
+}
+
+/// Reusable per-iteration containers. The serve loop runs thousands of
+/// iterations per request; allocating these afresh in every generation /
+/// verification phase dominated the simulator's own runtime, so they are
+/// owned by [`RequestRun`] and recycled (cleared, never shrunk) across
+/// iterations. Methods that need a container while also borrowing
+/// `self` mutably `mem::take` it and hand it back when done. It carries
+/// nothing from one iteration to the next, so a clone starts empty.
+#[derive(Default)]
+struct Scratch {
+    /// Order-policy input items (generation phase).
+    items: Vec<OrderItem>,
+    /// Frontier beam indices in scheduling order (generation phase
+    /// output, reused by the verification phase).
+    ordered: Vec<usize>,
+    /// The generation phase's working set.
+    gen: GenPhase,
+    /// Scored frontier view handed to the search driver.
+    scored: Vec<ScoredBeam>,
+    /// Selected (beam index, children) pairs.
+    picks: Vec<(usize, usize)>,
+    /// Frontier KV leaves (replanning).
+    leaves: Vec<NodeId>,
     /// Beams needing verification this iteration.
     to_verify: Vec<usize>,
     /// Verifier nodes pinned for the current chunk.
@@ -598,17 +587,19 @@ impl std::fmt::Debug for RequestRun {
 }
 
 impl RequestRun {
-    #[allow(clippy::too_many_arguments)]
     fn start(
-        cfg: std::sync::Arc<EngineConfig>,
-        order: Box<dyn OrderPolicy>,
-        planner: Box<dyn MemoryPlanner>,
+        engine: Engine,
         problem: &ProblemSpec,
         n: usize,
         spec_off_after: f64,
         kv_budget: Option<u64>,
         warm: Option<WarmStart>,
     ) -> Self {
+        let Engine {
+            config: cfg,
+            order,
+            planner,
+        } = engine;
         let gen_roof = Roofline::new(cfg.device.clone(), cfg.models.gen_spec.clone());
         let ver_roof = Roofline::new(cfg.device.clone(), cfg.models.ver_spec.clone());
         let budget = kv_budget.unwrap_or_else(|| cfg.kv_budget_bytes());
@@ -998,15 +989,6 @@ impl RequestRun {
         self.clock
     }
 
-    /// The run's *next-event time* on its own clock: the instant its
-    /// next iteration could start. Between iterations (phase
-    /// [`RunPhase::Ready`]) this is simply [`RequestRun::clock`]; an
-    /// event-driven scheduler keys its ready queue on
-    /// `started_at + next_event_at()` instead of a global round counter.
-    pub fn next_event_at(&self) -> f64 {
-        self.clock
-    }
-
     /// Where the run stands inside the split-phase protocol. A
     /// scheduler interleaving many runs uses this to assert every run is
     /// back at [`RunPhase::Ready`] before re-budgeting or regrouping it.
@@ -1083,39 +1065,20 @@ impl RequestRun {
             .sum()
     }
 
-    /// Advance the internal clock to `t` as idle time (a co-batch window
-    /// wait, a preemption gap or a shared-device wait). No-op if `t` is
-    /// in the past.
-    pub fn sync_clock_to(&mut self, t: f64) {
+    /// Advance the internal clock to `t` as idle time, booking the gap
+    /// to `idle` and, for a [`Wait::Barrier`] or [`Wait::Join`], also to
+    /// that wait's slice of it. No-op if `t` is in the past.
+    pub fn wait_until(&mut self, t: f64, wait: Wait) {
         if t > self.clock {
-            self.breakdown.idle += t - self.clock;
+            let gap = t - self.clock;
+            match wait {
+                Wait::Idle => {}
+                Wait::Barrier => self.breakdown.barrier_idle += gap,
+                Wait::Join => self.breakdown.join_wait += gap,
+            }
+            self.breakdown.idle += gap;
             self.clock = t;
         }
-    }
-
-    /// Advance the internal clock to `t` as *barrier* idle time — a
-    /// lockstep-round barrier wait, the scheduling artifact an
-    /// event-driven scheduler removes. Books the gap both to `idle` and
-    /// to its `barrier_idle` slice, so idle attribution can distinguish
-    /// barrier waits from window/device waits. No-op if `t` is in the
-    /// past.
-    pub fn sync_clock_to_barrier(&mut self, t: f64) {
-        if t > self.clock {
-            self.breakdown.barrier_idle += t - self.clock;
-        }
-        self.sync_clock_to(t);
-    }
-
-    /// Advance the internal clock to `t` as *token-join* idle time — the
-    /// wait at a shared chunk boundary for the slowest co-batched decode
-    /// chunk, where newly arrived requests may join the batch. Books the
-    /// gap both to `idle` and to its `join_wait` slice. No-op if `t` is
-    /// in the past.
-    pub fn sync_clock_to_join(&mut self, t: f64) {
-        if t > self.clock {
-            self.breakdown.join_wait += t - self.clock;
-        }
-        self.sync_clock_to(t);
     }
 
     /// Retroactively stretch this run's in-flight iteration for decode
@@ -1154,23 +1117,17 @@ impl RequestRun {
         extra
     }
 
-    /// Preempt the request: swap all unpinned KV (generator and
-    /// verifier) to host memory, freeing its device blocks for other
-    /// requests. Returns the bytes moved, for PCIe costing by the
-    /// scheduler. Accepted tokens are never lost — resuming restores or
-    /// recomputes prefixes through the normal pin path.
-    pub fn preempt(&mut self) -> u64 {
-        self.gen_kv.swap_out_unpinned() + self.ver_kv.swap_out_unpinned()
-    }
-
-    /// Preempt against a *bounded* host tier: swap unpinned KV down
-    /// until at most `cap_bytes` have moved, then drop the rest without
-    /// a host copy (recomputed through the normal pin path on
-    /// readmission). Generator KV — the shared prompt/accepted prefixes
-    /// — claims the capacity before verifier KV. Returns
-    /// `(swapped_bytes, dropped_bytes)`; `cap_bytes == u64::MAX` is
-    /// exactly [`RequestRun::preempt`].
-    pub fn preempt_capped(&mut self, cap_bytes: u64) -> (u64, u64) {
+    /// Preempt the request: swap unpinned KV (generator and verifier)
+    /// to host memory until at most `cap_bytes` have moved, freeing its
+    /// device blocks for other requests, and drop the rest without a
+    /// host copy (a bounded host tier). Generator KV — the shared
+    /// prompt/accepted prefixes — claims the capacity before verifier
+    /// KV. Returns `(swapped_bytes, dropped_bytes)`, the first for PCIe
+    /// costing by the scheduler; `cap_bytes == u64::MAX` swaps
+    /// everything. Accepted tokens are never lost: resuming restores
+    /// swapped prefixes and recomputes dropped ones through the normal
+    /// pin path.
+    pub fn preempt(&mut self, cap_bytes: u64) -> (u64, u64) {
         let (gen_swapped, gen_dropped) = self.gen_kv.swap_out_unpinned_capped(cap_bytes);
         let (ver_swapped, ver_dropped) = self
             .ver_kv
@@ -1287,9 +1244,9 @@ impl RequestRun {
         self.into_parts().0
     }
 
-    /// Destructure into final stats plus the policy boxes (so
-    /// [`Engine::run`] can hand its policies back to the engine).
-    fn into_parts(mut self) -> (RunStats, Box<dyn OrderPolicy>, Box<dyn MemoryPlanner>) {
+    /// Destructure into final stats plus the engine the run was started
+    /// from (so [`Engine::run`] can hand its policies back).
+    fn into_parts(mut self) -> (RunStats, Engine) {
         if !self.done {
             // Abandoned mid-flight: seal completion at the current
             // state so the record is internally consistent.
@@ -1298,7 +1255,12 @@ impl RequestRun {
         self.stats.gen_cache = *self.gen_kv.stats();
         self.stats.ver_cache = *self.ver_kv.stats();
         self.stats.trace = self.trace.take();
-        (self.stats, self.order, self.planner)
+        let engine = Engine {
+            config: self.cfg,
+            order: self.order,
+            planner: self.planner,
+        };
+        (self.stats, engine)
     }
 
     fn scored_view(&self, idx: usize) -> ScoredBeam {
@@ -1430,14 +1392,15 @@ impl RequestRun {
         ordered.extend(perm.iter().map(|&i| self.frontier[items[i].index]));
         self.scratch.items = items;
 
-        self.scratch.queue.clear();
-        self.scratch.queue.extend(ordered.iter().copied());
+        let gen = &mut self.scratch.gen;
+        gen.queue.clear();
+        gen.queue.extend(ordered.iter().copied());
+        gen.active.clear();
+        gen.finished.clear();
+        gen.spec_tasks.clear();
+        gen.spec_started.clear();
+        gen.defer_counts.clear();
         self.scratch.ordered = ordered;
-        self.scratch.active.clear();
-        self.scratch.finished.clear();
-        self.scratch.spec_tasks.clear();
-        self.scratch.spec_started.clear();
-        self.scratch.defer_counts.clear();
         self.gen_target_batch = 0;
         self.compute_score_bins(driver.branching().max(1));
     }
@@ -1492,44 +1455,40 @@ impl RequestRun {
             self.pending_decode.is_none(),
             "previous decode chunk was never applied"
         );
-        let mut queue = std::mem::take(&mut self.scratch.queue);
-        let mut active = std::mem::take(&mut self.scratch.active);
-        let mut finished_this_phase = std::mem::take(&mut self.scratch.finished);
-        let mut spec_tasks = std::mem::take(&mut self.scratch.spec_tasks);
-        let mut spec_started = std::mem::take(&mut self.scratch.spec_started);
-        let bins = std::mem::take(&mut self.scratch.bins);
-
+        let mut gen = std::mem::take(&mut self.scratch.gen);
         let planned = loop {
             // Admission: fill with waiting paths first (Phase 1,
             // continuous beam batching).
-            let reserve: u64 = active
+            let reserve: u64 = gen
+                .active
                 .iter()
                 .map(|&i| self.growth_blocks(&self.beams[i]))
                 .sum::<u64>()
-                + spec_tasks
+                + gen
+                    .spec_tasks
                     .iter()
                     .map(|t| (t.target - t.generated) / self.cfg.block_size + 2)
                     .sum::<u64>();
-            while let Some(&cand) = queue.front() {
+            while let Some(&cand) = gen.queue.front() {
                 let (bkv, brem, bdone) = {
                     let beam = &self.beams[cand];
                     (beam.kv, beam.remaining(), beam.step_complete())
                 };
                 if bdone {
-                    queue.pop_front();
-                    finished_this_phase.push(cand);
+                    gen.queue.pop_front();
+                    gen.finished.push(cand);
                     continue;
                 }
                 let needed =
                     self.gen_kv.blocks_needed(bkv, brem) + self.growth_blocks(&self.beams[cand]);
                 let obtainable = self.gen_kv.obtainable_blocks_for(bkv);
                 let fits = needed + reserve <= obtainable;
-                if fits || active.is_empty() {
-                    queue.pop_front();
+                if fits || gen.active.is_empty() {
+                    gen.queue.pop_front();
                     match self.gen_kv.pin(bkv) {
                         Ok(cost) => {
                             self.charge_gen_restore(&cost);
-                            active.push(cand);
+                            gen.active.push(cand);
                         }
                         Err(KvError::InsufficientMemory { needed, .. }) => {
                             return Err(EngineError::PathExceedsMemory {
@@ -1546,57 +1505,53 @@ impl RequestRun {
                     break;
                 }
             }
-            if active.is_empty() {
-                if queue.is_empty() {
+            if gen.active.is_empty() {
+                if gen.queue.is_empty() {
                     break None;
                 }
                 continue;
             }
-            self.gen_target_batch = self.gen_target_batch.max(active.len() + spec_tasks.len());
+            self.gen_target_batch = self
+                .gen_target_batch
+                .max(gen.active.len() + gen.spec_tasks.len());
 
             // Phase 2: speculative slot refill, only with an empty
             // waiting queue and before the preemption deadline.
-            if self.cfg.spec.enabled && queue.is_empty() && self.clock < self.spec_off_after {
-                self.refill_spec_slots(
-                    driver,
-                    &bins,
-                    &finished_this_phase,
-                    &active,
-                    &mut spec_tasks,
-                    &mut spec_started,
-                    self.gen_target_batch,
-                );
+            if self.cfg.spec.enabled && gen.queue.is_empty() && self.clock < self.spec_off_after {
+                self.refill_spec_slots(driver, &mut gen);
             }
 
             // One segment: advance until the next completion event (or
             // the scheduler's chunk cap, whichever is nearer).
-            let k_active = active
+            let k_active = gen
+                .active
                 .iter()
                 .map(|&i| self.beams[i].remaining())
                 .min()
                 .unwrap();
-            let k_spec = spec_tasks
+            let k_spec = gen
+                .spec_tasks
                 .iter()
                 .map(|t| t.target - t.generated)
                 .min()
                 .unwrap_or(u64::MAX);
             let k = k_active.min(k_spec).max(1).min(cap.max(1));
-            let batch = active.len() + spec_tasks.len();
-            let ctx_sum: u64 = active
+            let batch = gen.active.len() + gen.spec_tasks.len();
+            let ctx_sum: u64 = gen
+                .active
                 .iter()
                 .map(|&i| self.gen_kv.seq_tokens(self.beams[i].kv))
-                .chain(spec_tasks.iter().map(|t| self.gen_kv.seq_tokens(t.node)))
+                .chain(
+                    gen.spec_tasks
+                        .iter()
+                        .map(|t| self.gen_kv.seq_tokens(t.node)),
+                )
                 .sum();
             break Some(DecodeChunk { k, batch, ctx_sum });
         };
-        // Hand the containers back between protocol calls (error paths
+        // Hand the working set back between protocol calls (error paths
         // above skip this; the run is over then anyway).
-        self.scratch.queue = queue;
-        self.scratch.active = active;
-        self.scratch.finished = finished_this_phase;
-        self.scratch.spec_tasks = spec_tasks;
-        self.scratch.spec_started = spec_started;
-        self.scratch.bins = bins;
+        self.scratch.gen = gen;
         match planned {
             Some(chunk) => {
                 self.pending_decode = Some(chunk);
@@ -1681,16 +1636,7 @@ impl RequestRun {
         );
         let chunk = self.pending_decode.take().expect("no decode chunk planned");
         let k = chunk.k;
-        let mut queue = std::mem::take(&mut self.scratch.queue);
-        let mut active = std::mem::take(&mut self.scratch.active);
-        let mut finished_this_phase = std::mem::take(&mut self.scratch.finished);
-        let mut spec_tasks = std::mem::take(&mut self.scratch.spec_tasks);
-        let mut spec_started = std::mem::take(&mut self.scratch.spec_started);
-        let mut defer_counts = std::mem::take(&mut self.scratch.defer_counts);
-        let mut deferred = std::mem::take(&mut self.scratch.deferred);
-        let mut still_failing = std::mem::take(&mut self.scratch.still_failing);
-        let mut still_active = std::mem::take(&mut self.scratch.still_active);
-        let mut kept_spec = std::mem::take(&mut self.scratch.kept_spec);
+        let mut gen = std::mem::take(&mut self.scratch.gen);
 
         let step_cost = self.chunk_cost(&chunk);
         let dt = step_cost.seconds * k as f64;
@@ -1699,9 +1645,9 @@ impl RequestRun {
         self.stats.decoded_tokens += k * chunk.batch as u64;
 
         // Apply k tokens to every member.
-        deferred.clear();
+        gen.deferred.clear();
         let mut emergency = false;
-        for &bi in &active {
+        for &bi in &gen.active {
             match self.gen_kv.extend(self.beams[bi].kv, k) {
                 Ok(()) => {
                     self.beams[bi].step_done += k;
@@ -1709,29 +1655,29 @@ impl RequestRun {
                 }
                 Err(KvError::InsufficientMemory { .. }) => {
                     emergency = true;
-                    deferred.push(bi);
+                    gen.deferred.push(bi);
                 }
                 Err(e) => panic!("extend failed: {e}"),
             }
         }
         if emergency {
             // Abort speculation to relieve pressure, retry deferred.
-            self.abort_spec(&mut spec_tasks, &mut spec_started, true);
-            still_failing.clear();
-            for &bi in &deferred {
+            self.abort_spec(&mut gen.spec_tasks, true);
+            gen.still_failing.clear();
+            for &bi in &gen.deferred {
                 match self.gen_kv.extend(self.beams[bi].kv, k) {
                     Ok(()) => {
                         self.beams[bi].step_done += k;
                         self.frontier_ctx += k;
                     }
-                    Err(_) => still_failing.push(bi),
+                    Err(_) => gen.still_failing.push(bi),
                 }
             }
-            for &bi in &still_failing {
+            for &bi in &gen.still_failing {
                 // Defer the beam: release it and re-queue; its
                 // partial step stays cached and resumes later. A beam
                 // that keeps failing cannot fit at all.
-                let count = defer_counts.entry(bi).or_insert(0);
+                let count = gen.defer_counts.entry(bi).or_insert(0);
                 *count += 1;
                 if *count > 3 {
                     return Err(EngineError::PathExceedsMemory {
@@ -1740,12 +1686,12 @@ impl RequestRun {
                     });
                 }
                 self.gen_kv.unpin(self.beams[bi].kv);
-                active.retain(|&x| x != bi);
-                queue.push_back(bi);
+                gen.active.retain(|&x| x != bi);
+                gen.queue.push_back(bi);
             }
         }
-        kept_spec.clear();
-        for mut task in spec_tasks.drain(..) {
+        gen.kept_spec.clear();
+        for mut task in gen.spec_tasks.drain(..) {
             match self.gen_kv.extend(task.node, k) {
                 Ok(()) => {
                     task.generated += k;
@@ -1753,7 +1699,7 @@ impl RequestRun {
                     if task.generated >= task.target {
                         self.finish_spec_branch(task, false);
                     } else {
-                        kept_spec.push(task);
+                        gen.kept_spec.push(task);
                     }
                 }
                 Err(_) => {
@@ -1764,38 +1710,29 @@ impl RequestRun {
                 }
             }
         }
-        std::mem::swap(&mut spec_tasks, &mut kept_spec);
+        std::mem::swap(&mut gen.spec_tasks, &mut gen.kept_spec);
 
         // Retire members that finished their step; their slots will
         // be refilled at the next chunk's admission.
-        still_active.clear();
-        for &bi in &active {
+        gen.still_active.clear();
+        for &bi in &gen.active {
             if self.beams[bi].step_complete() {
                 self.gen_kv.unpin(self.beams[bi].kv);
-                finished_this_phase.push(bi);
+                gen.finished.push(bi);
             } else {
-                still_active.push(bi);
+                gen.still_active.push(bi);
             }
         }
-        std::mem::swap(&mut active, &mut still_active);
+        std::mem::swap(&mut gen.active, &mut gen.still_active);
 
-        let over = active.is_empty() && queue.is_empty();
+        let over = gen.active.is_empty() && gen.queue.is_empty();
         if over {
             // Straggler done: strictly terminate speculation
             // regardless of progress (Sec. 4.1.2).
-            self.abort_spec(&mut spec_tasks, &mut spec_started, false);
+            self.abort_spec(&mut gen.spec_tasks, false);
         }
-        // Hand the containers back for the next chunk / iteration.
-        self.scratch.queue = queue;
-        self.scratch.active = active;
-        self.scratch.finished = finished_this_phase;
-        self.scratch.spec_tasks = spec_tasks;
-        self.scratch.spec_started = spec_started;
-        self.scratch.defer_counts = defer_counts;
-        self.scratch.deferred = deferred;
-        self.scratch.still_failing = still_failing;
-        self.scratch.still_active = still_active;
-        self.scratch.kept_spec = kept_spec;
+        // Hand the working set back for the next chunk / iteration.
+        self.scratch.gen = gen;
         if over {
             self.end_generation(driver);
             Ok(DecodeStatus::Generated)
@@ -1833,47 +1770,42 @@ impl RequestRun {
         ranking.extend(self.frontier.iter().map(|&i| (i, self.beams[i].prev_score)));
         ranking.sort_by(|x, y| y.1.partial_cmp(&x.1).unwrap_or(std::cmp::Ordering::Equal));
         let n = ranking.len().max(1);
-        self.scratch.bins.clear();
-        self.scratch
-            .bins
-            .extend(ranking.iter().enumerate().map(|(rank, &(idx, _))| {
-                let bin = rank * b / n; // 0 = best bin
-                (idx, (b - bin) as u64)
-            }));
+        let bins = &mut self.scratch.gen.bins;
+        bins.clear();
+        bins.extend(ranking.iter().enumerate().map(|(rank, &(idx, _))| {
+            let bin = rank * b / n; // 0 = best bin
+            (idx, (b - bin) as u64)
+        }));
         self.scratch.bin_ranking = ranking;
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn refill_spec_slots(
-        &mut self,
-        driver: &mut dyn SearchDriver,
-        bins: &std::collections::HashMap<usize, u64>,
-        finished: &[usize],
-        active: &[usize],
-        spec_tasks: &mut Vec<SpecTask>,
-        spec_started: &mut std::collections::HashMap<usize, u64>,
-        target_batch: usize,
-    ) {
-        let mut free_slots = target_batch.saturating_sub(active.len() + spec_tasks.len());
+    /// Fill free decode slots (up to the phase's peak batch width) with
+    /// speculative branches of finished beams, highest unstarted
+    /// potential first, while free memory leaves headroom.
+    fn refill_spec_slots(&mut self, driver: &mut dyn SearchDriver, gen: &mut GenPhase) {
+        let mut free_slots = self
+            .gen_target_batch
+            .saturating_sub(gen.active.len() + gen.spec_tasks.len());
         if free_slots == 0 {
             return;
         }
         // Candidates: finished, non-terminal beams with unstarted
         // speculative potential, highest potential first.
-        let mut candidates: Vec<(u64, usize)> = finished
+        let mut candidates: Vec<(u64, usize)> = gen
+            .finished
             .iter()
             .filter(|&&bi| !self.beams[bi].latent.terminal)
             .filter_map(|&bi| {
-                let m = bins.get(&bi).copied().unwrap_or(1);
-                let started = spec_started.get(&bi).copied().unwrap_or(0);
+                let m = gen.bins.get(&bi).copied().unwrap_or(1);
+                let started = gen.spec_started.get(&bi).copied().unwrap_or(0);
                 (started < m).then_some((m - started, bi))
             })
             .collect();
         candidates.sort_by(|a, b| b.cmp(a));
         for (_, bi) in candidates {
             while free_slots > 0 {
-                let started = spec_started.get(&bi).copied().unwrap_or(0);
-                let m = bins.get(&bi).copied().unwrap_or(1);
+                let started = gen.spec_started.get(&bi).copied().unwrap_or(0);
+                let m = gen.bins.get(&bi).copied().unwrap_or(1);
                 if started >= m {
                     break;
                 }
@@ -1902,9 +1834,9 @@ impl RequestRun {
                     Ok(cost) => self.charge_gen_restore(&cost),
                     Err(_) => return,
                 }
-                *spec_started.entry(bi).or_insert(0) += 1;
+                *gen.spec_started.entry(bi).or_insert(0) += 1;
                 self.stats.spec.spec_branches += 1;
-                spec_tasks.push(SpecTask {
+                gen.spec_tasks.push(SpecTask {
                     beam: bi,
                     branch,
                     node,
@@ -1949,12 +1881,10 @@ impl RequestRun {
         }
     }
 
-    fn abort_spec(
-        &mut self,
-        spec_tasks: &mut Vec<SpecTask>,
-        _spec_started: &mut std::collections::HashMap<usize, u64>,
-        count_preempted: bool,
-    ) {
+    /// End every in-flight speculative branch, keeping partial head
+    /// starts; `count_preempted` counts each as preempted by memory
+    /// pressure.
+    fn abort_spec(&mut self, spec_tasks: &mut Vec<SpecTask>, count_preempted: bool) {
         for task in spec_tasks.drain(..) {
             if count_preempted {
                 self.stats.spec.preempted_branches += 1;

@@ -43,7 +43,7 @@ pub use beam::{Beam, BeamId, BeamState, ScoredBeam};
 pub use config::{EngineConfig, ModelPairing, SpecConfig};
 pub use engine::{
     DecodeChunk, DecodeStatus, Engine, EngineError, RequestRun, RunPhase, SearchDriver,
-    SearchDriverClone, SelectCtx, StepStatus, VerifyCharge, VerifyChunk, WarmStart,
+    SearchDriverClone, SelectCtx, StepStatus, VerifyCharge, VerifyChunk, Wait, WarmStart,
 };
 pub use order::{FifoOrder, OrderItem, OrderPolicy, OrderPolicyClone, RandomOrder};
 pub use planner::{

@@ -2,7 +2,7 @@
 
 use ftts_engine::{
     Engine, EngineConfig, FifoOrder, ModelPairing, RunStats, ScoredBeam, SearchDriver, SelectCtx,
-    SpecConfig, StaticSplitPlanner, StepStatus,
+    SpecConfig, StaticSplitPlanner, StepStatus, Wait,
 };
 use ftts_hw::GpuDevice;
 use ftts_workload::Dataset;
@@ -208,9 +208,7 @@ fn stepped_run_matches_one_shot_run() {
     let stepped = {
         let eng = engine(SpecConfig::fasttts_default(), 0.9, 11, false);
         let mut driver = PlainBeam { n: 16, b: 4 };
-        let mut run = eng
-            .begin(&problem(2), 16, &mut driver, f64::INFINITY, None)
-            .unwrap();
+        let mut run = eng.begin(&problem(2), 16, &mut driver, None, None).unwrap();
         let mut steps = 0u32;
         while run.step(&mut driver).unwrap() == StepStatus::Running {
             steps += 1;
@@ -237,9 +235,7 @@ fn split_phases_match_step_bit_for_bit() {
     let phased = {
         let eng = engine(SpecConfig::fasttts_default(), 0.9, 11, false);
         let mut driver = PlainBeam { n: 16, b: 4 };
-        let mut run = eng
-            .begin(&problem(2), 16, &mut driver, f64::INFINITY, None)
-            .unwrap();
+        let mut run = eng.begin(&problem(2), 16, &mut driver, None, None).unwrap();
         let mut sweeps = 0usize;
         while !run.is_finished() {
             if run.plan_iteration(&mut driver).unwrap().is_finished() {
@@ -286,10 +282,10 @@ fn split_phases_are_reentrant_across_out_of_order_costing() {
     let mut driver_a = PlainBeam { n: 8, b: 4 };
     let mut driver_b = PlainBeam { n: 8, b: 4 };
     let mut run_a = engine(SpecConfig::fasttts_default(), 0.9, 11, false)
-        .begin(&problem(2), 8, &mut driver_a, f64::INFINITY, None)
+        .begin(&problem(2), 8, &mut driver_a, None, None)
         .unwrap();
     let mut run_b = engine(SpecConfig::fasttts_default(), 0.9, 11, false)
-        .begin(&problem(5), 8, &mut driver_b, f64::INFINITY, None)
+        .begin(&problem(5), 8, &mut driver_b, None, None)
         .unwrap();
     let cost_and_commit = |run: &mut ftts_engine::RequestRun, driver: &mut PlainBeam| {
         let chunks: Vec<VerifyChunk> = run.take_verify_batch().to_vec();
@@ -335,9 +331,7 @@ fn first_finish_cut_prunes_siblings_and_finishes_early() {
     let cut = {
         let eng = engine(SpecConfig::disabled(), 0.9, 5, false);
         let mut driver = PlainBeam { n: 16, b: 4 };
-        let mut run = eng
-            .begin(&problem(0), 16, &mut driver, f64::INFINITY, None)
-            .unwrap();
+        let mut run = eng.begin(&problem(0), 16, &mut driver, None, None).unwrap();
         while !run.is_finished() {
             run.step(&mut driver).unwrap();
             // Bar 0.0: cut as soon as the first verified beam completes.
@@ -386,10 +380,10 @@ fn interleaved_requests_share_no_state() {
     let mut driver_a = PlainBeam { n: 8, b: 4 };
     let mut driver_b = PlainBeam { n: 8, b: 4 };
     let mut run_a = engine(SpecConfig::disabled(), 0.9, 5, false)
-        .begin(&problem(0), 8, &mut driver_a, f64::INFINITY, None)
+        .begin(&problem(0), 8, &mut driver_a, None, None)
         .unwrap();
     let mut run_b = engine(SpecConfig::disabled(), 0.9, 6, false)
-        .begin(&problem(1), 8, &mut driver_b, f64::INFINITY, None)
+        .begin(&problem(1), 8, &mut driver_b, None, None)
         .unwrap();
     let mut interleaves = 0u32;
     while !(run_a.is_finished() && run_b.is_finished()) {
@@ -414,9 +408,7 @@ fn co_batched_decode_amortizes_the_weight_sweep() {
     let run_with_co = |co: usize| {
         let eng = engine(SpecConfig::disabled(), 0.9, 3, false);
         let mut driver = PlainBeam { n: 8, b: 4 };
-        let mut run = eng
-            .begin(&problem(0), 8, &mut driver, f64::INFINITY, None)
-            .unwrap();
+        let mut run = eng.begin(&problem(0), 8, &mut driver, None, None).unwrap();
         while !run.is_finished() {
             let (seqs, ctx) = run.decode_load();
             run.set_co_batch(co * seqs.max(1), co as u64 * ctx);
@@ -437,16 +429,15 @@ fn co_batched_decode_amortizes_the_weight_sweep() {
 fn preempt_swaps_out_and_resumes_without_losing_tokens() {
     let eng = engine(SpecConfig::disabled(), 0.9, 7, false);
     let mut driver = PlainBeam { n: 8, b: 4 };
-    let mut run = eng
-        .begin(&problem(1), 8, &mut driver, f64::INFINITY, None)
-        .unwrap();
+    let mut run = eng.begin(&problem(1), 8, &mut driver, None, None).unwrap();
     run.step(&mut driver).unwrap();
     let tokens_before = run.decoded_tokens();
     let clock_before = run.clock();
-    let bytes = run.preempt();
+    let (bytes, dropped) = run.preempt(u64::MAX);
     assert!(bytes > 0, "mid-flight KV must be resident to swap out");
+    assert_eq!(dropped, 0, "an uncapped preemption drops nothing");
     // The scheduler parks it, then resumes later at a new global time.
-    run.sync_clock_to(clock_before + 5.0);
+    run.wait_until(clock_before + 5.0, Wait::Idle);
     while !run.is_finished() {
         run.step(&mut driver).unwrap();
     }
@@ -571,9 +562,7 @@ fn decode_load_running_sum_tracks_the_frontier_through_every_transition() {
     for sharing in [true, false] {
         let eng = engine_with_sharing(SpecConfig::fasttts_default(), 0.9, 5, sharing);
         let mut driver = PlainBeam { n: 16, b: 4 };
-        let mut run = eng
-            .begin(&problem(0), 16, &mut driver, f64::INFINITY, None)
-            .unwrap();
+        let mut run = eng.begin(&problem(0), 16, &mut driver, None, None).unwrap();
         let (mut iterations, mut chunks_at, mut preempted, mut lost, mut cut) = (0, 0, 0, 0, 0);
         let seen = drive_chunked(&mut run, &mut driver, sharing, |run, at| match at {
             Boundary::Chunk => {
@@ -588,9 +577,9 @@ fn decode_load_running_sum_tracks_the_frontier_through_every_transition() {
                 iterations += 1;
                 match iterations {
                     1 => {
-                        preempted += run.preempt();
+                        preempted += run.preempt(u64::MAX).0;
                         let t = run.clock() + 1.0;
-                        run.sync_clock_to(t);
+                        run.wait_until(t, Wait::Idle);
                     }
                     2 => lost += run.lose_device_kv(),
                     _ if run.first_finish_cut(0.0) => {
@@ -625,9 +614,7 @@ fn decode_load_running_sum_survives_emergency_deferrals() {
     // per path.
     let eng = engine_with_sharing(SpecConfig::disabled(), 0.28, 5, true);
     let mut driver = PlainBeam { n: 32, b: 4 };
-    let mut run = eng
-        .begin(&problem(0), 32, &mut driver, f64::INFINITY, None)
-        .unwrap();
+    let mut run = eng.begin(&problem(0), 32, &mut driver, None, None).unwrap();
     let seen = drive_chunked(&mut run, &mut driver, true, |_, _| {});
     let deferred = seen
         .iter()
@@ -654,7 +641,7 @@ fn a_co_batch_declared_after_planning_reprices_the_chunk() {
     use ftts_engine::DecodeStatus;
     let begin = |driver: &mut PlainBeam| {
         engine(SpecConfig::fasttts_default(), 0.9, 3, false)
-            .begin(&problem(0), 8, driver, f64::INFINITY, None)
+            .begin(&problem(0), 8, driver, None, None)
             .unwrap()
     };
     let (mut late_driver, mut early_driver) = (PlainBeam { n: 8, b: 4 }, PlainBeam { n: 8, b: 4 });
@@ -707,9 +694,7 @@ fn decode_load_running_sum_survives_a_retry_after_aborting_speculation() {
     // `checked_decode_load` holds it to the fold in release builds too.
     let eng = engine_with_sharing(SpecConfig::fasttts_default(), 0.3, 5, false);
     let mut driver = PlainBeam { n: 16, b: 4 };
-    let mut run = eng
-        .begin(&problem(0), 16, &mut driver, f64::INFINITY, None)
-        .unwrap();
+    let mut run = eng.begin(&problem(0), 16, &mut driver, None, None).unwrap();
     let (mut full, mut spec_at, mut squeezed) = (0, 0, false);
     drive_chunked(&mut run, &mut driver, false, |run, at| match at {
         Boundary::Chunk => {

@@ -139,16 +139,6 @@ impl UtilizationTrace {
             .map(|(b, a)| (b as f64 * bin, a / bin))
             .collect()
     }
-
-    /// Merge another trace into this one, shifting it by `offset` seconds.
-    pub fn extend_shifted(&mut self, other: &UtilizationTrace, offset: f64) {
-        for s in &other.samples {
-            self.samples.push(UtilSample {
-                start: s.start + offset,
-                ..*s
-            });
-        }
-    }
 }
 
 #[cfg(test)]
@@ -210,17 +200,6 @@ mod tests {
             (g[2].1 - 0.0).abs() < 1e-12,
             "verification time reads idle for generation"
         );
-    }
-
-    #[test]
-    fn extend_shifted_offsets_samples() {
-        let mut a = UtilizationTrace::new();
-        a.record(0.0, 1.0, 0.5, Phase::Generation);
-        let mut b = UtilizationTrace::new();
-        b.record(0.0, 1.0, 0.7, Phase::Verification);
-        a.extend_shifted(&b, 5.0);
-        assert_eq!(a.len(), 2);
-        assert!((a.span() - 6.0).abs() < 1e-12);
     }
 
     #[test]

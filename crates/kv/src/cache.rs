@@ -200,26 +200,11 @@ impl KvCache {
         self.pool.peak_used()
     }
 
-    /// Number of nodes in the prefix tree.
-    pub fn node_count(&self) -> usize {
-        self.tree.len()
-    }
-
     /// Repartition this cache's capacity at run time (Asymmetric
     /// Multi-Model Memory Allocation adjusts budgets on state changes).
     pub fn set_capacity_bytes(&mut self, capacity_bytes: u64) {
         self.config.capacity_bytes = capacity_bytes;
         self.pool.resize(self.config.capacity_blocks());
-    }
-
-    /// Blocks of occupancy in excess of the current capacity (see
-    /// [`BlockPool::deficit`]) — nonzero only right after an elastic
-    /// share rebalance or repartition shrank this cache below what it
-    /// holds; eviction works it off on the next allocations.
-    ///
-    /// [`BlockPool::deficit`]: crate::BlockPool::deficit
-    pub fn block_deficit(&self) -> u64 {
-        self.pool.deficit()
     }
 
     /// Create a new independent sequence (a prompt) of `tokens` tokens.
@@ -282,11 +267,6 @@ impl KvCache {
     /// Whether the node is pinned.
     pub fn is_pinned(&self, node: NodeId) -> bool {
         self.tree.node(node).pin_count > 0
-    }
-
-    /// Blocks obtainable right now: free plus evictable.
-    pub fn obtainable_blocks(&self) -> u64 {
-        self.pool.free_blocks() + self.evictable_blocks()
     }
 
     /// Blocks free right now without evicting anything.

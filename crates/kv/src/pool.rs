@@ -97,14 +97,6 @@ impl BlockPool {
         self.used -= n;
     }
 
-    /// Blocks by which occupancy exceeds the current capacity — nonzero
-    /// only after a shrink below occupancy (an elastic-share rebalance
-    /// or an asymmetric repartition). The owner works the deficit off
-    /// through eviction; until then no allocation can succeed.
-    pub fn deficit(&self) -> u64 {
-        self.used.saturating_sub(self.capacity)
-    }
-
     /// Resize the pool capacity (used when the memory allocator
     /// repartitions KV between generator and verifier at run time).
     ///
@@ -157,13 +149,16 @@ mod tests {
     fn resize_can_shrink_below_occupancy() {
         let mut p = BlockPool::new(10);
         assert!(p.try_alloc(8));
-        assert_eq!(p.deficit(), 0);
         p.resize(4);
         assert_eq!(p.free_blocks(), 0);
-        assert_eq!(p.deficit(), 4, "shrink below occupancy leaves a deficit");
+        assert_eq!(
+            (p.used(), p.capacity()),
+            (8, 4),
+            "shrink below occupancy keeps every block"
+        );
         assert!(!p.try_alloc(1));
         p.free(8);
-        assert_eq!(p.deficit(), 0);
+        assert_eq!(p.used(), 0);
         assert!(p.try_alloc(4));
     }
 

@@ -39,12 +39,6 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
-    /// Bytes moved to/from the host given a block byte size (for PCIe
-    /// transfer costing).
-    pub fn swap_traffic_bytes(&self, block_bytes: u64) -> u64 {
-        (self.swapped_out_blocks + self.swapped_in_blocks) * block_bytes
-    }
-
     /// Difference of two snapshots (`self` later than `earlier`).
     pub fn since(&self, earlier: &CacheStats) -> CacheStats {
         CacheStats {
@@ -65,16 +59,6 @@ impl CacheStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn swap_traffic_counts_both_directions() {
-        let s = CacheStats {
-            swapped_out_blocks: 3,
-            swapped_in_blocks: 2,
-            ..Default::default()
-        };
-        assert_eq!(s.swap_traffic_bytes(100), 500);
-    }
 
     #[test]
     fn since_subtracts_fieldwise() {

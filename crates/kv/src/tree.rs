@@ -226,10 +226,6 @@ impl PrefixTree {
     pub fn seq_tokens(&self, node: NodeId) -> u64 {
         self.node(node).end()
     }
-
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
 }
 
 #[cfg(test)]

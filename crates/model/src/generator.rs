@@ -82,14 +82,6 @@ impl StepProfile {
             max_depth: 8,
         }
     }
-
-    /// Override the per-step token cap (used by the Varying Granularity
-    /// search variant, Fig. 11).
-    pub fn with_max_tokens(mut self, max_tokens: u64) -> Self {
-        self.max_tokens = max_tokens;
-        self.min_tokens = self.min_tokens.min(max_tokens);
-        self
-    }
 }
 
 /// Static behavioural parameters of a generator model.
@@ -577,8 +569,5 @@ mod tests {
     #[test]
     fn step_profiles_vary_by_dataset() {
         assert!(StepProfile::aime().median_tokens > StepProfile::amc().median_tokens);
-        let vg = StepProfile::aime().with_max_tokens(64);
-        assert_eq!(vg.max_tokens, 64);
-        assert!(vg.min_tokens <= 64);
     }
 }

@@ -253,29 +253,20 @@ impl SearchDriver for DynamicBranching {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VaryingGranularity {
     inner: BeamSearch,
-    early_cap: u64,
-    late_cap: u64,
-    switch_depth: u32,
 }
 
 impl VaryingGranularity {
-    /// Beam budget `n`, branching factor `b`, with the paper's default
+    /// Step-token cap through depth `SWITCH_DEPTH`, and past it.
+    const EARLY_CAP: u64 = 64;
+    const LATE_CAP: u64 = 2048;
+    const SWITCH_DEPTH: u32 = 3;
+
+    /// Beam budget `n`, branching factor `b`, with the paper's
     /// granularity schedule.
     pub fn new(n: usize, b: usize) -> Self {
         Self {
             inner: BeamSearch::new(n, b),
-            early_cap: 64,
-            late_cap: 2048,
-            switch_depth: 3,
         }
-    }
-
-    /// Customize the granularity schedule.
-    pub fn with_schedule(mut self, early_cap: u64, late_cap: u64, switch_depth: u32) -> Self {
-        self.early_cap = early_cap;
-        self.late_cap = late_cap;
-        self.switch_depth = switch_depth;
-        self
     }
 }
 
@@ -289,10 +280,10 @@ impl SearchDriver for VaryingGranularity {
     }
 
     fn step_token_cap(&self, depth: u32) -> Option<u64> {
-        Some(if depth <= self.switch_depth {
-            self.early_cap
+        Some(if depth <= Self::SWITCH_DEPTH {
+            Self::EARLY_CAP
         } else {
-            self.late_cap
+            Self::LATE_CAP
         })
     }
 
@@ -416,9 +407,6 @@ mod tests {
         assert_eq!(d.step_token_cap(1), Some(64));
         assert_eq!(d.step_token_cap(3), Some(64));
         assert_eq!(d.step_token_cap(4), Some(2048));
-        let custom = VaryingGranularity::new(8, 4).with_schedule(32, 512, 1);
-        assert_eq!(custom.step_token_cap(1), Some(32));
-        assert_eq!(custom.step_token_cap(2), Some(512));
     }
 
     #[test]

@@ -95,11 +95,6 @@ impl TenantBudget {
         assert!(prev.is_none(), "tenant {id} registered twice");
     }
 
-    /// Whether `tenant` is registered.
-    pub fn knows(&self, tenant: u32) -> bool {
-        self.accounts.contains_key(&tenant)
-    }
-
     /// Admit one request of `bytes` cold working set for `tenant`,
     /// reserving the bytes and an open slot.
     ///

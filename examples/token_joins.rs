@@ -12,7 +12,7 @@
 
 use fasttts::{
     ArrivalPattern, BatchRun, Dataset, EventConfig, EventServerSim, FaultPlan, GpuDevice,
-    ModelPairing, SearchKind, TimelineConfig, TtsServer,
+    ModelPairing, SearchKind, TimelineTuning, TtsServer,
 };
 
 fn server() -> TtsServer {
@@ -46,13 +46,14 @@ fn main() -> Result<(), fasttts::EngineError> {
         EventConfig::windowed(6, 0.0),
     )
     .run(&arrivals)?;
-    let timeline = |config: TimelineConfig| {
+    let timeline = |tuning: TimelineTuning| {
+        let config = tuning.config(EventConfig::windowed(6, 0.0));
         fasttts::TimelineServerSim::new(server(), 16, SearchKind::BeamSearch, config)
             .run_faulted(&arrivals, &FaultPlan::none())
     };
-    let honest = timeline(TimelineConfig::honest(EventConfig::windowed(6, 0.0)))?;
+    let honest = timeline(TimelineTuning::honest())?;
     let joins = timeline(
-        TimelineConfig::honest(EventConfig::windowed(6, 0.0))
+        TimelineTuning::honest()
             .with_token_joins()
             .with_join_quantum(2),
     )?;
