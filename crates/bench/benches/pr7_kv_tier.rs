@@ -28,7 +28,8 @@
 //! * the Zipf head actually hits the prefix store (`kv_tier_hits > 0`)
 //!   and the starved tier actually drops (`kv_tier_dropped_bytes > 0`);
 //! * a zero-capacity tier reproduces the tier-free run byte-for-byte
-//!   under both schedulers, including a fault-storm replay — the PR's
+//!   on the lockstep and windowed-event presets of the one scheduler,
+//!   including a fault-storm replay — the PR's
 //!   bit-equivalence anchor;
 //! * answers are tier-invariant: placement moves time, never tokens.
 //!
@@ -121,8 +122,8 @@ fn policy(run: &BatchRun) -> Json {
 }
 
 /// The PR's bit-equivalence anchor: a zero-capacity tier must reproduce
-/// the tier-free run byte-for-byte under both schedulers, fault-free
-/// and under a storm.
+/// the tier-free run byte-for-byte on the lockstep and windowed-event
+/// presets, fault-free and under a storm.
 fn assert_capacity_zero_bit_identity(arrivals: &[RequestArrival]) {
     let base = BatchConfig::continuous(MAX_BATCH);
     let zero = base.with_tier(KvTierConfig {

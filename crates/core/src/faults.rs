@@ -324,10 +324,11 @@ pub fn degraded_beams(base: usize, slo: SloClass, level: u32) -> usize {
     (base >> level.min(8)).max(floor).max(1)
 }
 
-/// The schedulers' cursor over a plan's discrete events: pops every
+/// The scheduler's cursor over a plan's discrete events: pops every
 /// event due at or before each launch, exactly once, in time order.
-/// Both schedulers drive it from the same launch instants, which is
-/// what extends the lockstep-equivalence anchors to faulty runs.
+/// Every preset of the one scheduler drives it from its launch
+/// instants, which is what extends the lockstep-equivalence anchors to
+/// faulty runs.
 #[derive(Debug, Default, Clone)]
 pub(crate) struct FaultCursor {
     next: usize,

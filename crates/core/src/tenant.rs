@@ -1,9 +1,9 @@
-//! Per-tenant fair-share policy for the request schedulers.
+//! Per-tenant fair-share policy for the request scheduler.
 //!
 //! PR 6 gave individual requests SLO classes and deadlines; this module
 //! adds the *tenant* axis on top: every [`RequestArrival`] bills to a
 //! tenant (`arrival.tenant`), and a [`TenantPolicy`] attached to
-//! [`BatchConfig::with_tenants`] makes both schedulers arbitrate the
+//! [`BatchConfig::with_tenants`] makes the scheduler arbitrate the
 //! shared KV pool **across tenants first, requests second**:
 //!
 //! * **Weighted fair-share at rebalance boundaries.** At every

@@ -158,7 +158,33 @@ fn endpoint(at: f64, start: bool) -> u64 {
     (at.to_bits() << 1) | u64::from(start)
 }
 
+/// Sort the endpoint keys recorded since the last advance. They arrive
+/// nearly in time order: a member's chunk start is recorded with its
+/// previous chunk's end, so within a chunk round only the members' ends
+/// and starts interleave. An insertion sort then moves each key a few
+/// places; once it has moved more than four places per key, the general
+/// sort finishes the job.
+fn sort_recorded(keys: &mut [u64]) {
+    let mut moves = 0;
+    for i in 1..keys.len() {
+        let key = keys[i];
+        let mut j = i;
+        while j > 0 && keys[j - 1] > key {
+            keys[j] = keys[j - 1];
+            j -= 1;
+        }
+        keys[j] = key;
+        moves += i - j;
+        if moves > 4 * keys.len() {
+            keys.sort_unstable();
+            return;
+        }
+    }
+}
+
 /// Merge the sorted `fresh` keys into the sorted `keys`, in place.
+/// The merge runs from the back, so it moves only the keys above the
+/// smallest fresh one: fresh keys that all sort after `keys` append.
 fn merge_sorted(keys: &mut Vec<u64>, fresh: &[u64]) {
     let (mut i, mut j) = (keys.len(), fresh.len());
     keys.resize(i + j, 0);
@@ -217,6 +243,11 @@ impl Sweep {
 /// [`DeviceTimeline::advance`] has not yet put behind every future
 /// segment, each packed into one `u64`. A zero-length segment counts in
 /// the span and the segment count but adds no sweep endpoints.
+///
+/// Swept endpoints are not removed one advance at a time: the sweep
+/// moves an offset past them, and the buffer drops its swept prefix
+/// only once that prefix is at least as long as what is left, so the
+/// endpoints a drop moves are never more than the ones it drops.
 #[derive(Debug, Clone)]
 pub struct DeviceTimeline {
     recorded: usize,
@@ -236,8 +267,11 @@ pub struct DeviceTimeline {
     unfolded: std::collections::VecDeque<f64>,
     /// The open decode segments, in record order.
     open: Vec<Open>,
-    /// Endpoints not yet swept, sorted.
+    /// Endpoints, sorted: those before `swept` were swept, the rest
+    /// are not yet.
     pending: Vec<u64>,
+    /// How many of `pending`'s endpoints were swept.
+    swept: usize,
     /// Endpoints recorded since the last advance, unsorted.
     fresh: Vec<u64>,
     sweep: Sweep,
@@ -258,6 +292,7 @@ impl Default for DeviceTimeline {
             unfolded: std::collections::VecDeque::new(),
             open: Vec::new(),
             pending: Vec::new(),
+            swept: 0,
             fresh: Vec::new(),
             sweep: Sweep::default(),
         }
@@ -342,11 +377,21 @@ impl DeviceTimeline {
     /// `horizon`, and sweep every endpoint that lies before both the
     /// horizon and the earliest open segment's end: no later endpoint
     /// can sort ahead of them. Only the endpoints recorded since the
-    /// last advance are sorted; they merge into the sorted remainder.
+    /// last advance are sorted; they merge into the unswept remainder,
+    /// which no fresh endpoint sorts below, and the sweep walks on from
+    /// where the previous one stopped.
     pub fn advance(&mut self, horizon: f64) {
         self.horizon = self.horizon.max(horizon);
         let due_before = self.open.iter().map(|s| s.end).fold(self.horizon, f64::min);
-        self.fresh.sort_unstable();
+        sort_recorded(&mut self.fresh);
+        debug_assert!(
+            self.swept == 0
+                || self
+                    .fresh
+                    .first()
+                    .is_none_or(|&k| k >= self.pending[self.swept - 1]),
+            "a fresh endpoint sorts below a swept one"
+        );
         merge_sorted(&mut self.pending, &self.fresh);
         self.fresh.clear();
         debug_assert!(self.pending.is_sorted(), "merged endpoints stay sorted");
@@ -357,9 +402,18 @@ impl DeviceTimeline {
         } else {
             0
         };
-        let due = self.pending.partition_point(|&k| k < limit);
-        self.sweep.run(&self.pending[..due]);
-        self.pending.drain(..due);
+        let due = self.swept + self.unswept().partition_point(|&k| k < limit);
+        self.sweep.run(&self.pending[self.swept..due]);
+        self.swept = due;
+        if 2 * self.swept >= self.pending.len() {
+            self.pending.drain(..self.swept);
+            self.swept = 0;
+        }
+    }
+
+    /// The endpoints not yet swept, sorted.
+    fn unswept(&self) -> &[u64] {
+        &self.pending[self.swept..]
     }
 
     /// Total retroactive stretch applied so far, seconds.
@@ -376,7 +430,7 @@ impl DeviceTimeline {
         }
         let mut decode_secs = self.decode_secs;
         let mut last = self.last;
-        let mut events = self.pending.clone();
+        let mut events = self.unswept().to_vec();
         events.extend_from_slice(&self.fresh);
         let folded = self.decodes - self.unfolded.len();
         let mut open = self.open.iter().peekable();
@@ -1708,6 +1762,21 @@ mod tests {
     }
 
     #[test]
+    fn recorded_endpoints_sort_with_and_without_the_fallback() {
+        // Nearly sorted: each pair of neighbours swapped (one move per
+        // pair). Reversed: past four moves per key, the general sort
+        // takes over.
+        let nearly: Vec<u64> = (0..200u64).map(|k| k ^ 1).collect();
+        let reversed: Vec<u64> = (0..200u64).rev().collect();
+        for mut keys in [nearly, reversed, vec![], vec![7]] {
+            let mut expected = keys.clone();
+            expected.sort_unstable();
+            sort_recorded(&mut keys);
+            assert_eq!(keys, expected);
+        }
+    }
+
+    #[test]
     fn advancing_sweeps_early_endpoints_without_changing_the_rollup() {
         let mut swept = DeviceTimeline::default();
         let mut kept = DeviceTimeline::default();
@@ -1719,7 +1788,7 @@ mod tests {
         let open = swept.record(2.0, 1.0, SegmentKind::Decode);
         swept.advance(2.0);
         assert_eq!(
-            swept.pending,
+            swept.unswept(),
             [endpoint(2.0, true)],
             "only the open segment's start waits"
         );

@@ -242,10 +242,10 @@ fn preempted_requests_conserve_time_too() {
 // ---------------------------------------------------------------------
 
 #[test]
-fn simultaneous_arrivals_admit_in_stream_order_on_both_schedulers() {
-    // A burst delivers every request at t = 0: the shared tiebreak must
-    // admit them in arrival-index order on both schedulers, giving
-    // identical, deterministic admission instants.
+fn simultaneous_arrivals_admit_in_stream_order_on_lockstep_and_windowed_presets() {
+    // A burst delivers every request at t = 0: admission must take them
+    // in arrival-index order on the lockstep and the windowed presets
+    // alike, giving identical, deterministic admission instants.
     let problems = Dataset::Amc2023.problems(5, 77);
     let arrivals = ArrivalPattern::Burst { at: 0.0 }.schedule(&problems, 0);
     let lockstep = BatchedServerSim::new(

@@ -2,9 +2,9 @@
 //!
 //! * **Capacity-0 inertness**: a disabled tier (`host_capacity_bytes ==
 //!   0`, any other knob values) reproduces the tier-free run
-//!   bit-for-bit under both schedulers, fault-free and faulted — the
-//!   schedulers' legacy code paths are gated on `HostTier::enabled`
-//!   alone, and every tier counter stays zero.
+//!   bit-for-bit on the scheduler's lockstep and windowed-event
+//!   presets, fault-free and faulted — its legacy code paths are gated
+//!   on `HostTier::enabled` alone, and every tier counter stays zero.
 //! * **Swap-down conserves tokens**: with an ample tier, preempted KV
 //!   parks in host RAM and restores on readmission; answers and
 //!   accepted-token counts match the preemption-free FIFO replay
@@ -94,8 +94,8 @@ fn assert_runs_identical(label: &str, a: &BatchRun, b: &BatchRun) {
 }
 
 // ---------------------------------------------------------------------
-// Anchor 1: a zero-capacity tier is bit-inert under both schedulers,
-// fault-free and faulted.
+// Anchor 1: a zero-capacity tier is bit-inert on the lockstep and
+// windowed-event presets, fault-free and faulted.
 // ---------------------------------------------------------------------
 
 #[test]

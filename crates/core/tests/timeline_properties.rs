@@ -319,27 +319,40 @@ proptest! {
     /// and horizon advances. Every record starts at or after the latest
     /// horizon, as the contract requires, and one kind of record starts
     /// exactly at it, so merged endpoints tie with swept and pending
-    /// ones; durations and stretches are zero one time in four. The
-    /// roll-ups must agree after every operation, open segments
-    /// included, and after every advance, which merges the endpoints
-    /// recorded since the last one into the sorted remainder, again
-    /// after a second advance to the same horizon.
+    /// ones; durations and stretches are zero one time in four. In half
+    /// the cases the other records start after every endpoint so far,
+    /// so an advance after such records alone merges fresh endpoints
+    /// that all sort after the pending ones; elsewhere they interleave.
+    /// Cases run to 400 operations: long ones drop the timeline's swept
+    /// prefix several times (up to about a dozen). The roll-ups must
+    /// agree after every operation, open segments included, and after
+    /// every advance, which merges the endpoints recorded since the
+    /// last one into the unswept remainder, again after a second
+    /// advance to the same horizon.
     #[test]
     fn streaming_rollup_equals_the_stored_sweep(
-        ops in prop::collection::vec(((0u8..6, 0u64..2_000), (0u64..600, 0u8..6)), 1..80),
+        ops in prop::collection::vec(((0u8..6, 0u64..2_000), (0u64..600, 0u8..6)), 1..400),
+        past_all in any::<bool>(),
     ) {
         let mut tl = DeviceTimeline::default();
         let mut stored = StoredTimeline::default();
         let mut open: Vec<(usize, usize)> = Vec::new();
         let mut horizon = 0.0f64;
+        // The latest end recorded or stretched so far.
+        let mut latest = 0.0f64;
         let zero_or = |n: u64| if n.is_multiple_of(4) { 0.0 } else { secs(n) };
         for &((op, a), (b, tag)) in &ops {
             match op {
                 0 | 1 | 5 => {
-                    let at = if op == 5 { 0 } else { a };
-                    let (start, dur, kind) = (horizon + secs(at), zero_or(b), kind_of(tag));
+                    let (from, at) = match op {
+                        5 => (horizon, 0),
+                        _ if past_all => (horizon.max(latest), a % 100),
+                        _ => (horizon, a),
+                    };
+                    let (start, dur, kind) = (from + secs(at), zero_or(b), kind_of(tag));
                     let id = tl.record(start, dur, kind);
                     let pos = stored.record(start, dur, kind);
+                    latest = latest.max(start + dur);
                     if kind == SegmentKind::Decode {
                         open.push((id, pos));
                     }
@@ -348,13 +361,16 @@ proptest! {
                     let (id, pos) = open[a as usize % open.len()];
                     tl.stretch(id, zero_or(b));
                     stored.stretch(pos, zero_or(b));
+                    latest = latest.max(stored.segments[pos].1);
                 }
                 3 if !open.is_empty() => {
                     let (id, _) = open.remove(a as usize % open.len());
                     tl.close(id);
                 }
                 _ => {
-                    horizon += secs(a % 500);
+                    // Records past every endpoint would outrun short
+                    // advances, and the sweep would never catch up.
+                    horizon += secs(if past_all { a } else { a % 500 });
                     tl.advance(horizon);
                     assert_same_rollup(&tl, &stored);
                     tl.advance(horizon);

@@ -421,7 +421,8 @@ struct SpecTask {
 
 /// The generation phase's working set: the admission queue, the decode
 /// batch and the speculative slots with their bookkeeping. The
-/// decode-chunk calls take it whole out of [`Scratch`] and hand it back.
+/// decode-chunk calls move it out of [`Scratch`] as one pointer and hand
+/// it back.
 #[derive(Default)]
 struct GenPhase {
     /// Admission queue of frontier beam indices.
@@ -436,16 +437,40 @@ struct GenPhase {
     still_failing: Vec<usize>,
     /// Survivors of the active set after a segment.
     still_active: Vec<usize>,
-    /// SelectSPEC score bins per frontier beam.
-    bins: std::collections::HashMap<usize, u64>,
-    /// Speculative branches started per beam this phase.
-    spec_started: std::collections::HashMap<usize, u64>,
-    /// Per-beam deferral counts (for the repeated-failure bailout).
-    defer_counts: std::collections::HashMap<usize, u32>,
+    /// SelectSPEC score bin per beam, indexed by beam (sized to the
+    /// beams when the phase opens; no beam is born mid-phase).
+    bins: Vec<u64>,
+    /// Speculative branches started per beam this phase, indexed by beam.
+    spec_started: Vec<u64>,
+    /// Per-beam deferral counts (for the repeated-failure bailout),
+    /// indexed by beam.
+    defer_counts: Vec<u32>,
     /// In-flight speculative tasks.
     spec_tasks: Vec<SpecTask>,
     /// Retained speculative tasks while filtering (avoids realloc).
     kept_spec: Vec<SpecTask>,
+    /// Speculation candidates `(unstarted potential, beam)` while
+    /// refilling slots.
+    candidates: Vec<(u64, usize)>,
+    /// The decode batch's sums, kept from the previous chunk while the
+    /// batch's membership is unchanged; `None` once a member joined or
+    /// left, until the next plan folds them again.
+    sums: Option<BatchSums>,
+}
+
+/// Folds over the decode batch (active beams and speculative slots)
+/// that a chunk moves by a known amount while no member joins or
+/// leaves: it advances every member `k` tokens, so both minimums fall
+/// by `k` and the context sum rises by `k` per member.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct BatchSums {
+    /// Fewest tokens any active beam has left in its step.
+    min_active: u64,
+    /// Fewest tokens any speculative slot has left (`u64::MAX` with
+    /// none).
+    min_spec: u64,
+    /// Context tokens summed over the batch.
+    ctx_sum: u64,
 }
 
 /// Reusable per-iteration containers. The serve loop runs thousands of
@@ -462,8 +487,9 @@ struct Scratch {
     /// Frontier beam indices in scheduling order (generation phase
     /// output, reused by the verification phase).
     ordered: Vec<usize>,
-    /// The generation phase's working set.
-    gen: GenPhase,
+    /// The generation phase's working set, boxed so that it moves as
+    /// one pointer (`None` only before its first use).
+    gen: Option<Box<GenPhase>>,
     /// Scored frontier view handed to the search driver.
     scored: Vec<ScoredBeam>,
     /// Selected (beam index, children) pairs.
@@ -1057,6 +1083,15 @@ impl RequestRun {
         (self.frontier.len(), self.frontier_ctx)
     }
 
+    /// The decode batch of the generation phase under way: `(active
+    /// beams, speculative slots)`; `(0, 0)` between generation phases.
+    pub fn decode_batch(&self) -> (usize, usize) {
+        self.scratch
+            .gen
+            .as_ref()
+            .map_or((0, 0), |gen| (gen.active.len(), gen.spec_tasks.len()))
+    }
+
     /// Context tokens summed over the frontier's paths, from scratch.
     fn fold_frontier_ctx(&self) -> u64 {
         self.frontier
@@ -1392,17 +1427,21 @@ impl RequestRun {
         ordered.extend(perm.iter().map(|&i| self.frontier[items[i].index]));
         self.scratch.items = items;
 
-        let gen = &mut self.scratch.gen;
+        let mut gen = self.scratch.gen.take().unwrap_or_default();
         gen.queue.clear();
         gen.queue.extend(ordered.iter().copied());
         gen.active.clear();
         gen.finished.clear();
         gen.spec_tasks.clear();
         gen.spec_started.clear();
+        gen.spec_started.resize(self.beams.len(), 0);
         gen.defer_counts.clear();
+        gen.defer_counts.resize(self.beams.len(), 0);
+        gen.sums = None;
         self.scratch.ordered = ordered;
         self.gen_target_batch = 0;
-        self.compute_score_bins(driver.branching().max(1));
+        self.compute_score_bins(driver.branching().max(1), &mut gen.bins);
+        self.scratch.gen = Some(gen);
     }
 
     /// Close a generation phase: capture the driver's verification mode
@@ -1455,20 +1494,24 @@ impl RequestRun {
             self.pending_decode.is_none(),
             "previous decode chunk was never applied"
         );
-        let mut gen = std::mem::take(&mut self.scratch.gen);
+        let mut gen = self.scratch.gen.take().unwrap_or_default();
         let planned = loop {
             // Admission: fill with waiting paths first (Phase 1,
-            // continuous beam batching).
-            let reserve: u64 = gen
-                .active
-                .iter()
-                .map(|&i| self.growth_blocks(&self.beams[i]))
-                .sum::<u64>()
-                + gen
-                    .spec_tasks
+            // continuous beam batching). The batch's growth reserve is
+            // summed only when there is a candidate to weigh against it.
+            let reserve: u64 = if gen.queue.is_empty() {
+                0
+            } else {
+                gen.active
                     .iter()
-                    .map(|t| (t.target - t.generated) / self.cfg.block_size + 2)
-                    .sum::<u64>();
+                    .map(|&i| self.growth_blocks(&self.beams[i]))
+                    .sum::<u64>()
+                    + gen
+                        .spec_tasks
+                        .iter()
+                        .map(|t| (t.target - t.generated) / self.cfg.block_size + 2)
+                        .sum::<u64>()
+            };
             while let Some(&cand) = gen.queue.front() {
                 let (bkv, brem, bdone) = {
                     let beam = &self.beams[cand];
@@ -1489,6 +1532,7 @@ impl RequestRun {
                         Ok(cost) => {
                             self.charge_gen_restore(&cost);
                             gen.active.push(cand);
+                            gen.sums = None;
                         }
                         Err(KvError::InsufficientMemory { needed, .. }) => {
                             return Err(EngineError::PathExceedsMemory {
@@ -1523,35 +1567,29 @@ impl RequestRun {
 
             // One segment: advance until the next completion event (or
             // the scheduler's chunk cap, whichever is nearer).
-            let k_active = gen
-                .active
-                .iter()
-                .map(|&i| self.beams[i].remaining())
-                .min()
-                .unwrap();
-            let k_spec = gen
-                .spec_tasks
-                .iter()
-                .map(|t| t.target - t.generated)
-                .min()
-                .unwrap_or(u64::MAX);
-            let k = k_active.min(k_spec).max(1).min(cap.max(1));
+            let sums = match gen.sums {
+                Some(kept) => {
+                    debug_assert_eq!(
+                        kept,
+                        self.fold_batch_sums(&gen),
+                        "kept decode-batch sums drifted from their fold"
+                    );
+                    kept
+                }
+                None => self.fold_batch_sums(&gen),
+            };
+            gen.sums = Some(sums);
+            let k = sums.min_active.min(sums.min_spec).max(1).min(cap.max(1));
             let batch = gen.active.len() + gen.spec_tasks.len();
-            let ctx_sum: u64 = gen
-                .active
-                .iter()
-                .map(|&i| self.gen_kv.seq_tokens(self.beams[i].kv))
-                .chain(
-                    gen.spec_tasks
-                        .iter()
-                        .map(|t| self.gen_kv.seq_tokens(t.node)),
-                )
-                .sum();
-            break Some(DecodeChunk { k, batch, ctx_sum });
+            break Some(DecodeChunk {
+                k,
+                batch,
+                ctx_sum: sums.ctx_sum,
+            });
         };
         // Hand the working set back between protocol calls (error paths
         // above skip this; the run is over then anyway).
-        self.scratch.gen = gen;
+        self.scratch.gen = Some(gen);
         match planned {
             Some(chunk) => {
                 self.pending_decode = Some(chunk);
@@ -1563,6 +1601,34 @@ impl RequestRun {
                 self.end_generation(driver);
                 Ok(DecodeStatus::Generated)
             }
+        }
+    }
+
+    /// The decode batch's sums, folded from scratch.
+    fn fold_batch_sums(&self, gen: &GenPhase) -> BatchSums {
+        BatchSums {
+            min_active: gen
+                .active
+                .iter()
+                .map(|&i| self.beams[i].remaining())
+                .min()
+                .expect("a planned chunk has an active beam"),
+            min_spec: gen
+                .spec_tasks
+                .iter()
+                .map(|t| t.target - t.generated)
+                .min()
+                .unwrap_or(u64::MAX),
+            ctx_sum: gen
+                .active
+                .iter()
+                .map(|&i| self.gen_kv.seq_tokens(self.beams[i].kv))
+                .chain(
+                    gen.spec_tasks
+                        .iter()
+                        .map(|t| self.gen_kv.seq_tokens(t.node)),
+                )
+                .sum(),
         }
     }
 
@@ -1636,7 +1702,13 @@ impl RequestRun {
         );
         let chunk = self.pending_decode.take().expect("no decode chunk planned");
         let k = chunk.k;
-        let mut gen = std::mem::take(&mut self.scratch.gen);
+        let mut gen = self
+            .scratch
+            .gen
+            .take()
+            .expect("a planned chunk's working set");
+        let sums = gen.sums.take().expect("a planned chunk's batch sums");
+        let members = (gen.active.len(), gen.spec_tasks.len());
 
         let step_cost = self.chunk_cost(&chunk);
         let dt = step_cost.seconds * k as f64;
@@ -1677,9 +1749,8 @@ impl RequestRun {
                 // Defer the beam: release it and re-queue; its
                 // partial step stays cached and resumes later. A beam
                 // that keeps failing cannot fit at all.
-                let count = gen.defer_counts.entry(bi).or_insert(0);
-                *count += 1;
-                if *count > 3 {
+                gen.defer_counts[bi] += 1;
+                if gen.defer_counts[bi] > 3 {
                     return Err(EngineError::PathExceedsMemory {
                         needed: self.gen_kv.blocks_needed(self.beams[bi].kv, 1),
                         capacity: self.gen_kv.config().capacity_blocks(),
@@ -1713,17 +1784,32 @@ impl RequestRun {
         std::mem::swap(&mut gen.spec_tasks, &mut gen.kept_spec);
 
         // Retire members that finished their step; their slots will
-        // be refilled at the next chunk's admission.
-        gen.still_active.clear();
-        for &bi in &gen.active {
-            if self.beams[bi].step_complete() {
-                self.gen_kv.unpin(self.beams[bi].kv);
-                gen.finished.push(bi);
-            } else {
-                gen.still_active.push(bi);
+        // be refilled at the next chunk's admission. Unless a member was
+        // deferred, none finished when every one had more than `k` left.
+        if emergency || sums.min_active <= k {
+            gen.still_active.clear();
+            for &bi in &gen.active {
+                if self.beams[bi].step_complete() {
+                    self.gen_kv.unpin(self.beams[bi].kv);
+                    gen.finished.push(bi);
+                } else {
+                    gen.still_active.push(bi);
+                }
             }
+            std::mem::swap(&mut gen.active, &mut gen.still_active);
         }
-        std::mem::swap(&mut gen.active, &mut gen.still_active);
+        // With the same members, every one advanced by `k`.
+        if !emergency && (gen.active.len(), gen.spec_tasks.len()) == members {
+            gen.sums = Some(BatchSums {
+                min_active: sums.min_active - k,
+                min_spec: if members.1 == 0 {
+                    u64::MAX
+                } else {
+                    sums.min_spec - k
+                },
+                ctx_sum: sums.ctx_sum + k * chunk.batch as u64,
+            });
+        }
 
         let over = gen.active.is_empty() && gen.queue.is_empty();
         if over {
@@ -1732,7 +1818,7 @@ impl RequestRun {
             self.abort_spec(&mut gen.spec_tasks, false);
         }
         // Hand the working set back for the next chunk / iteration.
-        self.scratch.gen = gen;
+        self.scratch.gen = Some(gen);
         if over {
             self.end_generation(driver);
             Ok(DecodeStatus::Generated)
@@ -1761,21 +1847,21 @@ impl RequestRun {
         }
     }
 
-    /// Quantile bins over the frontier's previous scores; fills
-    /// `scratch.bins` with each frontier beam's speculative potential
-    /// `M_i = B - j + 1` (Sec. 4.1.1).
-    fn compute_score_bins(&mut self, b: usize) {
+    /// Quantile bins over the frontier's previous scores; fills `bins`
+    /// with each frontier beam's speculative potential `M_i = B - j + 1`
+    /// (Sec. 4.1.1), and every other beam's with 1.
+    fn compute_score_bins(&mut self, b: usize, bins: &mut Vec<u64>) {
         let mut ranking = std::mem::take(&mut self.scratch.bin_ranking);
         ranking.clear();
         ranking.extend(self.frontier.iter().map(|&i| (i, self.beams[i].prev_score)));
         ranking.sort_by(|x, y| y.1.partial_cmp(&x.1).unwrap_or(std::cmp::Ordering::Equal));
         let n = ranking.len().max(1);
-        let bins = &mut self.scratch.gen.bins;
         bins.clear();
-        bins.extend(ranking.iter().enumerate().map(|(rank, &(idx, _))| {
+        bins.resize(self.beams.len(), 1);
+        for (rank, &(idx, _)) in ranking.iter().enumerate() {
             let bin = rank * b / n; // 0 = best bin
-            (idx, (b - bin) as u64)
-        }));
+            bins[idx] = (b - bin) as u64;
+        }
         self.scratch.bin_ranking = ranking;
     }
 
@@ -1791,21 +1877,21 @@ impl RequestRun {
         }
         // Candidates: finished, non-terminal beams with unstarted
         // speculative potential, highest potential first.
-        let mut candidates: Vec<(u64, usize)> = gen
-            .finished
-            .iter()
-            .filter(|&&bi| !self.beams[bi].latent.terminal)
-            .filter_map(|&bi| {
-                let m = gen.bins.get(&bi).copied().unwrap_or(1);
-                let started = gen.spec_started.get(&bi).copied().unwrap_or(0);
-                (started < m).then_some((m - started, bi))
-            })
-            .collect();
+        let mut candidates = std::mem::take(&mut gen.candidates);
+        candidates.clear();
+        candidates.extend(
+            gen.finished
+                .iter()
+                .filter(|&&bi| !self.beams[bi].latent.terminal)
+                .filter_map(|&bi| {
+                    let (m, started) = (gen.bins[bi], gen.spec_started[bi]);
+                    (started < m).then_some((m - started, bi))
+                }),
+        );
         candidates.sort_by(|a, b| b.cmp(a));
-        for (_, bi) in candidates {
+        'fill: for &(_, bi) in &candidates {
             while free_slots > 0 {
-                let started = gen.spec_started.get(&bi).copied().unwrap_or(0);
-                let m = gen.bins.get(&bi).copied().unwrap_or(1);
+                let (m, started) = (gen.bins[bi], gen.spec_started[bi]);
                 if started >= m {
                     break;
                 }
@@ -1827,14 +1913,14 @@ impl RequestRun {
                 let spec_blocks = target / self.cfg.block_size + 2;
                 let margin = self.gen_kv.config().capacity_blocks() / 8;
                 if self.gen_kv.free_blocks() < spec_blocks * 2 + margin {
-                    return; // no headroom for more speculation
+                    break 'fill; // no headroom for more speculation
                 }
                 let node = self.gen_kv.fork(leaf).expect("fork");
                 match self.gen_kv.pin(node) {
                     Ok(cost) => self.charge_gen_restore(&cost),
-                    Err(_) => return,
+                    Err(_) => break 'fill,
                 }
-                *gen.spec_started.entry(bi).or_insert(0) += 1;
+                gen.spec_started[bi] += 1;
                 self.stats.spec.spec_branches += 1;
                 gen.spec_tasks.push(SpecTask {
                     beam: bi,
@@ -1845,12 +1931,14 @@ impl RequestRun {
                     target,
                     generated: 0,
                 });
+                gen.sums = None;
                 free_slots -= 1;
             }
             if free_slots == 0 {
                 break;
             }
         }
+        gen.candidates = candidates;
     }
 
     /// A speculative branch completed its whole future step.

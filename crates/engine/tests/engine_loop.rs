@@ -477,6 +477,12 @@ struct ChunkSeen {
     chunk: ftts_engine::DecodeChunk,
     before: (usize, u64),
     after: (usize, u64),
+    /// `decode_batch()` before the plan, after it, and after the apply.
+    batch: [(usize, usize); 3],
+    /// Speculative branches the apply counted as preempted.
+    killed: u64,
+    /// What the apply returned.
+    status: ftts_engine::DecodeStatus,
 }
 
 /// `decode_load()` with its checks. Debug builds assert the running
@@ -495,29 +501,37 @@ fn checked_decode_load(run: &ftts_engine::RequestRun, sharing: bool) -> (usize, 
     load
 }
 
-/// Drive `run` to completion through chunked decode capped at 2 tokens
-/// per chunk, verifying solo, checking `decode_load()` at every chunk
-/// and iteration boundary, and handing the run to `at` at each one (it
-/// may preempt, lose KV, re-budget or cut). Returns every chunk seen.
+/// Drive `run` to completion through chunked decode capped at `cap`
+/// tokens per chunk, verifying solo, checking `decode_load()` at every
+/// chunk and iteration boundary, and handing the run to `at` at each
+/// one (it may preempt, lose KV, re-budget or cut). Returns every chunk
+/// seen.
 fn drive_chunked(
     run: &mut ftts_engine::RequestRun,
     driver: &mut dyn SearchDriver,
+    cap: u64,
     sharing: bool,
     mut at: impl FnMut(&mut ftts_engine::RequestRun, Boundary),
 ) -> Vec<ChunkSeen> {
     use ftts_engine::DecodeStatus;
     let mut seen = Vec::new();
     while !run.is_finished() {
-        let status = match run.plan_decode_chunk(driver, 2).unwrap() {
+        let unplanned = run.decode_batch();
+        let status = match run.plan_decode_chunk(driver, cap).unwrap() {
             DecodeStatus::Finished => break,
             DecodeStatus::Planned(chunk) => {
+                let planned = run.decode_batch();
                 let before = checked_decode_load(run, sharing);
+                let preempted = run.stats().spec.preempted_branches;
                 let status = run.apply_decode_chunk(driver).unwrap();
                 let after = checked_decode_load(run, sharing);
                 seen.push(ChunkSeen {
                     chunk,
                     before,
                     after,
+                    batch: [unplanned, planned, run.decode_batch()],
+                    killed: run.stats().spec.preempted_branches - preempted,
+                    status,
                 });
                 status
             }
@@ -564,7 +578,7 @@ fn decode_load_running_sum_tracks_the_frontier_through_every_transition() {
         let mut driver = PlainBeam { n: 16, b: 4 };
         let mut run = eng.begin(&problem(0), 16, &mut driver, None, None).unwrap();
         let (mut iterations, mut chunks_at, mut preempted, mut lost, mut cut) = (0, 0, 0, 0, 0);
-        let seen = drive_chunked(&mut run, &mut driver, sharing, |run, at| match at {
+        let seen = drive_chunked(&mut run, &mut driver, 2, sharing, |run, at| match at {
             Boundary::Chunk => {
                 chunks_at += 1;
                 // KV loss between chunks drops only unpinned blocks;
@@ -615,7 +629,7 @@ fn decode_load_running_sum_survives_emergency_deferrals() {
     let eng = engine_with_sharing(SpecConfig::disabled(), 0.28, 5, true);
     let mut driver = PlainBeam { n: 32, b: 4 };
     let mut run = eng.begin(&problem(0), 32, &mut driver, None, None).unwrap();
-    let seen = drive_chunked(&mut run, &mut driver, true, |_, _| {});
+    let seen = drive_chunked(&mut run, &mut driver, 2, true, |_, _| {});
     let deferred = seen
         .iter()
         .filter(|s| s.after.1 - s.before.1 < s.chunk.k * s.chunk.batch as u64)
@@ -696,7 +710,7 @@ fn decode_load_running_sum_survives_a_retry_after_aborting_speculation() {
     let mut driver = PlainBeam { n: 16, b: 4 };
     let mut run = eng.begin(&problem(0), 16, &mut driver, None, None).unwrap();
     let (mut full, mut spec_at, mut squeezed) = (0, 0, false);
-    drive_chunked(&mut run, &mut driver, false, |run, at| match at {
+    drive_chunked(&mut run, &mut driver, 2, false, |run, at| match at {
         Boundary::Chunk => {
             let spec = run.stats().spec.spec_tokens;
             if spec_at == 0 {
@@ -724,4 +738,65 @@ fn decode_load_running_sum_survives_a_retry_after_aborting_speculation() {
         "no chunk aborted speculation under memory pressure"
     );
     assert!(!run.finish().beams.is_empty());
+}
+
+#[test]
+fn kept_chunk_sums_survive_every_batch_transition() {
+    // 32 beams at 27% memory with speculation on. Between two 2-token
+    // chunks the decode batch admits and retires paths, finishes and
+    // kills speculative slots, and defers paths under memory pressure.
+    // Debug builds assert the sums a plan keeps from the previous chunk
+    // against a fresh fold, so a transition that left stale sums behind
+    // fails here. A First Finish cut ends the run. Capping the chunks
+    // changes when things happen, never what the search finds.
+    use ftts_engine::DecodeStatus;
+    let drive = |cap: u64| {
+        let eng = engine_with_sharing(SpecConfig::fasttts_default(), 0.27, 5, true);
+        let mut driver = PlainBeam { n: 32, b: 4 };
+        let mut run = eng.begin(&problem(1), 32, &mut driver, None, None).unwrap();
+        let mut iterations = 0;
+        let seen = drive_chunked(&mut run, &mut driver, cap, true, |run, at| {
+            if at == Boundary::Iteration {
+                iterations += 1;
+                if iterations >= 6 {
+                    run.first_finish_cut(0.0);
+                }
+            }
+        });
+        (seen, run.finish())
+    };
+    let (seen, capped) = drive(2);
+    let (_, full) = drive(u64::MAX);
+    let (mut admits, mut retires, mut finishes, mut kills, mut deferrals) = (0, 0, 0, 0, 0);
+    let mut mid_phase = false;
+    for s in &seen {
+        let [unplanned, planned, applied] = s.batch;
+        if mid_phase && planned.0 > unplanned.0 {
+            admits += 1;
+        }
+        mid_phase = s.status == DecodeStatus::Decoding;
+        if s.after.1 - s.before.1 < s.chunk.k * planned.0 as u64 {
+            deferrals += 1;
+        } else if applied.0 < planned.0 {
+            retires += 1;
+        }
+        // A kill of fewer slots than were decoding is a slot's own
+        // extend failing, not an emergency aborting them all.
+        if s.killed > 0 && s.killed < planned.1 as u64 {
+            kills += 1;
+        }
+        if mid_phase && (planned.1 - applied.1) as u64 > s.killed {
+            finishes += 1;
+        }
+    }
+    let reached = [admits, retires, finishes, kills, deferrals];
+    assert!(reached.iter().all(|&n| n > 0), "{reached:?}");
+    assert_eq!((capped.first_finish_cuts, full.first_finish_cuts), (1, 1));
+    assert_eq!(capped.iterations, full.iterations);
+    assert_eq!(capped.beams.len(), full.beams.len());
+    for (x, y) in capped.beams.iter().zip(&full.beams) {
+        assert_eq!(x.tokens, y.tokens);
+        assert_eq!(x.answer, y.answer);
+        assert_eq!(x.score, y.score);
+    }
 }

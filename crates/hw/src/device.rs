@@ -2,8 +2,8 @@
 //!
 //! The presets mirror the paper's evaluation platforms (Sec. 6.1 and 6.4):
 //! a single RTX 4090 as the primary edge device, with RTX 4070 Ti and
-//! RTX 3070 Ti for the constrained-hardware study (Fig. 15), plus
-//! datacenter parts used only as the cloud reference point in Fig. 1.
+//! RTX 3070 Ti for the constrained-hardware study (Fig. 15), plus a
+//! datacenter A100 used only as the cloud reference point in Fig. 1.
 
 use serde::{Deserialize, Serialize};
 
@@ -137,20 +137,6 @@ impl GpuDevice {
         }
     }
 
-    /// NVIDIA H100-SXM5-80GB — cloud reference for Fig. 1.
-    pub fn h100_80g() -> Self {
-        Self {
-            name: "H100 80GB".to_string(),
-            class: DeviceClass::Cloud,
-            peak_flops: 989.0e12,
-            mem_bandwidth: 3350.0e9,
-            vram_bytes: 80 * GIB,
-            pcie_bandwidth: 100.0e9,
-            compute_efficiency: 0.55,
-            bandwidth_efficiency: 0.82,
-        }
-    }
-
     /// All edge presets evaluated by the paper, largest first.
     pub fn edge_presets() -> Vec<Self> {
         vec![Self::rtx4090(), Self::rtx4070ti(), Self::rtx3070ti()]
@@ -231,7 +217,6 @@ mod tests {
     #[test]
     fn cloud_devices_are_classed_cloud() {
         assert_eq!(GpuDevice::a100_80g().class, DeviceClass::Cloud);
-        assert_eq!(GpuDevice::h100_80g().class, DeviceClass::Cloud);
         assert_eq!(GpuDevice::rtx4090().class, DeviceClass::Edge);
     }
 

@@ -82,6 +82,38 @@ impl KernelCost {
 pub struct Roofline {
     device: std::sync::Arc<GpuDevice>,
     model: std::sync::Arc<ModelSpec>,
+    decode: DecodeTerms,
+}
+
+/// The terms of [`Roofline::decode_step`] that depend on neither batch
+/// nor context, derived once from the model: the same `f64` values the
+/// model's formulas give, so a step costs the same bits.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct DecodeTerms {
+    /// GEMM FLOPs per decoded token (`2 * params`).
+    gemm_flops: f64,
+    /// Attention FLOPs per decoded token per context token.
+    attn_flops_per_ctx: f64,
+    /// Bytes of one weight sweep.
+    weight_bytes: f64,
+    /// KV bytes per token.
+    kv_bytes_per_token: f64,
+}
+
+impl DecodeTerms {
+    /// The terms of [`ModelSpec::decode_flops_per_token`],
+    /// [`ModelSpec::weight_bytes`] and [`ModelSpec::kv_bytes_per_token`],
+    /// each in the order those formulas evaluate it.
+    fn new(model: &ModelSpec) -> Self {
+        Self {
+            gemm_flops: 2.0 * model.param_count() as f64,
+            attn_flops_per_ctx: 4.0
+                * model.n_layers as f64
+                * (model.n_heads * model.head_dim) as f64,
+            weight_bytes: model.weight_bytes() as f64,
+            kv_bytes_per_token: model.kv_bytes_per_token() as f64,
+        }
+    }
 }
 
 impl Roofline {
@@ -94,9 +126,11 @@ impl Roofline {
         device: impl Into<std::sync::Arc<GpuDevice>>,
         model: impl Into<std::sync::Arc<ModelSpec>>,
     ) -> Self {
+        let model = model.into();
         Self {
             device: device.into(),
-            model: model.into(),
+            decode: DecodeTerms::new(&model),
+            model,
         }
     }
 
@@ -142,15 +176,24 @@ impl Roofline {
     ///
     /// Bytes = one full weight sweep (shared by the batch) + reading each
     /// sequence's KV cache + writing one new KV entry per sequence.
+    ///
+    /// FLOPs are [`ModelSpec::decode_flops_per_token`] per sequence. The
+    /// terms that depend on neither batch nor context are derived once,
+    /// when the roofline is built.
     pub fn decode_step(&self, batch: usize, avg_ctx: u64) -> KernelCost {
         if batch == 0 {
             return KernelCost::zero();
         }
+        let DecodeTerms {
+            gemm_flops,
+            attn_flops_per_ctx,
+            weight_bytes,
+            kv_bytes_per_token,
+        } = self.decode;
         let b = batch as f64;
-        let flops = b * self.model.decode_flops_per_token(avg_ctx);
-        let kv_per_token = self.model.kv_bytes_per_token() as f64;
-        let bytes =
-            self.model.weight_bytes() as f64 + b * avg_ctx as f64 * kv_per_token + b * kv_per_token;
+        let ctx = avg_ctx as f64;
+        let flops = b * (gemm_flops + attn_flops_per_ctx * ctx);
+        let bytes = weight_bytes + b * ctx * kv_bytes_per_token + b * kv_bytes_per_token;
         self.cost(flops, bytes)
     }
 
@@ -397,6 +440,55 @@ mod tests {
         assert_eq!(roof.prefill_fused(&[a]), roof.prefill_batch(a.0, a.1, a.2));
         assert_eq!(roof.prefill_fused(&[]), KernelCost::zero());
         assert_eq!(roof.prefill_fused(&[(0, 10, 0)]), KernelCost::zero());
+    }
+
+    #[test]
+    fn decode_step_matches_the_unfactored_formula_bit_for_bit() {
+        let devices = [
+            GpuDevice::rtx4090(),
+            GpuDevice::rtx4070ti(),
+            GpuDevice::rtx3070ti(),
+            GpuDevice::jetson_orin(),
+            GpuDevice::a100_80g(),
+        ];
+        // Generator and verifier of every `ModelPairing` preset
+        // (ftts-engine): 1.5B+1.5B, 1.5B+7B and 7B+1.5B.
+        let models = [
+            ModelSpec::qwen25_math_1_5b(),
+            ModelSpec::skywork_prm_1_5b(),
+            ModelSpec::math_shepherd_7b(),
+            ModelSpec::qwen25_math_7b(),
+        ];
+        for device in &devices {
+            for model in &models {
+                let roof = Roofline::new(device.clone(), model.clone());
+                let kv = model.kv_bytes_per_token() as f64;
+                for batch in 0..=64usize {
+                    let b = batch as f64;
+                    for ctx in 0..=8_192u64 {
+                        let expected = if batch == 0 {
+                            KernelCost::zero()
+                        } else {
+                            roof.cost(
+                                b * model.decode_flops_per_token(ctx),
+                                model.weight_bytes() as f64 + b * ctx as f64 * kv + b * kv,
+                            )
+                        };
+                        let got = roof.decode_step(batch, ctx);
+                        let same = got.seconds.to_bits() == expected.seconds.to_bits()
+                            && got.flops.to_bits() == expected.flops.to_bits()
+                            && got.bytes.to_bits() == expected.bytes.to_bits()
+                            && got.compute_util.to_bits() == expected.compute_util.to_bits()
+                            && got.compute_bound == expected.compute_bound;
+                        assert!(
+                            same,
+                            "{} / {} at batch {batch}, ctx {ctx}: {got:?} vs {expected:?}",
+                            device.name, model.name
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -579,7 +579,14 @@ impl KvCache {
         if tokens == 0 {
             return Ok(());
         }
-        let new_owned = self.tree.blocks_for(pad, n_tokens + tokens);
+        // A resident node owns exactly the blocks its tokens fill, so
+        // growth that fits the last owned block needs no new block.
+        let new_owned = if owned > 0 && pad + n_tokens + tokens <= owned * self.config.block_size {
+            owned
+        } else {
+            self.tree.blocks_for(pad, n_tokens + tokens)
+        };
+        debug_assert_eq!(new_owned, self.tree.blocks_for(pad, n_tokens + tokens));
         let delta = new_owned - owned;
         if delta > 0 {
             self.alloc_with_eviction(delta)?;
@@ -800,18 +807,6 @@ impl KvCache {
             .iter()
             .filter(|n| n.residency == Residency::Gpu)
             .map(|n| n.pad + n.n_tokens)
-            .sum()
-    }
-
-    /// Logical tokens represented on the GPU (excluding duplicated pads)
-    /// — comparing this with [`KvCache::resident_tokens`] quantifies
-    /// prefix-sharing savings (Fig. 5, left).
-    pub fn logical_resident_tokens(&self) -> u64 {
-        self.tree
-            .nodes
-            .iter()
-            .filter(|n| n.residency == Residency::Gpu)
-            .map(|n| n.n_tokens)
             .sum()
     }
 
@@ -1107,7 +1102,6 @@ mod tests {
         kv.extend(a, 16).unwrap();
         // Child owns the full 48-token copy: 3 blocks + root's 2.
         assert_eq!(kv.gpu_blocks_used(), 5);
-        assert!(kv.resident_tokens() > kv.logical_resident_tokens());
     }
 
     #[test]
