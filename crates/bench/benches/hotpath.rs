@@ -8,22 +8,19 @@
 //!    identical operation stream and must produce identical cache stats.
 //! 2. **Serve-loop iteration** — end-to-end `TtsServer::serve` wall
 //!    time and simulated-tokens-per-wall-second on the zero-clone loop.
-//! 3. **Parallel vs sequential sweep** — eight independent request
-//!    streams through `ServerSim::run_parallel` against a sequential
-//!    replay, with results asserted bit-identical.
 //!
 //! Run with `cargo bench --bench hotpath` (release profile).
 
 use std::time::Instant;
 
 use ftts_bench::write_report;
-use ftts_core::{ServerSim, TtsServer};
+use ftts_core::TtsServer;
 use ftts_engine::ModelPairing;
 use ftts_hw::GpuDevice;
 use ftts_kv::{KvCache, KvCacheConfig, NodeId};
 use ftts_search::SearchKind;
 use ftts_serve::Json;
-use ftts_workload::{ArrivalPattern, Dataset, RequestArrival};
+use ftts_workload::Dataset;
 
 /// Sequences in the eviction arena (each one root with a forked child).
 const ARENA_SEQS: usize = 3000;
@@ -122,53 +119,6 @@ fn bench_serve_loop() -> ServeResult {
     }
 }
 
-struct SweepResult {
-    streams: usize,
-    sequential_s: f64,
-    parallel_s: f64,
-    hardware_threads: usize,
-}
-
-fn bench_parallel_sweep() -> SweepResult {
-    let server = TtsServer::fasttts(GpuDevice::rtx4090(), ModelPairing::pair_1_5b_1_5b());
-    let sim = ServerSim::new(server, 16, SearchKind::BeamSearch);
-    let streams: Vec<Vec<RequestArrival>> = (0..8)
-        .map(|i| {
-            ArrivalPattern::Poisson { rate: 0.05 }
-                .schedule(&Dataset::Amc2023.problems(2, 40 + i), i)
-        })
-        .collect();
-
-    // Warm-up one stream.
-    sim.run(&streams[0]).expect("warm-up stream");
-
-    let start = Instant::now();
-    let sequential: Vec<_> = streams.iter().map(|s| sim.run(s)).collect();
-    let sequential_s = start.elapsed().as_secs_f64();
-
-    let start = Instant::now();
-    let parallel = sim.run_parallel(&streams);
-    let parallel_s = start.elapsed().as_secs_f64();
-
-    for (seq, par) in sequential.iter().zip(&parallel) {
-        let (seq, par) = (seq.as_ref().expect("seq"), par.as_ref().expect("par"));
-        assert_eq!(seq.len(), par.len());
-        for (s, p) in seq.iter().zip(par) {
-            assert_eq!(
-                s.finished_at, p.finished_at,
-                "parallel sweep must be bit-identical"
-            );
-            assert_eq!(s.outcome.answer, p.outcome.answer);
-        }
-    }
-    SweepResult {
-        streams: streams.len(),
-        sequential_s,
-        parallel_s,
-        hardware_threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
-    }
-}
-
 fn main() {
     println!("== hotpath: eviction under pressure ==");
     let ev = bench_eviction();
@@ -192,20 +142,6 @@ fn main() {
     );
     println!("  simulated tokens per wall-second: {tok_rate:.0}");
 
-    println!("\n== hotpath: parallel vs sequential sweep ==");
-    let sweep = bench_parallel_sweep();
-    let sweep_speedup = sweep.sequential_s / sweep.parallel_s.max(1e-12);
-    println!(
-        "{} streams on {} hardware threads",
-        sweep.streams, sweep.hardware_threads
-    );
-    println!(
-        "  sequential replay   : {:>9.2} ms",
-        sweep.sequential_s * 1e3
-    );
-    println!("  run_parallel        : {:>9.2} ms", sweep.parallel_s * 1e3);
-    println!("  speedup             : {sweep_speedup:>9.2}x (bounded by hardware threads)");
-
     let eviction = Json::object([
         ("arena_sequences", ARENA_SEQS.into()),
         ("rounds", EVICTION_ROUNDS.into()),
@@ -222,19 +158,10 @@ fn main() {
         ("iterations", serve.iterations.into()),
         ("sim_tokens_per_wall_second", tok_rate.into()),
     ]);
-    let parallel_sweep = Json::object([
-        ("streams", sweep.streams.into()),
-        ("hardware_threads", sweep.hardware_threads.into()),
-        ("sequential_seconds", sweep.sequential_s.into()),
-        ("parallel_seconds", sweep.parallel_s.into()),
-        ("speedup", sweep_speedup.into()),
-        ("bit_identical_to_sequential", true.into()),
-    ]);
     let report = Json::object([
         ("bench", "hotpath_pr1".into()),
         ("eviction", eviction),
         ("serve_loop", serve_loop),
-        ("parallel_sweep", parallel_sweep),
     ]);
     write_report("BENCH_PR1.json", &report);
 }

@@ -82,11 +82,15 @@
 //! after every edit. Debug builds check that claim on every query: each
 //! time-bounded answer, each final outcome and each device's final run
 //! must equal the same read of the device's full run, simulated from
-//! scratch once per version of its legs. A 1-device fleet with the
-//! pass-through router is bit-identical to a bare
+//! scratch once per version of its legs.
+//!
+//! When only one candidate is alive, the router picks it without reading
+//! any device. So a 1-device fleet steps nothing before its final run:
+//! every edit resumes in place, the device runs once, and the fleet is
+//! bit-identical to a bare
 //! [`TimelineServerSim`](crate::TimelineServerSim) under the same
-//! policy, faulted and fault-free (enforced in
-//! `crates/core/tests/fleet.rs`).
+//! scheduling policy, whatever its routing policy, faulted and
+//! fault-free (enforced in `crates/core/tests/fleet.rs`).
 
 use std::rc::Rc;
 
@@ -105,9 +109,7 @@ use crate::timeline::{LoopState, TimelineConfig, TimelineServerSim, TimelineTuni
 /// hedged) request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RoutePolicy {
-    /// Rotate over the alive replicas in device order. On a 1-device
-    /// fleet this is the pass-through policy of the bit-equivalence
-    /// anchor.
+    /// Rotate over the alive replicas in device order.
     RoundRobin,
     /// Join-shortest-queue: the alive replica with the fewest
     /// outstanding legs (assigned, not yet finished), ties to the
@@ -882,10 +884,10 @@ impl FleetEngine<'_> {
     }
 
     /// Route a leg that wants to start at `t`: an alive replica under
-    /// the configured policy, or — when every candidate is down — the
-    /// one that recovers first, with the leg's start pushed to the
-    /// recovery instant. `None` only when `exclude` rules out the whole
-    /// fleet.
+    /// the configured policy (the only one, unread, when only one is
+    /// alive), or — when every candidate is down — the one that
+    /// recovers first, with the leg's start pushed to the recovery
+    /// instant. `None` only when `exclude` rules out the whole fleet.
     fn route(
         &mut self,
         t: f64,
@@ -921,6 +923,8 @@ impl FleetEngine<'_> {
                 self.rr_next += 1;
                 d
             }
+            // A lone candidate needs no device read.
+            _ if alive.len() == 1 => alive[0],
             RoutePolicy::Jsq => self.jsq(&alive, t)?,
             RoutePolicy::PrefixAffinity => {
                 // Most recent completed publisher of this problem…
@@ -1462,6 +1466,38 @@ mod tests {
             }
             let run = replica.finish().expect("finish");
             assert_eq!(format!("{run:?}"), format!("{full:?}"), "{path:?}");
+        }
+    }
+
+    #[test]
+    fn one_device_fleets_resume_every_edit_in_place() {
+        // With one device, no policy reads the device to route, so
+        // nothing is stepped before the final run: each arrival's edit
+        // resumes the untouched run in place.
+        let stream =
+            ArrivalPattern::Uniform { interval: 1.0 }.schedule(&Dataset::Amc2023.problems(6, 5), 0);
+        let plan = FaultPlan::storm(3, 30.0, &StormConfig::default());
+        for route in [
+            RoutePolicy::RoundRobin,
+            RoutePolicy::Jsq,
+            RoutePolicy::PrefixAffinity,
+            RoutePolicy::HealthEwma,
+        ] {
+            let fleet = FleetSim::new(
+                vec![server(GpuDevice::rtx4090())],
+                8,
+                SearchKind::BeamSearch,
+                FleetConfig::new(EventConfig::windowed(4, 0.2), route),
+            );
+            let (run, resumes) = fleet
+                .simulate(&stream, std::slice::from_ref(&plan))
+                .expect("fleet run");
+            assert_eq!(run.served.len(), stream.len());
+            assert_eq!(
+                (resumes.in_place, resumes.restored, resumes.scratch),
+                (stream.len() as u64, 0, 0),
+                "{route:?}"
+            );
         }
     }
 

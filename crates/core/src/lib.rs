@@ -41,12 +41,21 @@
 //! bit-for-bit, and the multi-request anchors are frozen as golden
 //! fingerprints (see `timeline`'s module docs).
 //!
-//! For evaluation at scale, [`ServerSim::run_parallel`] replays
-//! independent request streams across OS threads through
-//! [`parallel_map`], with results guaranteed (and tested) bit-identical
-//! to sequential execution thanks to the stack's stable-key
-//! deterministic seeding. See `sweep`'s module docs for the exact
-//! determinism rules.
+//! # Determinism
+//!
+//! Every stochastic decision in the stack is drawn from a ChaCha stream
+//! keyed by stable identifiers (`ftts-model::stream`): the engine mixes
+//! `EngineConfig::seed` with each problem's own seed, and scheduling and
+//! speculation outcomes depend only on the request's own configuration,
+//! never on global mutable RNG state, wall-clock time or thread
+//! identity. So a run's results are a pure function of its inputs
+//! (server config, arrivals, `n`, search kind, fault plan), and a
+//! replay on any thread is bit-identical to the same replay on any
+//! other: `ftts-serve` replays on its connection threads, and the
+//! generator's per-thread memo of the Zipf normaliser only caches what
+//! each thread would compute alike. The fleet (`FleetSim`) spawns no
+//! threads: its routing loop keeps one live run per device and
+//! finishes each in place.
 //!
 //! # Quickstart
 //!
@@ -74,7 +83,6 @@ mod fleet;
 mod memalloc;
 mod prefix_sched;
 mod server;
-mod sweep;
 mod tenant;
 mod timeline;
 
@@ -91,7 +99,6 @@ pub use ftts_kv::{HostTier, KvTierConfig, TierStats};
 pub use memalloc::RooflinePlanner;
 pub use prefix_sched::{PrefixAwareOrder, WorstCaseOrder};
 pub use server::{AblationFlags, ServeOutcome, ServedRequest, ServerSim, TtsServer};
-pub use sweep::parallel_map;
 pub use tenant::{TenantPolicy, TenantSpec, MAX_TENANTS};
 pub use timeline::{
     DeviceTimeline, SegmentKind, TimelineConfig, TimelineServerSim, TimelineTuning,

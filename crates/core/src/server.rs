@@ -133,7 +133,7 @@ impl ServeOutcome {
 /// The engine configuration is shared behind `Arc`: cloning a server or
 /// building a per-request [`Engine`] bumps a reference count instead of
 /// deep-cloning device/model descriptions, which keeps the serve loop's
-/// steady-state path allocation-light and makes parallel sweeps cheap.
+/// steady-state path allocation-light and a fleet of replicas cheap.
 #[derive(Debug, Clone)]
 pub struct TtsServer {
     config: std::sync::Arc<EngineConfig>,
@@ -470,6 +470,33 @@ mod tests {
         assert_eq!(served[0].outcome.stats.spec.spec_tokens, 0);
         // The last request has no successor: speculation may run.
         assert!(served[2].outcome.stats.spec.spec_tokens > 0);
+    }
+
+    #[test]
+    fn server_sim_replays_alike_on_any_thread() {
+        // ftts-serve replays on its connection threads, and the Zipf
+        // normaliser memo is per thread: a replay on a fresh thread must
+        // equal the same replay on this (already warm) one, bit for bit.
+        let server = TtsServer::fasttts(GpuDevice::rtx4090(), ModelPairing::pair_1_5b_1_5b());
+        let sim = ServerSim::new(server, 8, SearchKind::BeamSearch);
+        let stream =
+            ArrivalPattern::Poisson { rate: 0.05 }.schedule(&Dataset::Amc2023.problems(3, 100), 1);
+        let here = sim.run(&stream).expect("replay");
+        let there = std::thread::scope(|s| s.spawn(|| sim.run(&stream)).join())
+            .expect("replay thread")
+            .expect("replay");
+        assert_eq!(format!("{here:?}"), format!("{there:?}"));
+    }
+
+    #[test]
+    fn server_sim_fails_when_the_budget_is_infeasible() {
+        // A budget the weights alone exceed fails loudly.
+        let mut server = TtsServer::fasttts(GpuDevice::rtx4090(), ModelPairing::pair_1_5b_1_5b());
+        server.config_mut().memory_fraction = 0.26;
+        let sim = ServerSim::new(server, 8, SearchKind::BeamSearch);
+        let stream =
+            ArrivalPattern::Poisson { rate: 0.05 }.schedule(&Dataset::Amc2023.problems(3, 100), 1);
+        assert!(sim.run(&stream).is_err(), "infeasible budget");
     }
 
     #[test]

@@ -720,7 +720,7 @@ impl TimelineServerSim {
     /// the run from outside: directed cancellations (crash failover,
     /// hedge losers) and mid-run host-tier prefix handoffs. Empty
     /// directives reproduce [`TimelineServerSim::run_faulted`]
-    /// bit-for-bit — the fleet's 1-device pass-through anchor.
+    /// bit-for-bit — the fleet's 1-device anchor.
     ///
     /// # Errors
     ///

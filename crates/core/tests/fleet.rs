@@ -1,10 +1,10 @@
 //! Fleet-serving anchors (PR 8).
 //!
-//! * A 1-device fleet with the pass-through router is **bit-identical**
-//!   to bare `EventServerSim` — answers, tokens, instants and breakdown
-//!   buckets — fault-free, under a (crash-free) fault storm, and with a
-//!   crash-bearing plan in no-failover mode (where the crash stays an
-//!   on-device outage).
+//! * A 1-device fleet is **bit-identical** to bare `EventServerSim`
+//!   under every routing policy — answers, tokens, instants and
+//!   breakdown buckets — fault-free, under a (crash-free) fault storm,
+//!   and with a crash-bearing plan in no-failover mode (where the crash
+//!   stays an on-device outage).
 //! * N-device fleet results are deterministic. The router steps each
 //!   device's run only as far as its queries read, and in a debug build
 //!   (this suite's default) checks every answer against that device's
@@ -72,6 +72,41 @@ fn assert_served_identical(label: &str, a: &[ServedRequest], b: &[ServedRequest]
     }
 }
 
+/// Every routing policy, in declaration order.
+const ROUTES: [RoutePolicy; 4] = [
+    RoutePolicy::RoundRobin,
+    RoutePolicy::Jsq,
+    RoutePolicy::PrefixAffinity,
+    RoutePolicy::HealthEwma,
+];
+
+/// A 1-device fleet of `server(9, 0.55)` under `config` and each
+/// routing policy, run over `stream` and `plan`, matches `bare`. Returns
+/// the fleet runs, in [`ROUTES`] order.
+fn assert_one_device_fleets_match_bare(
+    label: &str,
+    config: impl Fn(RoutePolicy) -> FleetConfig,
+    stream: &[RequestArrival],
+    plan: &FaultPlan,
+    bare: &BatchRun,
+) -> Vec<FleetRun> {
+    ROUTES
+        .iter()
+        .map(|&route| {
+            let fleet = FleetSim::new(
+                vec![server(9, 0.55)],
+                16,
+                SearchKind::BeamSearch,
+                config(route),
+            )
+            .run_faulted(stream, std::slice::from_ref(plan))
+            .expect("fleet run");
+            assert_run_matches_bare(&format!("{label}, {route:?}"), &fleet, bare);
+            fleet
+        })
+        .collect()
+}
+
 fn assert_run_matches_bare(label: &str, fleet: &FleetRun, bare: &BatchRun) {
     assert_eq!(fleet.device_runs.len(), 1, "{label}: one device");
     let dev = &fleet.device_runs[0];
@@ -95,24 +130,18 @@ fn assert_run_matches_bare(label: &str, fleet: &FleetRun, bare: &BatchRun) {
     assert_eq!(fleet.hedges_launched, 0, "{label}: no hedges on 1 device");
 }
 
-/// Anchor 1: a 1-device fleet with the pass-through router is
+/// Anchor 1: a 1-device fleet under every routing policy is
 /// bit-identical to bare `EventServerSim`, fault-free.
 #[test]
 fn one_device_fleet_is_bit_identical_fault_free() {
     let stream = arrivals(5, 31, 12.0);
     let config = event_config();
+    let plan = FaultPlan::none();
     let bare = EventServerSim::new(server(9, 0.55), 16, SearchKind::BeamSearch, config)
-        .run_faulted(&stream, &FaultPlan::none())
+        .run_faulted(&stream, &plan)
         .expect("bare run");
-    let fleet = FleetSim::new(
-        vec![server(9, 0.55)],
-        16,
-        SearchKind::BeamSearch,
-        FleetConfig::new(config, RoutePolicy::RoundRobin),
-    )
-    .run(&stream)
-    .expect("fleet run");
-    assert_run_matches_bare("fault-free", &fleet, &bare);
+    let fleet = |route| FleetConfig::new(config, route);
+    assert_one_device_fleets_match_bare("fault-free", fleet, &stream, &plan, &bare);
 }
 
 /// Anchor 2: the same equivalence under a fault storm (no crashes —
@@ -131,15 +160,8 @@ fn one_device_fleet_is_bit_identical_under_storm() {
     let bare = EventServerSim::new(server(9, 0.55), 16, SearchKind::BeamSearch, config)
         .run_faulted(&stream, &plan)
         .expect("bare run");
-    let fleet = FleetSim::new(
-        vec![server(9, 0.55)],
-        16,
-        SearchKind::BeamSearch,
-        FleetConfig::new(config, RoutePolicy::RoundRobin),
-    )
-    .run_faulted(&stream, std::slice::from_ref(&plan))
-    .expect("fleet run");
-    assert_run_matches_bare("storm", &fleet, &bare);
+    let fleet = |route| FleetConfig::new(config, route);
+    assert_one_device_fleets_match_bare("storm", fleet, &stream, &plan, &bare);
 }
 
 /// Anchor 3: with failover *off*, a crash-bearing plan stays an
@@ -156,17 +178,11 @@ fn one_device_no_failover_crash_matches_bare_outage() {
     let bare = EventServerSim::new(server(9, 0.55), 16, SearchKind::BeamSearch, config)
         .run_faulted(&stream, &plan)
         .expect("bare run");
-    let fleet = FleetSim::new(
-        vec![server(9, 0.55)],
-        16,
-        SearchKind::BeamSearch,
-        FleetConfig::new(config, RoutePolicy::RoundRobin).without_failover(),
-    )
-    .run_faulted(&stream, std::slice::from_ref(&plan))
-    .expect("fleet run");
-    assert_run_matches_bare("no-failover crash", &fleet, &bare);
+    let fleet = |route| FleetConfig::new(config, route).without_failover();
+    let runs =
+        assert_one_device_fleets_match_bare("no-failover crash", fleet, &stream, &plan, &bare);
     assert!(
-        fleet.crash_downtime_secs > 0.0,
+        runs.iter().all(|run| run.crash_downtime_secs > 0.0),
         "downtime is still reported in the naive mode"
     );
 }
@@ -370,12 +386,7 @@ proptest! {
         if tight {
             batch = batch.with_robust(RobustConfig::with_policy(FaultPolicy::Degrade));
         }
-        let route = [
-            RoutePolicy::RoundRobin,
-            RoutePolicy::Jsq,
-            RoutePolicy::PrefixAffinity,
-            RoutePolicy::HealthEwma,
-        ][usize::from(route)];
+        let route = ROUTES[usize::from(route)];
         let mut config = FleetConfig::new(EventConfig::new(batch, 0.25), route).with_hedge(
             HedgeConfig {
                 delay_factor: 0.5,

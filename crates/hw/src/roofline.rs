@@ -210,17 +210,9 @@ impl Roofline {
     /// cached prefix plus its causal predecessors, never across batch
     /// members — getting this wrong overstates verifier cost
     /// quadratically in the batch size.
+    /// This is the one-part [`Roofline::prefill_fused`].
     pub fn prefill_batch(&self, batch: usize, new_per_seq: u64, cached_per_seq: u64) -> KernelCost {
-        if batch == 0 || new_per_seq == 0 {
-            return KernelCost::zero();
-        }
-        let flops = batch as f64 * self.model.prefill_flops(new_per_seq, cached_per_seq);
-        let kv_per_token = self.model.kv_bytes_per_token() as f64;
-        // Weights once, read the reused prefix KV, write KV for new tokens.
-        let bytes = self.model.weight_bytes() as f64
-            + batch as f64 * cached_per_seq as f64 * kv_per_token
-            + batch as f64 * new_per_seq as f64 * kv_per_token;
-        self.cost(flops, bytes)
+        self.prefill_fused(&[(batch, new_per_seq, cached_per_seq)])
     }
 
     /// Cost of one prefill sweep fused from heterogeneous sub-batches:
@@ -228,10 +220,11 @@ impl Roofline {
     /// attention shape (a fused kernel never changes per-sequence
     /// attention work), but the weight sweep is streamed **once** for
     /// the whole launch instead of once per part — exactly the saving
-    /// cross-request verifier co-batching is after. With a single part
-    /// this is identical to [`Roofline::prefill_batch`].
+    /// cross-request verifier co-batching is after.
     pub fn prefill_fused(&self, parts: &[(usize, u64, u64)]) -> KernelCost {
         let mut flops = 0.0;
+        // Weights once, read each part's reused prefix KV, write KV for
+        // its new tokens.
         let mut bytes = self.model.weight_bytes() as f64;
         let kv_per_token = self.model.kv_bytes_per_token() as f64;
         for &(batch, new_per_seq, cached_per_seq) in parts {

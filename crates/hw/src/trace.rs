@@ -4,8 +4,7 @@
 //! straggler-induced utilization decay during generation (Fig. 4) and the
 //! recovery achieved by Speculative Beam Extension (Fig. 17). The engine
 //! records one [`UtilSample`] per simulated kernel; [`UtilizationTrace`]
-//! can then resample them onto a fixed-rate grid exactly like a profiler
-//! would.
+//! then reports time-weighted utilization and busy time per phase.
 
 use serde::{Deserialize, Serialize};
 
@@ -33,9 +32,10 @@ pub struct UtilSample {
 /// let mut trace = UtilizationTrace::new();
 /// trace.record(0.0, 0.5, 0.6, Phase::Generation);
 /// trace.record(0.5, 0.5, 0.1, Phase::Generation);
-/// let grid = trace.resample(0.25, Some(Phase::Generation));
-/// assert_eq!(grid.len(), 4);
-/// assert!(grid[0].1 > grid[3].1);
+/// trace.record(1.0, 1.0, 0.8, Phase::Verification);
+/// assert_eq!(trace.span(), 2.0);
+/// assert_eq!(trace.phase_seconds(Phase::Generation), 1.0);
+/// assert!((trace.mean_util(Some(Phase::Generation)) - 0.35).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct UtilizationTrace {
@@ -107,38 +107,6 @@ impl UtilizationTrace {
             .map(|s| s.duration)
             .sum()
     }
-
-    /// Resample onto a fixed grid of `bin` seconds, like a sampling
-    /// profiler. Returns `(bin_start, mean_util)` pairs covering the whole
-    /// span; time not covered by matching kernels counts as idle (0).
-    pub fn resample(&self, bin: f64, phase: Option<Phase>) -> Vec<(f64, f64)> {
-        assert!(bin > 0.0, "bin width must be positive");
-        let span = self.span();
-        if span == 0.0 {
-            return Vec::new();
-        }
-        let n_bins = (span / bin).ceil() as usize;
-        let mut area = vec![0.0f64; n_bins];
-        for s in &self.samples {
-            if !phase.is_none_or(|p| p == s.phase) {
-                continue;
-            }
-            let end = s.start + s.duration;
-            let first = (s.start / bin).floor() as usize;
-            let last = ((end / bin).ceil() as usize).min(n_bins);
-            for (b, slot) in area.iter_mut().enumerate().take(last).skip(first) {
-                let lo = (b as f64 * bin).max(s.start);
-                let hi = ((b + 1) as f64 * bin).min(end);
-                if hi > lo {
-                    *slot += (hi - lo) * s.util;
-                }
-            }
-        }
-        area.iter()
-            .enumerate()
-            .map(|(b, a)| (b as f64 * bin, a / bin))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -180,29 +148,6 @@ mod tests {
     }
 
     #[test]
-    fn resample_covers_span_and_respects_idle() {
-        let mut t = UtilizationTrace::new();
-        t.record(0.0, 1.0, 1.0, Phase::Generation);
-        // 1 s of idle gap.
-        t.record(2.0, 1.0, 0.5, Phase::Generation);
-        let grid = t.resample(0.5, None);
-        assert_eq!(grid.len(), 6);
-        assert!((grid[0].1 - 1.0).abs() < 1e-12);
-        assert!((grid[2].1 - 0.0).abs() < 1e-12, "gap must read as idle");
-        assert!((grid[5].1 - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn resample_filters_by_phase() {
-        let t = toy();
-        let g = t.resample(1.0, Some(Phase::Generation));
-        assert!(
-            (g[2].1 - 0.0).abs() < 1e-12,
-            "verification time reads idle for generation"
-        );
-    }
-
-    #[test]
     fn record_clamps_utilization() {
         let mut t = UtilizationTrace::new();
         t.record(0.0, 1.0, 7.0, Phase::Generation);
@@ -213,7 +158,6 @@ mod tests {
     fn empty_trace_behaves() {
         let t = UtilizationTrace::new();
         assert_eq!(t.mean_util(None), 0.0);
-        assert!(t.resample(0.1, None).is_empty());
         assert_eq!(t.span(), 0.0);
     }
 }

@@ -53,7 +53,7 @@ pub struct TenantShareRequest {
 /// tenant is either satisfied or the pool is spent. The integer
 /// remainder goes to the heaviest unbounded tenant (lowest id on ties).
 ///
-/// Guarantees, relied on by the `ftts-serve` tenant proptests:
+/// Guarantees, checked by the proptests in `tests/budget_props.rs`:
 /// Σ budgets ≤ `total`; every budget ≤ its `limit`; a tenant with
 /// positive weight, limit and need never gets 0 while bytes remain
 /// (starvation-freedom); and raising one tenant's weight (all else

@@ -800,16 +800,6 @@ impl KvCache {
         blocks
     }
 
-    /// GPU-resident tokens (physical, including copy-on-write pads).
-    pub fn resident_tokens(&self) -> u64 {
-        self.tree
-            .nodes
-            .iter()
-            .filter(|n| n.residency == Residency::Gpu)
-            .map(|n| n.pad + n.n_tokens)
-            .sum()
-    }
-
     /// Unique tokens in the union of the paths ending at `leaves` — the
     /// working set a cache must retain to serve all of them without
     /// recomputation. With prefix sharing this is the (deduplicated)

@@ -15,8 +15,14 @@
 //! 4. **No stranding** — a share never drops below the holder's
 //!    declared accepted-token floor (capped at the equal split, which
 //!    is the most `k` holders can each be guaranteed).
+//!
+//! The per-tenant water-filling rule, [`tenant_weighted_budgets`], is
+//! checked over randomized tenant populations: its budgets sum to at
+//! most the pool and respect each tenant's cap, raising one tenant's
+//! weight never shrinks its budget, and no tenant with positive demand
+//! starves beside a greedy one.
 
-use ftts_kv::{PoolBudget, ShareRequest};
+use ftts_kv::{tenant_weighted_budgets, PoolBudget, ShareRequest};
 use proptest::prelude::*;
 
 /// One scripted ledger operation.
@@ -47,6 +53,24 @@ fn share_requests(pool: &PoolBudget, demand_seed: u64, floor_seed: u64) -> Vec<S
             holder: h,
             demand: (h + 1) * demand_seed % 1700,
             floor: (h + 1) * floor_seed % 900,
+        })
+        .collect()
+}
+
+/// A reproducible tenant population over a pool: ids `0..n` with
+/// derived weights (1–4) and caps (uncapped, or one to three quarters
+/// of the pool), as `(id, weight, cap)` rows.
+fn tenants(pool: u64, n: usize, seed: u64) -> Vec<(u64, u32, u64)> {
+    (0..n as u64)
+        .map(|id| {
+            let mix = seed.wrapping_mul(0x9E37_79B9).wrapping_add(id);
+            let weight = 1 + u32::try_from(mix % 4).expect("small");
+            let cap = if mix % 3 == 0 {
+                u64::MAX
+            } else {
+                (pool / 4).max(1) * (1 + mix % 3)
+            };
+            (id, weight, cap)
         })
         .collect()
 }
@@ -144,6 +168,64 @@ proptest! {
             prop_assert_eq!(h, r.holder);
             prop_assert!(s >= total / (2 * k as u64));
             prop_assert!(s >= r.floor.min(total / k as u64));
+        }
+    }
+
+    #[test]
+    fn shares_sum_within_pool_and_respect_caps(
+        pool in 1_000u64..1_000_000,
+        n in 1usize..5,
+        seed in 0u64..10_000,
+        demands in prop::collection::vec(0u64..2_000_000, 5..6),
+    ) {
+        let rows = tenants(pool, n, seed);
+        let needs: Vec<(u64, u32, u64, u64)> = rows
+            .iter()
+            .map(|&(id, weight, cap)| (id, weight, cap, demands[id as usize]))
+            .collect();
+        let shares = tenant_weighted_budgets(pool, &needs);
+        prop_assert_eq!(shares.len(), n);
+        prop_assert!(shares.iter().map(|&(_, s)| s).sum::<u64>() <= pool, "pool never oversubscribed");
+        for (&(tenant, share), &(id, _, cap)) in shares.iter().zip(&rows) {
+            prop_assert_eq!(tenant, id);
+            prop_assert!(share <= cap, "tenant {} share {} over cap {}", tenant, share, cap);
+        }
+    }
+
+    #[test]
+    fn shares_are_monotone_in_weight(
+        pool in 10_000u64..1_000_000,
+        weight_lo in 1u32..4,
+        bump in 1u32..4,
+        other_weight in 1u32..5,
+    ) {
+        let share = |weight: u32| {
+            let needs = [(0, weight, u64::MAX, pool), (1, other_weight, u64::MAX, pool)];
+            tenant_weighted_budgets(pool, &needs)[0].1
+        };
+        prop_assert!(
+            share(weight_lo + bump) >= share(weight_lo),
+            "raising tenant 0's weight must not shrink its share ({} -> {})",
+            share(weight_lo),
+            share(weight_lo + bump)
+        );
+    }
+
+    #[test]
+    fn no_starvation_beside_a_greedy_tenant(
+        pool in 10_000u64..1_000_000,
+        n in 2usize..5,
+        seed in 0u64..10_000,
+        greedy in 1u64..u64::MAX,
+    ) {
+        // Tenant 0 asks for anything up to the whole address space, the
+        // others for the pool: every one of them gets a positive share.
+        let needs: Vec<(u64, u32, u64, u64)> = tenants(pool, n, seed)
+            .into_iter()
+            .map(|(id, weight, cap)| (id, weight, cap, if id == 0 { greedy } else { pool }))
+            .collect();
+        for (tenant, share) in tenant_weighted_budgets(pool, &needs) {
+            prop_assert!(share > 0, "tenant {tenant} with positive demand must not starve");
         }
     }
 }

@@ -35,26 +35,6 @@ pub fn top1_majority(answers: &[(u32, f64)]) -> Option<u32> {
         .map(|(a, _)| a)
 }
 
-/// Verifier-weighted vote (an alternative selector some TTS systems use):
-/// each answer accumulates its beams' scores; the heaviest answer wins.
-pub fn vote_weighted(answers: &[(u32, f64)]) -> Option<u32> {
-    if answers.is_empty() {
-        return None;
-    }
-    let mut tally: HashMap<u32, f64> = HashMap::new();
-    for &(a, score) in answers {
-        *tally.entry(a).or_insert(0.0) += score.max(0.0);
-    }
-    tally
-        .into_iter()
-        .max_by(|(a1, s1), (a2, s2)| {
-            s1.partial_cmp(s2)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a2.cmp(a1))
-        })
-        .map(|(a, _)| a)
-}
-
 /// Pass@N: rank candidates by verifier score (descending) and report
 /// whether any of the top `n` is correct (paper Sec. 6.3: "the N
 /// candidates are selected based on their verifier score").
@@ -101,13 +81,6 @@ mod tests {
     #[test]
     fn majority_of_empty_is_none() {
         assert_eq!(top1_majority(&[]), None);
-        assert_eq!(vote_weighted(&[]), None);
-    }
-
-    #[test]
-    fn weighted_vote_prefers_total_score() {
-        let picked = vote_weighted(&[(1, 0.3), (1, 0.3), (2, 0.9)]);
-        assert_eq!(picked, Some(2));
     }
 
     #[test]

@@ -27,7 +27,7 @@ mod stream;
 mod summary;
 mod tenant;
 
-pub use accuracy::{pass_at_n, top1_majority, vote_weighted};
+pub use accuracy::{pass_at_n, top1_majority};
 pub use fleet::FleetSummary;
 pub use goodput::{precise_goodput, BeamOutcome};
 pub use latency::{CompletionRecord, LatencyBreakdown};

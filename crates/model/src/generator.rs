@@ -293,9 +293,7 @@ impl SyntheticGenerator {
     /// wrong value.
     fn draw_answer(&self, problem: &ProblemSpec, quality: f64, key: u64, approach: u64) -> u32 {
         let mut rng = stream(&[key, 0xAB5_3E11]);
-        let logit = self.profile.answer_slope * quality + self.profile.answer_bias;
-        let p_correct = 1.0 / (1.0 + (-logit).exp());
-        if rng.gen::<f64>() < p_correct {
+        if rng.gen::<f64>() < self.p_correct(quality) {
             return problem.correct_answer();
         }
         if rng.gen::<f64>() < Self::APPROACH_DECOY_PROB {
@@ -329,7 +327,7 @@ impl SyntheticGenerator {
     }
 
     /// Probability that a terminal node with this quality answers
-    /// correctly (exposed for calibration tooling).
+    /// correctly: `sigmoid(slope * quality + bias)`.
     pub fn p_correct(&self, quality: f64) -> f64 {
         let logit = self.profile.answer_slope * quality + self.profile.answer_bias;
         1.0 / (1.0 + (-logit).exp())

@@ -66,7 +66,8 @@ pub struct ServeConfig {
     pub window_secs: f64,
     /// Fraction of device memory granted to the KV pool.
     pub memory_fraction: f64,
-    /// Devices in the fleet (1 = single event-driven device).
+    /// Replicas in the simulated fleet, behind a join-shortest-queue
+    /// router; with 1 the fleet's run is the bare event scheduler's.
     pub devices: usize,
     /// Largest prompt (tokens) the protocol accepts at all.
     pub max_prompt_tokens: u64,

@@ -6,10 +6,10 @@
 //! ([`config`]), and a per-tenant admission front door ([`tenant`])
 //! enforcing hard KV caps and open-request quotas *before* anything
 //! reaches the scheduler. The runtime ([`runtime`]) replays the
-//! accumulated virtual-time request log through
-//! [`ftts_core::EventServerSim`] (or [`ftts_core::FleetSim`] for
-//! multi-device configs) on demand; determinism all the way down makes
-//! the replies replayable byte-for-byte.
+//! accumulated virtual-time request log on demand through one
+//! [`ftts_core::FleetSim`], built at boot for any device count;
+//! determinism all the way down makes the replies replayable
+//! byte-for-byte.
 //!
 //! The `ftts-serve` binary boots from a config file and either serves
 //! until a `shutdown` frame arrives or — with `--client-replay

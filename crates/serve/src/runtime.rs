@@ -1,24 +1,26 @@
 //! The serving runtime behind the wire protocol.
 //!
 //! The server is a *virtual-time* front-end over the deterministic
-//! simulators: clients submit requests with explicit arrival instants,
+//! simulator: clients submit requests with explicit arrival instants,
 //! and any query that needs results (`status`, `stats`) replays the
-//! accumulated timeline through [`EventServerSim`] (or [`FleetSim`]
-//! when the config declares more than one device) from scratch.
-//! Because every layer underneath is seeded and deterministic, the
-//! replay is instant in the relevant sense — simulated seconds cost
-//! microseconds — and *incremental in effect*: re-running the grown
-//! timeline yields exactly the previous results for old requests plus
-//! results for the new ones, which the replay-determinism tests pin
-//! down byte-for-byte.
+//! accepted, uncancelled submissions from scratch through one
+//! [`FleetSim`], built at boot: `devices` servers behind a
+//! join-shortest-queue router, each with its fault plan. A 1-device
+//! fleet picks its one device without reading it, so its replay is the
+//! bare event scheduler's run, bit for bit. Because every layer
+//! underneath is seeded and deterministic, the replay is instant in the
+//! relevant sense — simulated seconds cost microseconds — and
+//! *incremental in effect*: re-running the grown timeline yields
+//! exactly the previous results for old requests plus results for the
+//! new ones, which the replay-determinism tests pin down byte-for-byte.
 //!
-//! Replays are memoized on a hash of `(config, active trace)`: any
-//! query whose effective simulation input matches the cached run is
-//! answered from the cache without re-simulating, so repeated `stats`
-//! polls — and no-op trace churn like a submit immediately cancelled —
-//! are O(1). Determinism makes this safe: equal inputs *must* produce
-//! the byte-identical reply, which the memoization regression test
-//! pins down.
+//! Neither the config nor an accepted frame ever changes, so the memo is
+//! the list of active submissions the cached replay simulated. Only a
+//! `submit` or a `cancel` can change that list; a query after neither
+//! does no work, and a query after churn that restores the list, like a
+//! submit cancelled before any query, replays nothing. Determinism
+//! makes this safe: equal inputs *must* produce the byte-identical
+//! reply, which the memoization regression test pins down.
 //!
 //! The runtime also owns the protocol-level tenant front door
 //! ([`TenantBudget`]): unknown tenants, prompts whose cold working set
@@ -30,8 +32,8 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use ftts_core::{
-    BatchConfig, EventConfig, EventServerSim, FaultPlan, FleetConfig, FleetSim, RoutePolicy,
-    ServedRequest, StormConfig, TenantPolicy, TenantSpec, TtsServer,
+    BatchConfig, EventConfig, FaultPlan, FleetConfig, FleetSim, RoutePolicy, ServedRequest,
+    StormConfig, TenantPolicy, TenantSpec, TtsServer,
 };
 use ftts_engine::ModelPairing;
 use ftts_hw::GpuDevice;
@@ -59,7 +61,7 @@ struct Submission {
     cold_bytes: u64,
     cancelled: bool,
     /// Whether the submission currently holds ledger bytes/quota; open
-    /// holdings resolve (release) at the next replay or cancellation.
+    /// holdings resolve (release) at the next query or cancellation.
     billed: bool,
 }
 
@@ -68,21 +70,26 @@ struct SimResult {
     /// Resolved record per submission index (cancelled ones absent).
     outcomes: BTreeMap<usize, ServedRequest>,
     /// Per-tenant peak KV grants, merged max across devices.
-    tenant_peaks: Vec<(u32, u64)>,
+    tenant_peaks: BTreeMap<u32, u64>,
 }
 
-/// The serving runtime: config, tenant front door, submission log and
-/// the cached replay.
+/// The serving runtime: config, simulator, tenant front door,
+/// submission log and the cached replay.
 #[derive(Debug, Clone)]
 pub struct ServeRuntime {
     config: ServeConfig,
+    fleet: FleetSim,
+    /// One fault plan per device.
+    plans: Vec<FaultPlan>,
     budget: TenantBudget,
     subs: Vec<Submission>,
     by_id: BTreeMap<String, usize>,
     rejected: u64,
-    /// Memo key of the cached replay: FNV-1a over the config and the
-    /// ordered active trace. `None` until the first replay.
-    cache_key: Option<u64>,
+    /// Whether a submit or cancel was accepted since the last query.
+    dirty: bool,
+    /// The active submissions the cached replay simulated, in arrival
+    /// order.
+    simulated: Vec<usize>,
     /// Full re-simulations actually executed (memo misses).
     replays: u64,
     cache: SimResult,
@@ -91,31 +98,68 @@ pub struct ServeRuntime {
 }
 
 impl ServeRuntime {
-    /// Build a runtime from a validated config.
+    /// Build a runtime, and the simulator it replays with, from a
+    /// validated config.
     pub fn new(config: ServeConfig) -> Self {
-        let server = Self::build_server(&config);
+        let mut server = TtsServer::fasttts(GpuDevice::rtx4090(), ModelPairing::pair_1_5b_1_5b());
+        server.config_mut().seed = config.seed;
+        server.config_mut().memory_fraction = config.memory_fraction;
         let pool_bytes = server.config().kv_budget_bytes();
         let gen_bpt = server.config().models.gen_spec.kv_bytes_per_token();
         let mut budget = TenantBudget::new(pool_bytes);
+        let mut batch = BatchConfig::fused(config.max_batch);
         if config.tenants.is_empty() {
-            budget.register(0, 1, u64::MAX, 0);
+            budget.register(0, u64::MAX, 0);
         } else {
+            let mut specs = Vec::with_capacity(config.tenants.len());
             for t in &config.tenants {
-                budget.register(
-                    t.id,
-                    t.weight,
-                    cap_bytes(t.kv_cap_frac, pool_bytes),
-                    t.max_open,
-                );
+                let kv_cap_bytes = cap_bytes(t.kv_cap_frac, pool_bytes);
+                budget.register(t.id, kv_cap_bytes, t.max_open);
+                specs.push(TenantSpec {
+                    id: t.id,
+                    weight: t.weight,
+                    kv_cap_bytes,
+                    max_in_flight: t.max_in_flight,
+                });
             }
+            batch = batch.with_tenants(TenantPolicy::new(&specs));
         }
+        let fleet = FleetSim::new(
+            vec![server; config.devices],
+            config.n_beams,
+            SearchKind::BeamSearch,
+            FleetConfig::new(
+                EventConfig::new(batch, config.window_secs),
+                RoutePolicy::Jsq,
+            ),
+        );
+        let plans = (0..config.devices as u64)
+            .map(|device| {
+                config.storm.as_ref().map_or_else(FaultPlan::none, |s| {
+                    FaultPlan::storm(
+                        s.seed.wrapping_add(device),
+                        s.horizon_secs,
+                        &StormConfig {
+                            kernel_faults: s.kernel_faults,
+                            slowdowns: s.slowdowns,
+                            slowdown_factor: s.slowdown_factor,
+                            slowdown_secs: s.slowdown_secs,
+                            kv_losses: s.kv_losses,
+                        },
+                    )
+                })
+            })
+            .collect();
         Self {
             config,
+            fleet,
+            plans,
             budget,
             subs: Vec::new(),
             by_id: BTreeMap::new(),
             rejected: 0,
-            cache_key: None,
+            dirty: false,
+            simulated: Vec::new(),
             replays: 0,
             cache: SimResult::default(),
             pool_bytes,
@@ -246,6 +290,7 @@ impl ServeRuntime {
             cancelled: false,
             billed: true,
         });
+        self.dirty = true;
         Ok(reply)
     }
 
@@ -256,6 +301,7 @@ impl ServeRuntime {
         let sub = &mut self.subs[idx];
         if !sub.cancelled {
             sub.cancelled = true;
+            self.dirty = true;
             if sub.billed {
                 sub.billed = false;
                 self.budget.release(sub.frame.tenant, sub.cold_bytes);
@@ -312,13 +358,7 @@ impl ServeRuntime {
             tagged.push((sub.frame.tenant, r.stream_record()));
         }
         let rollups = TenantRollup::of(&tagged);
-        let peak = |tenant: u32| {
-            self.cache
-                .tenant_peaks
-                .iter()
-                .find(|&&(t, _)| t == tenant)
-                .map_or(0, |&(_, b)| b)
-        };
+        let peak = |tenant: u32| self.cache.tenant_peaks.get(&tenant).copied().unwrap_or(0);
         let mut tenants = String::new();
         for (i, row) in rollups.iter().enumerate() {
             if i > 0 {
@@ -353,83 +393,12 @@ impl ServeRuntime {
         ))
     }
 
-    fn build_server(config: &ServeConfig) -> TtsServer {
-        let mut server = TtsServer::fasttts(GpuDevice::rtx4090(), ModelPairing::pair_1_5b_1_5b());
-        server.config_mut().seed = config.seed;
-        server.config_mut().memory_fraction = config.memory_fraction;
-        server
-    }
-
-    fn batch_config(&self) -> BatchConfig {
-        let mut batch = BatchConfig::fused(self.config.max_batch);
-        if !self.config.tenants.is_empty() {
-            let specs: Vec<TenantSpec> = self
-                .config
-                .tenants
-                .iter()
-                .map(|t| TenantSpec {
-                    id: t.id,
-                    weight: t.weight,
-                    kv_cap_bytes: cap_bytes(t.kv_cap_frac, self.pool_bytes),
-                    max_in_flight: t.max_in_flight,
-                })
-                .collect();
-            batch = batch.with_tenants(TenantPolicy::new(&specs));
-        }
-        batch
-    }
-
-    fn fault_plan(&self, device: u64) -> FaultPlan {
-        self.config
-            .storm
-            .as_ref()
-            .map_or_else(FaultPlan::none, |s| {
-                FaultPlan::storm(
-                    s.seed.wrapping_add(device),
-                    s.horizon_secs,
-                    &StormConfig {
-                        kernel_faults: s.kernel_faults,
-                        slowdowns: s.slowdowns,
-                        slowdown_factor: s.slowdown_factor,
-                        slowdown_secs: s.slowdown_secs,
-                        kv_losses: s.kv_losses,
-                    },
-                )
-            })
-    }
-
-    /// The memo key: FNV-1a over the config plus every field of the
-    /// ordered active trace that can influence the simulation — arrival
-    /// instants, problems, SLOs, deadlines, tenants, and the submission
-    /// indices the cache is keyed by.
-    fn trace_key(&self, order: &[usize]) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = FNV_OFFSET;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-        };
-        eat(format!("{:?}", self.config).as_bytes());
-        for &i in order {
-            let f = &self.subs[i].frame;
-            eat(&(i as u64).to_le_bytes());
-            eat(&f.arrive_at.to_bits().to_le_bytes());
-            eat(&f.deadline_secs.to_bits().to_le_bytes());
-            eat(&f.problem_seed.to_le_bytes());
-            eat(&f.tenant.to_le_bytes());
-            eat(format!("{:?}|{:?}", f.dataset, f.slo).as_bytes());
-        }
-        h
-    }
-
-    /// Replay the accumulated timeline if its effective simulation
-    /// input changed since the cached run; answer from the memo when it
-    /// did not (repeated queries are O(1), as is no-op churn like a
-    /// submit that was immediately cancelled).
+    /// Replay the active submissions if a submit or cancel changed them
+    /// since the cached run; answer from the memo otherwise.
     fn freshen(&mut self) -> Result<(), WireError> {
+        if !self.dirty {
+            return Ok(());
+        }
         let mut order: Vec<usize> = (0..self.subs.len())
             .filter(|&i| !self.subs[i].cancelled)
             .collect();
@@ -441,84 +410,51 @@ impl ServeRuntime {
                 .expect("finite arrivals")
                 .then(a.cmp(&b))
         });
-        let key = self.trace_key(&order);
-        if self.cache_key != Some(key) {
-            let arrivals: Vec<RequestArrival> = order
-                .iter()
-                .map(|&i| {
-                    let f = &self.subs[i].frame;
-                    RequestArrival {
-                        at: f.arrive_at,
-                        problem: f.dataset.problems(1, f.problem_seed)[0],
-                        slo: f.slo,
-                        deadline: f.arrive_at + f.deadline_secs,
-                        tenant: f.tenant,
-                    }
-                })
-                .collect();
-            self.cache = self.simulate(&arrivals, &order)?;
-            self.cache_key = Some(key);
+        if order != self.simulated {
+            self.cache = self.simulate(&order)?;
+            self.simulated = order;
             self.replays += 1;
         }
         // Open ledger holdings resolve with the query: every active
         // submission now has a (possibly memoized) result, so its bytes
         // and quota slot return to the tenant's budget.
-        for i in &order {
-            let sub = &mut self.subs[*i];
+        for &i in &self.simulated {
+            let sub = &mut self.subs[i];
             if sub.billed {
                 sub.billed = false;
                 self.budget.release(sub.frame.tenant, sub.cold_bytes);
             }
         }
+        self.dirty = false;
         Ok(())
     }
 
-    fn simulate(
-        &self,
-        arrivals: &[RequestArrival],
-        order: &[usize],
-    ) -> Result<SimResult, WireError> {
-        let event = EventConfig::new(self.batch_config(), self.config.window_secs);
-        let internal = |e: ftts_core::EngineError| {
-            WireError::new("internal_error", format!("simulation failed: {e:?}"))
-        };
-        let (served, tenant_peaks) = if self.config.devices == 1 {
-            let sim = EventServerSim::new(
-                Self::build_server(&self.config),
-                self.config.n_beams,
-                SearchKind::BeamSearch,
-                event,
-            );
-            let run = sim
-                .run_faulted(arrivals, &self.fault_plan(0))
-                .map_err(internal)?;
-            (run.served, run.tenant_peak_bytes)
-        } else {
-            let devices: Vec<TtsServer> = (0..self.config.devices)
-                .map(|_| Self::build_server(&self.config))
-                .collect();
-            let plans: Vec<FaultPlan> = (0..self.config.devices as u64)
-                .map(|d| self.fault_plan(d))
-                .collect();
-            let sim = FleetSim::new(
-                devices,
-                self.config.n_beams,
-                SearchKind::BeamSearch,
-                FleetConfig::new(event, RoutePolicy::Jsq),
-            );
-            let run = sim.run_faulted(arrivals, &plans).map_err(internal)?;
-            let mut peaks: BTreeMap<u32, u64> = BTreeMap::new();
-            for device_run in &run.device_runs {
-                for &(t, b) in &device_run.tenant_peak_bytes {
-                    let entry = peaks.entry(t).or_insert(0);
-                    *entry = (*entry).max(b);
+    fn simulate(&self, order: &[usize]) -> Result<SimResult, WireError> {
+        let arrivals: Vec<RequestArrival> = order
+            .iter()
+            .map(|&i| {
+                let f = &self.subs[i].frame;
+                RequestArrival {
+                    at: f.arrive_at,
+                    problem: f.dataset.problems(1, f.problem_seed)[0],
+                    slo: f.slo,
+                    deadline: f.arrive_at + f.deadline_secs,
+                    tenant: f.tenant,
                 }
-            }
-            (run.served, peaks.into_iter().collect())
-        };
-        debug_assert_eq!(served.len(), order.len());
+            })
+            .collect();
+        let run = self
+            .fleet
+            .run_faulted(&arrivals, &self.plans)
+            .map_err(|e| WireError::new("internal_error", format!("simulation failed: {e:?}")))?;
+        let mut tenant_peaks: BTreeMap<u32, u64> = BTreeMap::new();
+        for &(t, b) in run.device_runs.iter().flat_map(|r| &r.tenant_peak_bytes) {
+            let entry = tenant_peaks.entry(t).or_insert(0);
+            *entry = (*entry).max(b);
+        }
+        debug_assert_eq!(run.served.len(), order.len());
         Ok(SimResult {
-            outcomes: order.iter().copied().zip(served).collect(),
+            outcomes: order.iter().copied().zip(run.served).collect(),
             tenant_peaks,
         })
     }

@@ -6,16 +6,9 @@
 //! every open (submitted, not yet resolved) request and the open-
 //! request count, and refuses a `submit` that would blow through the
 //! tenant's hard cap or admission quota — working-set-aware early
-//! rejection, before the request ever reaches the scheduler. It also
-//! answers "what weighted fair share would each tenant get right now",
-//! delegating to the same water-filling rule
-//! ([`ftts_kv::tenant_weighted_budgets`]) the in-simulation rebalancer
-//! uses, so the front door and the scheduler never disagree about
-//! entitlements.
+//! rejection, before the request ever reaches the scheduler.
 
 use std::collections::BTreeMap;
-
-use ftts_kv::tenant_weighted_budgets;
 
 /// Why a submission was refused admission.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -44,15 +37,14 @@ pub enum AdmitError {
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Account {
-    weight: u32,
     cap: u64,
     max_open: usize,
     reserved: u64,
     open: usize,
 }
 
-/// Per-tenant admission ledger: hard byte caps, open-request quotas,
-/// and weighted fair-share answers over one device KV pool.
+/// Per-tenant admission ledger: hard byte caps and open-request quotas
+/// over one device KV pool.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TenantBudget {
     pool: u64,
@@ -78,14 +70,12 @@ impl TenantBudget {
     ///
     /// # Panics
     ///
-    /// Panics on a zero weight, a zero cap, or a duplicate id.
-    pub fn register(&mut self, id: u32, weight: u32, cap_bytes: u64, max_open: usize) {
-        assert!(weight > 0, "tenant weight must be positive");
+    /// Panics on a zero cap or a duplicate id.
+    pub fn register(&mut self, id: u32, cap_bytes: u64, max_open: usize) {
         assert!(cap_bytes > 0, "a zero cap would admit nothing");
         let prev = self.accounts.insert(
             id,
             Account {
-                weight,
                 cap: cap_bytes,
                 max_open: if max_open == 0 { usize::MAX } else { max_open },
                 reserved: 0,
@@ -160,29 +150,6 @@ impl TenantBudget {
     pub fn open(&self, tenant: u32) -> usize {
         self.accounts.get(&tenant).map_or(0, |a| a.open)
     }
-
-    /// The weighted fair share each registered tenant would be granted
-    /// for the given per-tenant demands, in tenant-id order. Capped
-    /// water-filling over the pool: the sum never exceeds the pool and
-    /// no share exceeds the tenant's hard cap; surplus from capped or
-    /// low-demand tenants is re-filled to the still-hungry by weight.
-    pub fn shares(&self, demands: &[(u32, u64)]) -> Vec<(u32, u64)> {
-        let needs: Vec<(u64, u32, u64, u64)> = self
-            .accounts
-            .iter()
-            .map(|(&id, account)| {
-                let demand = demands
-                    .iter()
-                    .find(|&&(t, _)| t == id)
-                    .map_or(0, |&(_, d)| d);
-                (u64::from(id), account.weight, account.cap, demand)
-            })
-            .collect();
-        tenant_weighted_budgets(self.pool, &needs)
-            .into_iter()
-            .map(|(id, share)| (u32::try_from(id).expect("ids fit u32"), share))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -192,7 +159,7 @@ mod tests {
     #[test]
     fn admission_reserves_and_release_returns() {
         let mut b = TenantBudget::new(1000);
-        b.register(1, 1, 400, 2);
+        b.register(1, 400, 2);
         b.try_admit(1, 300).expect("fits");
         assert_eq!(b.reserved(1), 300);
         assert_eq!(b.open(1), 1);
@@ -219,7 +186,7 @@ mod tests {
     #[test]
     fn unknown_tenants_and_pool_misfits_are_refused() {
         let mut b = TenantBudget::new(1000);
-        b.register(0, 1, u64::MAX, 0);
+        b.register(0, u64::MAX, 0);
         assert_eq!(
             b.try_admit(9, 1),
             Err(AdmitError::UnknownTenant { tenant: 9 })
@@ -232,17 +199,5 @@ mod tests {
             }),
             "uncapped tenants are still bounded by the pool"
         );
-    }
-
-    #[test]
-    fn shares_respect_caps_and_weights() {
-        let mut b = TenantBudget::new(900);
-        b.register(0, 2, u64::MAX, 0);
-        b.register(1, 1, 100, 0);
-        let shares = b.shares(&[(0, 900), (1, 900)]);
-        let of = |t: u32| shares.iter().find(|&&(id, _)| id == t).unwrap().1;
-        assert!(of(1) <= 100, "cap binds");
-        assert!(of(0) > of(1), "heavier tenant gets more");
-        assert!(shares.iter().map(|&(_, s)| s).sum::<u64>() <= 900);
     }
 }

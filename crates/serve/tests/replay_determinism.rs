@@ -4,12 +4,18 @@
 //! explicit `arrive_at` stamps, so nothing about wall-clock scheduling
 //! may leak into a reply.
 //!
-//! Two reply streams are also frozen as golden fingerprints (FNV-1a-64
-//! of the replies, one per line): this file's trace, and the CI smoke
-//! trace `ci/smoke_trace.jsonl` under `ci/serve.toml`. Both run the
-//! window-0.2 two-tenant policy no scheduler golden row covers. A
-//! deliberate behaviour change edits the constant by hand and records
-//! why in CHANGES.md.
+//! Five reply streams are also frozen as golden fingerprints (FNV-1a-64
+//! of the replies, one per line):
+//!
+//! * this file's trace, and the same trace under a `[faults]` storm;
+//! * the CI smoke trace `ci/smoke_trace.jsonl` under `ci/serve.toml`,
+//!   and under `ci/serve_fleet.toml`, its two-device copy;
+//! * a `serve-session`-shaped trace: submit→status pairs, a back-dated
+//!   submit, a submit cancelled before any query, and repeated `stats`.
+//!
+//! All of them run the window-0.2 two-tenant policy no scheduler golden
+//! row covers. A deliberate behaviour change edits the constant by hand
+//! and records why in CHANGES.md.
 
 use ftts_serve::{ServeConfig, ServeRuntime};
 
@@ -52,6 +58,30 @@ const TRACE_REPLIES: &str = "f02a3f23191eac1f";
 /// config.
 const SMOKE_REPLIES: &str = "cbd2c3a79b32c31b";
 
+/// Golden fingerprint of the CI smoke trace's replies under the
+/// two-device CI config.
+const SMOKE_FLEET_REPLIES: &str = "4f457c8dfd3cf8c5";
+
+/// Golden fingerprint of [`TRACE`]'s replies under [`CONFIG`] plus
+/// [`STORM`].
+const STORM_REPLIES: &str = "7d13a6f95bd7d91e";
+
+/// Golden fingerprint of [`session_trace`]'s replies under [`CONFIG`].
+const SESSION_REPLIES: &str = "83a2dba099e7a329";
+
+/// A seeded fault storm over the first minute: kernel faults, throttle
+/// windows and KV losses on every device.
+const STORM: &str = r#"
+[faults]
+seed = 5
+horizon_secs = 60.0
+kernel_faults = 4
+slowdowns = 2
+slowdown_factor = 1.5
+slowdown_secs = 10.0
+kv_losses = 2
+"#;
+
 fn replay() -> Vec<String> {
     replay_frames(CONFIG, TRACE.iter().copied())
 }
@@ -59,6 +89,56 @@ fn replay() -> Vec<String> {
 fn replay_frames<'a>(config: &str, frames: impl Iterator<Item = &'a str>) -> Vec<String> {
     let mut rt = ServeRuntime::new(ServeConfig::parse(config).expect("config"));
     frames.map(|line| rt.handle_line(line).reply).collect()
+}
+
+/// The CI smoke trace's frames exactly as the smoke client
+/// `net::replay` sends them: trimmed, with blank and `#` lines skipped.
+fn smoke_frames() -> impl Iterator<Item = &'static str> {
+    include_str!("../ci/smoke_trace.jsonl")
+        .lines()
+        .map(str::trim)
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+}
+
+/// A `serve-session`-shaped trace: each request is submitted one
+/// virtual second after the last and queried at once. Request `late`
+/// arrives back-dated, behind three earlier ones; request `gone` is
+/// submitted and cancelled before any query, so the status after it
+/// sees the same active set; `stats` is polled twice every fourth step.
+fn session_trace() -> Vec<String> {
+    const SLOS: [(&str, u32); 3] = [("interactive", 90), ("standard", 120), ("batch", 180)];
+    let submit = |id: &str, n: u32, tenant: u32, at: f64| {
+        let (slo, slack) = SLOS[n as usize % SLOS.len()];
+        let dataset = if n % 4 == 3 { "math500" } else { "amc2023" };
+        format!(
+            r#"{{"op":"submit","id":"{id}","tenant":{tenant},"slo":"{slo}","deadline_secs":{slack},"dataset":"{dataset}","problem_seed":{},"arrive_at":{at}}}"#,
+            100 + n
+        )
+    };
+    let status = |id: &str| format!(r#"{{"op":"status","id":"{id}"}}"#);
+    let stats = r#"{"op":"stats"}"#.to_string();
+    let mut frames = Vec::new();
+    for i in 0..12u32 {
+        let id = format!("r{i}");
+        frames.push(submit(&id, i, u32::from(i % 4 == 3), f64::from(i)));
+        frames.push(status(&id));
+        if i == 5 {
+            frames.push(submit("late", 12, 0, 2.5));
+            frames.push(status("late"));
+        }
+        if i == 8 {
+            frames.push(submit("gone", 13, 1, 8.5));
+            frames.push(r#"{"op":"cancel","id":"gone"}"#.to_string());
+            frames.push(status(&id));
+        }
+        if i % 4 == 3 {
+            frames.push(stats.clone());
+            frames.push(stats.clone());
+        }
+    }
+    frames.push(status("gone"));
+    frames.push(stats);
+    frames
 }
 
 /// FNV-1a-64 of the replies, each followed by a newline.
@@ -101,19 +181,51 @@ fn trace_replies_match_their_golden_fingerprint() {
 
 #[test]
 fn smoke_trace_replies_match_their_golden_fingerprint() {
-    // Frames exactly as the smoke client `net::replay` sends them:
-    // trimmed, with blank and `#` lines skipped.
-    let frames = include_str!("../ci/smoke_trace.jsonl")
-        .lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty() && !l.starts_with('#'));
-    let replies = replay_frames(include_str!("../ci/serve.toml"), frames);
+    let replies = replay_frames(include_str!("../ci/serve.toml"), smoke_frames());
     assert_eq!(
         fingerprint(&replies),
         SMOKE_REPLIES,
         "replies drifted:\n{}",
         replies.join("\n")
     );
+}
+
+#[test]
+fn fleet_smoke_trace_replies_match_their_golden_fingerprint() {
+    let replies = replay_frames(include_str!("../ci/serve_fleet.toml"), smoke_frames());
+    assert_eq!(
+        fingerprint(&replies),
+        SMOKE_FLEET_REPLIES,
+        "replies drifted:\n{}",
+        replies.join("\n")
+    );
+}
+
+#[test]
+fn storm_trace_replies_match_their_golden_fingerprint() {
+    let replies = replay_frames(&format!("{CONFIG}{STORM}"), TRACE.iter().copied());
+    assert_eq!(
+        fingerprint(&replies),
+        STORM_REPLIES,
+        "replies drifted:\n{}",
+        replies.join("\n")
+    );
+}
+
+#[test]
+fn session_trace_replies_match_their_golden_fingerprint() {
+    let frames = session_trace();
+    let mut rt = ServeRuntime::new(ServeConfig::parse(CONFIG).expect("config"));
+    let replies: Vec<String> = frames.iter().map(|l| rt.handle_line(l).reply).collect();
+    assert_eq!(
+        fingerprint(&replies),
+        SESSION_REPLIES,
+        "replies drifted:\n{}",
+        replies.join("\n")
+    );
+    // One replay per status after a submit, the back-dated one
+    // included; the cancelled churn and every `stats` are memo hits.
+    assert_eq!(rt.replays(), 13);
 }
 
 #[test]

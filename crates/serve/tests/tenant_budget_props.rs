@@ -3,32 +3,29 @@
 //!
 //! 1. A tenant's reserved bytes never exceed its hard cap, no matter
 //!    the admit/release interleaving.
-//! 2. Weighted fair shares always sum to at most the pool, and no
-//!    share exceeds its tenant's cap.
-//! 3. Shares are monotone in weight: raising one tenant's weight
-//!    (everything else fixed) never shrinks its share.
-//! 4. Starvation-freedom under churn: a tenant with positive demand
-//!    gets a positive share whatever open load the others hold.
+//! 2. A refused admission leaves the ledger untouched.
+//!
+//! The weighted fair-share rule the scheduler rebalances by is checked
+//! in `ftts-kv` (`tests/budget_props.rs`).
 
 use ftts_serve::TenantBudget;
 use proptest::prelude::*;
 
 /// A reproducible tenant population over a pool: ids 0..n with
-/// derived weights/caps/quotas. Returns the ledger plus the per-tenant
-/// caps so tests can assert against them independently.
+/// derived caps and quotas. Returns the ledger plus the per-tenant caps
+/// so tests can assert against them independently.
 fn build(pool: u64, n: usize, seed: u64) -> (TenantBudget, Vec<u64>) {
     let mut budget = TenantBudget::new(pool);
     let mut caps = Vec::new();
     for id in 0..n as u32 {
         let mix = seed.wrapping_mul(0x9E37_79B9).wrapping_add(u64::from(id));
-        let weight = 1 + u32::try_from(mix % 4).expect("small");
         let cap = if mix % 3 == 0 {
             u64::MAX
         } else {
             (pool / 4).max(1) * (1 + mix % 3)
         };
         let max_open = usize::try_from(mix % 5).expect("small"); // 0 = unlimited
-        budget.register(id, weight, cap, max_open);
+        budget.register(id, cap, max_open);
         caps.push(cap);
     }
     (budget, caps)
@@ -85,82 +82,13 @@ proptest! {
     ) {
         let cap = pool / cap_frac;
         let mut budget = TenantBudget::new(pool);
-        budget.register(0, 1, cap.max(1), 0);
+        budget.register(0, cap.max(1), 0);
         for &bytes in &requests {
             let before = budget.reserved(0);
             match budget.try_admit(0, bytes) {
                 Ok(()) => prop_assert!(budget.reserved(0) <= cap.max(1), "cap held"),
                 Err(_) => prop_assert_eq!(budget.reserved(0), before, "refusal is side-effect free"),
             }
-        }
-    }
-
-    #[test]
-    fn shares_sum_within_pool_and_respect_caps(
-        pool in 1_000u64..1_000_000,
-        n in 1usize..5,
-        seed in 0u64..10_000,
-        demands in prop::collection::vec(0u64..2_000_000, 5..6),
-    ) {
-        let (budget, caps) = build(pool, n, seed);
-        let asks: Vec<(u32, u64)> = (0..n as u32).map(|id| (id, demands[id as usize % 5])).collect();
-        let shares = budget.shares(&asks);
-        prop_assert_eq!(shares.len(), n);
-        prop_assert!(shares.iter().map(|&(_, s)| s).sum::<u64>() <= pool, "pool never oversubscribed");
-        for &(tenant, share) in &shares {
-            prop_assert!(
-                share <= caps[tenant as usize],
-                "tenant {} share {} over cap {}",
-                tenant,
-                share,
-                caps[tenant as usize]
-            );
-        }
-    }
-
-    #[test]
-    fn shares_are_monotone_in_weight(
-        pool in 10_000u64..1_000_000,
-        weight_lo in 1u32..4,
-        bump in 1u32..4,
-        other_weight in 1u32..5,
-    ) {
-        let mut lo = TenantBudget::new(pool);
-        lo.register(0, weight_lo, u64::MAX, 0);
-        lo.register(1, other_weight, u64::MAX, 0);
-        let mut hi = TenantBudget::new(pool);
-        hi.register(0, weight_lo + bump, u64::MAX, 0);
-        hi.register(1, other_weight, u64::MAX, 0);
-        let asks = [(0u32, pool), (1u32, pool)];
-        let share = |b: &TenantBudget| b.shares(&asks).iter().find(|&&(t, _)| t == 0).unwrap().1;
-        prop_assert!(
-            share(&hi) >= share(&lo),
-            "raising tenant 0's weight must not shrink its share ({} -> {})",
-            share(&lo),
-            share(&hi)
-        );
-    }
-
-    #[test]
-    fn no_starvation_under_churn(
-        pool in 10_000u64..1_000_000,
-        n in 2usize..5,
-        seed in 0u64..10_000,
-        greedy_open in prop::collection::vec(1u64..200_000, 0..10),
-    ) {
-        let (mut budget, _caps) = build(pool, n, seed);
-        // Tenant 0 churns through arbitrary open load...
-        for &bytes in &greedy_open {
-            let _ = budget.try_admit(0, bytes);
-        }
-        // ...and every tenant with positive demand still gets a
-        // positive share.
-        let asks: Vec<(u32, u64)> = (0..n as u32).map(|id| (id, pool)).collect();
-        for (tenant, share) in budget.shares(&asks) {
-            prop_assert!(
-                share > 0,
-                "tenant {tenant} with positive demand must not starve"
-            );
         }
     }
 }

@@ -46,12 +46,11 @@ pub use ftts_serve as serve;
 pub use ftts_workload as workload;
 
 pub use ftts_core::{
-    degraded_beams, parallel_map, AblationFlags, BatchConfig, BatchRun, BatchedServerSim,
-    EngineError, EventConfig, EventServerSim, FaultEvent, FaultKind, FaultPlan, FaultPolicy,
-    FleetConfig, FleetRun, FleetSim, HedgeConfig, HostTier, KvTierConfig, PrefixAwareOrder,
-    RobustConfig, RooflinePlanner, RoutePolicy, ServeOutcome, ServedRequest, ServerSim, SpecConfig,
-    StormConfig, TierStats, TimelineConfig, TimelineServerSim, TimelineTuning, TtsServer,
-    WorstCaseOrder,
+    degraded_beams, AblationFlags, BatchConfig, BatchRun, BatchedServerSim, EngineError,
+    EventConfig, EventServerSim, FaultEvent, FaultKind, FaultPlan, FaultPolicy, FleetConfig,
+    FleetRun, FleetSim, HedgeConfig, HostTier, KvTierConfig, PrefixAwareOrder, RobustConfig,
+    RooflinePlanner, RoutePolicy, ServeOutcome, ServedRequest, ServerSim, SpecConfig, StormConfig,
+    TierStats, TimelineConfig, TimelineServerSim, TimelineTuning, TtsServer, WorstCaseOrder,
 };
 pub use ftts_engine::{
     Engine, EngineConfig, ModelPairing, RequestRun, RunStats, SearchDriver, StepStatus,
