@@ -119,7 +119,7 @@ impl RooflinePlanner {
         let b_dec = ((g / d.gen_per_seq) as usize).clamp(1, n);
         let dec_batches = (n as f64 / b_dec as f64).ceil();
         let cache_len = ctx.avg_ctx + ctx.step_tokens / 2;
-        let t_dec = gen.decode_step(b_dec, cache_len).seconds;
+        let t_dec = gen.decode_seconds(b_dec, cache_len);
         let miss_g = Self::miss_rate(g, d.gen_tree);
         let recompute_tokens = (miss_g * n as f64 * ctx.avg_ctx as f64).round() as u64;
         let t_recompute = if recompute_tokens > 0 {

@@ -580,10 +580,10 @@ pub struct RequestRun {
     /// The decode chunk planned by `plan_decode_chunk`, awaiting its
     /// `apply_decode_chunk` charge.
     pending_decode: Option<DecodeChunk>,
-    /// The planned chunk's decode-step cost and the co-batch
+    /// The planned chunk's decode-step seconds and the co-batch
     /// `(co_seqs, co_ctx_sum)` it was priced under; reused only while
     /// both the chunk and the declared co-batch are unchanged.
-    chunk_price: Option<(DecodeChunk, usize, u64, ftts_hw::KernelCost)>,
+    chunk_price: Option<(DecodeChunk, usize, u64, f64)>,
     /// Verifier chunks produced by `take_verify_batch`, awaiting their
     /// `apply_verify_results` charges.
     pending_chunks: Vec<VerifyChunk>,
@@ -1138,15 +1138,15 @@ impl RequestRun {
             return 0.0;
         }
         let base_ctx = ctx + self.co_ctx_sum;
-        let before = self.gen_roof.decode_step(total, base_ctx / total as u64);
-        let after = self.gen_roof.decode_step(
+        let before = self.gen_roof.decode_seconds(total, base_ctx / total as u64);
+        let after = self.gen_roof.decode_seconds(
             total + add_seqs,
             (base_ctx + add_ctx) / (total + add_seqs) as u64,
         );
-        if before.seconds <= 0.0 || after.seconds <= before.seconds {
+        if before <= 0.0 || after <= before {
             return 0.0;
         }
-        let extra = remaining * (after.seconds / before.seconds - 1.0);
+        let extra = remaining * (after / before - 1.0);
         self.clock += extra;
         self.breakdown.contention += extra;
         extra
@@ -1593,8 +1593,8 @@ impl RequestRun {
         match planned {
             Some(chunk) => {
                 self.pending_decode = Some(chunk);
-                let cost = self.price_chunk(&chunk);
-                self.chunk_price = Some((chunk, self.co_seqs, self.co_ctx_sum, cost));
+                let step = self.price_chunk(&chunk);
+                self.chunk_price = Some((chunk, self.co_seqs, self.co_ctx_sum, step));
                 Ok(DecodeStatus::Planned(chunk))
             }
             None => {
@@ -1643,31 +1643,39 @@ impl RequestRun {
     /// declared co-batch is unchanged, and the chunk is priced again
     /// after any [`RequestRun::set_co_batch`] that changes it.
     pub fn chunk_seconds(&self, chunk: &DecodeChunk) -> f64 {
-        self.chunk_cost(chunk).seconds * chunk.k as f64
+        self.chunk_step_seconds(chunk) * chunk.k as f64
     }
 
-    /// The decode-step cost of `chunk` under the co-batch declared now:
-    /// the plan-time price while the chunk and the declared co-batch
-    /// are the ones it was priced under, otherwise priced afresh.
-    fn chunk_cost(&self, chunk: &DecodeChunk) -> ftts_hw::KernelCost {
+    /// The decode-step seconds of `chunk` under the co-batch declared
+    /// now: the plan-time price while the chunk and the declared
+    /// co-batch are the ones it was priced under, otherwise priced
+    /// afresh.
+    fn chunk_step_seconds(&self, chunk: &DecodeChunk) -> f64 {
         match self.chunk_price {
-            Some((priced, seqs, ctx, cost))
+            Some((priced, seqs, ctx, step))
                 if priced == *chunk && seqs == self.co_seqs && ctx == self.co_ctx_sum =>
             {
-                cost
+                step
             }
             _ => self.price_chunk(chunk),
         }
     }
 
-    /// Price one decode step of `chunk` over the declared co-batch:
-    /// sequences co-scheduled from other requests ride the same decode
-    /// kernel (one shared weight sweep, everyone's KV traffic). With no
-    /// co-batch this reduces to the standalone cost exactly.
-    fn price_chunk(&self, chunk: &DecodeChunk) -> ftts_hw::KernelCost {
+    /// Price one decode step of `chunk` over the declared co-batch, in
+    /// seconds.
+    fn price_chunk(&self, chunk: &DecodeChunk) -> f64 {
+        let (batch, avg_ctx) = self.chunk_shape(chunk);
+        self.gen_roof.decode_seconds(batch, avg_ctx)
+    }
+
+    /// The decode kernel one step of `chunk` runs, as `(batch,
+    /// avg_ctx)`: sequences co-scheduled from other requests ride the
+    /// same kernel (one shared weight sweep, everyone's KV traffic).
+    /// With no co-batch this is the standalone shape exactly.
+    fn chunk_shape(&self, chunk: &DecodeChunk) -> (usize, u64) {
         let total_batch = chunk.batch + self.co_seqs;
         let avg_ctx = (chunk.ctx_sum + self.co_ctx_sum) / total_batch as u64 + chunk.k / 2;
-        self.gen_roof.decode_step(total_batch, avg_ctx)
+        (total_batch, avg_ctx)
     }
 
     /// Chunked sub-iteration decode, step 2: charge the planned chunk's
@@ -1710,9 +1718,16 @@ impl RequestRun {
         let sums = gen.sums.take().expect("a planned chunk's batch sums");
         let members = (gen.active.len(), gen.spec_tasks.len());
 
-        let step_cost = self.chunk_cost(&chunk);
-        let dt = step_cost.seconds * k as f64;
-        self.advance(dt, step_cost.compute_util, Phase::Generation);
+        let dt = self.chunk_step_seconds(&chunk) * k as f64;
+        // Only a utilization trace reads the kernel's utilization.
+        let util = match self.trace {
+            Some(_) => {
+                let (batch, avg_ctx) = self.chunk_shape(&chunk);
+                self.gen_roof.decode_step(batch, avg_ctx).compute_util
+            }
+            None => 0.0,
+        };
+        self.advance(dt, util, Phase::Generation);
         self.breakdown.generator += dt;
         self.stats.decoded_tokens += k * chunk.batch as u64;
 

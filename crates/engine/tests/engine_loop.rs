@@ -170,6 +170,35 @@ fn trace_records_both_phases() {
     );
 }
 
+/// The traced run of `trace_records_both_phases`, frozen bit for bit:
+/// an FNV-1a-64 hash over every sample's start, duration and
+/// utilization (their `to_bits`) and phase. Untraced runs skip the
+/// utilization of a decode chunk, so this pins what traced runs record.
+#[test]
+fn traced_run_samples_are_frozen() {
+    let mut eng = engine(SpecConfig::disabled(), 0.9, 1, true);
+    let mut driver = PlainBeam { n: 8, b: 4 };
+    let stats = eng.run(&problem(0), 8, &mut driver).unwrap();
+    let trace = stats.trace.expect("trace enabled");
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut mix = |word: u64| {
+        for byte in word.to_le_bytes() {
+            hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    for s in trace.samples() {
+        mix(s.start.to_bits());
+        mix(s.duration.to_bits());
+        mix(s.util.to_bits());
+        mix(u64::from(s.phase == ftts_hw::Phase::Verification));
+    }
+    assert_eq!(
+        (trace.len(), format!("{hash:016x}")),
+        (100, "22952efc53a43bd0".to_string()),
+        "traced samples changed"
+    );
+}
+
 #[test]
 fn larger_n_generates_more_tokens() {
     let run_tokens = |n: usize| {

@@ -184,6 +184,26 @@ impl Roofline {
         if batch == 0 {
             return KernelCost::zero();
         }
+        let (flops, bytes) = self.decode_work(batch, avg_ctx);
+        self.cost(flops, bytes)
+    }
+
+    /// The `seconds` of [`Roofline::decode_step`], bit for bit (the same
+    /// float operations in the same order), without working out the
+    /// rest of the cost.
+    pub fn decode_seconds(&self, batch: usize, avg_ctx: u64) -> f64 {
+        if batch == 0 {
+            return 0.0;
+        }
+        let (flops, bytes) = self.decode_work(batch, avg_ctx);
+        if flops <= 0.0 && bytes <= 0.0 {
+            return 0.0;
+        }
+        self.roofline_seconds(flops, bytes)
+    }
+
+    /// FLOPs and bytes of one decode step over a non-empty batch.
+    fn decode_work(&self, batch: usize, avg_ctx: u64) -> (f64, f64) {
         let DecodeTerms {
             gemm_flops,
             attn_flops_per_ctx,
@@ -194,7 +214,7 @@ impl Roofline {
         let ctx = avg_ctx as f64;
         let flops = b * (gemm_flops + attn_flops_per_ctx * ctx);
         let bytes = weight_bytes + b * ctx * kv_bytes_per_token + b * kv_bytes_per_token;
-        self.cost(flops, bytes)
+        (flops, bytes)
     }
 
     /// Cost of prefilling one sequence: `new_tokens` fresh tokens on top
@@ -264,11 +284,11 @@ impl Roofline {
     /// Batch decode throughput in tokens/second at the given batch size
     /// and context (used by the memory-allocation search, Fig. 10).
     pub fn decode_throughput(&self, batch: usize, avg_ctx: u64) -> f64 {
-        let c = self.decode_step(batch, avg_ctx);
-        if c.seconds == 0.0 {
+        let seconds = self.decode_seconds(batch, avg_ctx);
+        if seconds == 0.0 {
             0.0
         } else {
-            batch as f64 / c.seconds
+            batch as f64 / seconds
         }
     }
 
@@ -468,7 +488,9 @@ mod tests {
                             )
                         };
                         let got = roof.decode_step(batch, ctx);
+                        let seconds = roof.decode_seconds(batch, ctx);
                         let same = got.seconds.to_bits() == expected.seconds.to_bits()
+                            && seconds.to_bits() == got.seconds.to_bits()
                             && got.flops.to_bits() == expected.flops.to_bits()
                             && got.bytes.to_bits() == expected.bytes.to_bits()
                             && got.compute_util.to_bits() == expected.compute_util.to_bits()

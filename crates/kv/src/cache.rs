@@ -24,6 +24,17 @@
 //! `tests/properties.rs` replays randomized workloads against a cache
 //! pinned to the seed scan path ([`KvCache::set_scan_eviction`])
 //! comparing full eviction logs.
+//!
+//! **Membership is tracked per node.** Most transitions do not change
+//! candidacy: a pin or unpin crosses zero on every node of a path, but
+//! an interior node has GPU-resident children and is never a
+//! candidate. Each node therefore carries an `indexed` flag, true
+//! exactly while its key is in the index: set where a key is inserted
+//! (directly, or when a parked candidate merges at the epoch boundary)
+//! and cleared where one leaves (a removal, `pop_first`, or the
+//! wholesale clear of a swap-out or device loss). The index itself is
+//! touched only when that flag flips. [`KvCache::audit_eviction_index`]
+//! checks every flag against the index.
 
 use std::collections::BTreeSet;
 
@@ -154,6 +165,9 @@ pub struct KvCache {
     /// Candidates exposed during the current epoch, merged into
     /// `evictable` when the epoch ends.
     pending_candidates: Vec<(u64, NodeId)>,
+    /// The residency path of the pin in progress, root first; kept
+    /// (empty) between pins so that a pin allocates nothing.
+    path: Vec<NodeId>,
 }
 
 impl KvCache {
@@ -172,6 +186,7 @@ impl KvCache {
             eviction_log: None,
             epoch_active: false,
             pending_candidates: Vec::new(),
+            path: Vec::new(),
         }
     }
 
@@ -285,21 +300,27 @@ impl KvCache {
     }
 
     /// (Re-)derive `id`'s membership in the eviction index after any
-    /// state transition that may have changed the predicate. During an
-    /// eviction epoch, newly eligible candidates are parked so they only
-    /// enter the index at the epoch boundary (seed snapshot semantics).
+    /// state transition that may have changed the predicate, touching
+    /// the index only when the node's tracked membership flips. During
+    /// an eviction epoch, newly eligible candidates are parked so they
+    /// only enter the index at the epoch boundary (seed snapshot
+    /// semantics).
     fn reindex(&mut self, id: NodeId) {
-        let key = (self.tree.node(id).last_used, id);
-        if self.is_eviction_candidate(id) {
+        let candidate = self.is_eviction_candidate(id);
+        let node = self.tree.node_mut(id);
+        let key = (node.last_used, id);
+        if candidate {
             if self.epoch_active {
                 // Mid-epoch the predicate can only ever *gain* members
                 // (evicting a leaf exposes its parent); removals cannot
                 // occur, so parking inserts is sufficient.
                 self.pending_candidates.push(key);
-            } else {
+            } else if !node.indexed {
+                node.indexed = true;
                 self.evictable.insert(key);
             }
-        } else {
+        } else if node.indexed {
+            node.indexed = false;
             self.evictable.remove(&key);
         }
     }
@@ -308,6 +329,7 @@ impl KvCache {
     fn end_epoch(&mut self) {
         self.epoch_active = false;
         while let Some(key) = self.pending_candidates.pop() {
+            self.tree.node_mut(key.1).indexed = true;
             self.evictable.insert(key);
         }
     }
@@ -376,6 +398,7 @@ impl KvCache {
             }
             self.epoch_active = true;
             while let Some((_, id)) = self.evictable.pop_first() {
+                self.tree.node_mut(id).indexed = false;
                 debug_assert!(self.is_eviction_candidate(id), "stale index entry");
                 self.evict_node(id);
                 if self.pool.try_alloc(n) {
@@ -411,7 +434,7 @@ impl KvCache {
     }
 
     fn evict_node(&mut self, id: NodeId) {
-        let (blocks, tokens, parent, last_used) = {
+        let (blocks, tokens, parent, indexed_key) = {
             let node = self.tree.node_mut(id);
             debug_assert_eq!(node.residency, Residency::Gpu);
             debug_assert_eq!(node.pin_count, 0);
@@ -419,9 +442,14 @@ impl KvCache {
             node.residency = Residency::Absent;
             let blocks = node.owned_blocks;
             node.owned_blocks = 0;
-            (blocks, node.n_tokens, node.parent, node.last_used)
+            // The indexed path popped the key already; the scan path
+            // leaves it in the index.
+            let indexed_key = std::mem::take(&mut node.indexed).then_some((node.last_used, id));
+            (blocks, node.n_tokens, node.parent, indexed_key)
         };
-        self.evictable.remove(&(last_used, id));
+        if let Some(key) = indexed_key {
+            self.evictable.remove(&key);
+        }
         self.unpinned_gpu_blocks -= blocks;
         self.pool.free(blocks);
         self.stats.evicted_blocks += blocks;
@@ -505,8 +533,19 @@ impl KvCache {
     /// the pool cannot hold the path even after evicting everything
     /// evictable.
     pub fn pin(&mut self, leaf: NodeId) -> Result<PinCost, KvError> {
-        let path = self.tree.residency_path(leaf);
-        for &id in &path {
+        let mut path = std::mem::take(&mut self.path);
+        path.extend(self.tree.residency_walk(leaf));
+        path.reverse();
+        let pinned = self.pin_path(&path);
+        path.clear();
+        self.path = path;
+        pinned
+    }
+
+    /// [`KvCache::pin`] over its residency path, given root first:
+    /// restores run in that order, each over a resident prefix.
+    fn pin_path(&mut self, path: &[NodeId]) -> Result<PinCost, KvError> {
+        for &id in path {
             let node = self.tree.node_mut(id);
             node.pin_count += 1;
             if node.pin_count == 1 {
@@ -514,11 +553,11 @@ impl KvCache {
             }
         }
         let mut total = PinCost::default();
-        for &id in &path {
+        for &id in path {
             match self.restore_node(id) {
                 Ok(cost) => total.merge(cost),
                 Err(e) => {
-                    for &undo in &path {
+                    for &undo in path {
                         let node = self.tree.node_mut(undo);
                         node.pin_count -= 1;
                         if node.pin_count == 0 {
@@ -539,13 +578,16 @@ impl KvCache {
     ///
     /// Panics if the path is not currently pinned.
     pub fn unpin(&mut self, leaf: NodeId) {
-        for id in self.tree.residency_path(leaf) {
+        // Leaf first: each node's transition reads only its own state.
+        let mut cur = Some(leaf);
+        while let Some(id) = cur {
             let node = self.tree.node_mut(id);
             assert!(node.pin_count > 0, "unpin of unpinned node {id}");
             node.pin_count -= 1;
             if node.pin_count == 0 {
                 self.on_pin_transition(id, false);
             }
+            cur = self.tree.residency_parent(id);
         }
     }
 
@@ -607,7 +649,7 @@ impl KvCache {
     /// would need to allocate right now.
     pub fn blocks_needed(&self, leaf: NodeId, extra_tokens: u64) -> u64 {
         let mut needed = 0;
-        for id in self.tree.residency_path(leaf) {
+        for id in self.tree.residency_walk(leaf) {
             let node = self.tree.node(id);
             if node.residency != Residency::Gpu {
                 needed += self.tree.blocks_for(node.pad, node.n_tokens);
@@ -637,9 +679,8 @@ impl KvCache {
     pub fn obtainable_blocks_for(&self, leaf: NodeId) -> u64 {
         let path_unpinned: u64 = self
             .tree
-            .residency_path(leaf)
-            .iter()
-            .map(|&id| {
+            .residency_walk(leaf)
+            .map(|id| {
                 let n = self.tree.node(id);
                 if n.residency == Residency::Gpu && n.pin_count == 0 {
                     n.owned_blocks
@@ -727,6 +768,7 @@ impl KvCache {
                 } else {
                     Residency::Absent
                 };
+                node.indexed = false;
                 let owned = node.owned_blocks;
                 node.owned_blocks = 0;
                 (owned, node.n_tokens, node.parent)
@@ -745,8 +787,9 @@ impl KvCache {
             }
         }
         // Every candidate was GPU-resident and unpinned, so the whole
-        // index (and the unpinned-GPU block sum) empties at once;
-        // remaining GPU nodes are pinned and thus not candidates.
+        // index (and the unpinned-GPU block sum) empties at once, each
+        // member's flag cleared above; remaining GPU nodes are pinned
+        // and thus not candidates.
         self.evictable.clear();
         self.unpinned_gpu_blocks = 0;
         self.stats.swapped_out_blocks += swapped;
@@ -779,6 +822,7 @@ impl KvCache {
             let (owned, tokens, parent) = {
                 let node = self.tree.node_mut(id);
                 node.residency = Residency::Absent;
+                node.indexed = false;
                 let owned = node.owned_blocks;
                 node.owned_blocks = 0;
                 (owned, node.n_tokens, node.parent)
@@ -807,20 +851,22 @@ impl KvCache {
     ///
     /// Each leaf climbs its parent pointers only until it reaches a node
     /// already counted: every ancestor of a counted node was counted
-    /// with it.
+    /// with it. A counted node carries this call's visit stamp, so the
+    /// walk allocates nothing.
     pub fn unique_path_tokens(&self, leaves: &[NodeId]) -> u64 {
         if !self.config.prefix_sharing {
             return leaves.iter().map(|&l| self.seq_tokens(l)).sum();
         }
-        let mut seen = std::collections::HashSet::new();
+        let stamp = self.tree.next_visit();
         let mut total = 0u64;
         for &leaf in leaves {
             let mut cur = Some(leaf);
             while let Some(id) = cur {
-                if !seen.insert(id) {
+                let node = self.tree.node(id);
+                if node.visit.get() == stamp {
                     break;
                 }
-                let node = self.tree.node(id);
+                node.visit.set(stamp);
                 total += node.n_tokens;
                 cur = node.parent;
             }
@@ -854,13 +900,15 @@ impl KvCache {
             .unwrap_or_default()
     }
 
-    /// Assert that the incremental eviction index and block accounting
-    /// agree exactly with a brute-force scan of the arena. Used by the
-    /// property tests after every operation.
+    /// Assert that the incremental eviction index, each node's tracked
+    /// membership in it and the block accounting agree exactly with a
+    /// brute-force scan of the arena. Used by the property tests after
+    /// every operation.
     ///
     /// # Panics
     ///
-    /// Panics if the index or the unpinned-GPU block sum diverged.
+    /// Panics if the index, a membership flag or the unpinned-GPU block
+    /// sum diverged.
     #[doc(hidden)]
     pub fn audit_eviction_index(&self) {
         let scanned = self.scan_evictable_sorted();
@@ -869,6 +917,14 @@ impl KvCache {
             indexed, scanned,
             "eviction index out of sync with arena state"
         );
+        for (i, node) in self.tree.nodes.iter().enumerate() {
+            let id = NodeId(i as u32);
+            assert_eq!(
+                node.indexed,
+                self.evictable.contains(&(node.last_used, id)),
+                "tracked index membership of {id} out of sync"
+            );
+        }
         let scanned_blocks: u64 = self
             .tree
             .nodes
@@ -988,6 +1044,7 @@ mod tests {
         assert!(matches!(err, KvError::InsufficientMemory { .. }));
         assert!(!kv.is_pinned(r), "pins must be rolled back");
         assert_eq!(kv.gpu_blocks_used(), 0, "all-or-nothing per node");
+        kv.audit_eviction_index();
     }
 
     #[test]
@@ -1128,6 +1185,48 @@ mod tests {
         assert_eq!(kv.unique_path_tokens(&[a, b]), 70);
         assert_eq!(kv.unique_path_tokens(&[a]), 50);
         assert_eq!(kv.unique_path_tokens(&[]), 0);
+    }
+
+    /// The set-based walk the visit stamps replaced.
+    fn unique_path_tokens_by_set(kv: &KvCache, leaves: &[NodeId]) -> u64 {
+        let mut seen = std::collections::HashSet::new();
+        leaves
+            .iter()
+            .flat_map(|&leaf| std::iter::successors(Some(leaf), |&id| kv.tree.node(id).parent))
+            .filter(|&id| seen.insert(id))
+            .map(|id| kv.own_tokens(id))
+            .sum()
+    }
+
+    #[test]
+    fn unique_path_tokens_carries_its_stamp_across_the_wrap() {
+        let mut kv = cache(100);
+        let r = kv.root(40).unwrap();
+        let a = kv.fork(r).unwrap();
+        let b = kv.fork(r).unwrap();
+        let c = kv.root(24).unwrap();
+        let d = kv.root(8).unwrap();
+        for (leaf, tokens) in [(a, 10), (b, 20)] {
+            kv.pin(leaf).unwrap();
+            kv.extend(leaf, tokens).unwrap();
+            kv.unpin(leaf);
+        }
+        let check = |kv: &KvCache, leaves: &[NodeId]| {
+            assert_eq!(
+                kv.unique_path_tokens(leaves),
+                unique_path_tokens_by_set(kv, leaves),
+                "{leaves:?} at stamp {}",
+                kv.tree.visit_stamp.get()
+            );
+        };
+        check(&kv, &[a, b]); // stamp 1
+        check(&kv, &[c]); // stamp 2: `c` keeps it across the wrap
+        kv.tree.visit_stamp.set(u32::MAX - 1);
+        check(&kv, &[a]); // stamp u32::MAX
+        check(&kv, &[b, d]); // wraps to 1; `d` was never visited
+        assert_eq!(kv.tree.visit_stamp.get(), 1, "the stamp wrapped");
+        check(&kv, &[a, c]); // stamp 2 again: `c` must count
+        check(&kv, &[a, b, c, d, a]);
     }
 
     #[test]

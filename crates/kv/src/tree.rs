@@ -12,6 +12,8 @@
 //!   a fork duplicates the whole ancestor path (`pad` = full prefix
 //!   length) and each sequence is self-contained.
 
+use std::cell::Cell;
+
 use serde::{Deserialize, Serialize};
 
 /// Identifier of a node in the prefix tree.
@@ -63,6 +65,12 @@ pub(crate) struct Node {
     pub gpu_children: u32,
     pub n_children: u32,
     pub last_used: u64,
+    /// Whether `(last_used, id)` is in the cache's eviction index, so
+    /// a transition touches the index only when membership changes.
+    pub indexed: bool,
+    /// Stamp of the last [`PrefixTree::next_visit`] walk that reached
+    /// this node (0 before any).
+    pub visit: Cell<u32>,
 }
 
 impl Node {
@@ -79,6 +87,8 @@ pub(crate) struct PrefixTree {
     pub block_size: u64,
     pub prefix_sharing: bool,
     pub tick: u64,
+    /// The stamp handed out by the latest [`PrefixTree::next_visit`].
+    pub visit_stamp: Cell<u32>,
 }
 
 impl PrefixTree {
@@ -89,6 +99,7 @@ impl PrefixTree {
             block_size,
             prefix_sharing,
             tick: 0,
+            visit_stamp: Cell::new(0),
         }
     }
 
@@ -130,6 +141,8 @@ impl PrefixTree {
             gpu_children: 0,
             n_children: 0,
             last_used: self.tick,
+            indexed: false,
+            visit: Cell::new(0),
         });
         id
     }
@@ -164,26 +177,45 @@ impl PrefixTree {
             gpu_children: 0,
             n_children: 0,
             last_used: self.tick,
+            indexed: false,
+            visit: Cell::new(0),
         });
         self.node_mut(parent).n_children += 1;
         id
     }
 
-    /// Nodes whose residency matters for `leaf` to be usable, ordered
-    /// root → leaf. With sharing this is the whole ancestor path; without
-    /// it the sequence is self-contained.
-    pub fn residency_path(&self, leaf: NodeId) -> Vec<NodeId> {
-        if !self.prefix_sharing {
-            return vec![leaf];
+    /// The next node up from `id` among those whose residency matters
+    /// for a leaf below it to be usable. With sharing that is the
+    /// parent, so a leaf's walk covers its whole ancestor path; without
+    /// it each sequence is self-contained and the walk stops at once.
+    pub fn residency_parent(&self, id: NodeId) -> Option<NodeId> {
+        if self.prefix_sharing {
+            self.node(id).parent
+        } else {
+            None
         }
-        let mut path = Vec::with_capacity(self.node(leaf).depth as usize + 1);
-        let mut cur = Some(leaf);
-        while let Some(id) = cur {
-            path.push(id);
-            cur = self.node(id).parent;
+    }
+
+    /// The nodes whose residency matters for `leaf` to be usable, from
+    /// `leaf` up (see [`PrefixTree::residency_parent`]).
+    pub fn residency_walk(&self, leaf: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        std::iter::successors(Some(leaf), move |&id| self.residency_parent(id))
+    }
+
+    /// A stamp no node carries yet, for a walk that marks the nodes it
+    /// reaches (`node.visit`) instead of collecting them in a set. When
+    /// the counter wraps, every node's stamp is reset to 0 and the
+    /// count starts again at 1.
+    pub fn next_visit(&self) -> u32 {
+        let mut stamp = self.visit_stamp.get().wrapping_add(1);
+        if stamp == 0 {
+            for node in &self.nodes {
+                node.visit.set(0);
+            }
+            stamp = 1;
         }
-        path.reverse();
-        path
+        self.visit_stamp.set(stamp);
+        stamp
     }
 
     /// Shared prefix length, in tokens, between the sequences ending at
@@ -254,6 +286,8 @@ mod tests {
         assert_eq!(t.node(c).pad, 100 % 16);
         assert_eq!(t.node(c).depth, 1);
         assert_eq!(t.node(r).n_children, 1);
+        assert_eq!(t.residency_parent(c), Some(r), "the prefix is shared");
+        assert_eq!(t.residency_parent(r), None);
     }
 
     #[test]
@@ -262,7 +296,11 @@ mod tests {
         let r = t.add_root(100);
         let c = t.fork_at(r, 100);
         assert_eq!(t.node(c).pad, 100);
-        assert_eq!(t.residency_path(c), vec![c]);
+        assert_eq!(
+            t.residency_parent(c),
+            None,
+            "the sequence is self-contained"
+        );
     }
 
     #[test]

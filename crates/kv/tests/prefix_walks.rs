@@ -9,7 +9,11 @@
 //! Forests mix several roots, full forks, truncating `fork_at`s and
 //! extensions, with prefix sharing on and off; every ordered node pair
 //! (`a == b` and ancestor/descendant pairs included) and random leaf
-//! sets with repeats are compared.
+//! sets with repeats are compared. Leaf sets are also compared between
+//! growth steps, so one cache serves many `unique_path_tokens` calls
+//! (each marks the nodes it counts with a fresh visit stamp) while it
+//! grows, and the eviction index is audited after every step (growth
+//! pins, extends and unpins whole paths).
 
 use std::collections::HashSet;
 
@@ -142,6 +146,20 @@ impl Forest {
         }
         total
     }
+
+    /// `unique_path_tokens` of a random leaf set (repeats allowed)
+    /// against the whole-path reference.
+    fn check_unique_path_tokens(&self, rng: &mut ChaCha8Rng) {
+        let leaves: Vec<NodeId> = (0..rng.gen_range(0..12))
+            .map(|_| self.nodes[rng.gen_range(0..self.nodes.len())])
+            .collect();
+        assert_eq!(
+            self.kv.unique_path_tokens(&leaves),
+            self.unique_path_tokens_by_paths(&leaves),
+            "unique_path_tokens({leaves:?}), sharing {}",
+            self.kv.config().prefix_sharing
+        );
+    }
 }
 
 /// Pair shapes the forests must have produced, so the comparison
@@ -156,11 +174,18 @@ struct Coverage {
 
 fn check_forests(sharing: bool, seed: u64) -> Coverage {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    // Leaf sets probed between growth steps draw from their own stream,
+    // so the forests are the ones the main stream always grew.
+    let mut probes = ChaCha8Rng::seed_from_u64(!seed);
     let mut seen = Coverage::default();
     for _ in 0..FORESTS {
         let mut forest = Forest::new(sharing);
         for _ in 0..1 + rng.gen_range(0..60) {
             forest.grow(&mut rng);
+            forest.kv.audit_eviction_index();
+            for _ in 0..3 {
+                forest.check_unique_path_tokens(&mut probes);
+            }
         }
         for &a in &forest.nodes {
             for &b in &forest.nodes {
@@ -182,14 +207,7 @@ fn check_forests(sharing: bool, seed: u64) -> Coverage {
             }
         }
         for _ in 0..20 {
-            let leaves: Vec<NodeId> = (0..rng.gen_range(0..12))
-                .map(|_| forest.nodes[rng.gen_range(0..forest.nodes.len())])
-                .collect();
-            assert_eq!(
-                forest.kv.unique_path_tokens(&leaves),
-                forest.unique_path_tokens_by_paths(&leaves),
-                "unique_path_tokens({leaves:?}), sharing {sharing}"
-            );
+            forest.check_unique_path_tokens(&mut rng);
         }
     }
     seen

@@ -231,8 +231,9 @@ proptest! {
     /// the seed's brute-force scan: replay the same randomized workload
     /// against a scan-mode oracle cache and compare eviction logs, block
     /// occupancy, stats and per-node residency after every operation.
-    /// The indexed cache is additionally audited against a fresh scan
-    /// after each step.
+    /// Both caches are additionally audited against a fresh scan after
+    /// each step: the index, and every node's tracked membership in it
+    /// (the oracle maintains both too, and removes its scan victims).
     #[test]
     fn indexed_eviction_matches_scan_oracle(
         ops in prop::collection::vec(op_strategy(), 1..120),
@@ -313,6 +314,7 @@ proptest! {
                 _ => {}
             }
             indexed.audit_eviction_index();
+            oracle.audit_eviction_index();
             prop_assert_eq!(indexed.take_eviction_log(), oracle.take_eviction_log());
             prop_assert_eq!(indexed.gpu_blocks_used(), oracle.gpu_blocks_used());
             prop_assert_eq!(indexed.stats(), oracle.stats());
