@@ -77,7 +77,6 @@ fn main() {
 
     // Right: prefix-sharing locality of the scheduled order.
     let mut kv = KvCache::new(KvCacheConfig {
-        block_size: 16,
         capacity_bytes: 1 << 30,
         bytes_per_token: 64,
         prefix_sharing: true,

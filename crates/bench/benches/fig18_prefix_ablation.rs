@@ -17,7 +17,6 @@ fn kv_growth(policy: &mut dyn OrderPolicy) -> Vec<(usize, f64)> {
     // Capacity large enough to hold the whole trace: the measurement is
     // footprint *growth* per admitted beam, not eviction behaviour.
     let mut kv = KvCache::new(KvCacheConfig {
-        block_size: 16,
         capacity_bytes: 16 * GIB,
         bytes_per_token: ModelPairing::pair_1_5b_1_5b().gen_spec.kv_bytes_per_token(),
         prefix_sharing: true,

@@ -17,7 +17,7 @@ use ftts_bench::write_report;
 use ftts_core::TtsServer;
 use ftts_engine::ModelPairing;
 use ftts_hw::GpuDevice;
-use ftts_kv::{KvCache, KvCacheConfig, NodeId};
+use ftts_kv::{KvCache, KvCacheConfig, NodeId, BLOCK_SIZE};
 use ftts_search::SearchKind;
 use ftts_serve::Json;
 use ftts_workload::Dataset;
@@ -30,8 +30,7 @@ const EVICTION_ROUNDS: usize = 3;
 fn eviction_arena() -> (KvCache, Vec<NodeId>) {
     // Capacity fits a small fraction of the arena, so most pins evict.
     let mut kv = KvCache::new(KvCacheConfig {
-        block_size: 16,
-        capacity_bytes: 512 * 16 * 8,
+        capacity_bytes: 512 * BLOCK_SIZE * 8,
         bytes_per_token: 8,
         prefix_sharing: true,
     });

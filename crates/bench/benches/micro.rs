@@ -52,7 +52,6 @@ fn frontier(kv: &mut KvCache, parents: usize, children: usize) -> Vec<OrderItem>
 
 fn prefix_ordering(c: &mut Criterion) {
     let mut kv = KvCache::new(KvCacheConfig {
-        block_size: 16,
         capacity_bytes: 8 * GB,
         bytes_per_token: 64,
         prefix_sharing: true,
@@ -69,7 +68,6 @@ fn kv_mechanics(c: &mut Criterion) {
         b.iter_batched(
             || {
                 let mut kv = KvCache::new(KvCacheConfig {
-                    block_size: 16,
                     capacity_bytes: 1 << 22,
                     bytes_per_token: 64,
                     prefix_sharing: true,

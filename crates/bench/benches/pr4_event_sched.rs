@@ -19,11 +19,12 @@
 //! * answers are schedule-invariant (the reasoning trees match
 //!   request-for-request).
 //!
-//! A window sweep (0 / 0.1 / 0.5 / ∞ seconds) shows the dial between
-//! "never wait" and "wait for everyone"; the infinite point must
-//! reproduce the lockstep numbers exactly (the equivalence anchor,
-//! asserted here too). Wall-clock of the event scheduler itself is
-//! reported through the criterion shim's IQR-filtered statistics.
+//! A window sweep (0 / 0.1 / 0.5 seconds) shows the dial between
+//! "never wait" and "wait a little"; an infinite window is the lockstep
+//! policy itself (`BatchConfig::fused` converts into it), so the
+//! lockstep row is that end of the dial. Wall-clock of the event
+//! scheduler itself is reported through the criterion shim's
+//! IQR-filtered statistics.
 //!
 //! Run with `cargo bench --bench pr4_event_sched` (release profile).
 
@@ -138,7 +139,8 @@ fn main() {
         "{} requests (AMC + AIME mix), n={N_BEAMS} beam search, one arrival per {ARRIVAL_INTERVAL_S:.1} s",
         arrivals.len()
     );
-    let window_sweep: Vec<(String, BatchRun)> = [0.0, 0.1, 0.5, f64::INFINITY]
+    let windows = [0.0, 0.1, 0.5];
+    let window_sweep: Vec<(String, BatchRun)> = windows
         .into_iter()
         .map(|w| (format!("event window {w:>4}s"), run_event(&arrivals, w)))
         .collect();
@@ -190,15 +192,6 @@ fn main() {
         );
         assert_eq!(l.accepted_tokens(), e.accepted_tokens());
     }
-    // The infinite-window point of the sweep is the equivalence anchor:
-    // it must land exactly on the lockstep numbers.
-    let infinite = &window_sweep.last().expect("sweep non-empty").1;
-    assert_eq!(
-        infinite.stream_summary().stream_goodput,
-        ls.stream_goodput,
-        "infinite window must reproduce lockstep exactly"
-    );
-    assert_eq!(infinite.rounds, lockstep.rounds);
 
     // Wall-clock of the event scheduler itself (IQR-robust).
     println!("\n== pr4: scheduler wall-clock (simulator hot path) ==");
@@ -207,7 +200,7 @@ fn main() {
         b.iter(|| run_event(&arrivals, WINDOW_S))
     });
 
-    let sweep = [0.0, 0.1, 0.5]
+    let sweep = windows
         .iter()
         .zip(&window_sweep)
         .map(|(&w, (_, run))| {
@@ -242,7 +235,6 @@ fn main() {
         ("lockstep_barrier_idle_s", lock_barrier.into()),
         ("event_barrier_idle_s", event_barrier.into()),
         ("window_sweep", Json::Array(sweep)),
-        ("infinite_window_matches_lockstep", true.into()),
         ("event_wall_clock", wall(&wall_stats)),
     ]);
     write_report("BENCH_PR4.json", &report);

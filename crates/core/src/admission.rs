@@ -73,6 +73,9 @@ pub(crate) struct InFlight {
     /// until the first declaration); drifting ±25% past it triggers the
     /// next rebalance.
     pub(crate) declared_demand: u64,
+    /// Id of the run's latest decode segment on the device timeline,
+    /// open until its next decode segment or its seal.
+    pub(crate) decode_segment: Option<usize>,
 }
 
 impl InFlight {
@@ -481,7 +484,7 @@ impl LoopState<'_> {
         } else {
             n
         };
-        let mut driver = make_driver(self.sim.kind, n_granted, 4);
+        let mut driver = make_driver(self.sim.kind, n_granted);
         // Warm start from the host tier: a published prefix for this
         // problem replaces that many prompt tokens' prefill with a costed
         // host→device swap-in. Peek (not lookup) so a failed admission
@@ -523,6 +526,7 @@ impl LoopState<'_> {
             paused_at: 0.0,
             probe: None,
             declared_demand: 0,
+            decode_segment: None,
         };
         self.join_group(a, share, cand);
         if n_granted < n {
@@ -896,7 +900,7 @@ mod tests {
         let mut state = LoopState::new(&sim, arrivals.as_slice().into(), &plan, Rc::default());
         for &idx in paused {
             let a = &arrivals[idx];
-            let mut driver = make_driver(sim.kind, sim.n, 4);
+            let mut driver = make_driver(sim.kind, sim.n);
             let run = sim
                 .server
                 .begin_request(&a.problem, sim.n, driver.as_mut(), None, None)
@@ -917,6 +921,7 @@ mod tests {
                 paused_at: 0.0,
                 probe: None,
                 declared_demand: 0,
+                decode_segment: None,
             });
         }
         state.waiting.extend_from_slice(waiting);

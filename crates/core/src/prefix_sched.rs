@@ -137,7 +137,6 @@ mod tests {
     /// Two parents with interleaved children (the Fig. 8 example shape).
     fn interleaved() -> (KvCache, Vec<OrderItem>) {
         let mut kv = KvCache::new(KvCacheConfig {
-            block_size: 16,
             capacity_bytes: 1 << 22,
             bytes_per_token: 4,
             prefix_sharing: true,

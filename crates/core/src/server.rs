@@ -260,7 +260,7 @@ impl TtsServer {
         n: usize,
         kind: SearchKind,
     ) -> Result<ServeOutcome, EngineError> {
-        let mut driver = make_driver(kind, n, 4);
+        let mut driver = make_driver(kind, n);
         self.serve_with(problem, n, driver.as_mut())
     }
 
@@ -385,7 +385,7 @@ impl ServerSim {
             let next_arrival = arrivals.get(i + 1).map_or(f64::INFINITY, |a| a.at);
             let spec_deadline = (next_arrival - start).max(0.0);
             let mut engine = self.server.engine();
-            let mut driver = make_driver(self.kind, self.n, 4);
+            let mut driver = make_driver(self.kind, self.n);
             let stats =
                 engine.run_with_deadline(&req.problem, self.n, driver.as_mut(), spec_deadline)?;
             let answer = ftts_metrics::top1_majority(&stats.answers());
@@ -450,7 +450,7 @@ mod tests {
     #[test]
     fn serve_with_custom_driver() {
         let server = TtsServer::fasttts(GpuDevice::rtx4090(), ModelPairing::pair_1_5b_1_5b());
-        let mut driver = ftts_search::BeamSearch::new(8, 4);
+        let mut driver = ftts_search::BeamSearch::new(8);
         let out = server.serve_with(&problem(), 8, &mut driver).unwrap();
         assert!(out.goodput() > 0.0);
     }

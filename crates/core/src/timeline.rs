@@ -34,10 +34,10 @@
 //! The loop's state is one crate-private `LoopState`: the arrival
 //! cursor and waiting queue, the paused runs, the launching group and
 //! the rest of the in-flight set, the KV pool and host tier, the device
-//! floor, the fault cursor, the directives, the observer, the served
-//! records and the run counters. It owns its arrivals and directives,
-//! so the fleet can keep one live state per device and step it only
-//! as far as its router reads (`peek_anchor`). `run_directed` is
+//! floor, the fault cursor, the directives, the device timeline, the
+//! served records and the run counters. It owns its arrivals and
+//! directives, so the fleet can keep one live state per device and step
+//! it only as far as its router reads (`peek_anchor`). `run_directed` is
 //! `LoopState::new`, a `while state.step()?.is_some() {}` loop and
 //! `state.finish()`. The state is `Clone`: a copy taken between steps
 //! finishes exactly as the original does. One `step` forms a co-batch
@@ -566,60 +566,17 @@ impl From<BatchConfig> for TimelineConfig {
     }
 }
 
-/// What the loop records on the device timeline: every segment, plus
-/// each live request's latest decode segment — the one a later launch's
-/// contention stretches, open until the request's next decode segment
-/// or its seal.
-#[derive(Clone)]
-struct Observer {
-    timeline: DeviceTimeline,
-    last_decode: Vec<Option<usize>>,
-}
-
-impl Observer {
-    fn new(requests: usize) -> Self {
-        Self {
-            timeline: DeviceTimeline::default(),
-            last_decode: vec![None; requests],
+/// Record `a`'s decode from absolute instant `start` to its current
+/// clock as its latest decode segment, the one a later launch's
+/// contention stretches, and close the one before (nothing if no time
+/// passed).
+fn record_decode(timeline: &mut DeviceTimeline, a: &mut InFlight, start: f64) {
+    let end = a.started_at + a.run.clock();
+    if end > start {
+        if let Some(prev) = a.decode_segment.take() {
+            timeline.close(prev);
         }
-    }
-
-    /// Record `a`'s decode from absolute instant `start` to its current
-    /// clock as its latest decode segment (nothing if no time passed).
-    fn decode(&mut self, a: &InFlight, start: f64) {
-        let end = a.started_at + a.run.clock();
-        if end > start {
-            if let Some(prev) = self.last_decode[a.idx].take() {
-                self.timeline.close(prev);
-            }
-            let id = self
-                .timeline
-                .record(start, end - start, SegmentKind::Decode);
-            self.last_decode[a.idx] = Some(id);
-        }
-    }
-
-    /// Request `idx` is sealed: its latest decode segment closes.
-    fn seal(&mut self, idx: usize) {
-        if let Some(id) = self.last_decode[idx].take() {
-            self.timeline.close(id);
-        }
-    }
-
-    /// Retroactive contention: `added` decode load joined the device at
-    /// `at`, so every bystander iteration still in flight stretches by
-    /// the marginal co-batch slowdown over its remaining seconds, and
-    /// its decode segment already on the timeline stretches with it.
-    fn stretch_bystanders(&mut self, bystanders: &mut [InFlight], added: (usize, u64), at: f64) {
-        for a in bystanders {
-            let remaining = (a.ready_at() - at).max(0.0);
-            let extra = a.run.contention_stretch(added.0, added.1, remaining);
-            if extra > 0.0 {
-                if let Some(id) = self.last_decode[a.idx] {
-                    self.timeline.stretch(id, extra);
-                }
-            }
-        }
+        a.decode_segment = Some(timeline.record(start, end - start, SegmentKind::Decode));
     }
 }
 
@@ -767,7 +724,9 @@ pub(crate) struct LoopState<'a> {
     /// Latest completion instant seen — the device-drained floor.
     finish_max: f64,
     cursor: FaultCursor,
-    observer: Observer,
+    /// Every launch's costed segments; each in-flight run keeps the id
+    /// of its own latest decode segment.
+    timeline: DeviceTimeline,
     /// The first arrival not yet ingested.
     next_arrival: usize,
     /// Ingested arrivals awaiting admission, in arrival order.
@@ -784,7 +743,7 @@ pub(crate) struct LoopState<'a> {
     pub(crate) served: Vec<Option<ServedRequest>>,
     /// The run being built: its counters accumulate here, and
     /// [`LoopState::finish`] fills in the records and the pool, tier and
-    /// observer read-outs.
+    /// timeline read-outs.
     pub(crate) run: BatchRun,
 }
 
@@ -825,7 +784,7 @@ impl<'a> LoopState<'a> {
             floor: 0.0,
             finish_max: 0.0,
             cursor: FaultCursor::default(),
-            observer: Observer::new(requests),
+            timeline: DeviceTimeline::default(),
             next_arrival: 0,
             waiting: Vec::new(),
             paused: Vec::new(),
@@ -921,7 +880,7 @@ impl<'a> LoopState<'a> {
             .chain(&self.paused)
             .map(|a| a.started_at + a.run.clock())
             .fold(self.floor, f64::min);
-        self.observer.timeline.advance(horizon);
+        self.timeline.advance(horizon);
         Ok(Some(self.read(round_end)))
     }
 
@@ -937,8 +896,7 @@ impl<'a> LoopState<'a> {
     /// taken so far are the steps the new inputs take, and the run goes
     /// on from here. Arrivals may be added (a request not yet ingested
     /// may move to a later index) and directives added or moved; the
-    /// served records and the observer's per-request ids grow to the new
-    /// request count.
+    /// served records grow to the new request count.
     pub(crate) fn rebase(&mut self, arrivals: Rc<[RequestArrival]>, directives: Rc<RunDirectives>) {
         debug_assert!(
             self.reads_agree(&arrivals, &directives),
@@ -949,7 +907,6 @@ impl<'a> LoopState<'a> {
         let requests = arrivals.len();
         debug_assert!(requests >= self.served.len(), "a rebase drops no request");
         self.served.resize_with(requests, || None);
-        self.observer.last_decode.resize(requests, None);
         self.prewarms = prewarms;
         self.arrivals = arrivals;
         self.directives = directives;
@@ -982,7 +939,7 @@ impl<'a> LoopState<'a> {
             && (0..self.next_arrival).all(|i| cancel(&self.directives, i) == cancel(directives, i))
     }
 
-    /// The records, with the pool, tier and observer read-outs.
+    /// The records, with the pool, tier and timeline read-outs.
     pub(crate) fn finish(self) -> BatchRun {
         let tier = self.tier.stats();
         BatchRun {
@@ -1004,7 +961,7 @@ impl<'a> LoopState<'a> {
                 .into_iter()
                 .map(|(t, b)| (t as u32, b))
                 .collect(),
-            timeline: self.observer.timeline.occupancy(),
+            timeline: self.timeline.occupancy(),
             ..self.run
         }
     }
@@ -1079,7 +1036,9 @@ impl<'a> LoopState<'a> {
     /// finish instant.
     pub(crate) fn seal(&mut self, a: InFlight, cancelled_at: Option<f64>) -> f64 {
         let idx = a.idx;
-        self.observer.seal(idx);
+        if let Some(id) = a.decode_segment {
+            self.timeline.close(id);
+        }
         let record = a.seal(cancelled_at);
         let finished_at = record.finished_at;
         self.served[idx] = Some(record);
@@ -1199,8 +1158,7 @@ impl<'a> LoopState<'a> {
             let swap_start = launch;
             launch += self.sim.server.config().device.pcie_transfer_seconds(bytes);
             if launch > swap_start {
-                self.observer
-                    .timeline
+                self.timeline
                     .record(swap_start, launch - swap_start, SegmentKind::Swap);
             }
             self.pool.release(v.idx as u64);
@@ -1249,12 +1207,23 @@ impl<'a> LoopState<'a> {
     }
 
     /// Retroactive contention, when priced: the group members from
-    /// `joined` on are new device load at `at`, which slows every
-    /// iteration still in flight outside the group.
+    /// `joined` on are new device load at `at`, so every bystander
+    /// iteration still in flight outside the group stretches by the
+    /// marginal co-batch slowdown over its remaining seconds, and its
+    /// decode segment already on the timeline stretches with it.
     fn stretch_bystanders(&mut self, joined: usize, at: f64) {
-        if self.sim.config.tuning.contention {
-            let added = decode_load(&self.group[joined..]);
-            self.observer.stretch_bystanders(&mut self.rest, added, at);
+        if !self.sim.config.tuning.contention {
+            return;
+        }
+        let (seqs, ctx) = decode_load(&self.group[joined..]);
+        for a in &mut self.rest {
+            let remaining = (a.ready_at() - at).max(0.0);
+            let extra = a.run.contention_stretch(seqs, ctx, remaining);
+            if extra > 0.0 {
+                if let Some(id) = a.decode_segment {
+                    self.timeline.stretch(id, extra);
+                }
+            }
         }
     }
 
@@ -1267,7 +1236,7 @@ impl<'a> LoopState<'a> {
         for a in &mut self.group {
             let seg_start = a.started_at + a.run.clock();
             planned.push(!a.run.plan_iteration(a.driver.as_mut())?.is_finished());
-            self.observer.decode(a, seg_start);
+            record_decode(&mut self.timeline, a, seg_start);
         }
         Ok(planned)
     }
@@ -1324,7 +1293,7 @@ impl<'a> LoopState<'a> {
                 }
                 let seg_start = a.started_at + a.run.clock();
                 let status = a.run.apply_decode_chunk(a.driver.as_mut())?;
-                self.observer.decode(a, seg_start);
+                record_decode(&mut self.timeline, a, seg_start);
                 if status == DecodeStatus::Generated {
                     gen_done[i] = true;
                 } else {
@@ -1387,8 +1356,7 @@ impl<'a> LoopState<'a> {
                 .iter()
                 .map(|a| a.started_at + a.run.clock())
                 .fold(f64::INFINITY, f64::min);
-            self.observer
-                .timeline
+            self.timeline
                 .record(verify_start, sweep.busy_secs, SegmentKind::Verify);
         }
         charges

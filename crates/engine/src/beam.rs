@@ -118,7 +118,6 @@ mod tests {
 
     fn beam() -> Beam {
         let mut kv = ftts_kv::KvCache::new(ftts_kv::KvCacheConfig {
-            block_size: 16,
             capacity_bytes: 1 << 16,
             bytes_per_token: 4,
             prefix_sharing: true,

@@ -92,28 +92,26 @@ impl ModelPairing {
 /// Speculative Beam Extension settings (paper Sec. 4.1).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SpecConfig {
-    /// Master switch.
+    /// Master switch, LookAhead Verification (Sec. 4.1.3) included:
+    /// with verifier prefix caching on, completed speculative
+    /// continuations are verified together with the current step.
     pub enabled: bool,
     /// Mean of the truncation-ratio distribution `R`: duplicates keep on
     /// average `R` of the speculative tokens (Alg. 1 line 19). `R = 0`
     /// keeps nothing (slot filling still helps utilization); the paper's
     /// best setting is `R = 0.85` (Fig. 17 right).
     pub truncation_ratio: f64,
-    /// Standard deviation of the truncation ratio draw.
-    pub truncation_sigma: f64,
-    /// Enable LookAhead Verification (Sec. 4.1.3): completed speculative
-    /// continuations are verified together with the current step.
-    pub lookahead: bool,
 }
 
 impl SpecConfig {
+    /// Standard deviation of the truncation ratio draw.
+    pub const TRUNCATION_SIGMA: f64 = 0.08;
+
     /// Speculation disabled (the vLLM baseline).
     pub fn disabled() -> Self {
         Self {
             enabled: false,
             truncation_ratio: 0.0,
-            truncation_sigma: 0.0,
-            lookahead: false,
         }
     }
 
@@ -122,8 +120,6 @@ impl SpecConfig {
         Self {
             enabled: true,
             truncation_ratio: 0.85,
-            truncation_sigma: 0.08,
-            lookahead: true,
         }
     }
 }
@@ -145,10 +141,6 @@ pub struct EngineConfig {
     /// (vLLM's `gpu_memory_utilization`; the paper uses 0.9, or 0.4 for
     /// the memory-constrained setting).
     pub memory_fraction: f64,
-    /// Bytes reserved for CUDA graphs and intermediate activations.
-    pub reserved_bytes: u64,
-    /// Tokens per KV block.
-    pub block_size: u64,
     /// Enable prefix caching in both KV caches (vLLM has this on by
     /// default; disable to model the "w/o prefix cache" baseline).
     pub prefix_sharing: bool,
@@ -167,14 +159,15 @@ pub struct EngineConfig {
 }
 
 impl EngineConfig {
+    /// Bytes reserved for CUDA graphs and intermediate activations.
+    pub const RESERVED_BYTES: u64 = 512 * 1024 * 1024;
+
     /// A baseline-flavored config on the given device.
     pub fn baseline(device: impl Into<Arc<GpuDevice>>, models: ModelPairing) -> Self {
         Self {
             device: device.into(),
             models,
             memory_fraction: 0.9,
-            reserved_bytes: 512 * 1024 * 1024,
-            block_size: 16,
             prefix_sharing: true,
             ver_prefix_caching: false,
             spec: SpecConfig::disabled(),
@@ -189,7 +182,7 @@ impl EngineConfig {
         let usable = (self.device.vram_bytes as f64 * self.memory_fraction) as u64;
         usable
             .saturating_sub(self.models.weight_bytes())
-            .saturating_sub(self.reserved_bytes)
+            .saturating_sub(Self::RESERVED_BYTES)
     }
 }
 
@@ -231,7 +224,7 @@ mod tests {
     fn spec_presets() {
         assert!(!SpecConfig::disabled().enabled);
         let f = SpecConfig::fasttts_default();
-        assert!(f.enabled && f.lookahead);
+        assert!(f.enabled);
         assert!((f.truncation_ratio - 0.85).abs() < 1e-12);
         assert_eq!(SpecConfig::default(), SpecConfig::disabled());
     }

@@ -1,12 +1,12 @@
 //! The serving engine: the verifier-guided TTS loop on a simulated clock.
 
 use ftts_hw::{Phase, Roofline, UtilizationTrace};
-use ftts_kv::{KvCache, KvCacheConfig, KvError, NodeId};
+use ftts_kv::{KvCache, KvCacheConfig, KvError, NodeId, BLOCK_SIZE};
 use ftts_metrics::{BeamOutcome, LatencyBreakdown};
 use ftts_model::{normal, stream, ProblemSpec, StepPlan, SyntheticGenerator, SyntheticPrm};
 
 use crate::beam::{Beam, BeamId, BeamState, ScoredBeam, SpecBranch};
-use crate::config::EngineConfig;
+use crate::config::{EngineConfig, SpecConfig};
 use crate::order::{OrderItem, OrderPolicy};
 use crate::planner::{MemoryPlan, MemoryPlanner, PlanContext, StaticSplitPlanner};
 use crate::stats::RunStats;
@@ -632,13 +632,11 @@ impl RequestRun {
         // Initial half/half placeholder; the planner repartitions before
         // the first generation phase.
         let mut gen_kv = KvCache::new(KvCacheConfig {
-            block_size: cfg.block_size,
             capacity_bytes: budget / 2,
             bytes_per_token: cfg.models.gen_spec.kv_bytes_per_token(),
             prefix_sharing: cfg.prefix_sharing,
         });
         let mut ver_kv = KvCache::new(KvCacheConfig {
-            block_size: cfg.block_size,
             capacity_bytes: budget / 2,
             bytes_per_token: cfg.models.ver_spec.kv_bytes_per_token(),
             prefix_sharing: cfg.prefix_sharing,
@@ -723,9 +721,9 @@ impl RequestRun {
                 run.breakdown.generator += cost.seconds;
             }
             let bytes = warm_tokens * run.cfg.models.gen_spec.kv_bytes_per_token();
-            let t = run.gen_roof.swap_transfer(bytes);
-            run.advance(t.seconds, 0.0, Phase::Generation);
-            run.breakdown.swap += t.seconds;
+            let seconds = run.cfg.device.pcie_transfer_seconds(bytes);
+            run.advance(seconds, 0.0, Phase::Generation);
+            run.breakdown.swap += seconds;
         } else {
             let cost = run.gen_roof.prefill(run.problem.prompt_tokens, 0);
             run.advance(cost.seconds, cost.compute_util, Phase::Generation);
@@ -1394,7 +1392,7 @@ impl RequestRun {
 
     /// Blocks a beam will need to finish its step, with slack.
     fn growth_blocks(&self, beam: &Beam) -> u64 {
-        beam.remaining() / self.cfg.block_size + 2
+        beam.remaining() / BLOCK_SIZE + 2
     }
 
     /// Open a generation phase: offload the verifier's KV if planned,
@@ -1509,7 +1507,7 @@ impl RequestRun {
                     + gen
                         .spec_tasks
                         .iter()
-                        .map(|t| (t.target - t.generated) / self.cfg.block_size + 2)
+                        .map(|t| (t.target - t.generated) / BLOCK_SIZE + 2)
                         .sum::<u64>()
             };
             while let Some(&cand) = gen.queue.front() {
@@ -1925,7 +1923,7 @@ impl RequestRun {
                 // work), and it leaves a margin so the next iteration's
                 // admissions do not evict live paths either.
                 let leaf = self.beams[bi].kv;
-                let spec_blocks = target / self.cfg.block_size + 2;
+                let spec_blocks = target / BLOCK_SIZE + 2;
                 let margin = self.gen_kv.config().capacity_blocks() / 8;
                 if self.gen_kv.free_blocks() < spec_blocks * 2 + margin {
                     break 'fill; // no headroom for more speculation
@@ -2030,7 +2028,7 @@ impl RequestRun {
         }
         let batch_size = self.plan.ver_batch.max(1);
         let caching = self.cfg.ver_prefix_caching;
-        let lookahead = caching && self.cfg.spec.enabled && self.cfg.spec.lookahead;
+        let lookahead = caching && self.cfg.spec.enabled;
         let mut pinned = std::mem::take(&mut self.scratch.pinned);
         for chunk in to_verify.chunks(batch_size) {
             let mut new_tokens = 0u64;
@@ -2294,7 +2292,7 @@ impl RequestRun {
                 let ratio = normal(
                     &mut rng,
                     self.cfg.spec.truncation_ratio,
-                    self.cfg.spec.truncation_sigma,
+                    SpecConfig::TRUNCATION_SIGMA,
                 )
                 .clamp(0.0, 1.0);
                 let keep = ((s.generated as f64 * ratio).round() as u64).min(s.generated);

@@ -106,7 +106,6 @@ mod tests {
 
     fn setup() -> (KvCache, Vec<OrderItem>) {
         let mut kv = KvCache::new(KvCacheConfig {
-            block_size: 16,
             capacity_bytes: 1 << 20,
             bytes_per_token: 4,
             prefix_sharing: true,

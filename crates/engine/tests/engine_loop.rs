@@ -40,7 +40,7 @@ fn engine(spec: SpecConfig, fraction: f64, seed: u64, trace: bool) -> Engine {
     let mut cfg = EngineConfig::baseline(GpuDevice::rtx4090(), ModelPairing::pair_1_5b_1_5b());
     cfg.spec = spec;
     // LookAhead piggybacks on the verifier's cross-iteration cache.
-    cfg.ver_prefix_caching = spec.enabled && spec.lookahead;
+    cfg.ver_prefix_caching = spec.enabled;
     cfg.memory_fraction = fraction;
     cfg.seed = seed;
     cfg.trace = trace;

@@ -153,12 +153,6 @@ impl GpuDevice {
         self.mem_bandwidth * self.bandwidth_efficiency
     }
 
-    /// Machine-balance ridge point in FLOPs per byte: operational
-    /// intensities above this are compute-bound on this device.
-    pub fn ridge_point(&self) -> f64 {
-        self.effective_flops() / self.effective_bandwidth()
-    }
-
     /// Time to move `bytes` across the host link (used by KV offloading).
     pub fn pcie_transfer_seconds(&self, bytes: u64) -> f64 {
         bytes as f64 / self.pcie_bandwidth
@@ -191,11 +185,17 @@ mod tests {
         }
     }
 
+    /// Machine balance in FLOPs per byte: operational intensities
+    /// above it are compute-bound on `dev`.
+    fn ridge_point(dev: &GpuDevice) -> f64 {
+        dev.effective_flops() / dev.effective_bandwidth()
+    }
+
     #[test]
     fn ridge_point_is_positive_and_finite() {
         for dev in GpuDevice::edge_presets() {
-            assert!(dev.ridge_point() > 0.0);
-            assert!(dev.ridge_point().is_finite());
+            assert!(ridge_point(&dev) > 0.0);
+            assert!(ridge_point(&dev).is_finite());
         }
     }
 
@@ -228,7 +228,7 @@ mod tests {
             assert!(orin.effective_flops() < dev.effective_flops());
             assert!(orin.effective_bandwidth() < dev.effective_bandwidth());
         }
-        assert!(orin.ridge_point() > 0.0 && orin.ridge_point().is_finite());
+        assert!(ridge_point(&orin) > 0.0 && ridge_point(&orin).is_finite());
     }
 
     #[test]

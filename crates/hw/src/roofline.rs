@@ -261,26 +261,6 @@ impl Roofline {
         self.cost(flops, bytes)
     }
 
-    /// Cost of moving `bytes` of KV between device and host tiers over
-    /// the host link (swap-down at preemption, swap-in at warm restore).
-    ///
-    /// Pure data movement: zero FLOPs, seconds equal to
-    /// [`GpuDevice::pcie_transfer_seconds`] — so tier-aware schedulers
-    /// charging through this kernel book exactly the same wall-clock as
-    /// the legacy direct PCIe costing and the equivalence anchors hold.
-    pub fn swap_transfer(&self, bytes: u64) -> KernelCost {
-        if bytes == 0 {
-            return KernelCost::zero();
-        }
-        KernelCost {
-            seconds: self.device.pcie_transfer_seconds(bytes),
-            flops: 0.0,
-            bytes: bytes as f64,
-            compute_util: 0.0,
-            compute_bound: false,
-        }
-    }
-
     /// Batch decode throughput in tokens/second at the given batch size
     /// and context (used by the memory-allocation search, Fig. 10).
     pub fn decode_throughput(&self, batch: usize, avg_ctx: u64) -> f64 {

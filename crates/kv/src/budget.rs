@@ -362,14 +362,10 @@ impl PoolBudget {
         self.tenant_reserved.get(&tenant).copied().unwrap_or(0)
     }
 
-    /// Lifetime high-water mark of [`PoolBudget::tenant_reserved`] —
-    /// the steady-state shares the scheduler actually granted, audited
+    /// Every tenant's lifetime high-water mark of
+    /// [`PoolBudget::tenant_reserved`], in tenant-id order: the
+    /// steady-state shares the scheduler actually granted, audited
     /// against the cap by the noisy-neighbor bench.
-    pub fn tenant_peak_reserved(&self, tenant: u64) -> u64 {
-        self.tenant_peak.get(&tenant).copied().unwrap_or(0)
-    }
-
-    /// Every tenant's peak granted bytes, in tenant-id order.
     pub fn tenant_peaks(&self) -> Vec<(u64, u64)> {
         self.tenant_peak.iter().map(|(&t, &b)| (t, b)).collect()
     }
@@ -649,14 +645,17 @@ mod tests {
             "uncapped tenant gets the slack"
         );
         assert!(p.reserved_bytes() <= p.total_bytes());
-        assert_eq!(p.tenant_peak_reserved(1), p.tenant_reserved(1));
         let first = p.tenant_reserved(1);
+        assert_eq!(p.tenant_peaks(), [(0, p.tenant_reserved(0)), (1, first)]);
         // Peak is a high-water mark: shrinking the tenant's grant later
         // must not lower it.
+        let peak_0 = p.tenant_reserved(0);
         assert!(p.rebalance_tenants(&[treq(10, 0, 1, 10_000, 100), treq(11, 1, 1, 0, 0),]));
         assert!(p.tenant_reserved(1) <= first);
-        assert_eq!(p.tenant_peak_reserved(1), first);
-        assert_eq!(p.tenant_peaks().len(), 2);
+        assert_eq!(
+            p.tenant_peaks(),
+            [(0, peak_0.max(p.tenant_reserved(0))), (1, first)]
+        );
     }
 
     #[test]

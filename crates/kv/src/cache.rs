@@ -43,13 +43,11 @@ use serde::{Deserialize, Serialize};
 use crate::pool::BlockPool;
 use crate::stats::CacheStats;
 use crate::tree::{PrefixTree, Residency};
-use crate::NodeId;
+use crate::{NodeId, BLOCK_SIZE};
 
 /// Configuration of a [`KvCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct KvCacheConfig {
-    /// Tokens per KV block (vLLM default is 16).
-    pub block_size: u64,
     /// GPU memory budget for this cache, in bytes.
     pub capacity_bytes: u64,
     /// KV bytes written per token (from `ModelSpec::kv_bytes_per_token`).
@@ -60,9 +58,9 @@ pub struct KvCacheConfig {
 }
 
 impl KvCacheConfig {
-    /// Bytes per block.
+    /// Bytes per block of [`BLOCK_SIZE`] tokens.
     pub fn block_bytes(&self) -> u64 {
-        self.block_size * self.bytes_per_token
+        BLOCK_SIZE * self.bytes_per_token
     }
 
     /// Capacity expressed in whole blocks.
@@ -173,7 +171,7 @@ pub struct KvCache {
 impl KvCache {
     /// Create an empty cache.
     pub fn new(config: KvCacheConfig) -> Self {
-        let tree = PrefixTree::new(config.block_size, config.prefix_sharing);
+        let tree = PrefixTree::new(config.prefix_sharing);
         let pool = BlockPool::new(config.capacity_blocks());
         Self {
             config,
@@ -623,7 +621,7 @@ impl KvCache {
         }
         // A resident node owns exactly the blocks its tokens fill, so
         // growth that fits the last owned block needs no new block.
-        let new_owned = if owned > 0 && pad + n_tokens + tokens <= owned * self.config.block_size {
+        let new_owned = if owned > 0 && pad + n_tokens + tokens <= owned * BLOCK_SIZE {
             owned
         } else {
             self.tree.blocks_for(pad, n_tokens + tokens)
@@ -636,7 +634,7 @@ impl KvCache {
         // First physical materialization of a forked node performs the
         // copy-on-write boundary copy.
         if owned == 0 && pad > 0 {
-            self.stats.cow_blocks += pad.div_ceil(self.config.block_size);
+            self.stats.cow_blocks += pad.div_ceil(BLOCK_SIZE);
         }
         let node = self.tree.node_mut(leaf);
         node.n_tokens += tokens;
@@ -945,7 +943,6 @@ mod tests {
 
     fn cache(capacity_blocks: u64) -> KvCache {
         KvCache::new(KvCacheConfig {
-            block_size: 16,
             capacity_bytes: capacity_blocks * 16 * 4,
             bytes_per_token: 4,
             prefix_sharing: true,
@@ -1137,7 +1134,6 @@ mod tests {
     #[test]
     fn no_sharing_mode_duplicates_prefixes() {
         let mut kv = KvCache::new(KvCacheConfig {
-            block_size: 16,
             capacity_bytes: 100 * 16 * 4,
             bytes_per_token: 4,
             prefix_sharing: false,
@@ -1232,7 +1228,6 @@ mod tests {
     #[test]
     fn unique_path_tokens_without_sharing_sums_paths() {
         let mut kv = KvCache::new(KvCacheConfig {
-            block_size: 16,
             capacity_bytes: 100 * 16 * 4,
             bytes_per_token: 4,
             prefix_sharing: false,

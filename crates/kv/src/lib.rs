@@ -29,7 +29,6 @@
 //! use ftts_kv::{KvCache, KvCacheConfig};
 //!
 //! let mut kv = KvCache::new(KvCacheConfig {
-//!     block_size: 16,
 //!     capacity_bytes: 1 << 20,
 //!     bytes_per_token: 64,
 //!     prefix_sharing: true,
@@ -60,3 +59,7 @@ pub use pool::BlockPool;
 pub use stats::CacheStats;
 pub use tier::{HostTier, KvTierConfig, PrefixEntry, TierStats};
 pub use tree::{NodeId, Residency};
+
+/// Tokens per KV block: vLLM's default, and the block size of every
+/// cache.
+pub const BLOCK_SIZE: u64 = 16;

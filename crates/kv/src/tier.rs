@@ -29,8 +29,8 @@
 //!
 //! The tier is an accounting model, not a data store: it tracks byte
 //! placement so the schedulers can cost swap traffic via
-//! `Roofline::swap_transfer` and decide recompute-vs-restore, mirroring
-//! how the rest of the simulator treats KV.
+//! `GpuDevice::pcie_transfer_seconds` and decide recompute-vs-restore,
+//! mirroring how the rest of the simulator treats KV.
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -159,11 +159,6 @@ impl HostTier {
     /// Bytes still free for parking or publication.
     pub fn available_bytes(&self) -> u64 {
         self.config.host_capacity_bytes - self.used
-    }
-
-    /// Bytes parked for `owner` (0 if none).
-    pub fn parked_bytes_of(&self, owner: u64) -> u64 {
-        self.parked.get(&owner).copied().unwrap_or(0)
     }
 
     /// Event counters so far.
@@ -335,7 +330,8 @@ mod tests {
         assert_eq!(t.unpark(1), 60);
         assert_eq!(t.unpark(1), 0, "second unpark is a no-op");
         assert_eq!(t.used_bytes(), 40);
-        assert_eq!(t.parked_bytes_of(2), 40);
+        assert_eq!(t.unpark(2), 40);
+        assert_eq!(t.used_bytes(), 0);
     }
 
     #[test]
@@ -343,7 +339,7 @@ mod tests {
         let mut t = tier(100);
         assert_eq!(t.park(1, 30), 30);
         assert_eq!(t.park(1, 30), 30);
-        assert_eq!(t.parked_bytes_of(1), 60);
+        assert_eq!(t.used_bytes(), 60);
         assert_eq!(t.unpark(1), 60);
     }
 

@@ -16,6 +16,8 @@ use std::cell::Cell;
 
 use serde::{Deserialize, Serialize};
 
+use crate::BLOCK_SIZE;
+
 /// Identifier of a node in the prefix tree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct NodeId(pub(crate) u32);
@@ -84,7 +86,6 @@ impl Node {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub(crate) struct PrefixTree {
     pub nodes: Vec<Node>,
-    pub block_size: u64,
     pub prefix_sharing: bool,
     pub tick: u64,
     /// The stamp handed out by the latest [`PrefixTree::next_visit`].
@@ -92,11 +93,9 @@ pub(crate) struct PrefixTree {
 }
 
 impl PrefixTree {
-    pub fn new(block_size: u64, prefix_sharing: bool) -> Self {
-        assert!(block_size > 0, "block size must be positive");
+    pub fn new(prefix_sharing: bool) -> Self {
         Self {
             nodes: Vec::new(),
-            block_size,
             prefix_sharing,
             tick: 0,
             visit_stamp: Cell::new(0),
@@ -122,7 +121,7 @@ impl PrefixTree {
         if tokens == 0 {
             0
         } else {
-            (pad + tokens).div_ceil(self.block_size)
+            (pad + tokens).div_ceil(BLOCK_SIZE)
         }
     }
 
@@ -159,7 +158,7 @@ impl PrefixTree {
         let start = p.start + keep_tokens;
         let depth = p.depth + 1;
         let pad = if self.prefix_sharing {
-            start % self.block_size
+            start % BLOCK_SIZE
         } else {
             start
         };
@@ -265,7 +264,7 @@ mod tests {
     use super::*;
 
     fn tree() -> PrefixTree {
-        PrefixTree::new(16, true)
+        PrefixTree::new(true)
     }
 
     #[test]
@@ -292,7 +291,7 @@ mod tests {
 
     #[test]
     fn fork_without_sharing_copies_whole_prefix() {
-        let mut t = PrefixTree::new(16, false);
+        let mut t = PrefixTree::new(false);
         let r = t.add_root(100);
         let c = t.fork_at(r, 100);
         assert_eq!(t.node(c).pad, 100);

@@ -37,7 +37,6 @@ impl Forest {
     fn new(sharing: bool) -> Self {
         Self {
             kv: KvCache::new(KvCacheConfig {
-                block_size: 16,
                 capacity_bytes: 1 << 40,
                 bytes_per_token: 8,
                 prefix_sharing: sharing,

@@ -4,13 +4,12 @@
 //! metric under randomized workloads — the invariants the scheduling
 //! proofs in the paper's Appendix A lean on.
 
-use ftts_kv::{KvCache, KvCacheConfig, KvError, NodeId, Residency};
+use ftts_kv::{KvCache, KvCacheConfig, KvError, NodeId, Residency, BLOCK_SIZE};
 use proptest::prelude::*;
 
 fn config(capacity_blocks: u64, sharing: bool) -> KvCacheConfig {
     KvCacheConfig {
-        block_size: 16,
-        capacity_bytes: capacity_blocks * 16 * 8,
+        capacity_bytes: capacity_blocks * BLOCK_SIZE * 8,
         bytes_per_token: 8,
         prefix_sharing: sharing,
     }
@@ -107,7 +106,7 @@ fn run_script(ops: &[Op], capacity_blocks: u64, sharing: bool) -> (KvCache, u64)
                 }
             }
             Op::Resize(blocks) => {
-                kv.set_capacity_bytes(blocks * 16 * 8);
+                kv.set_capacity_bytes(blocks * BLOCK_SIZE * 8);
                 max_capacity = max_capacity.max(blocks);
             }
             Op::SwapOut => {
@@ -305,8 +304,8 @@ proptest! {
                     prop_assert_eq!(indexed.discard(node), oracle.discard(node));
                 }
                 Op::Resize(blocks) => {
-                    indexed.set_capacity_bytes(blocks * 16 * 8);
-                    oracle.set_capacity_bytes(blocks * 16 * 8);
+                    indexed.set_capacity_bytes(blocks * BLOCK_SIZE * 8);
+                    oracle.set_capacity_bytes(blocks * BLOCK_SIZE * 8);
                 }
                 Op::SwapOut => {
                     prop_assert_eq!(indexed.swap_out_unpinned(), oracle.swap_out_unpinned());

@@ -61,15 +61,19 @@ impl std::fmt::Display for SearchKind {
     }
 }
 
-/// Build a boxed driver for `kind` with beam budget `n` and branching
-/// factor `b`.
-pub fn make_driver(kind: SearchKind, n: usize, b: usize) -> Box<dyn SearchDriver + Send> {
+/// The branching factor `b` of every tree search: each surviving beam
+/// expands into `b` children (the average, for [`DynamicBranching`]),
+/// so `n / b` beams survive each selection.
+pub const BRANCHING: usize = 4;
+
+/// Build a boxed driver for `kind` with beam budget `n`.
+pub fn make_driver(kind: SearchKind, n: usize) -> Box<dyn SearchDriver + Send> {
     match kind {
         SearchKind::BestOfN => Box::new(BestOfN::new(n)),
-        SearchKind::BeamSearch => Box::new(BeamSearch::new(n, b)),
-        SearchKind::Dvts => Box::new(Dvts::new(n, b)),
-        SearchKind::DynamicBranching => Box::new(DynamicBranching::new(n, b)),
-        SearchKind::VaryingGranularity => Box::new(VaryingGranularity::new(n, b)),
+        SearchKind::BeamSearch => Box::new(BeamSearch::new(n)),
+        SearchKind::Dvts => Box::new(Dvts::new(n)),
+        SearchKind::DynamicBranching => Box::new(DynamicBranching::new(n)),
+        SearchKind::VaryingGranularity => Box::new(VaryingGranularity::new(n)),
     }
 }
 
@@ -107,19 +111,19 @@ impl SearchDriver for BestOfN {
     }
 }
 
-/// Standard beam search: keep the global top `n/b`, expand each into `b`
-/// children (Hugging Face `search-and-learn` semantics).
+/// Standard beam search: keep the global top `n/b`, expand each into
+/// `b` = [`BRANCHING`] children (Hugging Face `search-and-learn`
+/// semantics).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BeamSearch {
     n: usize,
-    b: usize,
 }
 
 impl BeamSearch {
-    /// Beam budget `n`, branching factor `b`.
-    pub fn new(n: usize, b: usize) -> Self {
-        assert!(n > 0 && b > 0, "n and b must be positive");
-        Self { n, b }
+    /// Beam budget `n`.
+    pub fn new(n: usize) -> Self {
+        assert!(n > 0, "n must be positive");
+        Self { n }
     }
 }
 
@@ -129,33 +133,32 @@ impl SearchDriver for BeamSearch {
     }
 
     fn branching(&self) -> usize {
-        self.b
+        BRANCHING
     }
 
     fn select(&mut self, frontier: &[ScoredBeam], _ctx: &SelectCtx) -> Vec<(BeamId, usize)> {
-        let keep = (self.n / self.b).max(1).min(frontier.len());
+        let keep = (self.n / BRANCHING).max(1).min(frontier.len());
         ranked(frontier)[..keep]
             .iter()
-            .map(|s| (s.id, self.b))
+            .map(|s| (s.id, BRANCHING))
             .collect()
     }
 }
 
 /// Diverse Verifier Tree Search: the frontier is partitioned into the
 /// `n/b` independent subtrees rooted at the initial expansion; the best
-/// beam of each subtree survives and expands into `b` children
-/// (Sec. 3.1, "Diverse Selection").
+/// beam of each subtree survives and expands into `b` = [`BRANCHING`]
+/// children (Sec. 3.1, "Diverse Selection").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Dvts {
     n: usize,
-    b: usize,
 }
 
 impl Dvts {
-    /// Beam budget `n`, per-subtree width `b`.
-    pub fn new(n: usize, b: usize) -> Self {
-        assert!(n > 0 && b > 0, "n and b must be positive");
-        Self { n, b }
+    /// Beam budget `n`.
+    pub fn new(n: usize) -> Self {
+        assert!(n > 0, "n must be positive");
+        Self { n }
     }
 }
 
@@ -165,7 +168,7 @@ impl SearchDriver for Dvts {
     }
 
     fn branching(&self) -> usize {
-        self.b
+        BRANCHING
     }
 
     fn select(&mut self, frontier: &[ScoredBeam], _ctx: &SelectCtx) -> Vec<(BeamId, usize)> {
@@ -173,7 +176,7 @@ impl SearchDriver for Dvts {
         // The n initial beams form n/b independent subtrees of width b;
         // subtree ids inherited from the initial expansion are grouped
         // accordingly.
-        let group = |s: &ScoredBeam| s.subtree / self.b as u32;
+        let group = |s: &ScoredBeam| s.subtree / BRANCHING as u32;
         let mut best: HashMap<u32, &ScoredBeam> = HashMap::new();
         for s in frontier {
             let entry = best.entry(group(s)).or_insert(s);
@@ -181,7 +184,8 @@ impl SearchDriver for Dvts {
                 *entry = s;
             }
         }
-        let mut picks: Vec<(BeamId, usize)> = best.into_values().map(|s| (s.id, self.b)).collect();
+        let mut picks: Vec<(BeamId, usize)> =
+            best.into_values().map(|s| (s.id, BRANCHING)).collect();
         picks.sort_by_key(|&(id, _)| id);
         picks
     }
@@ -194,15 +198,14 @@ impl SearchDriver for Dvts {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DynamicBranching {
     n: usize,
-    b: usize,
 }
 
 impl DynamicBranching {
-    /// Beam budget `n`; `b` is the *average* branching factor, which sets
-    /// how many parents survive (`n/b`).
-    pub fn new(n: usize, b: usize) -> Self {
-        assert!(n > 0 && b > 0, "n and b must be positive");
-        Self { n, b }
+    /// Beam budget `n`; [`BRANCHING`] is the *average* branching factor,
+    /// which sets how many parents survive (`n/b`).
+    pub fn new(n: usize) -> Self {
+        assert!(n > 0, "n must be positive");
+        Self { n }
     }
 }
 
@@ -212,11 +215,11 @@ impl SearchDriver for DynamicBranching {
     }
 
     fn branching(&self) -> usize {
-        self.b
+        BRANCHING
     }
 
     fn select(&mut self, frontier: &[ScoredBeam], _ctx: &SelectCtx) -> Vec<(BeamId, usize)> {
-        let keep = (self.n / self.b).max(1).min(frontier.len());
+        let keep = (self.n / BRANCHING).max(1).min(frontier.len());
         let survivors = &ranked(frontier)[..keep];
         let total: f64 = survivors.iter().map(|s| s.score.max(1e-6)).sum();
         // Largest-remainder apportionment of n children.
@@ -261,11 +264,10 @@ impl VaryingGranularity {
     const LATE_CAP: u64 = 2048;
     const SWITCH_DEPTH: u32 = 3;
 
-    /// Beam budget `n`, branching factor `b`, with the paper's
-    /// granularity schedule.
-    pub fn new(n: usize, b: usize) -> Self {
+    /// Beam budget `n`, with the paper's granularity schedule.
+    pub fn new(n: usize) -> Self {
         Self {
-            inner: BeamSearch::new(n, b),
+            inner: BeamSearch::new(n),
         }
     }
 }
@@ -309,7 +311,7 @@ mod tests {
 
     #[test]
     fn beam_search_keeps_top_n_over_b() {
-        let mut d = BeamSearch::new(8, 4);
+        let mut d = BeamSearch::new(8);
         let frontier: Vec<ScoredBeam> = (0..8).map(|i| beam(i, i as f64 / 10.0, 0)).collect();
         let picks = d.select(&frontier, &ctx());
         assert_eq!(picks.len(), 2);
@@ -328,7 +330,7 @@ mod tests {
 
     #[test]
     fn beam_search_tie_breaks_by_id() {
-        let mut d = BeamSearch::new(4, 4);
+        let mut d = BeamSearch::new(4);
         let frontier = vec![beam(3, 0.5, 0), beam(1, 0.5, 0)];
         let picks = d.select(&frontier, &ctx());
         assert_eq!(picks[0].0, BeamId(1));
@@ -347,7 +349,7 @@ mod tests {
 
     #[test]
     fn dvts_selects_one_per_subtree_group() {
-        let mut d = Dvts::new(8, 4);
+        let mut d = Dvts::new(8);
         // Initial subtrees 0..7 fold into groups {0..3} and {4..7}.
         let frontier = vec![
             beam(0, 0.9, 0),
@@ -366,7 +368,7 @@ mod tests {
     fn dvts_preserves_diversity_against_global_ranking() {
         // Group 1's best (0.3) survives even though group 0 holds the
         // global top-2.
-        let mut d = Dvts::new(8, 4);
+        let mut d = Dvts::new(8);
         let frontier = vec![beam(0, 0.9, 0), beam(1, 0.8, 1), beam(2, 0.3, 6)];
         let picks = d.select(&frontier, &ctx());
         let ids: Vec<u32> = picks.iter().map(|&(id, _)| id.0).collect();
@@ -375,7 +377,7 @@ mod tests {
 
     #[test]
     fn dynamic_branching_apportions_exactly_n() {
-        let mut d = DynamicBranching::new(16, 4);
+        let mut d = DynamicBranching::new(16);
         let frontier = vec![
             beam(0, 0.9, 0),
             beam(1, 0.5, 0),
@@ -395,7 +397,7 @@ mod tests {
 
     #[test]
     fn dynamic_branching_prunes_to_survivor_count() {
-        let mut d = DynamicBranching::new(8, 4);
+        let mut d = DynamicBranching::new(8);
         let frontier: Vec<ScoredBeam> = (0..8).map(|i| beam(i, 0.5, 0)).collect();
         let picks = d.select(&frontier, &ctx());
         assert_eq!(picks.len(), 2, "n/b survivors");
@@ -403,7 +405,7 @@ mod tests {
 
     #[test]
     fn varying_granularity_caps_by_depth() {
-        let d = VaryingGranularity::new(8, 4);
+        let d = VaryingGranularity::new(8);
         assert_eq!(d.step_token_cap(1), Some(64));
         assert_eq!(d.step_token_cap(3), Some(64));
         assert_eq!(d.step_token_cap(4), Some(2048));
@@ -412,7 +414,7 @@ mod tests {
     #[test]
     fn factory_builds_all_kinds() {
         for kind in SearchKind::all() {
-            let d = make_driver(kind, 16, 4);
+            let d = make_driver(kind, 16);
             assert!(!d.name().is_empty());
             assert!(d.branching() >= 1);
         }
@@ -437,7 +439,7 @@ mod tests {
             completed: it as usize,
         };
         for kind in SearchKind::all() {
-            let mut original = make_driver(kind, 16, 4);
+            let mut original = make_driver(kind, 16);
             for it in 0..3 {
                 original.select(&frontier(it), &ctx(it));
             }
@@ -461,7 +463,7 @@ mod tests {
     #[test]
     fn empty_frontier_yields_empty_selection() {
         for kind in SearchKind::all() {
-            let mut d = make_driver(kind, 8, 4);
+            let mut d = make_driver(kind, 8);
             assert!(d.select(&[], &ctx()).is_empty(), "{kind}");
         }
     }

@@ -17,14 +17,16 @@
 //! * [`VaryingGranularity`] — beam search whose verification granularity
 //!   (max step tokens) changes with depth (VG-Search-style).
 //!
-//! [`SearchKind`] enumerates them for sweep harnesses.
+//! [`SearchKind`] enumerates them for sweep harnesses. Every tree
+//! search branches by the one factor [`BRANCHING`], so a driver needs
+//! only its beam budget `n`.
 //!
 //! # Example
 //!
 //! ```
-//! use ftts_search::{SearchKind, make_driver};
-//! let mut driver = make_driver(SearchKind::BeamSearch, 16, 4);
-//! assert_eq!(driver.branching(), 4);
+//! use ftts_search::{make_driver, SearchKind, BRANCHING};
+//! let mut driver = make_driver(SearchKind::BeamSearch, 16);
+//! assert_eq!(driver.branching(), BRANCHING);
 //! assert_eq!(driver.name(), "beam-search");
 //! ```
 #![forbid(unsafe_code)]
@@ -34,5 +36,6 @@ mod algorithms;
 
 pub use algorithms::{
     make_driver, BeamSearch, BestOfN, Dvts, DynamicBranching, SearchKind, VaryingGranularity,
+    BRANCHING,
 };
 pub use ftts_engine::SearchDriver;

@@ -21,7 +21,7 @@ fn evaluate(kind: SearchKind, dataset: Dataset, n_problems: usize, n: usize) -> 
     for problem in dataset.problems(n_problems, 77) {
         let cfg = EngineConfig::baseline(GpuDevice::rtx4090(), ModelPairing::pair_1_5b_7b());
         let mut eng = Engine::new(cfg, Box::new(FifoOrder), Box::new(StaticSplitPlanner));
-        let mut driver = make_driver(kind, n, 4);
+        let mut driver = make_driver(kind, n);
         let stats = eng.run(&problem, n, driver.as_mut()).unwrap();
         if stats.top1_correct() {
             correct += 1;
@@ -77,7 +77,7 @@ fn all_algorithms_complete_on_all_datasets() {
             let problem = dataset.problems(1, 5)[0];
             let cfg = EngineConfig::baseline(GpuDevice::rtx4090(), ModelPairing::pair_1_5b_1_5b());
             let mut eng = Engine::new(cfg, Box::new(FifoOrder), Box::new(StaticSplitPlanner));
-            let mut driver = make_driver(kind, 8, 4);
+            let mut driver = make_driver(kind, 8);
             let stats = eng.run(&problem, 8, driver.as_mut()).unwrap();
             assert!(
                 !stats.beams.is_empty(),

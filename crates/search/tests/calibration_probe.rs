@@ -17,7 +17,7 @@ fn probe(pairing: ModelPairing, dataset: Dataset, kind: SearchKind, n: usize, pr
     for problem in dataset.problems(problems, 123) {
         let cfg = EngineConfig::baseline(GpuDevice::rtx4090(), pairing.clone());
         let mut eng = Engine::new(cfg, Box::new(FifoOrder), Box::new(StaticSplitPlanner));
-        let mut driver = make_driver(kind, n, 4);
+        let mut driver = make_driver(kind, n);
         let stats = eng.run(&problem, n, driver.as_mut()).unwrap();
         if stats.top1_correct() {
             top1 += 1;

@@ -12,7 +12,7 @@
 
 use std::collections::BTreeMap;
 
-use ftts_core::MAX_TENANTS;
+use ftts_core::{StormConfig, MAX_TENANTS};
 
 /// One tenant's deployment row (`[[tenants]]`).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -35,20 +35,12 @@ pub struct TenantCfg {
 /// Optional seeded fault storm injected into every simulated device.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StormCfg {
-    /// Storm seed.
+    /// Storm seed; device `d` scatters its storm from `seed + d`.
     pub seed: u64,
     /// Horizon the events scatter over, seconds.
     pub horizon_secs: f64,
-    /// Transient kernel failures over the horizon.
-    pub kernel_faults: usize,
-    /// Thermal-throttle windows over the horizon.
-    pub slowdowns: usize,
-    /// Kernel-time multiplier inside each window (>= 1).
-    pub slowdown_factor: f64,
-    /// Length of each throttle window, seconds.
-    pub slowdown_secs: f64,
-    /// Device KV-loss events over the horizon.
-    pub kv_losses: usize,
+    /// What each device's storm scatters over the horizon.
+    pub faults: StormConfig,
 }
 
 /// The validated server configuration.
@@ -357,11 +349,13 @@ impl ServeConfig {
                     Ok::<StormCfg, String>(StormCfg {
                         seed: f.u64("seed", 1)?,
                         horizon_secs: f.f64("horizon_secs", 600.0)?,
-                        kernel_faults: f.usize("kernel_faults", 0)?,
-                        slowdowns: f.usize("slowdowns", 0)?,
-                        slowdown_factor: f.f64("slowdown_factor", 1.5)?,
-                        slowdown_secs: f.f64("slowdown_secs", 10.0)?,
-                        kv_losses: f.usize("kv_losses", 0)?,
+                        faults: StormConfig {
+                            kernel_faults: f.usize("kernel_faults", 0)?,
+                            slowdowns: f.usize("slowdowns", 0)?,
+                            slowdown_factor: f.f64("slowdown_factor", 1.5)?,
+                            slowdown_secs: f.f64("slowdown_secs", 10.0)?,
+                            kv_losses: f.usize("kv_losses", 0)?,
+                        },
                     })
                 })
                 .transpose()?,
@@ -415,10 +409,11 @@ impl ServeConfig {
             }
             // Written so that NaN fails too: a NaN storm value used to
             // pass here and panic the first replay.
-            if !(storm.slowdown_factor >= 1.0 && storm.slowdown_factor.is_finite()) {
+            let faults = &storm.faults;
+            if !(faults.slowdown_factor >= 1.0 && faults.slowdown_factor.is_finite()) {
                 return Err("faults slowdown_factor must be finite and >= 1".to_string());
             }
-            if !(storm.slowdown_secs > 0.0 && storm.slowdown_secs.is_finite()) {
+            if !(faults.slowdown_secs > 0.0 && faults.slowdown_secs.is_finite()) {
                 return Err("faults slowdown_secs must be finite and positive".to_string());
             }
         }
@@ -485,7 +480,7 @@ max_in_flight = 3
         )
         .expect("parse");
         let storm = c.storm.expect("storm");
-        assert_eq!(storm.kernel_faults, 3);
+        assert_eq!(storm.faults.kernel_faults, 3);
         assert_eq!(storm.seed, 5);
     }
 

@@ -101,12 +101,19 @@ fn require_str(obj: &Json, key: &str) -> Result<String, WireError> {
         .ok_or_else(|| malformed(format!("missing or non-string '{key}'")))
 }
 
+/// The largest integer a wire number is sure to hold, 2^53 - 1: the
+/// reader parses numbers as `f64`, where 2^53 + 1 already reads back as
+/// 2^53.
+const MAX_WIRE_INTEGER: f64 = 9_007_199_254_740_991.0;
+
 fn require_u64(obj: &Json, key: &str) -> Result<u64, WireError> {
     let x = obj
         .number_at(key)
         .ok_or_else(|| malformed(format!("missing or non-numeric '{key}'")))?;
-    if x < 0.0 || x.fract() != 0.0 || x > 1.8e19 {
-        return Err(malformed(format!("'{key}' must be a non-negative integer")));
+    if x < 0.0 || x.fract() != 0.0 || x > MAX_WIRE_INTEGER {
+        return Err(malformed(format!(
+            "'{key}' must be a non-negative integer below 2^53"
+        )));
     }
     #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
     Ok(x as u64)

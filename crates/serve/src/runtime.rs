@@ -33,7 +33,7 @@ use std::fmt::Write as _;
 
 use ftts_core::{
     BatchConfig, EventConfig, FaultPlan, FleetConfig, FleetSim, RoutePolicy, ServedRequest,
-    StormConfig, TenantPolicy, TenantSpec, TtsServer,
+    TenantPolicy, TenantSpec, TtsServer,
 };
 use ftts_engine::ModelPairing;
 use ftts_hw::GpuDevice;
@@ -136,17 +136,7 @@ impl ServeRuntime {
         let plans = (0..config.devices as u64)
             .map(|device| {
                 config.storm.as_ref().map_or_else(FaultPlan::none, |s| {
-                    FaultPlan::storm(
-                        s.seed.wrapping_add(device),
-                        s.horizon_secs,
-                        &StormConfig {
-                            kernel_faults: s.kernel_faults,
-                            slowdowns: s.slowdowns,
-                            slowdown_factor: s.slowdown_factor,
-                            slowdown_secs: s.slowdown_secs,
-                            kv_losses: s.kv_losses,
-                        },
-                    )
+                    FaultPlan::storm(s.seed.wrapping_add(device), s.horizon_secs, &s.faults)
                 })
             })
             .collect();

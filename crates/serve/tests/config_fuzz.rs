@@ -76,8 +76,8 @@ fn assert_in_bounds(c: &ServeConfig) {
     }
     if let Some(s) = &c.storm {
         assert!(s.horizon_secs.is_finite() && s.horizon_secs > 0.0);
-        assert!(s.slowdown_factor.is_finite() && s.slowdown_factor >= 1.0);
-        assert!(s.slowdown_secs.is_finite() && s.slowdown_secs > 0.0);
+        assert!(s.faults.slowdown_factor.is_finite() && s.faults.slowdown_factor >= 1.0);
+        assert!(s.faults.slowdown_secs.is_finite() && s.faults.slowdown_secs > 0.0);
     }
 }
 

@@ -67,6 +67,8 @@ fn malformed_frames_never_reach_admission() {
         &deep_nest,
         // Overflows f64: once read as +inf, i.e. "no deadline".
         "{\"op\":\"submit\",\"id\":\"r\",\"tenant\":0,\"slo\":\"standard\",\"dataset\":\"amc2023\",\"problem_seed\":1,\"deadline_secs\":1e999}",
+        // 2^53 + 1 reads back as 2^53: once served as the wrong problem.
+        "{\"op\":\"submit\",\"id\":\"r\",\"tenant\":0,\"slo\":\"standard\",\"dataset\":\"amc2023\",\"problem_seed\":9007199254740993}",
     ] {
         assert_rejected(&mut rt, line, "malformed");
     }
@@ -76,7 +78,7 @@ fn malformed_frames_never_reach_admission() {
     let stats = rt.handle_line("{\"op\":\"stats\"}");
     assert!(stats.reply.contains("\"ok\":true"), "{}", stats.reply);
     assert!(stats.reply.contains("\"requests\":0"), "{}", stats.reply);
-    assert!(stats.reply.contains("\"rejected\":8"), "{}", stats.reply);
+    assert!(stats.reply.contains("\"rejected\":9"), "{}", stats.reply);
 }
 
 #[test]

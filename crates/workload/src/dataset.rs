@@ -27,16 +27,6 @@ impl Dataset {
         ]
     }
 
-    /// Official test-set size of the real benchmark.
-    pub fn official_size(self) -> usize {
-        match self {
-            Dataset::Aime2024 => 30,
-            Dataset::Amc2023 => 40,
-            Dataset::Math500 => 500,
-            Dataset::HumanEval => 164,
-        }
-    }
-
     /// Mean and spread of problem difficulty, in quality-logit units.
     /// Calibrated against the paper's accuracy bands (see EXPERIMENTS.md).
     fn difficulty_params(self) -> (f64, f64) {
@@ -200,14 +190,6 @@ mod tests {
                 assert!((32..=512).contains(&p.prompt_tokens));
             }
         }
-    }
-
-    #[test]
-    fn official_sizes_match_the_benchmarks() {
-        assert_eq!(Dataset::Aime2024.official_size(), 30);
-        assert_eq!(Dataset::Amc2023.official_size(), 40);
-        assert_eq!(Dataset::Math500.official_size(), 500);
-        assert_eq!(Dataset::HumanEval.official_size(), 164);
     }
 
     #[test]

@@ -11,7 +11,6 @@ use proptest::prelude::*;
 /// Random beam-search-like frontiers for order-policy properties.
 fn random_frontier(parents: usize, children: usize, prompt: u64) -> (KvCache, Vec<OrderItem>) {
     let mut kv = KvCache::new(KvCacheConfig {
-        block_size: 16,
         capacity_bytes: 1 << 30,
         bytes_per_token: 64,
         prefix_sharing: true,
